@@ -89,7 +89,6 @@ from .percolation import (
 from .sampling import (
     RngStream,
     TwoRoundSample,
-    complement_split,
     coupled_subgraphs,
     partition_split,
     sample_subgraph,

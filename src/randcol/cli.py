@@ -39,7 +39,6 @@ from .percolation import (
     thm4_process,
 )
 from .sampling import RngStream, sample_subgraph, two_round_sample
-from .spectral import second_eigenvalue
 from .verify import SUITE_NAMES, run_suite
 
 
@@ -199,7 +198,6 @@ def cmd_percolate(args) -> int:
             "root": args.root,
             "infected": len(state.infected),
             "rounds": len(state.round_trace),
-            "fixpoint_reached": state.fixpoint_reached,
             "audit_violations": len(violations),
         }
     )

@@ -284,10 +284,9 @@ def find_cubic_expander(
 # --- blow-ups -------------------------------------------------------------------
 
 
-def blow_up(h: Graph, m: int, seed=None) -> tuple[Graph, BlowUpLayout]:
+def blow_up(h: Graph, m: int) -> tuple[Graph, BlowUpLayout]:
     """Replace every vertex of h by an independent m-set and every edge
-    by a complete bipartite graph. Deterministic; seed accepted only for
-    interface uniformity with the random generators."""
+    by a complete bipartite graph."""
     if m < 1:
         raise InputError("m must be >= 1")
     layout = BlowUpLayout(n_super=h.n, layers=1, m=m)

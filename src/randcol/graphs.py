@@ -8,7 +8,6 @@ plain frozensets over that range.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, InputError
@@ -187,15 +186,21 @@ class DiGraph:
         self._out = tuple(tuple(sorted(a)) for a in out)
         self._in = tuple(tuple(sorted(a)) for a in inn)
 
-    def out_neighbours(self, v: int) -> tuple[int, ...]:
+    def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
         if self._out is None:
             self._build_adj()
-        return self._out[v]
+        return self._out
 
-    def in_neighbours(self, v: int) -> tuple[int, ...]:
+    def in_adjacency(self) -> tuple[tuple[int, ...], ...]:
         if self._in is None:
             self._build_adj()
-        return self._in[v]
+        return self._in
+
+    def out_neighbours(self, v: int) -> tuple[int, ...]:
+        return self.out_adjacency()[v]
+
+    def in_neighbours(self, v: int) -> tuple[int, ...]:
+        return self.in_adjacency()[v]
 
     def out_degree(self, v: int) -> int:
         return len(self.out_neighbours(v))
@@ -262,81 +267,85 @@ def edge_boundary(g: Graph, s: Iterable[int]) -> list[tuple[int, int]]:
     return [e for e in g.edges if (e[0] in s) != (e[1] in s)]
 
 
-def girth(g: Graph) -> float:
-    """Length of the shortest cycle; math.inf for forests.
-
-    One BFS per vertex; the minimum over roots of the first tree-crossing
-    estimate is exact.
-    """
-    best = math.inf
-    adj = g.adjacency()
-    dist = [-1] * g.n
-    parent = [-1] * g.n
-    for root in range(g.n):
-        touched = [root]
-        dist[root] = 0
-        parent[root] = -1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best:
-                break
+def _bfs_levels(adj, root: int, allowed=None):
+    """Yield the breadth-first levels from root over the neighbour table
+    adj (adj[v] lists the neighbours, or out-neighbours, of v). Past the
+    root, only vertices in `allowed` are entered when it is given; the
+    root is always level 0. Levels are computed lazily, so a caller that
+    stops early pays only for the levels it read."""
+    seen = {root}
+    level = [root]
+    while level:
+        yield level
+        nxt = []
+        for u in level:
             for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    touched.append(w)
-                    queue.append(w)
-                elif w != parent[u] and parent[w] != u:
-                    cand = dist[u] + dist[w] + 1
+                if w not in seen and (allowed is None or w in allowed):
+                    seen.add(w)
+                    nxt.append(w)
+        level = nxt
+
+
+def _reached(adj, root: int, allowed=None) -> frozenset:
+    return frozenset(v for level in _bfs_levels(adj, root, allowed) for v in level)
+
+
+def _cycle_below(g: Graph, best: float, first: bool) -> float:
+    """Length of the shortest cycle shorter than `best`, or `best` when
+    there is none; with `first`, the first such length found instead.
+
+    One BFS per root. A vertex of level k with two neighbours in level
+    k-1 closes a walk of length 2k, an edge inside level k one of length
+    2k+1; each walk contains a cycle no longer than itself, and a root on
+    a shortest cycle sees its length, so the minimum over roots is exact
+    and any single candidate certifies a cycle that short. The search
+    from a root stops at the first level that cannot beat the bound.
+    """
+    adj = g.adjacency()
+    depth = [-1] * g.n
+    for root in range(g.n):
+        touched = []
+        for k, level in enumerate(_bfs_levels(adj, root)):
+            for v in level:
+                depth[v] = k
+            touched.extend(level)
+            for v in level:
+                parents = 0
+                for w in adj[v]:
+                    if depth[w] == k:
+                        cand = 2 * k + 1
+                    elif k and depth[w] == k - 1:
+                        parents += 1
+                        if parents == 1:
+                            continue
+                        cand = 2 * k
+                    else:
+                        continue
                     if cand < best:
+                        if first:
+                            return cand
                         best = cand
+            if 2 * (k + 1) >= best:
+                break
         for v in touched:
-            dist[v] = -1
-            parent[v] = -1
+            depth[v] = -1
         if best == 3:
             break
     return best
 
 
+def girth(g: Graph) -> float:
+    """Length of the shortest cycle; math.inf for forests."""
+    return _cycle_below(g, math.inf, first=False)
+
+
 def has_cycle_shorter_than(g: Graph, length: int) -> bool:
     """True iff girth(g) < length.
 
-    Same search as girth() with the running bound preset to `length`, so
-    the per-root BFS aborts at depth length/2; a first candidate below
-    the bound certifies a short cycle (candidates never undershoot the
-    girth).
+    Returns at the first cycle found below the bound, which makes
+    rejecting a graph with a short cycle cheap.
     """
-    if length <= 3:
-        return False
-    adj = g.adjacency()
-    dist = [-1] * g.n
-    parent = [-1] * g.n
-    for root in range(g.n):
-        touched = [root]
-        dist[root] = 0
-        queue = deque([root])
-        found = False
-        while queue and not found:
-            u = queue.popleft()
-            if 2 * dist[u] >= length:
-                break
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    touched.append(w)
-                    queue.append(w)
-                elif w != parent[u] and parent[w] != u:
-                    if dist[u] + dist[w] + 1 < length:
-                        found = True
-                        break
-        for v in touched:
-            dist[v] = -1
-            parent[v] = -1
-        if found:
-            return True
-    return False
+    return _cycle_below(g, length, first=True) < length
 
 
 def count_connected_edge_subgraphs(g: Graph, v: int, t: int, cap: int = ENUMERATION_CAP) -> int:
@@ -396,30 +405,13 @@ def reachable_set(h: DiGraph, r: int) -> frozenset:
     """Vertices reachable from r by directed paths, including r."""
     if not (0 <= r < h.n):
         raise InputError(f"vertex {r} out of range")
-    seen = {r}
-    queue = deque([r])
-    while queue:
-        u = queue.popleft()
-        for w in h.out_neighbours(u):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    return _reached(h.out_adjacency(), r)
 
 
 def connected_component(g: Graph, v: int) -> frozenset:
     if not (0 <= v < g.n):
         raise InputError(f"vertex {v} out of range")
-    adj = g.adjacency()
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    return _reached(g.adjacency(), v)
 
 
 def is_connected(g: Graph) -> bool:
@@ -429,19 +421,12 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_strongly_connected(h: DiGraph) -> bool:
+    """Every vertex reaches vertex 0 and is reached from it."""
     if h.n == 0:
         return True
-    if len(reachable_set(h, 0)) != h.n:
-        return False
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in h.in_neighbours(u):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == h.n
+    return all(
+        len(_reached(adj, 0)) == h.n for adj in (h.out_adjacency(), h.in_adjacency())
+    )
 
 
 def complete_graph(n: int) -> Graph:

@@ -60,7 +60,6 @@ EXPERIMENT_KINDS = (
     "thm3_sweep",
     "thm4_sweep",
     "product_colouring",
-    "verify_suite",
 )
 
 # two-sided 95%
@@ -313,9 +312,6 @@ class ExperimentConfig:
             if not cond:
                 raise InputError(f"{kind}: {msg}")
 
-        if kind == "verify_suite":
-            need(self.suite is not None, "needs a suite name")
-            return
         need(self.graph is not None, "needs a graph recipe")
         if kind == "core_emptiness":
             need(self.t is not None and self.t >= 0, "needs a threshold t >= 0")
@@ -472,41 +468,31 @@ def _trial_proposition_check(config: ExperimentConfig, stream: RngStream) -> dic
     }
 
 
-def _trial_thm3_sweep(config: ExperimentConfig, stream: RngStream) -> dict:
+def _trial_sweep(config: ExperimentConfig, stream: RngStream) -> dict:
+    """One spread process at every p of the sweep, on one graph. The
+    process functions are read from the module namespace at call time,
+    so a wrapper installed on a module attribute sees every call."""
     h, _ = _trial_graph(config, stream)
+    if config.kind == "thm3_sweep":
+        process, audit = thm3_process, thm3_fixpoint_violations
+        size_key, whole = "component_size", connected_component
+    else:
+        process, audit = thm4_process, thm4_fixpoint_violations
+        size_key, whole = "reachable_size", reachable_set
     sizes, rounds = [], []
     fixpoint_ok = True
     for p in config.p_sweep:
-        state = thm3_process(h, p, config.root, stream)
+        state = process(h, p, config.root, stream)
         sizes.append(len(state.infected))
         rounds.append(len(state.round_trace))
-        if thm3_fixpoint_violations(h, state):
+        if audit(h, state):
             fixpoint_ok = False
     return {
         "v0_sizes": sizes,
         "rounds": rounds,
         "monotone": all(a >= b for a, b in zip(sizes, sizes[1:])),
         "fixpoint_ok": fixpoint_ok,
-        "component_size": len(connected_component(h, config.root)),
-    }
-
-
-def _trial_thm4_sweep(config: ExperimentConfig, stream: RngStream) -> dict:
-    h, _ = _trial_graph(config, stream)
-    sizes, rounds = [], []
-    fixpoint_ok = True
-    for p in config.p_sweep:
-        state = thm4_process(h, p, config.root, stream)
-        sizes.append(len(state.infected))
-        rounds.append(len(state.round_trace))
-        if thm4_fixpoint_violations(h, state):
-            fixpoint_ok = False
-    return {
-        "v0_sizes": sizes,
-        "rounds": rounds,
-        "monotone": all(a >= b for a, b in zip(sizes, sizes[1:])),
-        "fixpoint_ok": fixpoint_ok,
-        "reachable_size": len(reachable_set(h, config.root)),
+        size_key: len(whole(h, config.root)),
     }
 
 
@@ -523,25 +509,13 @@ def _trial_product_colouring(config: ExperimentConfig, stream: RngStream) -> dic
     }
 
 
-def _trial_verify_suite(config: ExperimentConfig, stream: RngStream) -> dict:
-    from .verify import run_suite
-
-    report = run_suite(config.suite)
-    return {
-        "suite": config.suite,
-        "passed": report.passed,
-        "checks": [[c.label, c.ok] for c in report.checks],
-    }
-
-
 _TRIAL_FUNCS = {
     "core_emptiness": _trial_core_emptiness,
     "chromatic_tail": _trial_chromatic_tail,
     "proposition_check": _trial_proposition_check,
-    "thm3_sweep": _trial_thm3_sweep,
-    "thm4_sweep": _trial_thm4_sweep,
+    "thm3_sweep": _trial_sweep,
+    "thm4_sweep": _trial_sweep,
     "product_colouring": _trial_product_colouring,
-    "verify_suite": _trial_verify_suite,
 }
 
 
@@ -622,8 +596,6 @@ def recompute_aggregate(config: ExperimentConfig, records) -> dict:
         mu, var = mean_and_sample_variance(r.values["product"] for r in good)
         agg["product_mean"] = mu
         agg["product_variance"] = var
-    elif kind == "verify_suite":
-        agg["all_passed"] = all(r.values["passed"] for r in good) if good else False
     agg["regime_metadata"] = config.regime_metadata
     return agg
 

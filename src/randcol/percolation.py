@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
-from .graphs import DiGraph, Graph, vertex_boundary
+from .graphs import DiGraph, Graph, _bfs_levels, _reached, vertex_boundary
 from .colouring import t_core
 from .sampling import RngStream
 
@@ -29,7 +29,6 @@ class PercolationState:
 
     infected: frozenset
     round_trace: tuple
-    fixpoint_reached: bool
     protected_edges: frozenset | None = None
     resilient_vertices: frozenset | None = None
 
@@ -83,7 +82,6 @@ def bootstrap_percolate(g: Graph, initially_infected, threshold_of) -> Percolati
     return PercolationState(
         infected=frozenset(infected),
         round_trace=tuple(trace),
-        fixpoint_reached=True,
     )
 
 
@@ -125,7 +123,6 @@ def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> Percolat
     return PercolationState(
         infected=state.infected,
         round_trace=state.round_trace,
-        fixpoint_reached=True,
         protected_edges=protected,
     )
 
@@ -140,24 +137,10 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
         raise InputError(f"root {r} out of range")
     u = rng.child("resilient").uniforms(h.n)
     blocked = frozenset(v for v in range(h.n) if u[v] < p_resilient)
-    infected = {r}
-    trace = [1]
-    current = [r]
-    while current:
-        nxt = set()
-        for v in current:
-            for w in h.out_neighbours(v):
-                if w not in infected and w not in blocked:
-                    nxt.add(w)
-        if not nxt:
-            break
-        infected |= nxt
-        trace.append(len(nxt))
-        current = sorted(nxt)
+    levels = list(_bfs_levels(h.out_adjacency(), r, frozenset(range(h.n)) - blocked))
     return PercolationState(
-        infected=frozenset(infected),
-        round_trace=tuple(trace),
-        fixpoint_reached=True,
+        infected=frozenset(v for level in levels for v in level),
+        round_trace=tuple(len(level) for level in levels),
         resilient_vertices=blocked,
     )
 
@@ -249,15 +232,7 @@ def classify_supervertices_thm3(
         if h.n != layout.n_super:
             raise InputError("base graph does not match layout")
         dead = {v for v, st in enumerate(status) if st == "dead"}
-        seen = {root}
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w in h.neighbours(v):
-                if w in dead and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        dead_component = frozenset(seen)
+        dead_component = _reached(h.adjacency(), root, dead)
     return SuperVertexStatus(
         status=status,
         surviving_count=tuple(tuple(row) for row in table),
@@ -370,16 +345,7 @@ def boundary_resilience_audit(
     if h.n != layout.n_super:
         raise InputError("base digraph does not match layout")
     cls = resilient_pair_detect(final_graph, layout, params, edge_graph=round2_graph)
-    nearly = cls.nearly_dead_set()
-    seen = {root}
-    queue = [root]
-    while queue:
-        v = queue.pop()
-        for w in h.out_neighbours(v):
-            if w in nearly and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    t_set = frozenset(seen)
+    t_set = _reached(h.out_adjacency(), root, cls.nearly_dead_set())
     boundary = vertex_boundary(h, t_set)
     violations = tuple(sorted(v for v in boundary if not cls.resilient[v]))
     return BoundaryResilienceReport(

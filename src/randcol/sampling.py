@@ -116,13 +116,6 @@ def partition_split(g: Graph, parts: int, stream: RngStream) -> list[Graph]:
     return [g.with_edges(b) for b in buckets]
 
 
-def complement_split(g: Graph, stream: RngStream) -> tuple[Graph, Graph]:
-    """Split g into two edge-disjoint halves; each half is marginally a
-    1/2-subgraph and their union is g."""
-    a, b = partition_split(g, 2, stream)
-    return a, b
-
-
 def second_round_rate(first_rate: Fraction) -> Fraction:
     """Deletion rate for the second round so that overall per-edge
     survival is exactly 1/2: (1/2 - a)/(1 - a)."""

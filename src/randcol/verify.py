@@ -75,7 +75,9 @@ class SuiteReport:
             "suite": self.name,
             "passed": self.passed,
             "checks": [
-                {"label": c.label, "ok": c.ok, "detail": c.detail} for c in self.checks
+                # bool(): a check's flag may be a numpy bool, which json rejects
+                {"label": c.label, "ok": bool(c.ok), "detail": c.detail}
+                for c in self.checks
             ],
         }
 

@@ -106,8 +106,6 @@ class TestConfig:
         with pytest.raises(InputError):
             core_config(master_seed=-1)
         with pytest.raises(InputError):
-            ExperimentConfig(kind="verify_suite", trials=1, master_seed=0)
-        with pytest.raises(InputError):
             ExperimentConfig(kind="thm3_sweep", trials=1, master_seed=0,
                              graph={"kind": "cycle", "n": 5}, p_sweep=(0.3, 0.1))
         with pytest.raises(InputError):
@@ -284,13 +282,6 @@ class TestExperiments:
         assert res.aggregate["inequality_holds"]["proportion"] == 1.0
         assert res.aggregate["min_margin"] >= 0
         assert len({tuple(r.values["part_chis"]) for r in res.records}) > 1
-
-    def test_verify_suite_kind(self):
-        cfg = ExperimentConfig(
-            kind="verify_suite", trials=1, master_seed=0, suite="fixpoints"
-        )
-        res = run_experiment(cfg)
-        assert res.aggregate["all_passed"] is True
 
 
 class TestOutputs:

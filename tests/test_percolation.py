@@ -66,7 +66,6 @@ def test_threshold_one_fills_component():
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
     state = bootstrap_percolate(g, {0}, [1] * 7)
     assert state.infected == connected_component(g, 0)
-    assert state.fixpoint_reached
 
 
 def test_infinite_threshold_freezes():
@@ -191,7 +190,6 @@ def test_thm3_fixpoint_audit_detects_breakage():
     broken = PercolationState(
         infected=frozenset({0}),
         round_trace=(1,),
-        fixpoint_reached=False,
         protected_edges=state.protected_edges,
     )
     assert thm3_fixpoint_violations(g, broken) != []

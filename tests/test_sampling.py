@@ -8,7 +8,6 @@ from randcol.errors import InputError
 from randcol.graphs import Graph
 from randcol.sampling import (
     RngStream,
-    complement_split,
     coupled_subgraphs,
     edge_uniforms,
     partition_split,
@@ -143,9 +142,9 @@ def test_partition_split_is_a_partition():
     assert union == set(g.edges)
 
 
-def test_complement_split_halves():
+def test_two_way_partition_split_halves():
     g = complete_graph(40)
-    a, b = complement_split(g, RngStream(6).child("split"))
+    a, b = partition_split(g, 2, RngStream(6).child("split"))
     assert a.m + b.m == g.m
     assert set(a.edges).isdisjoint(b.edges)
     assert abs(a.m / g.m - 0.5) < 0.05

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from randcol.errors import InputError
+from randcol.errors import ConvergenceError, InputError
+from randcol.generators import random_regular_graph
 from randcol.graphs import DiGraph, Graph
 from randcol.sampling import RngStream
 from randcol.spectral import (
@@ -52,17 +54,48 @@ def test_known_spectra_dense():
     assert abs(second_eigenvalue(complete_graph(4), 3).lambda2 + 1.0) < 1e-9
 
 
-def test_power_iteration_matches_dense():
+def dense_lambda2(g):
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
+    return np.linalg.eigvalsh(a)[-2]
+
+
+def test_eigsh_matches_dense_reference():
     for g, d in [
+        (Graph(2, [(0, 1)]), 1),
         (petersen(), 3),
         (circulant(6, [1]), 2),
         (complete_graph(4), 3),
+        (complete_graph(12), 11),
         (circulant(60, [1, 2, 5]), 6),
         (circulant(200, [1, 2, 5]), 6),
+        (random_regular_graph(300, 3, 1), 3),
     ]:
-        dense = second_eigenvalue(g, d).lambda2
-        power = second_eigenvalue(g, d, dense_cutoff=0).lambda2
-        assert abs(dense - power) < 1e-7, (g, dense, power)
+        lam = second_eigenvalue(g, d).lambda2
+        assert abs(lam - dense_lambda2(g)) < 1e-9, (g, lam)
+
+
+def test_large_circulant_matches_closed_form():
+    # eigenvalues of a circulant are sum_s 2 cos(2 pi j s / n), j = 0..n-1
+    n, offsets = 2500, [1, 2, 5]
+    j = np.arange(1, n)[:, None]
+    want = (2 * np.cos(2 * np.pi * j * np.array(offsets) / n)).sum(axis=1).max()
+    assert abs(second_eigenvalue(circulant(n, offsets), 6).lambda2 - want) < 1e-9
+
+
+def test_result_is_repeatable():
+    g = random_regular_graph(500, 3, 2)
+    assert second_eigenvalue(g, 3).lambda2 == second_eigenvalue(g, 3).lambda2
+
+
+def test_no_convergence_raises(monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no luck", np.array([]), np.array([]))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    with pytest.raises(ConvergenceError):
+        second_eigenvalue(petersen(), 3)
 
 
 def test_certificate_fields():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,14 @@ class TestSuites:
         d = report.to_dict()
         assert d["suite"] == "demo"
         assert d["checks"][1]["ok"] is False
+
+    def test_report_dict_holds_plain_bools(self):
+        # a check flag computed by numpy comparison (as the two_round
+        # suite's chi-square test does) must still serialise
+        report = SuiteReport("demo", (CheckResult("chi2", np.float64(1.0) < 2.0, "x"),))
+        d = report.to_dict()
+        assert d["checks"][0]["ok"] is True
+        assert json.loads(json.dumps(d)) == d
 
     def test_all_names_are_runnable(self):
         # two_round is exercised by the acceptance gate; here we only
