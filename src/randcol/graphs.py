@@ -35,7 +35,8 @@ class Graph:
         if n < 0:
             raise InputError("vertex count must be non-negative")
         self.n = n
-        norm = sorted(_normalise_edge(u, v) for u, v in edges)
+        # inline, not _normalise_edge: this runs once per edge of every graph
+        norm = sorted((u, v) if u < v else (v, u) for u, v in edges)
         self.edges: tuple[tuple[int, int], ...] = tuple(norm)
         if validate:
             seen = set()

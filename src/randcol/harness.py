@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -110,8 +111,12 @@ def build_graph(recipe: dict, params: ConstructionParams | None = None):
     if not isinstance(recipe, dict) or "kind" not in recipe:
         raise InputError("graph recipe must be a dict with a 'kind' entry")
     key = (json.dumps(recipe, sort_keys=True), params)
-    if key in _BUILD_CACHE:
-        return _BUILD_CACHE[key]
+    if key not in _BUILD_CACHE:
+        _BUILD_CACHE[key] = _build_uncached(recipe, params)
+    return _BUILD_CACHE[key]
+
+
+def _build_uncached(recipe: dict, params: ConstructionParams | None):
     kind = recipe["kind"]
     layout = None
     if kind == "complete":
@@ -145,7 +150,6 @@ def build_graph(recipe: dict, params: ConstructionParams | None = None):
         g = load_graph(_want(recipe, "path"))
     else:
         raise InputError(f"unknown graph recipe kind {kind!r}")
-    _BUILD_CACHE[key] = (g, layout)
     return g, layout
 
 
@@ -408,10 +412,12 @@ def _fixed_graph(config: ExperimentConfig):
 
 def _trial_graph(config: ExperimentConfig, stream: RngStream):
     """Per-trial graph: recipes without a seed get one from the trial
-    stream, giving an independent graph each trial."""
+    stream, giving an independent graph each trial. Such a graph is
+    built outside the cache, since no later trial asks for it again."""
     recipe = config.graph
     if "seed" not in recipe and recipe.get("kind") not in ("complete", "cycle", "file", "blow_up", "gadget"):
-        recipe = dict(recipe, seed=stream.child("graph-seed").key())
+        seeded = dict(recipe, seed=stream.child("graph-seed").key())
+        return _build_uncached(seeded, config.params)
     return build_graph(recipe, config.params)
 
 
@@ -425,14 +431,15 @@ def _sampled_graph(config: ExperimentConfig, g: Graph, stream: RngStream) -> Gra
 def _trial_core_emptiness(config: ExperimentConfig, stream: RngStream) -> dict:
     g, layout = _fixed_graph(config)
     sub = _sampled_graph(config, g, stream)
-    core = t_core(sub, config.t)
+    # the classification computes the t-core itself
+    cls = None if layout is None else classify_supervertices_thm3(sub, layout, config.t)
+    core = t_core(sub, config.t) if cls is None else cls.core
     values = {
         "core_size": len(core),
         "empty": not core,
         "kept_edges": sub.m,
     }
-    if layout is not None:
-        cls = classify_supervertices_thm3(sub, layout, config.t)
+    if cls is not None:
         values["dead_supers"] = len(cls.dead_set())
     return values
 
@@ -547,6 +554,11 @@ def _proportion_block(flags) -> dict:
     }
 
 
+def _put_moments(agg: dict, good: list, key: str) -> None:
+    """agg[key_mean] and agg[key_variance] over the values of the good records."""
+    agg[f"{key}_mean"], agg[f"{key}_variance"] = mean_and_sample_variance(r.values[key] for r in good)
+
+
 def recompute_aggregate(config: ExperimentConfig, records) -> dict:
     """Aggregate statistics derived purely from (config, records); the
     emitted aggregate block is exactly this function's output."""
@@ -562,24 +574,14 @@ def recompute_aggregate(config: ExperimentConfig, records) -> dict:
     kind = config.kind
     if kind == "core_emptiness":
         agg["empty_core"] = _proportion_block(r.values["empty"] for r in good)
-        mu, var = mean_and_sample_variance(r.values["core_size"] for r in good)
-        agg["core_size_mean"] = mu
-        agg["core_size_variance"] = var
+        _put_moments(agg, good, "core_size")
     elif kind == "chromatic_tail":
-        mu, var = mean_and_sample_variance(r.values["chi"] for r in good)
-        agg["chi_mean"] = mu
-        agg["chi_variance"] = var
-        hist: dict = {}
-        for r in good:
-            key = str(r.values["chi"])
-            hist[key] = hist.get(key, 0) + 1
-        agg["chi_histogram"] = hist
+        _put_moments(agg, good, "chi")
+        agg["chi_histogram"] = dict(Counter(str(r.values["chi"]) for r in good))
         agg["all_exact"] = all(r.values["exact"] for r in good)
     elif kind == "proposition_check":
         agg["bound_holds"] = _proportion_block(r.values["ok"] for r in good)
-        mu, var = mean_and_sample_variance(r.values["chi"] for r in good)
-        agg["chi_mean"] = mu
-        agg["chi_variance"] = var
+        _put_moments(agg, good, "chi")
         agg["bound"] = good[0].values["bound"] if good else None
     elif kind in ("thm3_sweep", "thm4_sweep"):
         sweeps = [r.values["v0_sizes"] for r in good]
@@ -593,9 +595,7 @@ def recompute_aggregate(config: ExperimentConfig, records) -> dict:
     elif kind == "product_colouring":
         agg["inequality_holds"] = _proportion_block(r.values["ok"] for r in good)
         agg["min_margin"] = min((r.values["margin"] for r in good), default=None)
-        mu, var = mean_and_sample_variance(r.values["product"] for r in good)
-        agg["product_mean"] = mu
-        agg["product_variance"] = var
+        _put_moments(agg, good, "product")
     agg["regime_metadata"] = config.regime_metadata
     return agg
 

@@ -13,7 +13,7 @@ from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
 from .graphs import DiGraph, Graph, _bfs_levels, _reached, vertex_boundary
 from .colouring import t_core
-from .sampling import RngStream
+from .sampling import RngStream, _select
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,9 @@ def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> Percolat
         raise InputError(f"p_protect {p_protect} outside [0, 1]")
     if not (0 <= r < h.n):
         raise InputError(f"root {r} out of range")
-    u = rng.child("protect").uniforms(h.m)
-    protected = frozenset(h.edges[i] for i in range(h.m) if u[i] < p_protect)
-    incident = [False] * h.n
-    for a, b in protected:
-        incident[a] = incident[b] = True
-    thresholds = [2 if incident[v] else 1 for v in range(h.n)]
-    state = bootstrap_percolate(h, {r}, thresholds)
+    hit = rng.child("protect").uniforms(h.m) < p_protect
+    protected = frozenset(_select(h.edges, hit))
+    state = bootstrap_percolate(h, {r}, _thm3_thresholds(h, protected))
     return PercolationState(
         infected=state.infected,
         round_trace=state.round_trace,
@@ -135,8 +131,8 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
         raise InputError(f"p_resilient {p_resilient} outside [0, 1]")
     if not (0 <= r < h.n):
         raise InputError(f"root {r} out of range")
-    u = rng.child("resilient").uniforms(h.n)
-    blocked = frozenset(v for v in range(h.n) if u[v] < p_resilient)
+    hit = rng.child("resilient").uniforms(h.n) < p_resilient
+    blocked = frozenset(_select(range(h.n), hit))
     levels = list(_bfs_levels(h.out_adjacency(), r, frozenset(range(h.n)) - blocked))
     return PercolationState(
         infected=frozenset(v for level in levels for v in level),
@@ -145,20 +141,22 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     )
 
 
+def _thm3_thresholds(h: Graph, protected) -> list:
+    """2 at a vertex with a protected incident edge, else 1."""
+    thresholds = [1] * h.n
+    for a, b in protected:
+        thresholds[a] = thresholds[b] = 2
+    return thresholds
+
+
 def thm3_fixpoint_violations(h: Graph, state: PercolationState) -> list:
     """Outside vertices that the rule says should have joined."""
-    protected = state.protected_edges or frozenset()
-    incident = [False] * h.n
-    for a, b in protected:
-        incident[a] = incident[b] = True
-    bad = []
-    for v in range(h.n):
-        if v in state.infected:
-            continue
-        cnt = sum(1 for w in h.neighbours(v) if w in state.infected)
-        if cnt >= 2 or (cnt >= 1 and not incident[v]):
-            bad.append(v)
-    return bad
+    thresholds = _thm3_thresholds(h, state.protected_edges or ())
+    return [
+        v for v in range(h.n)
+        if v not in state.infected
+        and sum(1 for w in h.neighbours(v) if w in state.infected) >= thresholds[v]
+    ]
 
 
 def thm4_fixpoint_violations(h: DiGraph, state: PercolationState) -> list:

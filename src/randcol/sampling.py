@@ -11,29 +11,34 @@ cheap.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache
+from itertools import compress
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .graphs import Graph
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_INV53 = 2.0 ** -53
+# 0-d arrays: ufuncs take them with less overhead than numpy scalars
+_GOLDEN, _MIX1, _MIX2, _ONE, _S11, _S27, _S30, _S31 = (
+    np.array(k, dtype=np.uint64)
+    for k in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 1, 11, 27, 30, 31)
+)
+_INV53 = np.array(2.0 ** -53)
+
+# Exactly the strings str() gives for an int: such a label would hash
+# like that int, since keys encode labels with str().
+_INT_LITERAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
-def _splitmix(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
-    return z
+def _select(items: Sequence, mask: np.ndarray) -> Iterator:
+    """items[i] for every i where the boolean mask is set, in order: one
+    C-level pass, with no Python loop over the mask."""
+    return compress(items, mask.tolist())
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,10 @@ class RngStream:
 
     def child(self, *labels) -> "RngStream":
         for lab in labels:
-            if not isinstance(lab, (int, str)):
+            if isinstance(lab, bool) or not isinstance(lab, (int, str)):
                 raise InputError(f"stream labels must be int or str, got {type(lab).__name__}")
+            if isinstance(lab, str) and _INT_LITERAL.fullmatch(lab):
+                raise InputError(f"string label {lab!r} would alias the int label {lab}")
         return RngStream(self.master_seed, self.path + tuple(labels))
 
     def key(self) -> int:
@@ -68,9 +75,17 @@ class RngStream:
         return self.uniform_at(np.arange(count, dtype=np.uint64))
 
     def uniform_at(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.uint64)
-        z = np.uint64(self.key()) + (idx + np.uint64(1)) * _GOLDEN
-        return (_splitmix(z) >> np.uint64(11)).astype(np.float64) * _INV53
+        # splitmix64 of key + (i + 1) * golden, in place on one fresh array
+        z = np.asarray(indices, dtype=np.uint64) + _ONE
+        z *= _GOLDEN
+        z += np.uint64(self.key())
+        z ^= z >> _S30
+        z *= _MIX1
+        z ^= z >> _S27
+        z *= _MIX2
+        z ^= z >> _S31
+        z >>= _S11
+        return z * _INV53
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(self.key())
@@ -87,8 +102,7 @@ def subgraph_from_uniforms(g: Graph, u: np.ndarray, p: float) -> Graph:
         raise InputError("uniform count must match edge count")
     if not (0.0 <= p <= 1.0):
         raise InputError(f"probability {p} outside [0, 1]")
-    kept = [g.edges[i] for i in np.flatnonzero(u < p)]
-    return g.with_edges(kept)
+    return g.with_edges(_select(g.edges, u < p))
 
 
 def sample_subgraph(g: Graph, p: float, stream: RngStream) -> Graph:
@@ -110,10 +124,7 @@ def partition_split(g: Graph, parts: int, stream: RngStream) -> list[Graph]:
         raise InputError("parts must be >= 1")
     u = edge_uniforms(g, stream)
     which = np.minimum((u * parts).astype(np.int64), parts - 1)
-    buckets: list[list] = [[] for _ in range(parts)]
-    for i, e in enumerate(g.edges):
-        buckets[which[i]].append(e)
-    return [g.with_edges(b) for b in buckets]
+    return [g.with_edges(_select(g.edges, which == j)) for j in range(parts)]
 
 
 def second_round_rate(first_rate: Fraction) -> Fraction:
@@ -125,59 +136,47 @@ def second_round_rate(first_rate: Fraction) -> Fraction:
     return (Fraction(1, 2) - a) / (1 - a)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=32)
+def _round_rates(first_rate) -> tuple[float, float]:
+    """Both deletion rates as floats, computed exactly once per rate."""
+    a1 = Fraction(first_rate)
+    return float(a1), float(second_round_rate(a1))
+
+
+@dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
 class TwoRoundSample:
     """Outcome of the two-round edge deletion process.
 
     Both rounds are sampled independently over all edges; an edge is
     deleted if either round hits it, so survival is (1-a1)(1-a2) = 1/2
-    per edge. round2_deleted lists only the edges newly removed in round
-    two (disjoint from round1_deleted); round2_hit records the full
-    second-round sample for audits that care about it alone.
+    per edge. round1_hit and round2_hit are read-only boolean masks over
+    the canonical edge index of graph, each the full sample of its round
+    (an edge can be hit by both).
     """
 
     graph: Graph
     first_rate: float
-    round1_deleted: tuple
-    round2_deleted: tuple
-    round2_hit: tuple = field(repr=False, default=())
+    round1_hit: np.ndarray
+    round2_hit: np.ndarray
 
     def round1_survivors(self) -> Graph:
-        gone = set(self.round1_deleted)
-        return self.graph.with_edges(
-            e for i, e in enumerate(self.graph.edges) if i not in gone
-        )
+        return self.graph.with_edges(_select(self.graph.edges, ~self.round1_hit))
 
     def round2_only_survivors(self) -> Graph:
         """Edges missed by the second-round sample, ignoring round one."""
-        hit = set(self.round2_hit)
-        return self.graph.with_edges(
-            e for i, e in enumerate(self.graph.edges) if i not in hit
-        )
+        return self.graph.with_edges(_select(self.graph.edges, ~self.round2_hit))
 
     def survivors(self) -> Graph:
-        gone = set(self.round1_deleted) | set(self.round2_deleted)
-        return self.graph.with_edges(
-            e for i, e in enumerate(self.graph.edges) if i not in gone
-        )
+        gone = self.round1_hit | self.round2_hit
+        return self.graph.with_edges(_select(self.graph.edges, ~gone))
 
 
 def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:
     """Delete edges in two independent rounds at rates a and
     (1/2 - a)/(1 - a); the union of deletions leaves every edge alive
     with probability exactly 1/2."""
-    a1 = Fraction(first_rate)
-    a2 = second_round_rate(a1)
-    u1 = stream.child("round1").uniforms(g.m)
-    u2 = stream.child("round2").uniforms(g.m)
-    hit1 = u1 < float(a1)
-    hit2 = u2 < float(a2)
-    round1 = tuple(int(i) for i in np.flatnonzero(hit1))
-    round2 = tuple(int(i) for i in np.flatnonzero(hit2 & ~hit1))
-    return TwoRoundSample(
-        graph=g,
-        first_rate=float(a1),
-        round1_deleted=round1,
-        round2_deleted=round2,
-        round2_hit=tuple(int(i) for i in np.flatnonzero(hit2)),
-    )
+    a1, a2 = _round_rates(first_rate)
+    hit1 = stream.child("round1").uniforms(g.m) < a1
+    hit2 = stream.child("round2").uniforms(g.m) < a2
+    hit1.flags.writeable = hit2.flags.writeable = False
+    return TwoRoundSample(graph=g, first_rate=a1, round1_hit=hit1, round2_hit=hit2)

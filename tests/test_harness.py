@@ -6,6 +6,7 @@ import statistics
 import pytest
 from scipy.stats import binomtest
 
+from randcol import harness
 from randcol.errors import InputError
 from randcol.generators import ConstructionParams
 from randcol.graphs import Graph, load_graph, save_graph
@@ -282,6 +283,19 @@ class TestExperiments:
         assert res.aggregate["inequality_holds"]["proportion"] == 1.0
         assert res.aggregate["min_margin"] >= 0
         assert len({tuple(r.values["part_chis"]) for r in res.records}) > 1
+
+    def test_per_trial_graphs_stay_out_of_the_build_cache(self):
+        cfg = ExperimentConfig(
+            kind="product_colouring",
+            trials=20,
+            master_seed=23,
+            graph={"kind": "random", "n": 8, "density": 0.5},
+            parts=2,
+        )
+        before = len(harness._BUILD_CACHE)
+        res = run_experiment(cfg)
+        assert res.aggregate["errors"] == 0
+        assert len(harness._BUILD_CACHE) == before
 
 
 class TestOutputs:

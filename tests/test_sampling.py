@@ -41,10 +41,60 @@ def test_child_paths_do_not_collide():
         s.child("a", "b").key(),
         s.child("ab").key(),
         s.child(1).key(),
-        s.child("1").key(),
+        s.child("01").key(),
+        s.child("+1").key(),
     }
-    # "1" the string and 1 the int hash identically by design; all else distinct
-    assert len(keys) == 6
+    assert len(keys) == 8
+
+
+def _aliases_int(label: str) -> bool:
+    try:
+        return str(int(label)) == label
+    except ValueError:
+        return False
+
+
+def test_labels_that_alias_an_int_are_rejected():
+    # keys encode labels with str(), so "1" would hash like 1, "True" like True
+    for bad in ("1", "0", "-3", "123", True, False):
+        with pytest.raises(InputError):
+            RngStream(1).child("a", bad)
+    for ok in ("01", "-0", "+1", " 1", "1.0", "1_0", "x1"):
+        RngStream(1).child(ok)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=6))
+def test_str_label_rejected_iff_it_aliases_an_int(label):
+    if _aliases_int(label):
+        with pytest.raises(InputError):
+            RngStream(0).child(label)
+    else:
+        RngStream(0).child(label)
+
+
+labels = st.one_of(
+    st.integers(-3, 12),
+    st.text(alphabet="ab1-0:;", max_size=3).filter(lambda lab: not _aliases_int(lab)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.lists(labels, max_size=3).map(tuple)),
+                min_size=2, max_size=12, unique=True))
+def test_distinct_label_paths_give_distinct_keys(paths):
+    keys = {RngStream(seed).child(*path).key() for seed, path in paths}
+    assert len(keys) == len(paths)
+
+
+def test_uniforms_pinned():
+    # fixed values of one stream: a change to the key or the mixing shows here
+    want = [
+        "0x1.2536b47daff94p-2", "0x1.ee23d52f046e8p-2", "0x1.0044fc16367c6p-1",
+        "0x1.37363ce4a153cp-1", "0x1.71c3e4be136e8p-3", "0x1.820a2504e848cp-1",
+        "0x1.49a81265990ecp-1", "0x1.fcc731fa51dc0p-7",
+    ]
+    assert [float(x).hex() for x in RngStream(5).child("x").uniforms(8)] == want
 
 
 def test_uniform_at_matches_uniforms():
@@ -166,14 +216,17 @@ def test_second_round_rate_exact():
 def test_two_round_bookkeeping():
     g = complete_graph(30)
     out = two_round_sample(g, Fraction(1, 6), RngStream(99).child("rounds"))
-    r1, r2 = set(out.round1_deleted), set(out.round2_deleted)
-    assert r1.isdisjoint(r2)
-    assert r2 <= set(out.round2_hit)
-    assert set(out.round2_hit) - r1 == r2
+    r1, r2 = out.round1_hit, out.round2_hit
+    assert r1.dtype == r2.dtype == np.bool_ and r1.shape == r2.shape == (g.m,)
+    assert not r1.flags.writeable and not r2.flags.writeable
+    gone = np.flatnonzero(r1 | r2)
     surv = out.survivors()
-    assert surv.m == g.m - len(r1) - len(r2)
-    assert set(surv.edges).isdisjoint(g.edges[i] for i in r1 | r2)
-    assert out.round1_survivors().m == g.m - len(r1)
+    assert surv.m == g.m - len(gone)
+    assert set(surv.edges).isdisjoint(g.edges[i] for i in gone)
+    assert out.round1_survivors().m == g.m - np.count_nonzero(r1)
+    assert out.round2_only_survivors().m == g.m - np.count_nonzero(r2)
+    both = set(out.round1_survivors().edges) & set(out.round2_only_survivors().edges)
+    assert set(surv.edges) == both
 
 
 def test_two_round_survival_is_half():
@@ -185,5 +238,5 @@ def test_two_round_survival_is_half():
 def test_two_round_zero_first_rate():
     g = complete_graph(20)
     out = two_round_sample(g, 0, RngStream(8).child("rounds"))
-    assert out.round1_deleted == ()
+    assert not out.round1_hit.any()
     assert out.survivors() == out.round2_only_survivors()
