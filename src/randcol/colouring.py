@@ -3,7 +3,7 @@ on small instances, first-fit greedy, and the product-colouring check."""
 
 from __future__ import annotations
 
-import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,34 +47,61 @@ class ColouringResult:
         return all(self.colour_of[u] != self.colour_of[v] for u, v in g.edges)
 
 
+def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[Sequence[int], list]:
+    """Peel g at each threshold t of an ascending sequence in turn.
+
+    A live vertex with fewer than t live neighbours leaves, and the
+    removal cascades in queue order; the next threshold starts from the
+    survivors, scanning them in ascending id. Stops when the sequence
+    ends or nothing is left. A vertex is scanned once per threshold it
+    enters, at most its degree + 1 of them, so a full run is O(n + m).
+    Returns (survivors in ascending id, peel order).
+    """
+    adj = g.adjacency()
+    deg = g.degrees()
+    alive = [True] * g.n
+    live = range(g.n)
+    order: list = []
+    push = order.append
+    for t in thresholds:
+        if not live:
+            break
+        head = len(order)
+        for v in live:
+            if deg[v] < t:
+                alive[v] = False
+                push(v)
+        while head < len(order):
+            for w in adj[order[head]]:
+                if alive[w]:
+                    deg[w] -= 1
+                    if deg[w] < t:
+                        alive[w] = False
+                        push(w)
+            head += 1
+        live = [v for v in live if alive[v]]
+    return live, order
+
+
 def colouring_number(g: Graph) -> tuple[int, EliminationOrder]:
     """Degeneracy + 1, with the witnessing elimination order.
 
-    Peels a minimum-degree vertex at each step, lowest id first among
-    ties; the returned order is the reverse of the peel.
+    Peels at thresholds 1, 2, ... until no vertex is left; ties break by
+    threshold, then by cascade (the vertices below each threshold in
+    ascending id, then those they push below it, in queue order). The
+    returned order is the reverse of the peel. A vertex peeled at
+    threshold t has fewer than t neighbours later in the peel, and the
+    last threshold reached is one more than the degeneracy.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return 0, EliminationOrder((), ())
     adj = g.adjacency()
-    deg = g.degrees()
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    removed = [False] * n
-    removal = []
-    at_removal = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue  # stale entry
-        removed[v] = True
-        removal.append(v)
-        at_removal.append(d)
-        for w in adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    order = EliminationOrder(tuple(reversed(removal)), tuple(reversed(at_removal)))
+    _, peel = _peel(g, itertools.count(1))
+    pos = [0] * g.n
+    for i, v in enumerate(peel):
+        pos[v] = i
+    later = [sum(pos[w] > i for w in adj[v]) for i, v in enumerate(peel)]
+    order = EliminationOrder(tuple(reversed(peel)), tuple(reversed(later)))
     return order.degeneracy() + 1, order
 
 
@@ -82,25 +109,8 @@ def t_core_with_trace(g: Graph, t: int) -> tuple[frozenset, tuple]:
     """The t-core plus the cascade of peeled vertices, in peel order."""
     if t < 0:
         raise InputError("t must be >= 0")
-    adj = g.adjacency()
-    deg = g.degrees()
-    alive = [True] * g.n
-    queue = [v for v in range(g.n) if deg[v] < t]
-    for v in queue:
-        alive[v] = False
-    trace = []
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        trace.append(v)
-        for w in adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < t:
-                    alive[w] = False
-                    queue.append(w)
-    return frozenset(v for v in range(g.n) if alive[v]), tuple(trace)
+    core, trace = _peel(g, (t,))
+    return frozenset(core), tuple(trace)
 
 
 def t_core(g: Graph, t: int) -> frozenset:

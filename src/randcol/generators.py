@@ -182,6 +182,33 @@ def _as_stream(seed, purpose: str) -> RngStream:
     return RngStream(seed).child(purpose)
 
 
+def _pair_stubs(n: int, d: int, stream: RngStream, directed: bool, what: str):
+    """Configuration-model pairing with rejection.
+
+    Attempt i shuffles the stub list (each vertex d times, ascending)
+    with stream.child(i). Undirected, consecutive shuffled stubs pair
+    up; directed, the k-th stub of the ascending list is the tail and
+    the k-th shuffled stub its head. An attempt with a loop or a
+    repeated pair is rejected; a pair is read as unordered when
+    undirected. Returns (tails, heads) as int arrays.
+    """
+    stubs = np.repeat(np.arange(n), d)
+    for attempt in range(REJECTION_CAP):
+        shuffled = stubs.copy()
+        stream.child(attempt).generator().shuffle(shuffled)
+        if directed:
+            tails, heads = stubs, shuffled
+            key = tails * n + heads
+        else:
+            tails, heads = shuffled[0::2], shuffled[1::2]
+            key = np.minimum(tails, heads) * n + np.maximum(tails, heads)
+        if not (tails == heads).any() and np.unique(key).size == key.size:
+            return tails, heads
+    raise GenerationError(
+        f"no simple {what} in {REJECTION_CAP} attempts; retry with a new seed"
+    )
+
+
 def random_regular_graph(n: int, d: int, seed) -> Graph:
     """Simple d-regular graph from the configuration model with
     rejection (resample on loops or parallel edges)."""
@@ -192,27 +219,8 @@ def random_regular_graph(n: int, d: int, seed) -> Graph:
     if d >= n:
         raise InputError("need d < n")
     stream = _as_stream(seed, "regular-graph")
-    for attempt in range(REJECTION_CAP):
-        rng = stream.child(attempt).generator()
-        stubs = np.repeat(np.arange(n), d)
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        seen = set()
-        ok = True
-        for u, v in pairs:
-            if u == v:
-                ok = False
-                break
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                ok = False
-                break
-            seen.add(e)
-        if ok:
-            return Graph(n, [(int(u), int(v)) for u, v in seen], validate=False)
-    raise GenerationError(
-        f"no simple {d}-regular graph in {REJECTION_CAP} attempts; retry with a new seed"
-    )
+    tails, heads = _pair_stubs(n, d, stream, directed=False, what=f"{d}-regular graph")
+    return Graph(n, zip(tails.tolist(), heads.tolist()), validate=False)
 
 
 def random_two_regular_digraph(n: int, seed) -> DiGraph:
@@ -222,33 +230,11 @@ def random_two_regular_digraph(n: int, seed) -> DiGraph:
     if n < 3:
         raise InputError("need n >= 3")
     stream = _as_stream(seed, "two-regular-digraph")
-    out_stubs = np.repeat(np.arange(n), 2)
-    for attempt in range(REJECTION_CAP):
-        rng = stream.child(attempt).generator()
-        in_stubs = out_stubs.copy()
-        rng.shuffle(in_stubs)
-        seen = set()
-        ok = True
-        for u, v in zip(out_stubs, in_stubs):
-            if u == v or (u, v) in seen:
-                ok = False
-                break
-            seen.add((u, v))
-        if not ok:
-            continue
-        arcs = [(int(u), int(v)) for u, v in zip(out_stubs, in_stubs)]
-        first_in_seen: set = set()
-        colours = []
-        for _, v in arcs:
-            if v in first_in_seen:
-                colours.append("b")
-            else:
-                first_in_seen.add(v)
-                colours.append("r")
-        return DiGraph(n, arcs, arc_colour=colours, validate=False)
-    raise GenerationError(
-        f"no simple 2-regular digraph in {REJECTION_CAP} attempts; retry with a new seed"
-    )
+    tails, heads = _pair_stubs(n, 2, stream, directed=True, what="2-regular digraph")
+    colours = np.full(heads.size, "b")
+    colours[np.unique(heads, return_index=True)[1]] = "r"
+    return DiGraph(n, zip(tails.tolist(), heads.tolist()), arc_colour=colours.tolist(),
+                   validate=False)
 
 
 def find_cubic_expander(

@@ -12,9 +12,6 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, InputError
 
-#: Vertex sets are frozensets of vertex ids.
-VertexSet = frozenset
-
 ENUMERATION_CAP = 8
 
 
@@ -59,11 +56,13 @@ class Graph:
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         if self._adj is None:
+            # edges are sorted with u < v, so every vertex meets its lower
+            # neighbours first, each in ascending order: lists come out sorted
             adj = [[] for _ in range(self.n)]
             for u, v in self.edges:
                 adj[u].append(v)
                 adj[v].append(u)
-            self._adj = tuple(tuple(sorted(a)) for a in adj)
+            self._adj = tuple(map(tuple, adj))
         return self._adj
 
     def neighbours(self, v: int) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
@@ -33,23 +33,8 @@ class PercolationState:
     resilient_vertices: frozenset | None = None
 
 
-def _normalise_thresholds(g: Graph, threshold_of) -> list:
-    if callable(threshold_of):
-        thresholds = [threshold_of(v) for v in range(g.n)]
-    elif isinstance(threshold_of, Mapping):
-        thresholds = [threshold_of[v] for v in range(g.n)]
-    else:
-        thresholds = list(threshold_of)
-        if len(thresholds) != g.n:
-            raise InputError("threshold sequence length must equal vertex count")
-    for v, th in enumerate(thresholds):
-        if th < 0:
-            raise InputError(f"negative threshold at vertex {v}")
-    return thresholds
-
-
-def bootstrap_percolate(g: Graph, initially_infected, threshold_of) -> PercolationState:
-    """Least fixpoint of: infect v once it has >= threshold_of(v)
+def bootstrap_percolate(g: Graph, initially_infected, threshold_of: Sequence) -> PercolationState:
+    """Least fixpoint of: infect v once it has >= threshold_of[v]
     infected neighbours. Thresholds of 0 ignite in round one even
     without neighbours; math.inf disables a vertex entirely.
     """
@@ -57,7 +42,12 @@ def bootstrap_percolate(g: Graph, initially_infected, threshold_of) -> Percolati
     for v in seed:
         if not (0 <= v < g.n):
             raise InputError(f"seed vertex {v} out of range")
-    thresholds = _normalise_thresholds(g, threshold_of)
+    thresholds = list(threshold_of)
+    if len(thresholds) != g.n:
+        raise InputError("threshold sequence length must equal vertex count")
+    for v, th in enumerate(thresholds):
+        if th < 0:
+            raise InputError(f"negative threshold at vertex {v}")
     adj = g.adjacency()
     infected = set(seed)
     counts = [0] * g.n

@@ -10,7 +10,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConvergenceError, InputError
-from .graphs import DiGraph, Graph, is_connected
+from .graphs import DiGraph, Graph, edge_boundary, is_connected, vertex_boundary
 from .sampling import RngStream
 
 DEFAULT_TOLERANCE = 1e-9
@@ -117,10 +117,6 @@ class AlonMilmanReport:
     witness: tuple
 
 
-def _edge_boundary_size(g: Graph, members: set) -> int:
-    return sum(1 for u, v in g.edges if (u in members) != (v in members))
-
-
 def verify_alon_milman(
     g: Graph,
     samples: int = DEFAULT_SUBSET_SAMPLES,
@@ -171,7 +167,7 @@ def verify_alon_milman(
         for _ in range(samples):
             size = int(rng.integers(1, n))
             members = set(rng.choice(n, size=size, replace=False).tolist())
-            b = _edge_boundary_size(g, members)
+            b = len(edge_boundary(g, members))
             bound = alon_milman_lower_bound(d, cert.lambda2, size, n)
             if b < bound - slack:
                 if len(violations) < 32:
@@ -190,14 +186,6 @@ def verify_alon_milman(
         tightest_ratio=tightest,
         witness=witness,
     )
-
-
-def directed_boundary_size(h: DiGraph, members) -> int:
-    members = set(members)
-    out = set()
-    for v in members:
-        out.update(h.out_neighbours(v))
-    return len(out - members)
 
 
 def verify_vertex_expansion(
@@ -243,7 +231,7 @@ def verify_vertex_expansion(
         for _ in range(samples):
             size = int(rng.integers(1, n))
             members = rng.choice(n, size=size, replace=False).tolist()
-            b = directed_boundary_size(h, members)
+            b = len(vertex_boundary(h, members))
             ratio = b / min(size, n - size)
             if ratio < best:
                 best = ratio

@@ -105,6 +105,18 @@ def test_peeling_tie_break_lowest_id():
     assert order.order[-1] == 0  # peeled first
 
 
+def test_peel_order_breaks_ties_by_threshold_then_cascade():
+    # pendant paths 0-1 and 5-6 hang off the triangle 2-3-4; 7 is isolated.
+    # Threshold 1 takes 7; threshold 2 takes 0 and 5 (ascending scan), then
+    # the cascade 1 and 6; threshold 3 takes the triangle. The lowest-id
+    # heap would have peeled 0, 1, 5, 6 instead.
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (5, 6), (3, 6)])
+    num, order = colouring_number(g)
+    assert num == 3
+    assert order.order == (4, 3, 2, 6, 1, 5, 0, 7)
+    assert order.back_degrees == (0, 1, 2, 1, 1, 1, 1, 0)
+
+
 # --- t-core ------------------------------------------------------------------
 
 

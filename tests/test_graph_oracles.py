@@ -1,5 +1,5 @@
-"""The shared traversal and cycle search against networkx, on
-hypothesis-generated graphs. networkx is not a dependency of the
+"""The shared traversal, the cycle search and the threshold peel against
+networkx, on hypothesis-generated graphs. networkx is not a dependency of the
 package, so this module is skipped where it is not installed."""
 
 import math
@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from randcol.colouring import colouring_number, t_core
 from randcol.graphs import (
     DiGraph,
     Graph,
@@ -91,3 +92,13 @@ def test_thm4_round_trace_is_bfs_layers(case, data, p):
     layers = list(nx.bfs_layers(open_part, r))
     assert state.round_trace == tuple(len(layer) for layer in layers)
     assert state.infected == frozenset(v for layer in layers for v in layer)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs)
+def test_t_core_and_colouring_number(case):
+    n, edges = case
+    g, ref = Graph(n, edges), nx_graph(n, edges)
+    for t in range(6):
+        assert t_core(g, t) == set(nx.k_core(ref, t))
+    assert colouring_number(g)[0] == max(nx.core_number(ref).values()) + 1

@@ -48,6 +48,19 @@ def test_edges_normalised_and_sorted():
     assert g.degrees() == [1, 2, 2, 1]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]), unique_by=lambda e: frozenset(e)))))
+def test_neighbour_lists_strictly_ascending(case):
+    n, edges = case  # any order, either orientation
+    g = Graph(n, edges)
+    for v, nbrs in enumerate(g.adjacency()):
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+        assert set(nbrs) == {u for e in edges for u in e if v in e} - {v}
+
+
 def test_loop_rejected():
     with pytest.raises(InputError):
         Graph(3, [(1, 1)])

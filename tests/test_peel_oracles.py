@@ -1,0 +1,194 @@
+"""The threshold peel and the vectorised stub pairing against the code
+they replaced, kept here as the reference: the lazy-deletion heap of
+colouring_number, the queue peel of t_core_with_trace, and the
+per-stub rejection loops of both configuration-model generators."""
+
+import heapq
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from randcol.colouring import colouring_number, t_core_with_trace
+from randcol.errors import GenerationError
+from randcol.generators import (
+    REJECTION_CAP,
+    random_regular_graph,
+    random_two_regular_digraph,
+)
+from randcol.graphs import DiGraph, Graph
+from randcol.sampling import RngStream
+
+
+def pairs(n):
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return st.sets(pair.map(lambda e: (min(e), max(e))), max_size=4 * n)
+
+
+graphs = st.integers(0, 25).flatmap(lambda n: st.tuples(st.just(n), pairs(n) if n else st.just(set())))
+
+
+# --- the heap and queue reference ------------------------------------------------
+
+
+def ref_colouring_number(g):
+    """Lazy-deletion heap: a minimum-degree vertex at each step, lowest id
+    first among ties; the largest degree at removal, plus one."""
+    n = g.n
+    if n == 0:
+        return 0
+    adj = g.adjacency()
+    deg = g.degrees()
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    removed = [False] * n
+    at_removal = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = True
+        at_removal.append(d)
+        for w in adj[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    return max(at_removal) + 1
+
+
+def ref_t_core_with_trace(g, t):
+    adj = g.adjacency()
+    deg = g.degrees()
+    alive = [True] * g.n
+    queue = [v for v in range(g.n) if deg[v] < t]
+    for v in queue:
+        alive[v] = False
+    trace = []
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        trace.append(v)
+        for w in adj[v]:
+            if alive[w]:
+                deg[w] -= 1
+                if deg[w] < t:
+                    alive[w] = False
+                    queue.append(w)
+    return frozenset(v for v in range(g.n) if alive[v]), tuple(trace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs)
+def test_t_core_and_trace_match_queue_peel(case):
+    n, edges = case
+    g = Graph(n, edges)
+    for t in range(8):
+        assert t_core_with_trace(g, t) == ref_t_core_with_trace(g, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs)
+def test_colouring_number_matches_heap_peel(case):
+    n, edges = case
+    g = Graph(n, edges)
+    num, order = colouring_number(g)
+    assert num == ref_colouring_number(g)
+    assert sorted(order.order) == list(range(n))
+    adj = g.adjacency()
+    pos = {v: i for i, v in enumerate(order.order)}
+    for i, v in enumerate(order.order):
+        assert order.back_degrees[i] == sum(pos[w] < i for w in adj[v])
+    assert num == (order.degeneracy() + 1 if n else 0)
+
+
+# --- the per-stub rejection loops ---------------------------------------------------
+
+
+def ref_random_regular_graph(n, d, stream):
+    for attempt in range(REJECTION_CAP):
+        rng = stream.child(attempt).generator()
+        stubs = np.repeat(np.arange(n), d)
+        rng.shuffle(stubs)
+        seen = set()
+        ok = True
+        for u, v in stubs.reshape(-1, 2):
+            if u == v:
+                ok = False
+                break
+            e = (u, v) if u < v else (v, u)
+            if e in seen:
+                ok = False
+                break
+            seen.add(e)
+        if ok:
+            return Graph(n, [(int(u), int(v)) for u, v in seen], validate=False)
+    raise GenerationError(
+        f"no simple {d}-regular graph in {REJECTION_CAP} attempts; retry with a new seed"
+    )
+
+
+def ref_random_two_regular_digraph(n, stream):
+    out_stubs = np.repeat(np.arange(n), 2)
+    for attempt in range(REJECTION_CAP):
+        rng = stream.child(attempt).generator()
+        in_stubs = out_stubs.copy()
+        rng.shuffle(in_stubs)
+        seen = set()
+        ok = True
+        for u, v in zip(out_stubs, in_stubs):
+            if u == v or (u, v) in seen:
+                ok = False
+                break
+            seen.add((u, v))
+        if not ok:
+            continue
+        arcs = [(int(u), int(v)) for u, v in zip(out_stubs, in_stubs)]
+        first_in_seen = set()
+        colours = []
+        for _, v in arcs:
+            if v in first_in_seen:
+                colours.append("b")
+            else:
+                first_in_seen.add(v)
+                colours.append("r")
+        return DiGraph(n, arcs, arc_colour=colours, validate=False)
+    raise GenerationError(
+        f"no simple 2-regular digraph in {REJECTION_CAP} attempts; retry with a new seed"
+    )
+
+
+def outcome(make, *args):
+    try:
+        return make(*args)
+    except GenerationError as exc:
+        return ("GenerationError", str(exc))
+
+
+REGULAR_GRID = [(n, d) for n in (6, 10, 30, 200) for d in range(2, 6) if (n * d) % 2 == 0]
+REGULAR_GRID += [(30, 6)]  # the rejection loop fails for every seed here
+
+
+@pytest.mark.parametrize("n,d", REGULAR_GRID)
+def test_regular_graph_matches_stub_loop(n, d):
+    outcomes = set()
+    for seed in range(15):
+        got = outcome(random_regular_graph, n, d, seed)
+        want = outcome(ref_random_regular_graph, n, d, RngStream(seed).child("regular-graph"))
+        assert got == want
+        outcomes.add(type(got))
+    if (n, d) == (30, 6):
+        assert outcomes == {tuple}
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 8, 30, 100))
+def test_two_regular_digraph_matches_stub_loop(n):
+    for seed in range(10):
+        got = outcome(random_two_regular_digraph, n, seed)
+        want = outcome(ref_random_two_regular_digraph, n, RngStream(seed).child("two-regular-digraph"))
+        assert got == want  # DiGraph equality includes the arc colours
+
+
+def test_stream_seed_matches_stub_loop():
+    stream = RngStream(3).child("try", 7)
+    assert random_regular_graph(40, 3, stream) == ref_random_regular_graph(40, 3, stream)

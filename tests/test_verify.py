@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from randcol.errors import InputError
 from randcol.verify import (
+    CHI_SQUARE_SIGNIFICANCE,
     SUITE_NAMES,
     SuiteReport,
     CheckResult,
@@ -41,6 +45,21 @@ class TestPooledChiSquare:
         a = np.full(100, 5)
         with pytest.raises(InputError):
             pooled_chi_square(a, a.copy(), 10)
+
+    def test_critical_value_is_the_chi2_quantile(self):
+        stats = pytest.importorskip("scipy.stats")
+        for dof in range(1, 201):
+            a = np.repeat(np.arange(dof + 1), 10)  # one cell per value
+            _, got_dof, critical = pooled_chi_square(a, a.copy(), dof)
+            assert got_dof == dof
+            assert critical == float(stats.chi2.ppf(1.0 - CHI_SQUARE_SIGNIFICANCE, dof))
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, randcol; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 class TestSuites:
