@@ -10,13 +10,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, InputError
 
 ENUMERATION_CAP = 8
-
-
-def _normalise_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 class Graph:
@@ -26,13 +24,12 @@ class Graph:
     identical edge tuples and per-edge indices are canonical.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_masks", "_edge_set", "_degrees")
+    __slots__ = ("n", "edges", "_adj", "_csr", "_components", "_masks", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], validate: bool = True):
         if n < 0:
             raise InputError("vertex count must be non-negative")
         self.n = n
-        # inline, not _normalise_edge: this runs once per edge of every graph
         norm = sorted((u, v) if u < v else (v, u) for u, v in edges)
         self.edges: tuple[tuple[int, int], ...] = tuple(norm)
         if validate:
@@ -46,8 +43,9 @@ class Graph:
                     raise InputError(f"parallel edge ({u},{v})")
                 seen.add((u, v))
         self._adj = None
+        self._csr = None
+        self._components = None
         self._masks = None
-        self._edge_set = None
         self._degrees = None
 
     @property
@@ -64,6 +62,19 @@ class Graph:
                 adj[v].append(u)
             self._adj = tuple(map(tuple, adj))
         return self._adj
+
+    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): the neighbours of v, ascending as in adjacency(),
+        are indices[indptr[v]:indptr[v + 1]]. Read-only: trials share graphs."""
+        if self._csr is None:
+            ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+            # (v, u) pairs first: a stable sort by tail keeps every list ascending
+            tails, heads = np.concatenate((ends[:, ::-1], ends)).T
+            indices = heads[np.argsort(tails, kind="stable")]
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=self.n))))
+            indptr.flags.writeable = indices.flags.writeable = False
+            self._csr = (indptr, indices)
+        return self._csr
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         return self.adjacency()[v]
@@ -92,14 +103,6 @@ class Graph:
                 masks[v] |= 1 << u
             self._masks = masks
         return self._masks
-
-    def edge_set(self) -> frozenset:
-        if self._edge_set is None:
-            self._edge_set = frozenset(self.edges)
-        return self._edge_set
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalise_edge(u, v) in self.edge_set()
 
     def with_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Spanning subgraph on the same vertex set (edges assumed valid)."""
@@ -409,9 +412,17 @@ def reachable_set(h: DiGraph, r: int) -> frozenset:
 
 
 def connected_component(g: Graph, v: int) -> frozenset:
+    """The component of v, searched once per graph and shared by its vertices."""
     if not (0 <= v < g.n):
         raise InputError(f"vertex {v} out of range")
-    return _reached(g.adjacency(), v)
+    if g._components is None:
+        g._components = [None] * g.n
+    comp = g._components[v]
+    if comp is None:
+        comp = _reached(g.adjacency(), v)
+        for w in comp:
+            g._components[w] = comp
+    return comp
 
 
 def is_connected(g: Graph) -> bool:

@@ -289,6 +289,8 @@ class ExperimentConfig:
             raise InputError("trials must be a positive integer")
         if not isinstance(self.master_seed, int) or not 0 <= self.master_seed <= MAX_SEED:
             raise InputError("master_seed must be a 64-bit unsigned integer")
+        if not isinstance(self.root, int) or self.root < 0:
+            raise InputError("root must be a non-negative integer")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise InputError("p must lie in [0, 1]")
         if self.p_sweep is not None:

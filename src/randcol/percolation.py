@@ -5,9 +5,10 @@ audit."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
@@ -36,41 +37,37 @@ class PercolationState:
 def bootstrap_percolate(g: Graph, initially_infected, threshold_of: Sequence) -> PercolationState:
     """Least fixpoint of: infect v once it has >= threshold_of[v]
     infected neighbours. Thresholds of 0 ignite in round one even
-    without neighbours; math.inf disables a vertex entirely.
+    without neighbours; math.inf disables a vertex entirely. Each
+    synchronous round counts the last newcomers over the CSR arrays.
     """
     seed = frozenset(initially_infected)
     for v in seed:
         if not (0 <= v < g.n):
             raise InputError(f"seed vertex {v} out of range")
-    thresholds = list(threshold_of)
-    if len(thresholds) != g.n:
+    thresholds = np.asarray(threshold_of, dtype=float)
+    if thresholds.shape != (g.n,):
         raise InputError("threshold sequence length must equal vertex count")
-    for v, th in enumerate(thresholds):
-        if th < 0:
-            raise InputError(f"negative threshold at vertex {v}")
-    adj = g.adjacency()
-    infected = set(seed)
-    counts = [0] * g.n
+    bad = ~(thresholds >= 0)
+    if bad.any():
+        raise InputError(f"negative or NaN threshold at vertex {bad.argmax()}")
+    indptr, indices = g._csr_arrays()
+    degree = indptr[1:] - indptr[:-1]
+    infected = np.zeros(g.n, dtype=bool)
+    infected[list(seed)] = True
+    counts = np.zeros(g.n, dtype=np.intp)
     trace = [len(seed)]
-    current: Iterable[int] = seed
-    auto = [v for v in range(g.n) if v not in infected and thresholds[v] <= 0]
+    new = infected
     while True:
-        nxt = set(auto)
-        auto = []
-        for v in current:
-            for w in adj[v]:
-                if w not in infected:
-                    counts[w] += 1
-                    if counts[w] >= thresholds[w]:
-                        nxt.add(w)
-        nxt -= infected
-        if not nxt:
+        # counts >= 0, so a threshold of 0 fires in the first round
+        counts += np.bincount(indices[new.repeat(degree)], minlength=g.n)
+        new = (counts >= thresholds) & ~infected
+        size = int(np.count_nonzero(new))
+        if not size:
             break
-        infected |= nxt
-        trace.append(len(nxt))
-        current = nxt
+        infected |= new
+        trace.append(size)
     return PercolationState(
-        infected=frozenset(infected),
+        infected=frozenset(infected.nonzero()[0].tolist()),
         round_trace=tuple(trace),
     )
 
@@ -131,11 +128,10 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     )
 
 
-def _thm3_thresholds(h: Graph, protected) -> list:
+def _thm3_thresholds(h: Graph, protected) -> np.ndarray:
     """2 at a vertex with a protected incident edge, else 1."""
-    thresholds = [1] * h.n
-    for a, b in protected:
-        thresholds[a] = thresholds[b] = 2
+    thresholds = np.ones(h.n)
+    thresholds[[v for edge in protected for v in edge]] = 2
     return thresholds
 
 

@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConvergenceError, InputError
 from .graphs import DiGraph, Graph, edge_boundary, is_connected, vertex_boundary
@@ -62,6 +60,9 @@ def second_eigenvalue(
     unchanged. The start vector is seeded, so a graph always gets the
     same bits back.
     """
+    import scipy.sparse  # here, since at module level it adds a third to `import randcol`
+    import scipy.sparse.linalg
+
     if tolerance <= 0:
         raise InputError("tolerance must be positive")
     if g.n < 2:

@@ -206,6 +206,14 @@ class TestExperimentAndVerify:
         assert agg["empty_core"]["proportion"] == 1.0
         assert out.exists() and len(out.read_text().splitlines()) == 6
 
+    def test_experiment_rejects_negative_root(self, tmp_path, capsys):
+        cfg = ExperimentConfig(kind="thm3_sweep", trials=2, master_seed=1,
+                               graph={"kind": "cycle", "n": 5}, p_sweep=(0.0, 0.5))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg.to_dict(), "root": -1}))
+        code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2 and "root" in err and stdout == ""
+
     def test_verify_suite(self, tmp_path, capsys):
         report_path = tmp_path / "rep.json"
         code, stdout, _ = run_cli(capsys, "verify", "--suite", "fixpoints", "--report", str(report_path))

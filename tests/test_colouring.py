@@ -251,7 +251,7 @@ def test_greedy_rejects_non_permutation():
 def test_product_split_k4():
     g = complete_graph(4)
     matching = g.with_edges([(0, 1), (2, 3)])
-    rest = g.with_edges([e for e in g.edges if e not in matching.edge_set()])
+    rest = g.with_edges([e for e in g.edges if e not in set(matching.edges)])
     rep = product_colouring_check(g, [matching, rest])
     assert rep.part_values == (2, 2)
     assert rep.chi == 4

@@ -106,6 +106,9 @@ class TestConfig:
             core_config(first_rate="2/3", p=None)  # rate above 1/2
         with pytest.raises(InputError):
             core_config(master_seed=-1)
+        for root in (-1, 1.0, "0", None):
+            with pytest.raises(InputError):
+                core_config(root=root)
         with pytest.raises(InputError):
             ExperimentConfig(kind="thm3_sweep", trials=1, master_seed=0,
                              graph={"kind": "cycle", "n": 5}, p_sweep=(0.3, 0.1))

@@ -99,6 +99,13 @@ def test_engine_input_errors():
         bootstrap_percolate(g, {0}, [1, 1, -1, 1])
 
 
+def test_nan_threshold_is_an_error():
+    with pytest.raises(InputError):
+        bootstrap_percolate(cycle_graph(5), {0}, [math.nan] * 5)
+    with pytest.raises(InputError):
+        bootstrap_percolate(cycle_graph(5), set(), [1, 1, math.nan, 1, 0])
+
+
 def test_trace_accounts_for_everything():
     g = random_graph(20, 0.2, 3)
     state = bootstrap_percolate(g, {0, 1, 2}, [2] * 20)

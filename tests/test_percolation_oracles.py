@@ -1,0 +1,155 @@
+"""The array rounds of bootstrap_percolate, the cached CSR arrays and the
+cached components against the code they replaced, kept here as the
+reference: the per-edge round loop of bootstrap_percolate (with the
+list thresholds of thm3_process) and a breadth-first search per
+connected_component call."""
+
+import math
+from collections import deque
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from randcol.errors import InputError
+from randcol.generators import random_regular_graph
+from randcol.graphs import Graph, connected_component
+from randcol.percolation import PercolationState, bootstrap_percolate, thm3_process
+from randcol.sampling import RngStream
+
+
+def pairs(n):
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return st.sets(pair.map(lambda e: (min(e), max(e))), max_size=3 * n)
+
+
+# sparse edge sets up to n = 30 leave isolated vertices in many draws
+graphs = st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), pairs(n) if n else st.just(set())))
+
+THRESHOLDS = (0, 1, 2, 3, 1.5, math.inf)
+
+
+# --- the per-edge loop and BFS reference ----------------------------------------
+
+
+def ref_bootstrap_percolate(g, initially_infected, threshold_of):
+    seed = frozenset(initially_infected)
+    for v in seed:
+        if not (0 <= v < g.n):
+            raise InputError(f"seed vertex {v} out of range")
+    thresholds = list(threshold_of)
+    if len(thresholds) != g.n:
+        raise InputError("threshold sequence length must equal vertex count")
+    for v, th in enumerate(thresholds):
+        if th < 0:
+            raise InputError(f"negative threshold at vertex {v}")
+    adj = g.adjacency()
+    infected = set(seed)
+    counts = [0] * g.n
+    trace = [len(seed)]
+    current = seed
+    auto = [v for v in range(g.n) if v not in infected and thresholds[v] <= 0]
+    while True:
+        nxt = set(auto)
+        auto = []
+        for v in current:
+            for w in adj[v]:
+                if w not in infected:
+                    counts[w] += 1
+                    if counts[w] >= thresholds[w]:
+                        nxt.add(w)
+        nxt -= infected
+        if not nxt:
+            break
+        infected |= nxt
+        trace.append(len(nxt))
+        current = nxt
+    return PercolationState(infected=frozenset(infected), round_trace=tuple(trace))
+
+
+def ref_thm3_process(h, p_protect, r, rng):
+    hit = rng.child("protect").uniforms(h.m) < p_protect
+    protected = frozenset(e for e, kept in zip(h.edges, hit) if kept)
+    thresholds = [1] * h.n
+    for a, b in protected:
+        thresholds[a] = thresholds[b] = 2
+    state = ref_bootstrap_percolate(h, {r}, thresholds)
+    return PercolationState(state.infected, state.round_trace, protected_edges=protected)
+
+
+def ref_connected_component(g, v):
+    adj = g.adjacency()
+    seen = {v}
+    queue = deque([v])
+    while queue:
+        for w in adj[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
+
+
+# --- bootstrap percolation -----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs, st.data())
+def test_bootstrap_matches_edge_loop(case, data):
+    n, edges = case
+    g = Graph(n, edges)
+    vertices = st.integers(0, n - 1) if n else st.nothing()
+    seed = data.draw(st.sets(vertices, max_size=n))
+    thresholds = data.draw(st.lists(st.sampled_from(THRESHOLDS), min_size=n, max_size=n))
+    got = bootstrap_percolate(g, seed, thresholds)
+    assert got == ref_bootstrap_percolate(g, seed, thresholds)
+    assert all(type(v) is int for v in got.infected)
+    assert all(type(k) is int for k in got.round_trace)
+
+
+@pytest.mark.parametrize("n", (10, 50, 200))
+def test_thm3_process_matches_edge_loop(n):
+    for seed in range(4):
+        h = random_regular_graph(n, 3, seed)
+        for p in (0.0, 0.1, 0.5, 1.0):
+            for r in (0, n - 1):
+                stream = RngStream(seed).child("trial", r)
+                assert thm3_process(h, p, r, stream) == ref_thm3_process(h, p, r, stream)
+
+
+# --- the cached CSR arrays ------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs)
+def test_csr_lists_the_adjacency(case):
+    n, edges = case
+    g = Graph(n, edges)
+    indptr, indices = g._csr_arrays()
+    assert indptr.shape == (n + 1,) and indices.shape == (2 * g.m,)
+    assert indptr[0] == 0
+    assert [tuple(indices[indptr[v]:indptr[v + 1]].tolist()) for v in range(n)] == list(g.adjacency())
+    assert g._csr_arrays()[0] is indptr and g._csr_arrays()[1] is indices
+
+
+def test_csr_arrays_reject_writes():
+    indptr, indices = Graph(3, [(0, 1), (1, 2)])._csr_arrays()
+    with pytest.raises(ValueError):
+        indptr[1] = 0
+    with pytest.raises(ValueError):
+        indices[0] = 2
+
+
+# --- cached components ---------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs, st.data())
+def test_components_in_any_call_order(case, data):
+    n, edges = case
+    g = Graph(n, edges)
+    order = data.draw(st.permutations(range(n)))
+    got = {v: connected_component(g, v) for v in order}
+    for v in range(n):
+        assert got[v] == ref_connected_component(g, v)
+        # every vertex of a component gets the one frozenset searched for it
+        assert all(got[w] is got[v] for w in got[v])
+        assert connected_component(g, v) is got[v]

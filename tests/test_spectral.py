@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -197,3 +201,10 @@ def test_expansion_sampled_mode():
     assert cert.c3_hat > 0
     w = cert.witness
     assert len(vertex_boundary(h, w)) / min(len(w), h.n - len(w)) == cert.c3_hat
+
+
+def test_import_does_not_load_scipy_sparse():
+    code = "import sys, randcol; print(any(m.startswith('scipy.sparse') for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
