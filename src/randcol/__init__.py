@@ -27,6 +27,7 @@ from .errors import (
     ConvergenceError,
     GenerationError,
     InputError,
+    RandcolError,
 )
 from .generators import (
     BlowUpLayout,
@@ -45,7 +46,6 @@ from .graphs import (
     Graph,
     complete_graph,
     connected_component,
-    count_connected_edge_subgraphs,
     count_connected_edge_subgraphs_upto,
     cycle_graph,
     edge_boundary,
@@ -89,7 +89,6 @@ from .percolation import (
 from .sampling import (
     RngStream,
     TwoRoundSample,
-    coupled_subgraphs,
     partition_split,
     sample_subgraph,
     second_round_rate,
@@ -104,6 +103,6 @@ from .spectral import (
     verify_alon_milman,
     verify_vertex_expansion,
 )
-from .verify import SUITE_NAMES, SuiteReport, run_all_suites, run_suite
+from .verify import SUITE_NAMES, SuiteReport, run_suite
 
 __version__ = "0.1.0"

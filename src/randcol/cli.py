@@ -13,13 +13,7 @@ import sys
 from fractions import Fraction
 
 from .colouring import chromatic_number_exact, t_core, DEFAULT_NODE_BUDGET
-from .errors import (
-    CapacityError,
-    ConstructionError,
-    ConvergenceError,
-    GenerationError,
-    InputError,
-)
+from .errors import InputError, RandcolError
 from .generators import (
     ConstructionParams,
     blow_up,
@@ -297,14 +291,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InputError,
-        CapacityError,
-        GenerationError,
-        ConstructionError,
-        ConvergenceError,
-        FileNotFoundError,
-    ) as exc:
+    except (RandcolError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,7 +44,7 @@ class ColouringResult:
     lower_bound: int
 
     def check_proper(self, g: Graph) -> bool:
-        return all(self.colour_of[u] != self.colour_of[v] for u, v in g.edges)
+        return all(self.colour_of[u] != self.colour_of[v] for u, v in g.edges.tolist())
 
 
 def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[Sequence[int], list]:
@@ -319,11 +319,11 @@ def product_colouring_check(
     for part in parts:
         if part.n != g.n:
             raise InputError("parts must share the vertex set of g")
-        pe = set(part.edges)
+        pe = set(map(tuple, part.edges.tolist()))
         if pe & seen:
             raise InputError("parts overlap")
         seen |= pe
-    if seen != set(g.edges):
+    if seen != set(map(tuple, g.edges.tolist())):
         raise InputError("parts do not cover g")
     values = []
     for part in parts:

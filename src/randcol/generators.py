@@ -126,10 +126,6 @@ class BlowUpLayout:
         base = self.vertex_id(super_v, layer, 0)
         return tuple(range(base, base + self.m))
 
-    def all_vertices_of(self, super_v: int) -> tuple:
-        base = super_v * self.layers * self.m
-        return tuple(range(base, base + self.layers * self.m))
-
 
 def format_layout(layout: BlowUpLayout) -> str:
     lines = []
@@ -220,7 +216,7 @@ def random_regular_graph(n: int, d: int, seed) -> Graph:
         raise InputError("need d < n")
     stream = _as_stream(seed, "regular-graph")
     tails, heads = _pair_stubs(n, d, stream, directed=False, what=f"{d}-regular graph")
-    return Graph(n, zip(tails.tolist(), heads.tolist()), validate=False)
+    return Graph(n, np.column_stack((tails, heads)))
 
 
 def random_two_regular_digraph(n: int, seed) -> DiGraph:
@@ -233,7 +229,7 @@ def random_two_regular_digraph(n: int, seed) -> DiGraph:
     tails, heads = _pair_stubs(n, 2, stream, directed=True, what="2-regular digraph")
     colours = np.full(heads.size, "b")
     colours[np.unique(heads, return_index=True)[1]] = "r"
-    return DiGraph(n, zip(tails.tolist(), heads.tolist()), arc_colour=colours.tolist(),
+    return DiGraph(n, np.column_stack((tails, heads)), arc_colour=colours.tolist(),
                    validate=False)
 
 
@@ -276,13 +272,11 @@ def blow_up(h: Graph, m: int) -> tuple[Graph, BlowUpLayout]:
     if m < 1:
         raise InputError("m must be >= 1")
     layout = BlowUpLayout(n_super=h.n, layers=1, m=m)
-    edges = []
-    for u, v in h.edges:
-        bu, bv = u * m, v * m
-        for a in range(m):
-            for b in range(m):
-                edges.append((bu + a, bv + b))
-    return Graph(layout.n_vertices, edges, validate=False), layout
+    a = np.arange(m)
+    # edge (u, v) gives the rows (u*m + a, v*m + b) for every a, b < m
+    tails = np.repeat(h.edges[:, :1] * m + a, m, axis=1)
+    heads = np.tile(h.edges[:, 1:] * m + a, m)
+    return Graph(layout.n_vertices, np.column_stack((tails.ravel(), heads.ravel()))), layout
 
 
 def circulant_biregular(set_size: int, degree: int) -> list:
@@ -324,7 +318,7 @@ def gadget_blow_up(h: DiGraph, params: ConstructionParams) -> tuple[Graph, BlowU
                     edges.append((lo + a, hi + b))
     r = params.bipartite_degree()
     block = circulant_biregular(m, r)
-    for (u, v), colour in zip(h.arcs, h.arc_colour):
+    for (u, v), colour in zip(h.arcs.tolist(), h.arc_colour):
         target_layer = 1 if colour == "r" else s + 3
         for j in range(2, s + 3):
             lo = vid(u, j, 0)
@@ -348,9 +342,9 @@ def audit_blow_up(g: Graph, layout: BlowUpLayout, expect_degree: int | None = No
             raise ConstructionError(
                 f"{len(bad)} vertices miss degree {expect_degree} (first: {bad[:5]})"
             )
-    for u, v in g.edges:
-        if (
-            layout.h_vertex_of(u) == layout.h_vertex_of(v)
-            and layout.layer_of(u) == layout.layer_of(v)
-        ):
-            raise ConstructionError(f"edge ({u},{v}) inside one independent set")
+    u, v = g.edges.T
+    inside = layout.h_vertex_of(u) == layout.h_vertex_of(v)
+    inside &= layout.layer_of(u) == layout.layer_of(v)
+    if inside.any():
+        u, v = g.edges[inside.argmax()].tolist()
+        raise ConstructionError(f"edge ({u},{v}) inside one independent set")

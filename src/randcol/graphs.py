@@ -12,69 +12,113 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import InputError
 
-ENUMERATION_CAP = 8
+
+def _pairs(rows) -> np.ndarray:
+    """rows as a fresh (m, 2) intp array; InputError unless they are
+    pairs of integers."""
+    try:
+        ends = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows))
+    except ValueError:
+        raise InputError("edges must be pairs of vertex ids") from None
+    if ends.size == 0:
+        return np.empty((0, 2), dtype=np.intp)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise InputError("edges must be pairs of vertex ids")
+    if ends.dtype.kind not in "iu":
+        raise InputError(f"vertex ids must be integers, got {ends.dtype}")
+    return ends.astype(np.intp)
+
+
+def _repeats(key: np.ndarray) -> np.ndarray:
+    """Mask of the entries equal to an earlier entry of key."""
+    later = np.ones(key.size, dtype=bool)
+    later[np.unique(key, return_index=True)[1]] = False
+    return later
+
+
+def _check_pairs(n: int, ends: np.ndarray, what: str) -> None:
+    """InputError for the first row, in row order, that is a loop, leaves
+    0..n-1 or repeats an earlier row."""
+    tails, heads = ends.T
+    bad = (tails == heads) | (ends.min(axis=1) < 0) | (ends.max(axis=1) >= n)
+    # bad rows get distinct negative keys, so only good rows can repeat
+    bad |= _repeats(np.where(bad, -1 - np.arange(len(ends)), tails * n + heads))
+    if bad.any():
+        u, v = ends[bad.argmax()].tolist()
+        if u == v:
+            raise InputError(f"loop at vertex {u}")
+        if min(u, v) < 0 or max(u, v) >= n:
+            raise InputError(f"{what} ({u},{v}) out of range for n={n}")
+        raise InputError(f"parallel {what} ({u},{v})")
+
+
+def _csr(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the arcs tails[i] -> heads[i]: the heads out of
+    v, ascending whatever the arc order, are indices[indptr[v]:indptr[v + 1]].
+    Read-only, since trials share graphs and their views."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    indices = np.sort(tails * n + heads) % max(n, 1)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
+
+
+def _neighbour_tuples(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    flat, ptr = indices.tolist(), indptr.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+
+def _bitmasks(adj) -> list[int]:
+    return [sum(1 << w for w in nbrs) for nbrs in adj]
 
 
 class Graph:
     """Simple undirected graph, immutable after construction.
 
-    Edges are stored normalised (u < v) and sorted, so equal graphs have
-    identical edge tuples and per-edge indices are canonical.
+    edges is a read-only (m, 2) int array of rows (u, v) with u < v,
+    sorted, so equal graphs have equal arrays and row i is edge i of
+    every per-edge mask. validate=False skips normalising and checking:
+    the rows must already be canonical and sorted, as the rows a mask
+    keeps of another graph's edges are.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_csr", "_components", "_masks", "_degrees")
+    __slots__ = ("n", "edges", "_adj", "_csr", "_components", "_masks")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], validate: bool = True):
+    def __init__(self, n: int, edges, validate: bool = True):
         if n < 0:
             raise InputError("vertex count must be non-negative")
         self.n = n
-        norm = sorted((u, v) if u < v else (v, u) for u, v in edges)
-        self.edges: tuple[tuple[int, int], ...] = tuple(norm)
         if validate:
-            seen = set()
-            for u, v in self.edges:
-                if u == v:
-                    raise InputError(f"loop at vertex {u}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InputError(f"edge ({u},{v}) out of range for n={n}")
-                if (u, v) in seen:
-                    raise InputError(f"parallel edge ({u},{v})")
-                seen.add((u, v))
+            ends = np.sort(_pairs(edges), axis=1)
+            ends = ends[np.lexsort(ends.T[::-1])]
+            _check_pairs(n, ends, "edge")
+        else:
+            ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        ends.flags.writeable = False
+        self.edges: np.ndarray = ends
         self._adj = None
         self._csr = None
         self._components = None
         self._masks = None
-        self._degrees = None
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
+    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): the neighbours of v, ascending, are
+        indices[indptr[v]:indptr[v + 1]]."""
+        if self._csr is None:
+            u, v = self.edges.T
+            self._csr = _csr(self.n, np.concatenate((u, v)), np.concatenate((v, u)))
+        return self._csr
+
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         if self._adj is None:
-            # edges are sorted with u < v, so every vertex meets its lower
-            # neighbours first, each in ascending order: lists come out sorted
-            adj = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adj = tuple(map(tuple, adj))
+            self._adj = _neighbour_tuples(*self._csr_arrays())
         return self._adj
-
-    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices): the neighbours of v, ascending as in adjacency(),
-        are indices[indptr[v]:indptr[v + 1]]. Read-only: trials share graphs."""
-        if self._csr is None:
-            ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-            # (v, u) pairs first: a stable sort by tail keeps every list ascending
-            tails, heads = np.concatenate((ends[:, ::-1], ends)).T
-            indices = heads[np.argsort(tails, kind="stable")]
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=self.n))))
-            indptr.flags.writeable = indices.flags.writeable = False
-            self._csr = (indptr, indices)
-        return self._csr
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         return self.adjacency()[v]
@@ -83,13 +127,7 @@ class Graph:
         return len(self.adjacency()[v])
 
     def degrees(self) -> list[int]:
-        if self._degrees is None:
-            deg = [0] * self.n
-            for u, v in self.edges:
-                deg[u] += 1
-                deg[v] += 1
-            self._degrees = deg
-        return list(self._degrees)
+        return np.diff(self._csr_arrays()[0]).tolist()
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
@@ -97,16 +135,13 @@ class Graph:
     def adj_masks(self) -> list[int]:
         """Per-vertex neighbourhood bitmasks (for exhaustive subset sweeps)."""
         if self._masks is None:
-            masks = [0] * self.n
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            self._masks = masks
+            self._masks = _bitmasks(self.adjacency())
         return self._masks
 
-    def with_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Spanning subgraph on the same vertex set (edges assumed valid)."""
-        return Graph(self.n, edges, validate=False)
+    def with_edges(self, mask) -> "Graph":
+        """Spanning subgraph on the edges where the boolean mask over
+        self.edges is set."""
+        return Graph(self.n, self.edges[np.asarray(mask, dtype=bool)], validate=False)
 
     def regular_degree(self) -> int | None:
         """The common degree if the graph is regular, else None."""
@@ -118,10 +153,14 @@ class Graph:
         return None
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return (
+            isinstance(other, Graph)
+            and self.n == other.n
+            and np.array_equal(self.edges, other.edges)
+        )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.edges.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -130,8 +169,10 @@ class Graph:
 class DiGraph:
     """Simple directed graph; arcs optionally 2-coloured red/blue.
 
-    When colours are present the in-arcs at each vertex must carry
-    pairwise distinct colours (so in-degree at most 2).
+    arcs is a read-only (m, 2) int array of (tail, head) rows in the
+    given order, so arc_colour[i] belongs to row i. When colours are
+    present the in-arcs at each vertex must carry pairwise distinct
+    colours (so in-degree at most 2).
     """
 
     __slots__ = ("n", "arcs", "arc_colour", "_out", "_in", "_out_masks")
@@ -139,39 +180,31 @@ class DiGraph:
     def __init__(
         self,
         n: int,
-        arcs: Iterable[tuple[int, int]],
+        arcs,
         arc_colour: Sequence[str] | None = None,
         validate: bool = True,
     ):
         if n < 0:
             raise InputError("vertex count must be non-negative")
         self.n = n
-        self.arcs: tuple[tuple[int, int], ...] = tuple((u, v) for u, v in arcs)
+        self.arcs: np.ndarray = _pairs(arcs)
+        self.arcs.flags.writeable = False
         self.arc_colour: tuple[str, ...] | None = (
             tuple(arc_colour) if arc_colour is not None else None
         )
         if validate:
-            seen = set()
-            for u, v in self.arcs:
-                if u == v:
-                    raise InputError(f"loop at vertex {u}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InputError(f"arc ({u},{v}) out of range for n={n}")
-                if (u, v) in seen:
-                    raise InputError(f"parallel arc ({u},{v})")
-                seen.add((u, v))
+            _check_pairs(n, self.arcs, "arc")
             if self.arc_colour is not None:
                 if len(self.arc_colour) != len(self.arcs):
                     raise InputError("arc_colour length must match arc count")
                 bad = set(self.arc_colour) - {"r", "b"}
                 if bad:
                     raise InputError(f"unknown arc colours {sorted(bad)}")
-                in_cols: dict[int, set] = {}
-                for (u, v), c in zip(self.arcs, self.arc_colour):
-                    cols = in_cols.setdefault(v, set())
-                    if c in cols:
-                        raise InputError(f"vertex {v} has two {c!r} in-arcs")
-                    cols.add(c)
+                heads = self.arcs[:, 1]
+                twice = _repeats(2 * heads + (np.array(self.arc_colour, dtype=str) == "b"))
+                if twice.any():
+                    i = twice.argmax()
+                    raise InputError(f"vertex {heads[i]} has two {self.arc_colour[i]!r} in-arcs")
         self._out = None
         self._in = None
         self._out_masks = None
@@ -180,23 +213,16 @@ class DiGraph:
     def m(self) -> int:
         return len(self.arcs)
 
-    def _build_adj(self):
-        out = [[] for _ in range(self.n)]
-        inn = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            out[u].append(v)
-            inn[v].append(u)
-        self._out = tuple(tuple(sorted(a)) for a in out)
-        self._in = tuple(tuple(sorted(a)) for a in inn)
-
     def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
         if self._out is None:
-            self._build_adj()
+            tails, heads = self.arcs.T
+            self._out = _neighbour_tuples(*_csr(self.n, tails, heads))
         return self._out
 
     def in_adjacency(self) -> tuple[tuple[int, ...], ...]:
         if self._in is None:
-            self._build_adj()
+            tails, heads = self.arcs.T
+            self._in = _neighbour_tuples(*_csr(self.n, heads, tails))
         return self._in
 
     def out_neighbours(self, v: int) -> tuple[int, ...]:
@@ -213,10 +239,7 @@ class DiGraph:
 
     def out_masks(self) -> list[int]:
         if self._out_masks is None:
-            masks = [0] * self.n
-            for u, v in self.arcs:
-                masks[u] |= 1 << v
-            self._out_masks = masks
+            self._out_masks = _bitmasks(self.out_adjacency())
         return self._out_masks
 
     def is_regular(self, d: int) -> bool:
@@ -224,20 +247,16 @@ class DiGraph:
             self.out_degree(v) == d and self.in_degree(v) == d for v in range(self.n)
         )
 
-    def in_arcs_of(self, v: int) -> list[int]:
-        """Arc indices ending at v, in arc-id order."""
-        return [i for i, (_, w) in enumerate(self.arcs) if w == v]
-
     def __eq__(self, other):
         return (
             isinstance(other, DiGraph)
             and self.n == other.n
-            and self.arcs == other.arcs
+            and np.array_equal(self.arcs, other.arcs)
             and self.arc_colour == other.arc_colour
         )
 
     def __hash__(self):
-        return hash((self.n, self.arcs, self.arc_colour))
+        return hash((self.n, self.arcs.tobytes(), self.arc_colour))
 
     def __repr__(self):
         return f"DiGraph(n={self.n}, m={self.m})"
@@ -266,8 +285,10 @@ def vertex_boundary(g: Graph | DiGraph, s: Iterable[int]) -> frozenset:
 
 def edge_boundary(g: Graph, s: Iterable[int]) -> list[tuple[int, int]]:
     """Edges with exactly one endpoint in s, sorted."""
-    s = _check_vertex_set(g, s)
-    return [e for e in g.edges if (e[0] in s) != (e[1] in s)]
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(_check_vertex_set(g, s))] = True
+    u, v = g.edges.T
+    return list(map(tuple, g.edges[inside[u] != inside[v]].tolist()))
 
 
 def _bfs_levels(adj, root: int, allowed=None):
@@ -351,20 +372,6 @@ def has_cycle_shorter_than(g: Graph, length: int) -> bool:
     return _cycle_below(g, length, first=True) < length
 
 
-def count_connected_edge_subgraphs(g: Graph, v: int, t: int, cap: int = ENUMERATION_CAP) -> int:
-    """Exact number of t-edge connected subgraphs of g containing vertex v.
-
-    Exhaustive enumeration; intended for small t (default cap 8).
-    """
-    if not (0 <= v < g.n):
-        raise InputError(f"vertex {v} out of range")
-    if t < 1:
-        raise InputError("t must be >= 1")
-    if t > cap:
-        raise CapacityError(f"t={t} exceeds enumeration cap {cap} (pass cap= to override)")
-    return count_connected_edge_subgraphs_upto(g, v, t)[t]
-
-
 def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[int]:
     """Counts of connected s-edge subgraphs containing v, for all s <= t_max.
 
@@ -372,8 +379,12 @@ def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[in
     enumeration walk serves every size; each subgraph is visited once via
     binary partition over frontier edges.
     """
+    if not (0 <= v < g.n):
+        raise InputError(f"vertex {v} out of range")
+    if t_max < 1:
+        raise InputError("t must be >= 1")
     inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for i, (a, b) in enumerate(g.edges):
+    for i, (a, b) in enumerate(g.edges.tolist()):
         inc[a].append((i, b))
         inc[b].append((i, a))
     counts = [0] * (t_max + 1)
@@ -441,13 +452,15 @@ def is_strongly_connected(h: DiGraph) -> bool:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)], validate=False)
+    # triu_indices runs row by row, so its pairs are canonical and sorted
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)), validate=False)
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
-    return Graph(n, [(v, (v + 1) % n) for v in range(n)], validate=False)
+    v = np.arange(n)
+    return Graph(n, np.column_stack((v, (v + 1) % n)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +516,14 @@ def format_graph(g: Graph | DiGraph) -> str:
     if isinstance(g, DiGraph):
         lines.append(f"{g.n} {g.m} directed")
         if g.arc_colour is not None:
-            for (u, v), c in zip(g.arcs, g.arc_colour):
+            for (u, v), c in zip(g.arcs.tolist(), g.arc_colour):
                 lines.append(f"{u} {v} {c}")
         else:
-            for u, v in g.arcs:
+            for u, v in g.arcs.tolist():
                 lines.append(f"{u} {v}")
     else:
         lines.append(f"{g.n} {g.m}")
-        for u, v in g.edges:
+        for u, v in g.edges.tolist():
             lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 

@@ -28,7 +28,7 @@ from .colouring import (
     product_colouring_check,
     t_core,
 )
-from .errors import InputError
+from .errors import InputError, RandcolError
 from .generators import (
     ConstructionParams,
     blow_up,
@@ -535,7 +535,7 @@ def run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
     error = None
     try:
         values = _TRIAL_FUNCS[config.kind](config, stream)
-    except Exception as exc:  # per-trial failures never abort the batch
+    except RandcolError as exc:  # a trial's own failure; a bug raises
         error = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - start
     return TrialRecord(index, f"{stream.key():016x}", values, error, wall)

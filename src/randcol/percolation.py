@@ -14,7 +14,7 @@ from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
 from .graphs import DiGraph, Graph, _bfs_levels, _reached, vertex_boundary
 from .colouring import t_core
-from .sampling import RngStream, _select
+from .sampling import RngStream
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,13 @@ class PercolationState:
     vertices newly infected in synchronous round i. Exactly one of
     protected_edges / resilient_vertices is set by the randomised
     processes (their static random set R); both stay None for the plain
-    threshold engine.
+    threshold engine. protected_edges is the spanning subgraph of the
+    protected edges.
     """
 
     infected: frozenset
     round_trace: tuple
-    protected_edges: frozenset | None = None
+    protected_edges: Graph | None = None
     resilient_vertices: frozenset | None = None
 
 
@@ -100,8 +101,7 @@ def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> Percolat
         raise InputError(f"p_protect {p_protect} outside [0, 1]")
     if not (0 <= r < h.n):
         raise InputError(f"root {r} out of range")
-    hit = rng.child("protect").uniforms(h.m) < p_protect
-    protected = frozenset(_select(h.edges, hit))
+    protected = h.with_edges(rng.child("protect").uniforms(h.m) < p_protect)
     state = bootstrap_percolate(h, {r}, _thm3_thresholds(h, protected))
     return PercolationState(
         infected=state.infected,
@@ -119,7 +119,7 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     if not (0 <= r < h.n):
         raise InputError(f"root {r} out of range")
     hit = rng.child("resilient").uniforms(h.n) < p_resilient
-    blocked = frozenset(_select(range(h.n), hit))
+    blocked = frozenset(np.flatnonzero(hit).tolist())
     levels = list(_bfs_levels(h.out_adjacency(), r, frozenset(range(h.n)) - blocked))
     return PercolationState(
         infected=frozenset(v for level in levels for v in level),
@@ -128,21 +128,24 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     )
 
 
-def _thm3_thresholds(h: Graph, protected) -> np.ndarray:
+def _thm3_thresholds(h: Graph, protected: Graph | None) -> np.ndarray:
     """2 at a vertex with a protected incident edge, else 1."""
     thresholds = np.ones(h.n)
-    thresholds[[v for edge in protected for v in edge]] = 2
+    if protected is not None:
+        thresholds[protected.edges.ravel()] = 2
     return thresholds
 
 
 def thm3_fixpoint_violations(h: Graph, state: PercolationState) -> list:
-    """Outside vertices that the rule says should have joined."""
-    thresholds = _thm3_thresholds(h, state.protected_edges or ())
-    return [
-        v for v in range(h.n)
-        if v not in state.infected
-        and sum(1 for w in h.neighbours(v) if w in state.infected) >= thresholds[v]
-    ]
+    """Outside vertices that the rule says should have joined. Infected
+    neighbours are counted from the edge rows, not from the CSR that
+    bootstrap_percolate reads, so the audit stays independent of it."""
+    infected = np.zeros(h.n, dtype=bool)
+    infected[np.fromiter(state.infected, dtype=np.intp, count=len(state.infected))] = True
+    u, v = h.edges.T
+    count = np.bincount(u[infected[v]], minlength=h.n) + np.bincount(v[infected[u]], minlength=h.n)
+    thresholds = _thm3_thresholds(h, state.protected_edges)
+    return np.flatnonzero(~infected & (count >= thresholds)).tolist()
 
 
 def thm4_fixpoint_violations(h: DiGraph, state: PercolationState) -> list:
@@ -170,9 +173,6 @@ class SuperVertexStatus:
     core: frozenset
     resilient: tuple = ()
     dead_component: frozenset | None = None
-
-    def is_dead(self, v: int) -> bool:
-        return self.status[v] == "dead"
 
     def is_nearly_dead(self, v: int) -> bool:
         return self.status[v] in ("dead", "nearly_dead")

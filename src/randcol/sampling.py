@@ -15,8 +15,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,12 +31,6 @@ _INV53 = np.array(2.0 ** -53)
 # Exactly the strings str() gives for an int: such a label would hash
 # like that int, since keys encode labels with str().
 _INT_LITERAL = re.compile(r"0|-?[1-9][0-9]*")
-
-
-def _select(items: Sequence, mask: np.ndarray) -> Iterator:
-    """items[i] for every i where the boolean mask is set, in order: one
-    C-level pass, with no Python loop over the mask."""
-    return compress(items, mask.tolist())
 
 
 @dataclass(frozen=True)
@@ -91,30 +83,18 @@ class RngStream:
         return np.random.default_rng(self.key())
 
 
-def edge_uniforms(g: Graph, stream: RngStream) -> np.ndarray:
-    """One uniform per canonical edge index of g."""
-    return stream.uniforms(g.m)
-
-
 def subgraph_from_uniforms(g: Graph, u: np.ndarray, p: float) -> Graph:
     """Keep edge i iff u[i] < p. Deterministic given (g, u, p)."""
     if len(u) != g.m:
         raise InputError("uniform count must match edge count")
     if not (0.0 <= p <= 1.0):
         raise InputError(f"probability {p} outside [0, 1]")
-    return g.with_edges(_select(g.edges, u < p))
+    return g.with_edges(u < p)
 
 
 def sample_subgraph(g: Graph, p: float, stream: RngStream) -> Graph:
     """Independent p-subgraph: each edge retained with probability p."""
-    return subgraph_from_uniforms(g, edge_uniforms(g, stream), p)
-
-
-def coupled_subgraphs(g: Graph, ps: Sequence[float], stream: RngStream) -> list[Graph]:
-    """p-subgraphs for several p from one uniform draw, so that the
-    subgraph at a smaller p is contained in the one at any larger p."""
-    u = edge_uniforms(g, stream)
-    return [subgraph_from_uniforms(g, u, p) for p in ps]
+    return subgraph_from_uniforms(g, stream.uniforms(g.m), p)
 
 
 def partition_split(g: Graph, parts: int, stream: RngStream) -> list[Graph]:
@@ -122,9 +102,8 @@ def partition_split(g: Graph, parts: int, stream: RngStream) -> list[Graph]:
     independently and uniformly."""
     if parts < 1:
         raise InputError("parts must be >= 1")
-    u = edge_uniforms(g, stream)
-    which = np.minimum((u * parts).astype(np.int64), parts - 1)
-    return [g.with_edges(_select(g.edges, which == j)) for j in range(parts)]
+    which = np.minimum((stream.uniforms(g.m) * parts).astype(np.int64), parts - 1)
+    return [g.with_edges(which == j) for j in range(parts)]
 
 
 def second_round_rate(first_rate: Fraction) -> Fraction:
@@ -160,15 +139,14 @@ class TwoRoundSample:
     round2_hit: np.ndarray
 
     def round1_survivors(self) -> Graph:
-        return self.graph.with_edges(_select(self.graph.edges, ~self.round1_hit))
+        return self.graph.with_edges(~self.round1_hit)
 
     def round2_only_survivors(self) -> Graph:
         """Edges missed by the second-round sample, ignoring round one."""
-        return self.graph.with_edges(_select(self.graph.edges, ~self.round2_hit))
+        return self.graph.with_edges(~self.round2_hit)
 
     def survivors(self) -> Graph:
-        gone = self.round1_hit | self.round2_hit
-        return self.graph.with_edges(_select(self.graph.edges, ~gone))
+        return self.graph.with_edges(~(self.round1_hit | self.round2_hit))
 
 
 def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:

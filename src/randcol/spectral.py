@@ -71,11 +71,8 @@ def second_eigenvalue(
     if not is_connected(g):
         raise InputError("graph must be connected")
     n = g.n
-    e = np.asarray(g.edges, dtype=np.int64)
-    a = scipy.sparse.csr_matrix(
-        (np.ones(2 * len(e)), (np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]])),
-        shape=(n, n),
-    )
+    indptr, indices = g._csr_arrays()
+    a = scipy.sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     shift = (2 * d + 1) / n
     op = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda x: a @ x - shift * x.sum(axis=0), dtype=np.float64
@@ -146,7 +143,7 @@ def verify_alon_milman(
         masks = np.arange(1 << n, dtype=np.int64)
         sizes = _popcounts(masks, n)
         boundary = np.zeros(len(masks), dtype=np.int64)
-        for u, v in g.edges:
+        for u, v in g.edges.tolist():
             boundary += ((masks >> u) ^ (masks >> v)) & 1
         bound = (d - cert.lambda2) * sizes * (n - sizes) / n
         n_checked = len(masks)

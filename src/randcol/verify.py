@@ -383,7 +383,3 @@ def run_suite(name: str) -> SuiteReport:
     if name not in _SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     return SuiteReport(name, tuple(_SUITES[name]()))
-
-
-def run_all_suites() -> list:
-    return [run_suite(name) for name in SUITE_NAMES]

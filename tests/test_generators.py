@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from randcol.errors import ConstructionError, GenerationError, InputError
@@ -88,7 +89,8 @@ def test_regular_grid_audit():
 
 def test_digraph_n3_is_complete_bidirected():
     h = random_two_regular_digraph(3, 0)
-    assert sorted(h.arcs) == [(i, j) for i in range(3) for j in range(3) if i != j]
+    arcs = sorted(map(tuple, h.arcs.tolist()))
+    assert arcs == [(i, j) for i in range(3) for j in range(3) if i != j]
     assert h.is_regular(2)
 
 
@@ -98,7 +100,7 @@ def test_digraph_degrees_colours_and_size():
         assert h.m == 2 * n
         assert h.is_regular(2)
         for v in range(n):
-            ids = h.in_arcs_of(v)
+            ids = [i for i, (_, w) in enumerate(h.arcs.tolist()) if w == v]
             assert len(ids) == 2
             cols = [h.arc_colour[i] for i in ids]
             assert sorted(cols) == ["b", "r"]
@@ -228,7 +230,6 @@ def test_layout_maps_roundtrip():
     assert layout.members(2, 3) == tuple(
         layout.vertex_id(2, 3, p) for p in range(3)
     )
-    assert len(layout.all_vertices_of(1)) == 12
     with pytest.raises(InputError):
         layout.vertex_id(0, 0, 0)
     with pytest.raises(InputError):
@@ -321,7 +322,7 @@ def test_gadget_input_errors():
 def test_audit_catches_tampering():
     h = base_digraph_4()
     g, layout = gadget_blow_up(h, ConstructionParams.thm4(12, 3))
-    tampered = g.with_edges(g.edges[:-1])
+    tampered = g.with_edges(np.arange(g.m) < g.m - 1)
     with pytest.raises(ConstructionError):
         audit_blow_up(tampered, layout, expect_degree=12)
     bad_layout = BlowUpLayout(n_super=4, layers=6, m=5)

@@ -4,12 +4,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randcol.errors import CapacityError, InputError
+from randcol.errors import InputError
 from randcol.graphs import (
     DiGraph,
     Graph,
     connected_component,
-    count_connected_edge_subgraphs,
     count_connected_edge_subgraphs_upto,
     edge_boundary,
     format_graph,
@@ -43,7 +42,7 @@ def petersen():
 
 def test_edges_normalised_and_sorted():
     g = Graph(4, [(3, 1), (0, 2), (2, 1)])
-    assert g.edges == ((0, 2), (1, 2), (1, 3))
+    assert g.edges.tolist() == [[0, 2], [1, 2], [1, 3]]
     assert g.m == 3
     assert g.degrees() == [1, 2, 2, 1]
 
@@ -215,23 +214,27 @@ def count_oracle(g, v, t):
     return cnt
 
 
+def count(g, v, t):
+    return count_connected_edge_subgraphs_upto(g, v, t)[t]
+
+
 def test_triangle_two_edge_count():
     g = complete_graph(3)
-    assert count_connected_edge_subgraphs(g, 0, 1) == 2
-    assert count_connected_edge_subgraphs(g, 0, 2) == 3
-    assert count_connected_edge_subgraphs(g, 0, 3) == 1
+    assert count(g, 0, 1) == 2
+    assert count(g, 0, 2) == 3
+    assert count(g, 0, 3) == 1
 
 
 def test_counts_match_oracle_k4():
     g = complete_graph(4)
     for t in range(1, 7):
-        assert count_connected_edge_subgraphs(g, 0, t) == count_oracle(g, 0, t)
+        assert count(g, 0, t) == count_oracle(g, 0, t)
 
 
 def test_counts_match_oracle_petersen():
     g = petersen()
     for t in range(1, 5):
-        assert count_connected_edge_subgraphs(g, 2, t) == count_oracle(g, 2, t)
+        assert count(g, 2, t) == count_oracle(g, 2, t)
 
 
 def test_counts_upto_consistent():
@@ -239,7 +242,7 @@ def test_counts_upto_consistent():
     upto = count_connected_edge_subgraphs_upto(g, 0, 4)
     assert upto[0] == 0
     for t in range(1, 5):
-        assert upto[t] == count_connected_edge_subgraphs(g, 0, t)
+        assert upto[t] == count_oracle(g, 0, t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,22 +254,20 @@ def test_counts_upto_consistent():
 def test_counts_match_oracle_random(case, t):
     n, edges = case
     g = Graph(n, sorted(edges))
-    assert count_connected_edge_subgraphs(g, 0, t) == count_oracle(g, 0, t)
+    assert count(g, 0, t) == count_oracle(g, 0, t)
 
 
-def test_count_cap_enforced():
+def test_counts_match_oracle_at_nine_edges():
     g = complete_graph(5)
-    with pytest.raises(CapacityError):
-        count_connected_edge_subgraphs(g, 0, 9)
-    assert count_connected_edge_subgraphs(g, 0, 9, cap=9) == count_oracle(g, 0, 9)
+    assert count(g, 0, 9) == count_oracle(g, 0, 9)
 
 
 def test_count_rejects_bad_args():
     g = complete_graph(3)
     with pytest.raises(InputError):
-        count_connected_edge_subgraphs(g, 5, 1)
+        count_connected_edge_subgraphs_upto(g, 5, 1)
     with pytest.raises(InputError):
-        count_connected_edge_subgraphs(g, 0, 0)
+        count_connected_edge_subgraphs_upto(g, 0, 0)
 
 
 # --- reachability ----------------------------------------------------------
@@ -305,7 +306,7 @@ def test_parse_comments_and_blanks():
     text = "# demo\n3 2\n0 1  # chord\n\n1 2\n"
     g = parse_graph(text)
     assert isinstance(g, Graph)
-    assert g.edges == ((0, 1), (1, 2))
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_parse_errors():

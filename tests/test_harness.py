@@ -7,7 +7,14 @@ import pytest
 from scipy.stats import binomtest
 
 from randcol import harness
-from randcol.errors import InputError
+from randcol.errors import (
+    CapacityError,
+    ConstructionError,
+    ConvergenceError,
+    GenerationError,
+    InputError,
+    RandcolError,
+)
 from randcol.generators import ConstructionParams
 from randcol.graphs import Graph, load_graph, save_graph
 from randcol.harness import (
@@ -195,6 +202,26 @@ class TestTrials:
         result = run_experiment(cfg)
         assert result.aggregate["errors"] == 3
         assert result.aggregate["valid_trials"] == 0
+
+    def test_programming_errors_raise(self, monkeypatch):
+        def broken(config, stream):
+            raise TypeError("a bug, not a trial outcome")
+
+        monkeypatch.setitem(harness._TRIAL_FUNCS, "core_emptiness", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            run_trial(core_config(), 0)
+
+    @pytest.mark.parametrize(
+        "error", [InputError, CapacityError, GenerationError, ConstructionError, ConvergenceError]
+    )
+    def test_package_errors_are_recorded(self, monkeypatch, error):
+        def failing(config, stream):
+            raise error("no luck")
+
+        assert issubclass(error, RandcolError)
+        assert issubclass(error, ValueError) == (error in (InputError, CapacityError))
+        monkeypatch.setitem(harness._TRIAL_FUNCS, "core_emptiness", failing)
+        assert run_trial(core_config(), 0).error == f"{error.__name__}: no luck"
 
     def test_wall_time_not_serialized(self):
         rec = run_trial(core_config(), 0)

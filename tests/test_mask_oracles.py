@@ -12,7 +12,6 @@ from randcol.graphs import DiGraph, Graph
 from randcol.percolation import thm3_process, thm4_process
 from randcol.sampling import (
     RngStream,
-    edge_uniforms,
     partition_split,
     sample_subgraph,
     second_round_rate,
@@ -41,17 +40,22 @@ first_rates = st.one_of(
 # --- the index-tuple reference ------------------------------------------------
 
 
+def edge_tuples(g):
+    return [tuple(e) for e in g.edges.tolist()]
+
+
 def ref_subgraph_from_uniforms(g, u, p):
-    return g.with_edges([g.edges[i] for i in np.flatnonzero(u < p)])
+    edges = edge_tuples(g)
+    return Graph(g.n, [edges[i] for i in np.flatnonzero(u < p)])
 
 
 def ref_partition_split(g, parts, stream):
-    u = edge_uniforms(g, stream)
+    u = stream.uniforms(g.m)
     which = np.minimum((u * parts).astype(np.int64), parts - 1)
     buckets = [[] for _ in range(parts)]
-    for i, e in enumerate(g.edges):
+    for i, e in enumerate(edge_tuples(g)):
         buckets[which[i]].append(e)
-    return [g.with_edges(b) for b in buckets]
+    return [Graph(g.n, b) for b in buckets]
 
 
 def ref_two_round_survivors(g, first_rate, stream):
@@ -66,14 +70,15 @@ def ref_two_round_survivors(g, first_rate, stream):
     round2_hit = tuple(int(i) for i in np.flatnonzero(hit2))
 
     def without(gone):
-        return g.with_edges(e for i, e in enumerate(g.edges) if i not in gone)
+        return Graph(g.n, [e for i, e in enumerate(edge_tuples(g)) if i not in gone])
 
     return without(set(round1)), without(set(round2_hit)), without(set(round1) | set(round2))
 
 
 def ref_protected(h, p, rng):
     u = rng.child("protect").uniforms(h.m)
-    return frozenset(h.edges[i] for i in range(h.m) if u[i] < p)
+    edges = edge_tuples(h)
+    return frozenset(edges[i] for i in range(h.m) if u[i] < p)
 
 
 def ref_blocked(h, p, rng):
@@ -89,8 +94,8 @@ def ref_blocked(h, p, rng):
 def test_p_subgraph(case, p, seed):
     g = Graph(*case)
     stream = RngStream(seed).child("edges")
-    want = ref_subgraph_from_uniforms(g, edge_uniforms(g, stream), p)
-    assert subgraph_from_uniforms(g, edge_uniforms(g, stream), p) == want
+    want = ref_subgraph_from_uniforms(g, stream.uniforms(g.m), p)
+    assert subgraph_from_uniforms(g, stream.uniforms(g.m), p) == want
     assert sample_subgraph(g, p, stream) == want
 
 
@@ -132,7 +137,8 @@ def test_two_round_survivors_on_a_large_graph(first_rate, seed):
 def test_thm3_protected_set(case, p, seed):
     h = Graph(*case)
     rng = RngStream(seed).child("trial")
-    assert thm3_process(h, p, 0, rng).protected_edges == ref_protected(h, p, rng)
+    protected = thm3_process(h, p, 0, rng).protected_edges
+    assert set(edge_tuples(protected)) == ref_protected(h, p, rng)
 
 
 @settings(max_examples=100, deadline=None)

@@ -122,7 +122,7 @@ def ref_random_regular_graph(n, d, stream):
                 break
             seen.add(e)
         if ok:
-            return Graph(n, [(int(u), int(v)) for u, v in seen], validate=False)
+            return Graph(n, [(int(u), int(v)) for u, v in sorted(seen)], validate=False)
     raise GenerationError(
         f"no simple {d}-regular graph in {REJECTION_CAP} attempts; retry with a new seed"
     )

@@ -1,19 +1,26 @@
-"""The array rounds of bootstrap_percolate, the cached CSR arrays and the
-cached components against the code they replaced, kept here as the
-reference: the per-edge round loop of bootstrap_percolate (with the
-list thresholds of thm3_process) and a breadth-first search per
-connected_component call."""
+"""The array rounds of bootstrap_percolate, the cached CSR arrays, the
+cached components and the thm3 fixpoint audit against the code they
+replaced, kept here as the reference: the per-edge round loop of
+bootstrap_percolate (with the list thresholds of thm3_process), a
+breadth-first search per connected_component call and the audit's walk
+over every vertex's neighbours."""
 
 import math
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from randcol.errors import InputError
 from randcol.generators import random_regular_graph
 from randcol.graphs import Graph, connected_component
-from randcol.percolation import PercolationState, bootstrap_percolate, thm3_process
+from randcol.percolation import (
+    PercolationState,
+    bootstrap_percolate,
+    thm3_fixpoint_violations,
+    thm3_process,
+)
 from randcol.sampling import RngStream
 
 
@@ -68,7 +75,7 @@ def ref_bootstrap_percolate(g, initially_infected, threshold_of):
 
 def ref_thm3_process(h, p_protect, r, rng):
     hit = rng.child("protect").uniforms(h.m) < p_protect
-    protected = frozenset(e for e, kept in zip(h.edges, hit) if kept)
+    protected = frozenset(tuple(e) for e, kept in zip(h.edges.tolist(), hit) if kept)
     thresholds = [1] * h.n
     for a, b in protected:
         thresholds[a] = thresholds[b] = 2
@@ -112,7 +119,10 @@ def test_thm3_process_matches_edge_loop(n):
         for p in (0.0, 0.1, 0.5, 1.0):
             for r in (0, n - 1):
                 stream = RngStream(seed).child("trial", r)
-                assert thm3_process(h, p, r, stream) == ref_thm3_process(h, p, r, stream)
+                got = thm3_process(h, p, r, stream)
+                want = ref_thm3_process(h, p, r, stream)
+                assert (got.infected, got.round_trace) == (want.infected, want.round_trace)
+                assert set(map(tuple, got.protected_edges.edges.tolist())) == want.protected_edges
 
 
 # --- the cached CSR arrays ------------------------------------------------------------
@@ -153,3 +163,42 @@ def test_components_in_any_call_order(case, data):
         # every vertex of a component gets the one frozenset searched for it
         assert all(got[w] is got[v] for w in got[v])
         assert connected_component(g, v) is got[v]
+
+
+# --- the thm3 fixpoint audit ------------------------------------------------------------
+
+
+def ref_thm3_fixpoint_violations(h, state):
+    thresholds = [1] * h.n
+    if state.protected_edges is not None:
+        for a, b in state.protected_edges.edges.tolist():
+            thresholds[a] = thresholds[b] = 2
+    return [
+        v for v in range(h.n)
+        if v not in state.infected
+        and sum(1 for w in h.neighbours(v) if w in state.infected) >= thresholds[v]
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs, st.data())
+def test_thm3_audit_matches_the_walk(case, data):
+    n, edges = case
+    h = Graph(n, edges)
+    vertices = st.integers(0, n - 1) if n else st.nothing()
+    infected = frozenset(data.draw(st.sets(vertices, max_size=n)))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=h.m, max_size=h.m)), dtype=bool)
+    protected = data.draw(st.sampled_from([None, h.with_edges(mask)]))
+    state = PercolationState(infected, (len(infected),), protected_edges=protected)
+    got = thm3_fixpoint_violations(h, state)
+    assert got == ref_thm3_fixpoint_violations(h, state)
+    assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("n", (10, 200))
+def test_thm3_audit_clean_at_fixpoints(n):
+    for seed in range(3):
+        h = random_regular_graph(n, 3, seed)
+        for p in (0.0, 0.1, 0.5, 1.0):
+            state = thm3_process(h, p, 0, RngStream(seed).child("audit"))
+            assert thm3_fixpoint_violations(h, state) == ref_thm3_fixpoint_violations(h, state) == []

@@ -8,14 +8,16 @@ from randcol.errors import InputError
 from randcol.graphs import Graph
 from randcol.sampling import (
     RngStream,
-    coupled_subgraphs,
-    edge_uniforms,
     partition_split,
     sample_subgraph,
     second_round_rate,
     subgraph_from_uniforms,
     two_round_sample,
 )
+
+
+def edge_set(g):
+    return set(map(tuple, g.edges.tolist()))
 
 
 def complete_graph(n):
@@ -155,18 +157,19 @@ def test_sample_rate_matches_p():
 def test_coupling_is_monotone(seed, p1, p2):
     p1, p2 = sorted((p1, p2))
     g = complete_graph(9)
-    u = edge_uniforms(g, RngStream(seed).child("edges"))
+    u = RngStream(seed).child("edges").uniforms(g.m)
     low = subgraph_from_uniforms(g, u, p1)
     high = subgraph_from_uniforms(g, u, p2)
-    assert set(low.edges) <= set(high.edges)
+    assert edge_set(low) <= edge_set(high)
 
 
 def test_coupled_family_is_nested():
     g = complete_graph(12)
     ps = [0.1, 0.25, 0.5, 0.75, 1.0]
-    subs = coupled_subgraphs(g, ps, RngStream(23).child("edges"))
+    u = RngStream(23).child("edges").uniforms(g.m)
+    subs = [subgraph_from_uniforms(g, u, p) for p in ps]
     for small, big in zip(subs, subs[1:]):
-        assert set(small.edges) <= set(big.edges)
+        assert edge_set(small) <= edge_set(big)
     assert subs[-1] == g
 
 
@@ -187,16 +190,16 @@ def test_partition_split_is_a_partition():
     assert sum(h.m for h in parts) == g.m
     union = set()
     for h in parts:
-        assert union.isdisjoint(h.edges)
-        union.update(h.edges)
-    assert union == set(g.edges)
+        assert union.isdisjoint(edge_set(h))
+        union.update(edge_set(h))
+    assert union == edge_set(g)
 
 
 def test_two_way_partition_split_halves():
     g = complete_graph(40)
     a, b = partition_split(g, 2, RngStream(6).child("split"))
     assert a.m + b.m == g.m
-    assert set(a.edges).isdisjoint(b.edges)
+    assert edge_set(a).isdisjoint(edge_set(b))
     assert abs(a.m / g.m - 0.5) < 0.05
 
 
@@ -222,11 +225,11 @@ def test_two_round_bookkeeping():
     gone = np.flatnonzero(r1 | r2)
     surv = out.survivors()
     assert surv.m == g.m - len(gone)
-    assert set(surv.edges).isdisjoint(g.edges[i] for i in gone)
+    assert edge_set(surv).isdisjoint(map(tuple, g.edges[gone].tolist()))
     assert out.round1_survivors().m == g.m - np.count_nonzero(r1)
     assert out.round2_only_survivors().m == g.m - np.count_nonzero(r2)
-    both = set(out.round1_survivors().edges) & set(out.round2_only_survivors().edges)
-    assert set(surv.edges) == both
+    both = edge_set(out.round1_survivors()) & edge_set(out.round2_only_survivors())
+    assert edge_set(surv) == both
 
 
 def test_two_round_survival_is_half():
