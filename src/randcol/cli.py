@@ -202,7 +202,7 @@ def cmd_experiment(args) -> int:
     config = load_config(args.config)
     result = run_experiment(config, out_path=args.out)
     _emit(result.aggregate)
-    return 0
+    return 1 if result.aggregate["errors"] else 0
 
 
 def cmd_verify(args) -> int:

@@ -7,6 +7,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, InputError
 from .graphs import Graph
 
@@ -47,66 +49,62 @@ class ColouringResult:
         return all(self.colour_of[u] != self.colour_of[v] for u, v in g.edges.tolist())
 
 
-def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[Sequence[int], list]:
+def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[list, list]:
     """Peel g at each threshold t of an ascending sequence in turn.
 
-    A live vertex with fewer than t live neighbours leaves, and the
-    removal cascades in queue order; the next threshold starts from the
-    survivors, scanning them in ascending id. Stops when the sequence
-    ends or nothing is left. A vertex is scanned once per threshold it
-    enters, at most its degree + 1 of them, so a full run is O(n + m).
-    Returns (survivors in ascending id, peel order).
+    At threshold t a round removes every live vertex with fewer than t
+    live neighbours at once, in ascending id, and lowers its neighbours'
+    degrees with one bincount over the removed vertices' CSR slices;
+    rounds repeat until one removes nothing, then the next threshold
+    starts from the survivors. A round is one generation of the cascade,
+    and a run is O(rounds * n + m). Stops when the sequence ends or
+    nothing is left. Returns (survivors in ascending id, peel order).
     """
-    adj = g.adjacency()
-    deg = g.degrees()
-    alive = [True] * g.n
-    live = range(g.n)
-    order: list = []
-    push = order.append
+    indptr, indices = g._csr_arrays()
+    degree = np.diff(indptr)
+    deg = degree.copy()
+    alive = np.ones(g.n, dtype=bool)
+    rounds: list = []
     for t in thresholds:
-        if not live:
+        if not alive.any():
             break
-        head = len(order)
-        for v in live:
-            if deg[v] < t:
-                alive[v] = False
-                push(v)
-        while head < len(order):
-            for w in adj[order[head]]:
-                if alive[w]:
-                    deg[w] -= 1
-                    if deg[w] < t:
-                        alive[w] = False
-                        push(w)
-            head += 1
-        live = [v for v in live if alive[v]]
-    return live, order
+        out = np.flatnonzero(alive & (deg < t))
+        while out.size:
+            alive[out] = False
+            rounds.append(out)
+            # arc ids of the removed vertices' slices, laid end to end
+            size = degree[out]
+            ends = np.cumsum(size)
+            arcs = np.arange(ends[-1]) + np.repeat(indptr[out] - ends + size, size)
+            deg -= np.bincount(indices[arcs], minlength=g.n)
+            out = np.flatnonzero(alive & (deg < t))
+    peel = np.concatenate(rounds).tolist() if rounds else []
+    return np.flatnonzero(alive).tolist(), peel
 
 
 def colouring_number(g: Graph) -> tuple[int, EliminationOrder]:
     """Degeneracy + 1, with the witnessing elimination order.
 
     Peels at thresholds 1, 2, ... until no vertex is left; ties break by
-    threshold, then by cascade (the vertices below each threshold in
-    ascending id, then those they push below it, in queue order). The
-    returned order is the reverse of the peel. A vertex peeled at
-    threshold t has fewer than t neighbours later in the peel, and the
-    last threshold reached is one more than the degeneracy.
+    threshold, then by round of the cascade, then by ascending id (see
+    _peel). The returned order is the reverse of the peel. A vertex
+    peeled at threshold t has fewer than t neighbours later in the peel,
+    and the last threshold reached is one more than the degeneracy.
     """
     if g.n == 0:
         return 0, EliminationOrder((), ())
-    adj = g.adjacency()
+    indptr, indices = g._csr_arrays()
     _, peel = _peel(g, itertools.count(1))
-    pos = [0] * g.n
-    for i, v in enumerate(peel):
-        pos[v] = i
-    later = [sum(pos[w] > i for w in adj[v]) for i, v in enumerate(peel)]
-    order = EliminationOrder(tuple(reversed(peel)), tuple(reversed(later)))
+    pos = np.empty(g.n, dtype=np.intp)
+    pos[peel] = np.arange(g.n)
+    tails = np.repeat(np.arange(g.n), np.diff(indptr))
+    later = np.bincount(tails[pos[indices] > pos[tails]], minlength=g.n)
+    order = EliminationOrder(tuple(reversed(peel)), tuple(later[peel[::-1]].tolist()))
     return order.degeneracy() + 1, order
 
 
 def t_core_with_trace(g: Graph, t: int) -> tuple[frozenset, tuple]:
-    """The t-core plus the cascade of peeled vertices, in peel order."""
+    """The t-core plus the peeled vertices in peel order (see _peel)."""
     if t < 0:
         raise InputError("t must be >= 0")
     core, trace = _peel(g, (t,))

@@ -469,6 +469,13 @@ def cycle_graph(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _int_pair(tokens: list) -> tuple[int, int]:
+    try:
+        return int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise InputError(f"non-integer token in line {' '.join(tokens)!r}") from None
+
+
 def parse_graph(text: str) -> Graph | DiGraph:
     tokensets = []
     for raw in text.splitlines():
@@ -480,7 +487,7 @@ def parse_graph(text: str) -> Graph | DiGraph:
     header = tokensets[0]
     if len(header) not in (2, 3):
         raise InputError(f"bad header {' '.join(header)!r}")
-    n, m = int(header[0]), int(header[1])
+    n, m = _int_pair(header)
     directed = len(header) == 3
     if directed and header[2] != "directed":
         raise InputError(f"bad header token {header[2]!r}")
@@ -492,19 +499,15 @@ def parse_graph(text: str) -> Graph | DiGraph:
         for tok in body:
             if len(tok) != 2:
                 raise InputError(f"bad edge line {' '.join(tok)!r}")
-            edges.append((int(tok[0]), int(tok[1])))
+            edges.append(_int_pair(tok))
         return Graph(n, edges)
     arcs = []
     colours = []
     for tok in body:
-        if len(tok) == 2:
-            arcs.append((int(tok[0]), int(tok[1])))
-            colours.append(None)
-        elif len(tok) == 3:
-            arcs.append((int(tok[0]), int(tok[1])))
-            colours.append(tok[2])
-        else:
+        if len(tok) not in (2, 3):
             raise InputError(f"bad arc line {' '.join(tok)!r}")
+        arcs.append(_int_pair(tok))
+        colours.append(tok[2] if len(tok) == 3 else None)
     have = [c for c in colours if c is not None]
     if have and len(have) != len(arcs):
         raise InputError("either all arcs or no arcs must carry colours")

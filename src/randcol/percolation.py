@@ -184,11 +184,12 @@ class SuperVertexStatus:
         return frozenset(v for v in range(len(self.status)) if self.is_nearly_dead(v))
 
 
-def _survivor_table(core: frozenset, layout: BlowUpLayout) -> list:
-    table = [[0] * layout.layers for _ in range(layout.n_super)]
-    for v in core:
-        table[layout.h_vertex_of(v)][layout.layer_of(v) - 1] += 1
-    return table
+def _survivor_table(core: frozenset, layout: BlowUpLayout) -> np.ndarray:
+    """Core survivors per (super-vertex, layer - 1): a vertex id // m is
+    super-vertex * layers + layer - 1."""
+    ids = np.fromiter(core, dtype=np.intp, count=len(core))
+    cells = layout.n_super * layout.layers
+    return np.bincount(ids // layout.m, minlength=cells).reshape(layout.n_super, layout.layers)
 
 
 def classify_supervertices_thm3(
@@ -206,20 +207,17 @@ def classify_supervertices_thm3(
         raise InputError("graph does not match layout dimensions")
     core = t_core(g_half, t)
     table = _survivor_table(core, layout)
-    status = tuple(
-        "dead" if sum(row) == 0 else "alive" for row in table
-    )
+    dead = ~table.any(axis=1)
     dead_component = None
     if root is not None:
         if h is None:
             raise InputError("dead-component report needs the base graph h")
         if h.n != layout.n_super:
             raise InputError("base graph does not match layout")
-        dead = {v for v, st in enumerate(status) if st == "dead"}
-        dead_component = _reached(h.adjacency(), root, dead)
+        dead_component = _reached(h.adjacency(), root, set(np.flatnonzero(dead).tolist()))
     return SuperVertexStatus(
-        status=status,
-        surviving_count=tuple(tuple(row) for row in table),
+        status=tuple("dead" if d else "alive" for d in dead.tolist()),
+        surviving_count=tuple(map(tuple, table.tolist())),
         core=core,
         dead_component=dead_component,
     )
@@ -260,7 +258,7 @@ def resilient_pair_detect(
         raise InputError("edge graph does not match layout dimensions")
     k, s = params.k, params.s
     core = t_core(g_half, params.t)
-    table = _survivor_table(core, layout)
+    table = _survivor_table(core, layout).tolist()
     status = []
     resilient = []
     for v in range(layout.n_super):
@@ -286,7 +284,7 @@ def resilient_pair_detect(
         resilient.append(found)
     return SuperVertexStatus(
         status=tuple(status),
-        surviving_count=tuple(tuple(row) for row in table),
+        surviving_count=tuple(map(tuple, table)),
         core=core,
         resilient=tuple(resilient),
     )

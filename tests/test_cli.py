@@ -206,6 +206,18 @@ class TestExperimentAndVerify:
         assert agg["empty_core"]["proportion"] == 1.0
         assert out.exists() and len(out.read_text().splitlines()) == 6
 
+    def test_experiment_with_failed_trials_exits_1(self, tmp_path, capsys):
+        # every trial's sample of K_45 is past the exact solver's n cap
+        out = tmp_path / "res.ndjson"
+        cfg = ExperimentConfig(kind="chromatic_tail", trials=3, master_seed=1,
+                               graph={"kind": "complete", "n": 45}, p=0.5, output=str(out))
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg, cfg_path)
+        code, stdout, _ = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 1
+        assert last_json(stdout)["errors"] == 3
+        assert len(out.read_text().splitlines()) == 4
+
     def test_experiment_rejects_negative_root(self, tmp_path, capsys):
         cfg = ExperimentConfig(kind="thm3_sweep", trials=2, master_seed=1,
                                graph={"kind": "cycle", "n": 5}, p_sweep=(0.0, 0.5))
@@ -226,6 +238,13 @@ class TestExperimentAndVerify:
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "bogus"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", ["3 1\n1 x\n", "3 two\n0 1\n0 2\n", "3 1 directed\n0 1.5\n"])
+    def test_non_integer_token_is_reported(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        code, stdout, err = run_cli(capsys, "core", "--in", str(path), "--t", "1")
+        assert code == 2 and err.startswith("error:") and "line" in err and stdout == ""
 
     def test_missing_file_is_reported(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "core", "--in", str(tmp_path / "absent.txt"), "--t", "2")

@@ -118,6 +118,14 @@ def test_peel_order_breaks_ties_by_threshold_then_cascade():
     assert order.back_degrees == (0, 1, 2, 1, 1, 1, 1, 0)
 
 
+def test_peel_builds_no_neighbour_tuples():
+    g = petersen()
+    t_core(g, 3)
+    t_core_with_trace(g, 2)
+    colouring_number(g)
+    assert g._adj is None
+
+
 # --- t-core ------------------------------------------------------------------
 
 

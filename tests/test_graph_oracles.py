@@ -5,7 +5,7 @@ package, so this module is skipped where it is not installed."""
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from randcol.colouring import colouring_number, t_core
 from randcol.graphs import (
@@ -18,7 +18,7 @@ from randcol.graphs import (
     reachable_set,
 )
 from randcol.percolation import thm4_process
-from randcol.sampling import RngStream
+from randcol.sampling import RngStream, sample_subgraph
 
 nx = pytest.importorskip("networkx")
 
@@ -94,11 +94,19 @@ def test_thm4_round_trace_is_bfs_layers(case, data, p):
     assert state.infected == frozenset(v for layer in layers for v in layer)
 
 
+def regular_half_sample(d, n, seed):
+    """The half-sample of networkx's random d-regular graph on n vertices."""
+    g = Graph(n, nx.random_regular_graph(d, n, seed=seed).edges())
+    return n, sample_subgraph(g, 0.5, RngStream(seed)).edges.tolist()
+
+
 @settings(max_examples=80, deadline=None)
 @given(graphs)
+@example(regular_half_sample(60, 2000, 0))
 def test_t_core_and_colouring_number(case):
     n, edges = case
     g, ref = Graph(n, edges), nx_graph(n, edges)
-    for t in range(6):
+    num = max(nx.core_number(ref).values()) + 1
+    for t in {*range(6), num - 1, num}:
         assert t_core(g, t) == set(nx.k_core(ref, t))
-    assert colouring_number(g)[0] == max(nx.core_number(ref).values()) + 1
+    assert colouring_number(g)[0] == num

@@ -3,7 +3,8 @@ cached components and the thm3 fixpoint audit against the code they
 replaced, kept here as the reference: the per-edge round loop of
 bootstrap_percolate (with the list thresholds of thm3_process), a
 breadth-first search per connected_component call and the audit's walk
-over every vertex's neighbours."""
+over every vertex's neighbours, and the per-vertex survivor table of the
+super-vertex classification."""
 
 import math
 from collections import deque
@@ -12,12 +13,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from randcol.colouring import t_core
 from randcol.errors import InputError
-from randcol.generators import random_regular_graph
+from randcol.generators import (
+    ConstructionParams,
+    blow_up,
+    gadget_blow_up,
+    random_regular_graph,
+    random_two_regular_digraph,
+)
 from randcol.graphs import Graph, connected_component
 from randcol.percolation import (
     PercolationState,
     bootstrap_percolate,
+    classify_supervertices_thm3,
+    resilient_pair_detect,
     thm3_fixpoint_violations,
     thm3_process,
 )
@@ -202,3 +212,70 @@ def test_thm3_audit_clean_at_fixpoints(n):
         for p in (0.0, 0.1, 0.5, 1.0):
             state = thm3_process(h, p, 0, RngStream(seed).child("audit"))
             assert thm3_fixpoint_violations(h, state) == ref_thm3_fixpoint_violations(h, state) == []
+
+
+# --- super-vertex classification ----------------------------------------------------------
+
+
+def ref_survivor_table(core, layout):
+    table = [[0] * layout.layers for _ in range(layout.n_super)]
+    for v in core:
+        table[layout.h_vertex_of(v)][layout.layer_of(v) - 1] += 1
+    return table
+
+
+def ref_dead_component(h, root, dead):
+    seen, queue = {root}, deque([root])
+    while queue:
+        for w in h.neighbours(queue.popleft()):
+            if w in dead and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
+
+
+def check_classification(g_half, layout, t, h):
+    table = ref_survivor_table(t_core(g_half, t), layout)
+    status = tuple("dead" if sum(row) == 0 else "alive" for row in table)
+    dead = {v for v, st in enumerate(status) if st == "dead"}
+    root = min(dead, default=0)
+    cls = classify_supervertices_thm3(g_half, layout, t, root=root, h=h)
+    assert cls.status == status
+    assert cls.surviving_count == tuple(tuple(row) for row in table)
+    assert all(type(c) is int for row in cls.surviving_count for c in row)
+    assert cls.dead_set() == dead
+    assert cls.dead_component == ref_dead_component(h, root, dead)
+    return table
+
+
+def patchy_sample(g, layout, seed):
+    """Keeps an edge at a rate drawn per super-vertex of its lower end, so
+    the core survives in some super-vertices and dies in others."""
+    rng = np.random.default_rng(seed)
+    rate = rng.uniform(0, 1, layout.n_super)
+    return g.with_edges(rng.random(g.m) < rate[layout.h_vertex_of(g.edges).min(axis=1)])
+
+
+@pytest.mark.parametrize("m", (1, 4))
+def test_classification_matches_the_loop_on_blow_ups(m):
+    h = random_regular_graph(40, 3, 5)
+    g, layout = blow_up(h, m)
+    for seed in range(3):
+        half = patchy_sample(g, layout, seed)
+        for t in range(3 * m + 2):
+            check_classification(half, layout, t, h)
+
+
+def test_classification_matches_the_loop_on_gadgets():
+    params = ConstructionParams.thm4(12, 3)
+    base = random_two_regular_digraph(12, 3)
+    g, layout = gadget_blow_up(base, params)
+    h = Graph(base.n, {(min(a), max(a)) for a in base.arcs.tolist()})
+    for seed in range(3):
+        half = patchy_sample(g, layout, seed)
+        for t in range(params.t + 1):
+            check_classification(half, layout, t, h)
+        table = ref_survivor_table(t_core(half, params.t), layout)
+        cls = resilient_pair_detect(half, layout, params)
+        assert cls.surviving_count == tuple(tuple(row) for row in table)
+        assert cls.dead_set() == {v for v, row in enumerate(table) if sum(row) == 0}
