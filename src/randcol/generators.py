@@ -144,7 +144,10 @@ def parse_layout(text: str) -> BlowUpLayout:
             parts = line.split()
             if len(parts) != 4:
                 raise InputError(f"bad layout line {line!r}")
-            rows.append(tuple(int(x) for x in parts))
+            try:
+                rows.append(tuple(int(x) for x in parts))
+            except ValueError:
+                raise InputError(f"non-integer token in layout line {line!r}") from None
     if not rows:
         raise InputError("empty layout")
     n_super = max(r[1] for r in rows) + 1

@@ -1,4 +1,5 @@
-"""Immutable simple graphs and digraphs, boundaries, girth, and
+"""Immutable simple graphs and digraphs, the one synchronous spread
+behind percolation, components and reachability, boundaries, girth, and
 small-scale exhaustive enumeration of connected edge subgraphs.
 
 Vertices are contiguous integers 0..n-1 throughout; vertex sets are
@@ -70,8 +71,52 @@ def _neighbour_tuples(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[in
     return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
 
 
-def _bitmasks(adj) -> list[int]:
-    return [sum(1 << w for w in nbrs) for nbrs in adj]
+def _bitmasks(indptr: np.ndarray, indices: np.ndarray) -> list[int]:
+    return [sum(1 << w for w in nbrs) for nbrs in _neighbour_tuples(indptr, indices)]
+
+
+def _vertex_mask(n: int, vertices: Iterable[int], what: str = "vertex") -> np.ndarray:
+    """Boolean mask over 0..n-1 of the given ids; InputError for an id
+    outside that range (a numpy index would wrap a negative one)."""
+    ids = np.fromiter(vertices, dtype=np.intp)
+    bad = (ids < 0) | (ids >= n)
+    if bad.any():
+        raise InputError(f"{what} {ids[bad.argmax()]} out of range for n={n}")
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
+def _ids(mask: np.ndarray) -> frozenset:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def _spread(
+    indptr: np.ndarray, indices: np.ndarray, seed_mask: np.ndarray, thresholds: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """Least fixpoint of: v joins once >= thresholds[v] of the vertices
+    with an arc into v (CSR indptr, indices) have joined, from seed_mask.
+
+    Returns the joined mask and the round trace: the seed size, then the
+    count of newcomers in each synchronous round. A threshold of 0 joins
+    in round one even without neighbours; math.inf never joins. With a
+    single seed r and threshold 1 inside an allowed set, inf outside, the
+    rounds are the breadth-first levels from r through that set.
+    """
+    degree = indptr[1:] - indptr[:-1]
+    infected = seed_mask.copy()
+    counts = np.zeros(len(infected), dtype=np.intp)
+    trace = [int(np.count_nonzero(infected))]
+    new = infected
+    while True:
+        # counts >= 0, so a threshold of 0 fires in the first round
+        counts += np.bincount(indices[new.repeat(degree)], minlength=len(infected))
+        new = (counts >= thresholds) & ~infected
+        size = int(np.count_nonzero(new))
+        if not size:
+            return infected, trace
+        infected |= new
+        trace.append(size)
 
 
 class Graph:
@@ -120,12 +165,6 @@ class Graph:
             self._adj = _neighbour_tuples(*self._csr_arrays())
         return self._adj
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.adjacency()[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
-
     def degrees(self) -> list[int]:
         return np.diff(self._csr_arrays()[0]).tolist()
 
@@ -135,7 +174,7 @@ class Graph:
     def adj_masks(self) -> list[int]:
         """Per-vertex neighbourhood bitmasks (for exhaustive subset sweeps)."""
         if self._masks is None:
-            self._masks = _bitmasks(self.adjacency())
+            self._masks = _bitmasks(*self._csr_arrays())
         return self._masks
 
     def with_edges(self, mask) -> "Graph":
@@ -175,7 +214,7 @@ class DiGraph:
     colours (so in-degree at most 2).
     """
 
-    __slots__ = ("n", "arcs", "arc_colour", "_out", "_in", "_out_masks")
+    __slots__ = ("n", "arcs", "arc_colour", "_csr", "_out_masks")
 
     def __init__(
         self,
@@ -205,46 +244,29 @@ class DiGraph:
                 if twice.any():
                     i = twice.argmax()
                     raise InputError(f"vertex {heads[i]} has two {self.arc_colour[i]!r} in-arcs")
-        self._out = None
-        self._in = None
+        self._csr = None
         self._out_masks = None
 
     @property
     def m(self) -> int:
         return len(self.arcs)
 
-    def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        if self._out is None:
-            tails, heads = self.arcs.T
-            self._out = _neighbour_tuples(*_csr(self.n, tails, heads))
-        return self._out
-
-    def in_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        if self._in is None:
-            tails, heads = self.arcs.T
-            self._in = _neighbour_tuples(*_csr(self.n, heads, tails))
-        return self._in
-
-    def out_neighbours(self, v: int) -> tuple[int, ...]:
-        return self.out_adjacency()[v]
-
-    def in_neighbours(self, v: int) -> tuple[int, ...]:
-        return self.in_adjacency()[v]
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_neighbours(v))
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_neighbours(v))
+    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): the out-neighbours of v, ascending, are
+        indices[indptr[v]:indptr[v + 1]]."""
+        if self._csr is None:
+            self._csr = _csr(self.n, *self.arcs.T)
+        return self._csr
 
     def out_masks(self) -> list[int]:
         if self._out_masks is None:
-            self._out_masks = _bitmasks(self.out_adjacency())
+            self._out_masks = _bitmasks(*self._csr_arrays())
         return self._out_masks
 
     def is_regular(self, d: int) -> bool:
+        """In- and out-degree d at every vertex."""
         return all(
-            self.out_degree(v) == d and self.in_degree(v) == d for v in range(self.n)
+            bool((np.bincount(ends, minlength=self.n) == d).all()) for ends in self.arcs.T
         )
 
     def __eq__(self, other):
@@ -262,56 +284,19 @@ class DiGraph:
         return f"DiGraph(n={self.n}, m={self.m})"
 
 
-def _check_vertex_set(g, s) -> frozenset:
-    s = frozenset(s)
-    for v in s:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    return s
-
-
 def vertex_boundary(g: Graph | DiGraph, s: Iterable[int]) -> frozenset:
     """Vertices outside s adjacent to s (out-neighbours of s, if directed)."""
-    s = _check_vertex_set(g, s)
-    out = set()
-    if isinstance(g, DiGraph):
-        for v in s:
-            out.update(g.out_neighbours(v))
-    else:
-        for v in s:
-            out.update(g.neighbours(v))
-    return frozenset(out - s)
+    inside = _vertex_mask(g.n, s)
+    indptr, indices = g._csr_arrays()
+    hit = np.bincount(indices[inside.repeat(np.diff(indptr))], minlength=g.n)
+    return _ids((hit > 0) & ~inside)
 
 
 def edge_boundary(g: Graph, s: Iterable[int]) -> list[tuple[int, int]]:
     """Edges with exactly one endpoint in s, sorted."""
-    inside = np.zeros(g.n, dtype=bool)
-    inside[list(_check_vertex_set(g, s))] = True
+    inside = _vertex_mask(g.n, s)
     u, v = g.edges.T
     return list(map(tuple, g.edges[inside[u] != inside[v]].tolist()))
-
-
-def _bfs_levels(adj, root: int, allowed=None):
-    """Yield the breadth-first levels from root over the neighbour table
-    adj (adj[v] lists the neighbours, or out-neighbours, of v). Past the
-    root, only vertices in `allowed` are entered when it is given; the
-    root is always level 0. Levels are computed lazily, so a caller that
-    stops early pays only for the levels it read."""
-    seen = {root}
-    level = [root]
-    while level:
-        yield level
-        nxt = []
-        for u in level:
-            for w in adj[u]:
-                if w not in seen and (allowed is None or w in allowed):
-                    seen.add(w)
-                    nxt.append(w)
-        level = nxt
-
-
-def _reached(adj, root: int, allowed=None) -> frozenset:
-    return frozenset(v for level in _bfs_levels(adj, root, allowed) for v in level)
 
 
 def _cycle_below(g: Graph, best: float, first: bool) -> float:
@@ -324,21 +309,26 @@ def _cycle_below(g: Graph, best: float, first: bool) -> float:
     a shortest cycle sees its length, so the minimum over roots is exact
     and any single candidate certifies a cycle that short. The search
     from a root stops at the first level that cannot beat the bound.
+    Scanning level k labels the unseen neighbours k + 1, which the tests
+    for levels k and k - 1 pass over.
     """
     adj = g.adjacency()
     depth = [-1] * g.n
     for root in range(g.n):
-        touched = []
-        for k, level in enumerate(_bfs_levels(adj, root)):
-            for v in level:
-                depth[v] = k
-            touched.extend(level)
+        depth[root] = 0
+        touched, level, k = [root], [root], 0
+        while level:
+            nxt = []
             for v in level:
                 parents = 0
                 for w in adj[v]:
+                    if depth[w] == -1:
+                        depth[w] = k + 1
+                        nxt.append(w)
+                        continue
                     if depth[w] == k:
                         cand = 2 * k + 1
-                    elif k and depth[w] == k - 1:
+                    elif depth[w] == k - 1:
                         parents += 1
                         if parents == 1:
                             continue
@@ -349,8 +339,11 @@ def _cycle_below(g: Graph, best: float, first: bool) -> float:
                         if first:
                             return cand
                         best = cand
+            touched += nxt
             if 2 * (k + 1) >= best:
                 break
+            level = nxt
+            k += 1
         for v in touched:
             depth[v] = -1
         if best == 3:
@@ -417,9 +410,7 @@ def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[in
 
 def reachable_set(h: DiGraph, r: int) -> frozenset:
     """Vertices reachable from r by directed paths, including r."""
-    if not (0 <= r < h.n):
-        raise InputError(f"vertex {r} out of range")
-    return _reached(h.out_adjacency(), r)
+    return _ids(_spread(*h._csr_arrays(), _vertex_mask(h.n, [r]), np.ones(h.n))[0])
 
 
 def connected_component(g: Graph, v: int) -> frozenset:
@@ -430,7 +421,7 @@ def connected_component(g: Graph, v: int) -> frozenset:
         g._components = [None] * g.n
     comp = g._components[v]
     if comp is None:
-        comp = _reached(g.adjacency(), v)
+        comp = _ids(_spread(*g._csr_arrays(), _vertex_mask(g.n, [v]), np.ones(g.n))[0])
         for w in comp:
             g._components[w] = comp
     return comp
@@ -447,7 +438,8 @@ def is_strongly_connected(h: DiGraph) -> bool:
     if h.n == 0:
         return True
     return all(
-        len(_reached(adj, 0)) == h.n for adj in (h.out_adjacency(), h.in_adjacency())
+        _spread(*csr, _vertex_mask(h.n, [0]), np.ones(h.n))[0].all()
+        for csr in (h._csr_arrays(), _csr(h.n, *h.arcs.T[::-1]))
     )
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
-from .graphs import DiGraph, Graph, _bfs_levels, _reached, vertex_boundary
+from .graphs import DiGraph, Graph, _ids, _spread, _vertex_mask, vertex_boundary
 from .colouring import t_core
 from .sampling import RngStream
 
@@ -41,36 +41,15 @@ def bootstrap_percolate(g: Graph, initially_infected, threshold_of: Sequence) ->
     without neighbours; math.inf disables a vertex entirely. Each
     synchronous round counts the last newcomers over the CSR arrays.
     """
-    seed = frozenset(initially_infected)
-    for v in seed:
-        if not (0 <= v < g.n):
-            raise InputError(f"seed vertex {v} out of range")
+    seed = _vertex_mask(g.n, initially_infected, "seed vertex")
     thresholds = np.asarray(threshold_of, dtype=float)
     if thresholds.shape != (g.n,):
         raise InputError("threshold sequence length must equal vertex count")
     bad = ~(thresholds >= 0)
     if bad.any():
         raise InputError(f"negative or NaN threshold at vertex {bad.argmax()}")
-    indptr, indices = g._csr_arrays()
-    degree = indptr[1:] - indptr[:-1]
-    infected = np.zeros(g.n, dtype=bool)
-    infected[list(seed)] = True
-    counts = np.zeros(g.n, dtype=np.intp)
-    trace = [len(seed)]
-    new = infected
-    while True:
-        # counts >= 0, so a threshold of 0 fires in the first round
-        counts += np.bincount(indices[new.repeat(degree)], minlength=g.n)
-        new = (counts >= thresholds) & ~infected
-        size = int(np.count_nonzero(new))
-        if not size:
-            break
-        infected |= new
-        trace.append(size)
-    return PercolationState(
-        infected=frozenset(infected.nonzero()[0].tolist()),
-        round_trace=tuple(trace),
-    )
+    infected, trace = _spread(*g._csr_arrays(), seed, thresholds)
+    return PercolationState(infected=_ids(infected), round_trace=tuple(trace))
 
 
 def t_core_via_percolation(g: Graph, t: int) -> frozenset:
@@ -119,12 +98,11 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     if not (0 <= r < h.n):
         raise InputError(f"root {r} out of range")
     hit = rng.child("resilient").uniforms(h.n) < p_resilient
-    blocked = frozenset(np.flatnonzero(hit).tolist())
-    levels = list(_bfs_levels(h.out_adjacency(), r, frozenset(range(h.n)) - blocked))
+    infected, trace = _spread(*h._csr_arrays(), _vertex_mask(h.n, [r]), np.where(hit, np.inf, 1))
     return PercolationState(
-        infected=frozenset(v for level in levels for v in level),
-        round_trace=tuple(len(level) for level in levels),
-        resilient_vertices=blocked,
+        infected=_ids(infected),
+        round_trace=tuple(trace),
+        resilient_vertices=_ids(hit),
     )
 
 
@@ -214,23 +192,14 @@ def classify_supervertices_thm3(
             raise InputError("dead-component report needs the base graph h")
         if h.n != layout.n_super:
             raise InputError("base graph does not match layout")
-        dead_component = _reached(h.adjacency(), root, set(np.flatnonzero(dead).tolist()))
+        seed = _vertex_mask(h.n, [root])
+        dead_component = _ids(_spread(*h._csr_arrays(), seed, np.where(dead, 1, np.inf))[0])
     return SuperVertexStatus(
         status=tuple("dead" if d else "alive" for d in dead.tolist()),
         surviving_count=tuple(map(tuple, table.tolist())),
         core=core,
         dead_component=dead_component,
     )
-
-
-def _count_edges_into_layer(
-    g: Graph, layout: BlowUpLayout, vertex: int, super_v: int, layer: int
-) -> int:
-    cnt = 0
-    for w in g.neighbours(vertex):
-        if layout.h_vertex_of(w) == super_v and layout.layer_of(w) == layer:
-            cnt += 1
-    return cnt
 
 
 def resilient_pair_detect(
@@ -256,37 +225,31 @@ def resilient_pair_detect(
         edge_graph = g_half
     if edge_graph.n != layout.n_vertices:
         raise InputError("edge graph does not match layout dimensions")
-    k, s = params.k, params.s
+    k, s, layers = params.k, params.s, layout.layers
+    if layers < s + 3:
+        raise InputError(f"layer {s + 3} out of range 1..{layers}")
     core = t_core(g_half, params.t)
-    table = _survivor_table(core, layout).tolist()
-    status = []
-    resilient = []
-    for v in range(layout.n_super):
-        row = table[v]
-        if sum(row) == 0:
-            status.append("dead")
-        elif all(row[j - 1] * s < k for j in range(2, s + 3)):
-            status.append("nearly_dead")
-        else:
-            status.append("alive")
-        found = False
-        for j in range(1, s + 3):
-            for lo, hi in ((j, j + 1), (j + 1, j)):
-                good = 0
-                for v_star in layout.members(v, lo):
-                    if _count_edges_into_layer(edge_graph, layout, v_star, v, hi) * 4 >= k:
-                        good += 1
-                if good * s >= k:
-                    found = True
-                    break
-            if found:
-                break
-        resilient.append(found)
+    table = _survivor_table(core, layout)
+    status = np.where(
+        ~table.any(axis=1),
+        "dead",
+        np.where((table[:, 1:s + 2] * s < k).all(axis=1), "nearly_dead", "alive"),
+    )
+    # into[x, j - 1]: edges from vertex x to layer j of its own super-vertex
+    a, b = np.concatenate((edge_graph.edges, edge_graph.edges[:, ::-1])).T
+    own = a // (layers * layout.m) == b // (layers * layout.m)
+    into = np.bincount(
+        a[own] * layers + (b[own] // layout.m) % layers, minlength=layout.n_vertices * layers
+    )
+    # good[v, lo - 1, hi - 1]: vertices of layer lo of v sending >= k/4 edges into layer hi
+    good = (into * 4 >= k).reshape(layout.n_super, layers, layout.m, layers).sum(axis=2)
+    lo = np.arange(s + 2)
+    pairs = np.concatenate((good[:, lo, lo + 1], good[:, lo + 1, lo]), axis=1)
     return SuperVertexStatus(
-        status=tuple(status),
-        surviving_count=tuple(map(tuple, table)),
+        status=tuple(status.tolist()),
+        surviving_count=tuple(map(tuple, table.tolist())),
         core=core,
-        resilient=tuple(resilient),
+        resilient=tuple((pairs * s >= k).any(axis=1).tolist()),
     )
 
 
@@ -327,7 +290,8 @@ def boundary_resilience_audit(
     if h.n != layout.n_super:
         raise InputError("base digraph does not match layout")
     cls = resilient_pair_detect(final_graph, layout, params, edge_graph=round2_graph)
-    t_set = _reached(h.out_adjacency(), root, cls.nearly_dead_set())
+    seed, nearly_dead = _vertex_mask(h.n, [root]), _vertex_mask(h.n, cls.nearly_dead_set())
+    t_set = _ids(_spread(*h._csr_arrays(), seed, np.where(nearly_dead, 1, np.inf))[0])
     boundary = vertex_boundary(h, t_set)
     violations = tuple(sorted(v for v in boundary if not cls.resilient[v]))
     return BoundaryResilienceReport(

@@ -67,7 +67,7 @@ def core_oracle(g, t):
         ok = True
         for v in range(g.n):
             if mask >> v & 1:
-                d = sum(1 for w in g.neighbours(v) if mask >> w & 1)
+                d = sum(1 for w in g.adjacency()[v] if mask >> w & 1)
                 if d < t:
                     ok = False
                     break
@@ -95,7 +95,7 @@ def test_elimination_order_invariants():
         assert sorted(order.order) == list(range(g.n))
         for i, v in enumerate(order.order):
             earlier = set(order.order[:i])
-            assert order.back_degrees[i] == sum(1 for w in g.neighbours(v) if w in earlier)
+            assert order.back_degrees[i] == sum(1 for w in g.adjacency()[v] if w in earlier)
         assert max(order.back_degrees, default=0) + 1 == num
 
 
@@ -159,13 +159,13 @@ def test_core_fixpoint_and_trace():
     g = random_graph(12, 0.4, 5)
     core, trace = t_core_with_trace(g, 3)
     for v in core:
-        assert sum(1 for w in g.neighbours(v) if w in core) >= 3
+        assert sum(1 for w in g.adjacency()[v] if w in core) >= 3
     assert core | set(trace) == set(range(g.n))
     assert core.isdisjoint(trace)
     # each peeled vertex had degree < t among survivors at its peel time
     alive = set(range(g.n))
     for v in trace:
-        assert sum(1 for w in g.neighbours(v) if w in alive) < 3
+        assert sum(1 for w in g.adjacency()[v] if w in alive) < 3
         alive.discard(v)
 
 

@@ -248,6 +248,11 @@ def test_layout_sidecar_roundtrip(tmp_path):
         parse_layout("0 0 1 0\n2 0 1 1\n")
 
 
+def test_layout_rejects_non_integer_token():
+    with pytest.raises(InputError, match="non-integer token in layout line '0 x 1 0'"):
+        parse_layout("0 0 1 0\n0 x 1 0\n")
+
+
 # --- circulant biregular ------------------------------------------------------------
 
 
@@ -282,7 +287,7 @@ def test_gadget_layer_one_degree_split():
     g, layout = gadget_blow_up(h, params)
     v = layout.vertex_id(0, 1, 0)
     by_bucket = {}
-    for w in g.neighbours(v):
+    for w in g.adjacency()[v]:
         key = (layout.h_vertex_of(w), layout.layer_of(w))
         by_bucket[key] = by_bucket.get(key, 0) + 1
     assert by_bucket.pop((0, 2)) == 4  # m within the super-vertex

@@ -1,6 +1,7 @@
-"""The shared traversal, the cycle search and the threshold peel against
-networkx, on hypothesis-generated graphs. networkx is not a dependency of the
-package, so this module is skipped where it is not installed."""
+"""The shared spread, the vertex boundary, the cycle search and the
+threshold peel against networkx, on hypothesis-generated graphs. networkx
+is not a dependency of the package, so this module is skipped where it is
+not installed."""
 
 import math
 
@@ -16,6 +17,7 @@ from randcol.graphs import (
     has_cycle_shorter_than,
     is_strongly_connected,
     reachable_set,
+    vertex_boundary,
 )
 from randcol.percolation import thm4_process
 from randcol.sampling import RngStream, sample_subgraph
@@ -58,6 +60,16 @@ def test_reachability_and_strong_connectivity(case, data):
     h, ref = DiGraph(n, arcs), nx_graph(n, arcs, directed=True)
     assert reachable_set(h, r) == nx.descendants(ref, r) | {r}
     assert is_strongly_connected(h) == nx.is_strongly_connected(ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), st.data())
+def test_vertex_boundary(directed, data):
+    n, edges = data.draw(digraphs if directed else graphs)
+    s = data.draw(st.sets(st.integers(0, n - 1)))
+    g = (DiGraph if directed else Graph)(n, edges)
+    # networkx's boundary of a directed graph follows out-arcs too
+    assert vertex_boundary(g, s) == nx.node_boundary(nx_graph(n, edges, directed), s)
 
 
 @settings(max_examples=80, deadline=None)

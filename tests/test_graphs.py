@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +21,7 @@ from randcol.graphs import (
     reachable_set,
     vertex_boundary,
 )
+from randcol.percolation import bootstrap_percolate
 
 
 def cycle_graph(n):
@@ -77,7 +79,17 @@ def test_out_of_range_rejected():
 
 def test_digraph_allows_antiparallel():
     h = DiGraph(2, [(0, 1), (1, 0)])
-    assert h.out_degree(0) == 1 and h.in_degree(0) == 1
+    indptr, indices = h._csr_arrays()
+    assert np.diff(indptr).tolist() == [1, 1]
+    assert np.bincount(indices, minlength=2).tolist() == [1, 1]
+
+
+def test_is_regular_counts_in_and_out_degrees():
+    out_regular = DiGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)])
+    assert not out_regular.is_regular(2)
+    assert not DiGraph(4, out_regular.arcs[:, ::-1]).is_regular(2)
+    assert DiGraph(3, [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]).is_regular(2)
+    assert DiGraph(0, []).is_regular(2)
 
 
 def test_digraph_rejects_repeated_in_colour():
@@ -105,8 +117,16 @@ def test_edge_boundary_four_cycle():
 
 
 def test_boundary_rejects_bad_vertex():
-    with pytest.raises(InputError):
-        vertex_boundary(cycle_graph(4), {7})
+    # a numpy index would wrap -1 to the last vertex without an error
+    g = cycle_graph(4)
+    for v in (7, 4, -1):
+        for check in (vertex_boundary, edge_boundary):
+            with pytest.raises(InputError, match=f"vertex {v} out of range"):
+                check(g, {0, v})
+        with pytest.raises(InputError, match=f"vertex {v} out of range"):
+            vertex_boundary(DiGraph(4, [(0, 1)]), [v])
+        with pytest.raises(InputError, match=f"seed vertex {v} out of range"):
+            bootstrap_percolate(g, [v], [1] * 4)
 
 
 def test_directed_boundary_is_out_neighbours():
@@ -144,7 +164,7 @@ def girth_oracle(g):
         q = deque([u])
         while q:
             x = q.popleft()
-            for y in rest.neighbours(x):
+            for y in rest.adjacency()[x]:
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     q.append(y)

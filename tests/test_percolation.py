@@ -53,7 +53,7 @@ def async_percolate(g, seed, thresholds, rng):
         rng.shuffle(order)
         for v in order:
             if v not in infected:
-                c = sum(1 for w in g.neighbours(v) if w in infected)
+                c = sum(1 for w in g.adjacency()[v] if w in infected)
                 if c >= thresholds[v]:
                     infected.add(v)
                     changed = True

@@ -1,11 +1,14 @@
 """The array rounds of bootstrap_percolate, the cached CSR arrays, the
-cached components and the thm3 fixpoint audit against the code they
-replaced, kept here as the reference: the per-edge round loop of
-bootstrap_percolate (with the list thresholds of thm3_process), a
-breadth-first search per connected_component call and the audit's walk
-over every vertex's neighbours, and the per-vertex survivor table of the
-super-vertex classification."""
+cached components, the thm3 fixpoint audit and the super-vertex
+classification against the code they replaced, kept here as the
+reference: the per-edge round loop of bootstrap_percolate (with the list
+thresholds of thm3_process), a breadth-first search per
+connected_component call, the audit's walk over every vertex's
+neighbours, the per-vertex survivor table, the breadth-first search
+through an allowed set that grew the dead component and the nearly-dead
+reachable set, and the per-vertex edge count of the resilient pairs."""
 
+import dataclasses
 import math
 from collections import deque
 
@@ -25,6 +28,7 @@ from randcol.generators import (
 from randcol.graphs import Graph, connected_component
 from randcol.percolation import (
     PercolationState,
+    boundary_resilience_audit,
     bootstrap_percolate,
     classify_supervertices_thm3,
     resilient_pair_detect,
@@ -186,7 +190,7 @@ def ref_thm3_fixpoint_violations(h, state):
     return [
         v for v in range(h.n)
         if v not in state.infected
-        and sum(1 for w in h.neighbours(v) if w in state.infected) >= thresholds[v]
+        and sum(1 for w in h.adjacency()[v] if w in state.infected) >= thresholds[v]
     ]
 
 
@@ -224,14 +228,24 @@ def ref_survivor_table(core, layout):
     return table
 
 
-def ref_dead_component(h, root, dead):
-    seen, queue = {root}, deque([root])
-    while queue:
-        for w in h.neighbours(queue.popleft()):
-            if w in dead and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+def ref_bfs_levels(adj, root, allowed=None):
+    seen = {root}
+    level = [root]
+    while level:
+        yield level
+        nxt = []
+        for u in level:
+            for w in adj[u]:
+                if w not in seen and (allowed is None or w in allowed):
+                    seen.add(w)
+                    nxt.append(w)
+        level = nxt
+
+
+def ref_reached(adj, root, allowed=None):
+    """Breadth-first from root over the neighbour lists adj, entering only
+    `allowed` past the root, which is always in."""
+    return frozenset(v for level in ref_bfs_levels(adj, root, allowed) for v in level)
 
 
 def check_classification(g_half, layout, t, h):
@@ -244,7 +258,7 @@ def check_classification(g_half, layout, t, h):
     assert cls.surviving_count == tuple(tuple(row) for row in table)
     assert all(type(c) is int for row in cls.surviving_count for c in row)
     assert cls.dead_set() == dead
-    assert cls.dead_component == ref_dead_component(h, root, dead)
+    assert cls.dead_component == ref_reached(h.adjacency(), root, dead)
     return table
 
 
@@ -279,3 +293,93 @@ def test_classification_matches_the_loop_on_gadgets():
         cls = resilient_pair_detect(half, layout, params)
         assert cls.surviving_count == tuple(tuple(row) for row in table)
         assert cls.dead_set() == {v for v, row in enumerate(table) if sum(row) == 0}
+
+
+def ref_resilient(edge_graph, layout, params):
+    k, s = params.k, params.s
+
+    def edges_into_layer(vertex, super_v, layer):
+        return sum(
+            1 for w in edge_graph.adjacency()[vertex]
+            if layout.h_vertex_of(w) == super_v and layout.layer_of(w) == layer
+        )
+
+    resilient = []
+    for v in range(layout.n_super):
+        found = False
+        for j in range(1, s + 3):
+            for lo, hi in ((j, j + 1), (j + 1, j)):
+                good = sum(1 for x in layout.members(v, lo) if edges_into_layer(x, v, hi) * 4 >= k)
+                if good * s >= k:
+                    found = True
+                    break
+            if found:
+                break
+        resilient.append(found)
+    return tuple(resilient)
+
+
+def ref_status(table, params):
+    k, s = params.k, params.s
+    return tuple(
+        "dead" if sum(row) == 0
+        else "nearly_dead" if all(row[j - 1] * s < k for j in range(2, s + 3))
+        else "alive"
+        for row in table
+    )
+
+
+def gadget_case(k, s, n, seed):
+    params = ConstructionParams.thm4(k, s)
+    base = random_two_regular_digraph(n, seed)
+    g, layout = gadget_blow_up(base, params)
+    return params, base, g, layout
+
+
+@pytest.mark.parametrize("k, s", ((12, 3), (24, 4)))
+def test_resilient_pairs_match_the_loop(k, s):
+    gadget, _, g, layout = gadget_case(k, s, 12, 3)
+    seen = set()
+    # at the gadget's own t almost every patchy sample loses its whole core
+    for seed, t in enumerate(range(2, gadget.t + 1, 2)):
+        params = dataclasses.replace(gadget, t=t)
+        half = patchy_sample(g, layout, seed)
+        round2 = patchy_sample(g, layout, seed + 100)
+        for edge_graph in (None, round2, g):
+            cls = resilient_pair_detect(half, layout, params, edge_graph=edge_graph)
+            table = ref_survivor_table(t_core(half, params.t), layout)
+            assert cls.status == ref_status(table, params)
+            assert cls.surviving_count == tuple(tuple(row) for row in table)
+            assert cls.resilient == ref_resilient(edge_graph or half, layout, params)
+            assert all(type(r) is bool for r in cls.resilient)
+            seen.update(cls.resilient)
+            seen.update(cls.status)
+    # the samples hold resilient and non-resilient super-vertices alike
+    assert {True, False} <= seen
+    assert {"dead", "nearly_dead", "alive"} <= seen
+
+
+def test_boundary_audit_matches_the_search():
+    gadget, base, g, layout = gadget_case(12, 3, 20, 0)
+    out = [[] for _ in range(base.n)]
+    for a, b in base.arcs.tolist():
+        out[a].append(b)
+    sizes, violations = set(), set()
+    for t, seed in ((3, 0), (3, 1), (3, 2), (6, 0), (6, 1)):
+        params = dataclasses.replace(gadget, t=t)
+        round2 = patchy_sample(g, layout, seed)
+        final = patchy_sample(round2, layout, seed + 100)
+        cls = resilient_pair_detect(final, layout, params, edge_graph=round2)
+        for root in range(0, base.n, 3):
+            report = boundary_resilience_audit(base, layout, params, final, round2, root)
+            t_set = ref_reached(out, root, cls.nearly_dead_set())
+            boundary = frozenset(w for v in t_set for w in out[v]) - t_set
+            assert report.reachable_nearly_dead == t_set
+            assert report.boundary == boundary
+            assert report.violations == tuple(sorted(v for v in boundary if not cls.resilient[v]))
+            sizes.add(len(t_set))
+            violations.add(len(report.violations))
+    # roots that reach nothing, part of the digraph and all of it; audits
+    # that hold and audits that fail
+    assert {1, base.n} <= sizes and len(sizes) > 4
+    assert 0 in violations and len(violations) > 2
