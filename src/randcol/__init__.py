@@ -16,7 +16,6 @@ from .colouring import (
     ProductColouringReport,
     chromatic_number_exact,
     colouring_number,
-    greedy_colour,
     product_colouring_check,
     t_core,
     t_core_with_trace,

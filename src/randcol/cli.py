@@ -172,8 +172,8 @@ def cmd_percolate(args) -> int:
         if args.t is None:
             raise InputError("--process threshold needs --t")
         g = _load_undirected(args.infile)
-        core = t_core_via_percolation(g, args.t)
-        _emit({"process": "threshold", "t": args.t, "core_size": len(core), "removed": g.n - len(core)})
+        core_size = int(t_core_via_percolation(g, args.t).sum())
+        _emit({"process": "threshold", "t": args.t, "core_size": core_size, "removed": g.n - core_size})
         return 0
     if args.p is None:
         raise InputError(f"--process {args.process} needs --p")
@@ -190,7 +190,7 @@ def cmd_percolate(args) -> int:
             "process": args.process,
             "p": args.p,
             "root": args.root,
-            "infected": len(state.infected),
+            "infected": int(state.infected.sum()),
             "rounds": len(state.round_trace),
             "audit_violations": len(violations),
         }

@@ -1,5 +1,5 @@
 """Vertex colouring: degeneracy orders, t-cores, exact chromatic number
-on small instances, first-fit greedy, and the product-colouring check."""
+on small instances and the product-colouring check."""
 
 from __future__ import annotations
 
@@ -44,9 +44,6 @@ class ColouringResult:
     num_colours: int
     exact: bool
     lower_bound: int
-
-    def check_proper(self, g: Graph) -> bool:
-        return all(self.colour_of[u] != self.colour_of[v] for u, v in g.edges.tolist())
 
 
 def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[list, list]:
@@ -262,29 +259,6 @@ def chromatic_number_exact(
         closed,
         best if closed else lb,
     )
-
-
-def greedy_colour(g: Graph, order=None) -> ColouringResult:
-    """First-fit along the given order (default: the degeneracy order),
-    so the colour count never exceeds the colouring number there."""
-    if order is None:
-        order = colouring_number(g)[1]
-    seq = order.order if isinstance(order, EliminationOrder) else tuple(order)
-    if sorted(seq) != list(range(g.n)):
-        raise InputError("order must be a permutation of the vertices")
-    adj = g.adjacency()
-    colour = [-1] * g.n
-    for v in seq:
-        used = 0
-        for w in adj[v]:
-            if colour[w] >= 0:
-                used |= 1 << colour[w]
-        c = 0
-        while used >> c & 1:
-            c += 1
-        colour[v] = c
-    num = len(set(colour)) if g.n else 0
-    return ColouringResult(tuple(colour), num, False, 1 if g.n else 0)
 
 
 @dataclass(frozen=True)

@@ -122,10 +122,6 @@ class BlowUpLayout:
     def position_of(self, vertex: int) -> int:
         return vertex % self.m
 
-    def members(self, super_v: int, layer: int) -> tuple:
-        base = self.vertex_id(super_v, layer, 0)
-        return tuple(range(base, base + self.m))
-
 
 def format_layout(layout: BlowUpLayout) -> str:
     lines = []

@@ -2,8 +2,9 @@
 behind percolation, components and reachability, boundaries, girth, and
 small-scale exhaustive enumeration of connected edge subgraphs.
 
-Vertices are contiguous integers 0..n-1 throughout; vertex sets are
-plain frozensets over that range.
+Vertices are contiguous integers 0..n-1 throughout. The functions here
+take and return vertex sets as plain frozensets over that range, while
+result objects (a spread's state, a two-round sample) hold boolean masks.
 """
 
 from __future__ import annotations

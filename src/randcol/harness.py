@@ -118,6 +118,9 @@ def build_graph(recipe: dict, params: ConstructionParams | None = None):
 
 def _build_uncached(recipe: dict, params: ConstructionParams | None):
     kind = recipe["kind"]
+    # RngStream hashes its seed through str(), so "5" would alias 5
+    if "seed" in recipe and not _is_int(recipe["seed"]):
+        raise InputError(f"graph recipe seed must be an integer, got {recipe['seed']!r}")
     layout = None
     if kind == "complete":
         g = complete_graph(_want(recipe, "n"))
@@ -151,6 +154,10 @@ def _build_uncached(recipe: dict, params: ConstructionParams | None):
     else:
         raise InputError(f"unknown graph recipe kind {kind!r}")
     return g, layout
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _want(recipe: dict, field: str):
@@ -285,11 +292,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise InputError(f"unknown experiment kind {self.kind!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        for name in ("trials", "master_seed", "root", "parts", "budget", "t", "k"):
+            value = getattr(self, name)
+            if not (_is_int(value) or value is None and name in ("t", "k")):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        if self.trials < 1:
             raise InputError("trials must be a positive integer")
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed <= MAX_SEED:
+        if not 0 <= self.master_seed <= MAX_SEED:
             raise InputError("master_seed must be a 64-bit unsigned integer")
-        if not isinstance(self.root, int) or self.root < 0:
+        if self.root < 0:
             raise InputError("root must be a non-negative integer")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise InputError("p must lie in [0, 1]")
@@ -492,7 +503,7 @@ def _trial_sweep(config: ExperimentConfig, stream: RngStream) -> dict:
     fixpoint_ok = True
     for p in config.p_sweep:
         state = process(h, p, config.root, stream)
-        sizes.append(len(state.infected))
+        sizes.append(int(state.infected.sum()))
         rounds.append(len(state.round_trace))
         if audit(h, state):
             fixpoint_ok = False

@@ -5,7 +5,7 @@ audit."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -17,22 +17,27 @@ from .colouring import t_core
 from .sampling import RngStream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
 class PercolationState:
     """Fixpoint of a spread process.
 
-    round_trace[0] is the seed size; round_trace[i] for i >= 1 counts
-    vertices newly infected in synchronous round i. Exactly one of
-    protected_edges / resilient_vertices is set by the randomised
-    processes (their static random set R); both stay None for the plain
-    threshold engine. protected_edges is the spanning subgraph of the
-    protected edges.
+    infected is a read-only boolean mask over the vertices. round_trace[0]
+    is the seed size; round_trace[i] for i >= 1 counts vertices newly
+    infected in synchronous round i. Exactly one of protected_edges /
+    resilient_vertices is set by the randomised processes (their static
+    random set R, as a read-only mask over h.edges or the vertices); both
+    stay None for the plain threshold engine.
     """
 
-    infected: frozenset
+    infected: np.ndarray
     round_trace: tuple
-    protected_edges: Graph | None = None
-    resilient_vertices: frozenset | None = None
+    protected_edges: np.ndarray | None = None
+    resilient_vertices: np.ndarray | None = None
+
+
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    mask.flags.writeable = False
+    return mask
 
 
 def bootstrap_percolate(g: Graph, initially_infected, threshold_of: Sequence) -> PercolationState:
@@ -49,24 +54,21 @@ def bootstrap_percolate(g: Graph, initially_infected, threshold_of: Sequence) ->
     if bad.any():
         raise InputError(f"negative or NaN threshold at vertex {bad.argmax()}")
     infected, trace = _spread(*g._csr_arrays(), seed, thresholds)
-    return PercolationState(infected=_ids(infected), round_trace=tuple(trace))
+    return PercolationState(infected=_frozen(infected), round_trace=tuple(trace))
 
 
-def t_core_via_percolation(g: Graph, t: int) -> frozenset:
-    """t-core computed by infection: seed every vertex of degree < t and
-    spread removal with per-vertex threshold deg(v) - t + 1 (lose that
-    many neighbours and you drop below t). The complement of the
-    fixpoint equals the peeled t-core exactly.
+def t_core_via_percolation(g: Graph, t: int) -> np.ndarray:
+    """Mask of the t-core, computed by infection: seed every vertex of
+    degree < t and spread removal with per-vertex threshold deg(v) - t + 1
+    (lose that many neighbours and you drop below t). The complement of
+    the fixpoint equals the peeled t-core exactly.
     """
     if t < 0:
         raise InputError("t must be >= 0")
-    deg = g.degrees()
-    seed = [v for v in range(g.n) if deg[v] < t]
+    deg = np.diff(g._csr_arrays()[0])
     # vertices below t are seeds, so clamping their raw (negative)
     # thresholds changes nothing
-    thresholds = [max(0, deg[v] - t + 1) for v in range(g.n)]
-    state = bootstrap_percolate(g, seed, thresholds)
-    return frozenset(range(g.n)) - state.infected
+    return ~bootstrap_percolate(g, np.flatnonzero(deg < t), np.maximum(0, deg - t + 1)).infected
 
 
 def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> PercolationState:
@@ -80,13 +82,9 @@ def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> Percolat
         raise InputError(f"p_protect {p_protect} outside [0, 1]")
     if not (0 <= r < h.n):
         raise InputError(f"root {r} out of range")
-    protected = h.with_edges(rng.child("protect").uniforms(h.m) < p_protect)
-    state = bootstrap_percolate(h, {r}, _thm3_thresholds(h, protected))
-    return PercolationState(
-        infected=state.infected,
-        round_trace=state.round_trace,
-        protected_edges=protected,
-    )
+    protected = _frozen(rng.child("protect").uniforms(h.m) < p_protect)
+    state = bootstrap_percolate(h, [r], _thm3_thresholds(h, protected))
+    return replace(state, protected_edges=protected)
 
 
 def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> PercolationState:
@@ -97,39 +95,53 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
         raise InputError(f"p_resilient {p_resilient} outside [0, 1]")
     if not (0 <= r < h.n):
         raise InputError(f"root {r} out of range")
-    hit = rng.child("resilient").uniforms(h.n) < p_resilient
+    hit = _frozen(rng.child("resilient").uniforms(h.n) < p_resilient)
     infected, trace = _spread(*h._csr_arrays(), _vertex_mask(h.n, [r]), np.where(hit, np.inf, 1))
-    return PercolationState(
-        infected=_ids(infected),
-        round_trace=tuple(trace),
-        resilient_vertices=_ids(hit),
-    )
+    return PercolationState(_frozen(infected), tuple(trace), resilient_vertices=hit)
 
 
-def _thm3_thresholds(h: Graph, protected: Graph | None) -> np.ndarray:
+def _sized(mask, size: int, what: str) -> np.ndarray:
+    """mask, checked to be a boolean array of length size."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (size,):
+        raise InputError(f"{what} must be a boolean mask of length {size}")
+    return mask
+
+
+def _thm3_thresholds(h: Graph, protected) -> np.ndarray:
     """2 at a vertex with a protected incident edge, else 1."""
     thresholds = np.ones(h.n)
     if protected is not None:
-        thresholds[protected.edges.ravel()] = 2
+        thresholds[h.edges[_sized(protected, h.m, "protected_edges")].ravel()] = 2
     return thresholds
 
 
-def thm3_fixpoint_violations(h: Graph, state: PercolationState) -> list:
-    """Outside vertices that the rule says should have joined. Infected
-    neighbours are counted from the edge rows, not from the CSR that
-    bootstrap_percolate reads, so the audit stays independent of it."""
-    infected = np.zeros(h.n, dtype=bool)
-    infected[np.fromiter(state.infected, dtype=np.intp, count=len(state.infected))] = True
-    u, v = h.edges.T
-    count = np.bincount(u[infected[v]], minlength=h.n) + np.bincount(v[infected[u]], minlength=h.n)
-    thresholds = _thm3_thresholds(h, state.protected_edges)
+def _fixpoint_violations(g: Graph | DiGraph, tails, heads, infected, thresholds) -> list:
+    """Vertices outside the infected mask with at least thresholds[v]
+    infected in-neighbours along the arcs tails[i] -> heads[i]. The
+    counts come from the graph's rows, not from the CSR that the spread
+    reads, so the audit stays independent of it."""
+    infected = _sized(infected, g.n, "infected")
+    count = np.bincount(heads[infected[tails]], minlength=g.n)
     return np.flatnonzero(~infected & (count >= thresholds)).tolist()
 
 
+def thm3_fixpoint_violations(h: Graph, state: PercolationState) -> list:
+    """Outside vertices that the rule says should have joined, counted
+    over the edge rows in both directions."""
+    u, v = h.edges.T
+    tails, heads = np.concatenate((u, v)), np.concatenate((v, u))
+    thresholds = _thm3_thresholds(h, state.protected_edges)
+    return _fixpoint_violations(h, tails, heads, state.infected, thresholds)
+
+
 def thm4_fixpoint_violations(h: DiGraph, state: PercolationState) -> list:
-    """Members of the out-boundary of the fixpoint that are not in R."""
-    blocked = state.resilient_vertices or frozenset()
-    return sorted(vertex_boundary(h, state.infected) - blocked)
+    """Out-neighbours of the fixpoint that are not in R, counted over the
+    arc rows."""
+    thresholds = np.ones(h.n)
+    if state.resilient_vertices is not None:
+        thresholds[_sized(state.resilient_vertices, h.n, "resilient_vertices")] = np.inf
+    return _fixpoint_violations(h, *h.arcs.T, state.infected, thresholds)
 
 
 # --- super-vertex classification ---------------------------------------------

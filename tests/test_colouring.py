@@ -10,12 +10,15 @@ from randcol.colouring import (
     EliminationOrder,
     chromatic_number_exact,
     colouring_number,
-    greedy_colour,
     product_colouring_check,
     t_core,
     t_core_with_trace,
 )
 from randcol.graphs import Graph
+
+
+def is_proper(g, colour_of):
+    return all(colour_of[u] != colour_of[v] for u, v in g.edges.tolist())
 
 
 def cycle_graph(n):
@@ -191,7 +194,7 @@ def test_chromatic_result_contract():
     res = chromatic_number_exact(g)
     assert res.exact
     assert res.lower_bound == res.num_colours
-    assert res.check_proper(g)
+    assert is_proper(g, res.colour_of)
     assert len(set(res.colour_of)) == res.num_colours
 
 
@@ -218,7 +221,7 @@ def test_budget_exhaustion_returns_bounds():
     assert full.exact
     res = chromatic_number_exact(g, budget=3)
     assert not res.exact
-    assert res.check_proper(g)
+    assert is_proper(g, res.colour_of)
     assert res.lower_bound <= full.num_colours <= res.num_colours
 
 
@@ -227,31 +230,6 @@ def test_n_cap_enforced():
     with pytest.raises(CapacityError):
         chromatic_number_exact(g)
     assert chromatic_number_exact(g, n_cap=41).num_colours == 1
-
-
-# --- greedy ------------------------------------------------------------------
-
-
-def test_greedy_examples():
-    res = greedy_colour(complete_graph(4))
-    assert res.num_colours == 4
-    res = greedy_colour(cycle_graph(6), order=range(6))
-    assert res.num_colours <= 3
-    assert greedy_colour(Graph(5, [])).num_colours == 1
-
-
-def test_greedy_proper_and_within_colouring_number():
-    for seed in range(8):
-        g = random_graph(13, 0.45, seed)
-        num, order = colouring_number(g)
-        res = greedy_colour(g, order)
-        assert res.check_proper(g)
-        assert res.num_colours <= num
-
-
-def test_greedy_rejects_non_permutation():
-    with pytest.raises(InputError):
-        greedy_colour(cycle_graph(4), order=[0, 1, 2, 2])
 
 
 # --- product colouring -------------------------------------------------------

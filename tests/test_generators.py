@@ -227,9 +227,6 @@ def test_layout_maps_roundtrip():
     for v in range(layout.n_vertices):
         sv, layer, pos = layout.h_vertex_of(v), layout.layer_of(v), layout.position_of(v)
         assert layout.vertex_id(sv, layer, pos) == v
-    assert layout.members(2, 3) == tuple(
-        layout.vertex_id(2, 3, p) for p in range(3)
-    )
     with pytest.raises(InputError):
         layout.vertex_id(0, 0, 0)
     with pytest.raises(InputError):

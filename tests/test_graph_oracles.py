@@ -100,10 +100,10 @@ def test_thm4_round_trace_is_bfs_layers(case, data, p):
     r = data.draw(st.integers(0, n - 1))
     state = thm4_process(DiGraph(n, arcs), p, r, RngStream(n).child("oracle"))
     ref = nx_graph(n, arcs, directed=True)
-    open_part = ref.subgraph(set(range(n)) - state.resilient_vertices | {r})
+    open_part = ref.subgraph({v for v in range(n) if not state.resilient_vertices[v]} | {r})
     layers = list(nx.bfs_layers(open_part, r))
     assert state.round_trace == tuple(len(layer) for layer in layers)
-    assert state.infected == frozenset(v for layer in layers for v in layer)
+    assert set(state.infected.nonzero()[0].tolist()) == {v for layer in layers for v in layer}
 
 
 def regular_half_sample(d, n, seed):

@@ -122,6 +122,15 @@ class TestConfig:
         with pytest.raises(InputError):
             ExperimentConfig.from_dict({**core_config().to_dict(), "bogus": 1})
 
+    @pytest.mark.parametrize("field,value", [
+        ("parts", 2.5), ("t", 2.5), ("k", 3.5), ("budget", "x"), ("budget", None),
+        ("trials", True), ("trials", 2.0), ("root", False), ("parts", None),
+        ("master_seed", True), ("master_seed", "7"),
+    ])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(InputError, match=field):
+            core_config(**{field: value})
+
     def test_regime_metadata_is_truthful(self):
         report = asymptotic_regime_report(ConstructionParams.thm3(12, 0.09), 200)
         assert not report["in_asymptotic_regime"]
@@ -180,6 +189,16 @@ class TestBuildGraph:
             build_graph({"n": 4})
         with pytest.raises(InputError):
             build_graph({"kind": "gadget", "base": {"kind": "complete", "n": 3}})
+
+    @pytest.mark.parametrize("seed", ["5", 5.0, True])
+    def test_recipe_seed_must_be_an_int(self, seed):
+        # RngStream("5") would hash like RngStream(5) and give seed 5's graph
+        with pytest.raises(InputError, match="seed"):
+            build_graph({"kind": "random_regular", "n": 20, "d": 3, "seed": seed})
+        nested = {"kind": "blow_up", "m": 2,
+                  "base": {"kind": "random_regular", "n": 20, "d": 3, "seed": seed}}
+        with pytest.raises(InputError, match="seed"):
+            build_graph(nested)
 
 
 class TestTrials:

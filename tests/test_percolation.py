@@ -38,6 +38,18 @@ def random_graph(n, p, seed):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
+def ids(mask):
+    """The vertex set of a state's mask."""
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def same_state(a, b):
+    return all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("infected", "round_trace", "protected_edges", "resilient_vertices")
+    )
+
+
 def base_digraph_4():
     arcs = [(i, (i + 1) % 4) for i in range(4)] + [(i, (i + 2) % 4) for i in range(4)]
     return DiGraph(4, arcs, arc_colour=["r"] * 4 + ["b"] * 4)
@@ -66,27 +78,27 @@ def async_percolate(g, seed, thresholds, rng):
 def test_threshold_one_fills_component():
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
     state = bootstrap_percolate(g, {0}, [1] * 7)
-    assert state.infected == connected_component(g, 0)
+    assert ids(state.infected) == connected_component(g, 0)
 
 
 def test_infinite_threshold_freezes():
     g = cycle_graph(5)
     state = bootstrap_percolate(g, {0, 2}, [math.inf] * 5)
-    assert state.infected == frozenset({0, 2})
+    assert ids(state.infected) == frozenset({0, 2})
     assert state.round_trace == (2,)
 
 
 def test_c4_opposite_seed():
     g = cycle_graph(4)
     state = bootstrap_percolate(g, {0, 2}, [2] * 4)
-    assert state.infected == frozenset(range(4))
+    assert ids(state.infected) == frozenset(range(4))
     assert state.round_trace == (2, 2)
 
 
 def test_zero_threshold_self_ignites():
     g = Graph(3, [(0, 1)])
     state = bootstrap_percolate(g, set(), [math.inf, math.inf, 0])
-    assert state.infected == frozenset({2})
+    assert ids(state.infected) == frozenset({2})
     assert state.round_trace == (0, 1)
 
 
@@ -110,14 +122,14 @@ def test_nan_threshold_is_an_error():
 def test_trace_accounts_for_everything():
     g = random_graph(20, 0.2, 3)
     state = bootstrap_percolate(g, {0, 1, 2}, [2] * 20)
-    assert sum(state.round_trace) == len(state.infected)
+    assert sum(state.round_trace) == int(state.infected.sum())
 
 
 def test_monotone_in_seed():
     g = random_graph(16, 0.25, 8)
     th = [2] * 16
-    small = bootstrap_percolate(g, {0, 3}, th).infected
-    big = bootstrap_percolate(g, {0, 3, 7}, th).infected
+    small = ids(bootstrap_percolate(g, {0, 3}, th).infected)
+    big = ids(bootstrap_percolate(g, {0, 3, 7}, th).infected)
     assert small <= big
 
 
@@ -127,7 +139,7 @@ def test_order_independence_against_async_engine():
         g = random_graph(12, 0.3, trial)
         thresholds = [rng.choice([0, 1, 2, 3, math.inf]) for _ in range(12)]
         seed = {v for v in range(12) if rng.random() < 0.2}
-        expected = bootstrap_percolate(g, seed, thresholds).infected
+        expected = ids(bootstrap_percolate(g, seed, thresholds).infected)
         assert async_percolate(g, seed, thresholds, rng) == expected
 
 
@@ -138,9 +150,9 @@ def test_core_via_percolation_examples():
     petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
                      + [(i, i + 5) for i in range(5)])
-    assert t_core_via_percolation(petersen, 3) == frozenset(range(10))
+    assert ids(t_core_via_percolation(petersen, 3)) == frozenset(range(10))
     k4_minus = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    assert t_core_via_percolation(k4_minus, 3) == frozenset()
+    assert ids(t_core_via_percolation(k4_minus, 3)) == frozenset()
 
 
 def test_core_via_percolation_matches_peeling():
@@ -150,7 +162,7 @@ def test_core_via_percolation_matches_peeling():
         g = random_graph(n, rng.uniform(0.05, 0.6), rng.randrange(10**6))
         top = max(g.degrees(), default=0) + 1
         for t in range(top + 1):
-            assert t_core_via_percolation(g, t) == t_core(g, t)
+            assert ids(t_core_via_percolation(g, t)) == t_core(g, t)
 
 
 # --- first spread process ---------------------------------------------------------
@@ -159,28 +171,28 @@ def test_core_via_percolation_matches_peeling():
 def test_thm3_p_zero_fills_component():
     g = Graph(6, [(0, 1), (1, 2), (3, 4)])
     state = thm3_process(g, 0.0, 0, RngStream(1).child("trial"))
-    assert state.infected == connected_component(g, 0)
-    assert state.protected_edges.m == 0
+    assert ids(state.infected) == connected_component(g, 0)
+    assert not state.protected_edges.any()
 
 
 def test_thm3_p_one_triangle_free_freezes():
     g = cycle_graph(6)
     state = thm3_process(g, 1.0, 2, RngStream(1).child("trial"))
-    assert state.infected == frozenset({2})
-    assert state.protected_edges == g
+    assert ids(state.infected) == frozenset({2})
+    assert state.protected_edges.all()
 
 
 def test_thm3_deterministic():
     g = random_regular_graph(20, 3, 4)
     a = thm3_process(g, 0.3, 0, RngStream(9).child("t"))
     b = thm3_process(g, 0.3, 0, RngStream(9).child("t"))
-    assert a == b
+    assert same_state(a, b)
 
 
 def test_thm3_coupled_sweep_is_monotone():
     g = random_regular_graph(30, 3, 6)
     stream = RngStream(17).child("sweep")
-    infected = [thm3_process(g, p, 0, stream).infected for p in (0.001, 0.01, 0.1, 0.6)]
+    infected = [ids(thm3_process(g, p, 0, stream).infected) for p in (0.001, 0.01, 0.1, 0.6)]
     for bigger_p_set, smaller_p_set in zip(infected[1:], infected):
         assert bigger_p_set <= smaller_p_set
 
@@ -196,7 +208,7 @@ def test_thm3_fixpoint_audit_detects_breakage():
     g = cycle_graph(5)
     state = thm3_process(g, 0.0, 0, RngStream(0).child("x"))
     broken = PercolationState(
-        infected=frozenset({0}),
+        infected=np.arange(5) == 0,
         round_trace=(1,),
         protected_edges=state.protected_edges,
     )
@@ -216,10 +228,10 @@ def test_thm3_input_errors():
 
 def test_thm4_extremes():
     h = base_digraph_4()
-    assert thm4_process(h, 0.0, 1, RngStream(0).child("t")).infected == reachable_set(h, 1)
+    assert ids(thm4_process(h, 0.0, 1, RngStream(0).child("t")).infected) == reachable_set(h, 1)
     state = thm4_process(h, 1.0, 1, RngStream(0).child("t"))
-    assert state.infected == frozenset({1})
-    assert state.resilient_vertices == frozenset(range(4))
+    assert ids(state.infected) == frozenset({1})
+    assert state.resilient_vertices.all()
 
 
 def test_thm4_boundary_audit():
@@ -229,7 +241,7 @@ def test_thm4_boundary_audit():
         h = random_two_regular_digraph(30, seed)
         state = thm4_process(h, 0.3, seed % 30, RngStream(seed).child("y"))
         assert thm4_fixpoint_violations(h, state) == []
-        assert state.infected <= reachable_set(h, seed % 30)
+        assert ids(state.infected) <= reachable_set(h, seed % 30)
 
 
 def test_thm4_coupled_sweep_is_monotone():
@@ -237,7 +249,7 @@ def test_thm4_coupled_sweep_is_monotone():
 
     h = random_two_regular_digraph(40, 3)
     stream = RngStream(5).child("sweep")
-    sets = [thm4_process(h, p, 0, stream).infected for p in (0.0, 0.05, 0.2, 0.9)]
+    sets = [ids(thm4_process(h, p, 0, stream).infected) for p in (0.0, 0.05, 0.2, 0.9)]
     for bigger_p_set, smaller_p_set in zip(sets[1:], sets):
         assert bigger_p_set <= smaller_p_set
 
@@ -246,7 +258,7 @@ def test_thm4_deterministic():
     h = base_digraph_4()
     a = thm4_process(h, 0.5, 0, RngStream(2).child("t"))
     b = thm4_process(h, 0.5, 0, RngStream(2).child("t"))
-    assert a == b
+    assert same_state(a, b)
 
 
 # --- super-vertex classification ------------------------------------------------
@@ -287,6 +299,10 @@ def test_classify_rejects_mismatched_layout():
 # --- resilient pairs --------------------------------------------------------------
 
 
+def members(layout, super_v, layer):
+    return [layout.vertex_id(super_v, layer, pos) for pos in range(layout.m)]
+
+
 def gadget_12_3():
     params = ConstructionParams.thm4(12, 3)
     g, layout = gadget_blow_up(base_digraph_4(), params)
@@ -316,20 +332,20 @@ def test_resilient_hand_built_threshold():
     # exactly k/s = 4 vertices of I_2(0), each with k/4 = 3 surviving
     # edges into I_3(0)
     block = []
-    for a in layout.members(0, 2):
-        for b in list(layout.members(0, 3))[:3]:
+    for a in members(layout, 0, 2):
+        for b in list(members(layout, 0, 3))[:3]:
             block.append((a, b))
     cls = resilient_pair_detect(empty, layout, params, edge_graph=Graph(g.n, block))
     assert cls.resilient == (True, False, False, False)
     # one sender short of the size threshold: not resilient
-    senders = list(layout.members(0, 2))[:3]
+    senders = list(members(layout, 0, 2))[:3]
     short = [e for e in block if e[0] in senders]
     cls2 = resilient_pair_detect(empty, layout, params, edge_graph=Graph(g.n, short))
     assert cls2.resilient == (False, False, False, False)
     # mirror direction must count too: 4 receivers each sending 3 back
     mirror = []
-    for b in layout.members(0, 3):
-        for a in list(layout.members(0, 2))[:3]:
+    for b in members(layout, 0, 3):
+        for a in list(members(layout, 0, 2))[:3]:
             mirror.append((b, a))
     cls3 = resilient_pair_detect(empty, layout, params, edge_graph=Graph(g.n, mirror))
     assert cls3.resilient == (True, False, False, False)

@@ -1,12 +1,13 @@
 """The array rounds of bootstrap_percolate, the cached CSR arrays, the
-cached components, the thm3 fixpoint audit and the super-vertex
+cached components, the two fixpoint audits and the super-vertex
 classification against the code they replaced, kept here as the
 reference: the per-edge round loop of bootstrap_percolate (with the list
 thresholds of thm3_process), a breadth-first search per
-connected_component call, the audit's walk over every vertex's
-neighbours, the per-vertex survivor table, the breadth-first search
-through an allowed set that grew the dead component and the nearly-dead
-reachable set, and the per-vertex edge count of the resilient pairs."""
+connected_component call, the thm3 audit's walk over every vertex's
+neighbours, the thm4 audit's out-boundary over the CSR, the per-vertex
+survivor table, the breadth-first search through an allowed set that
+grew the dead component and the nearly-dead reachable set, and the
+per-vertex edge count of the resilient pairs."""
 
 import dataclasses
 import math
@@ -25,7 +26,7 @@ from randcol.generators import (
     random_regular_graph,
     random_two_regular_digraph,
 )
-from randcol.graphs import Graph, connected_component
+from randcol.graphs import DiGraph, Graph, _csr, connected_component, vertex_boundary
 from randcol.percolation import (
     PercolationState,
     boundary_resilience_audit,
@@ -34,6 +35,8 @@ from randcol.percolation import (
     resilient_pair_detect,
     thm3_fixpoint_violations,
     thm3_process,
+    thm4_fixpoint_violations,
+    thm4_process,
 )
 from randcol.sampling import RngStream
 
@@ -47,6 +50,15 @@ def pairs(n):
 graphs = st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), pairs(n) if n else st.just(set())))
 
 THRESHOLDS = (0, 1, 2, 3, 1.5, math.inf)
+
+
+def ids(mask):
+    """The vertex set of a state's mask."""
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def masks(size):
+    return st.lists(st.booleans(), min_size=size, max_size=size).map(lambda b: np.array(b, dtype=bool))
 
 
 # --- the per-edge loop and BFS reference ----------------------------------------
@@ -84,7 +96,7 @@ def ref_bootstrap_percolate(g, initially_infected, threshold_of):
         infected |= nxt
         trace.append(len(nxt))
         current = nxt
-    return PercolationState(infected=frozenset(infected), round_trace=tuple(trace))
+    return frozenset(infected), tuple(trace)
 
 
 def ref_thm3_process(h, p_protect, r, rng):
@@ -93,8 +105,8 @@ def ref_thm3_process(h, p_protect, r, rng):
     thresholds = [1] * h.n
     for a, b in protected:
         thresholds[a] = thresholds[b] = 2
-    state = ref_bootstrap_percolate(h, {r}, thresholds)
-    return PercolationState(state.infected, state.round_trace, protected_edges=protected)
+    infected, trace = ref_bootstrap_percolate(h, {r}, thresholds)
+    return infected, trace, protected
 
 
 def ref_connected_component(g, v):
@@ -121,8 +133,8 @@ def test_bootstrap_matches_edge_loop(case, data):
     seed = data.draw(st.sets(vertices, max_size=n))
     thresholds = data.draw(st.lists(st.sampled_from(THRESHOLDS), min_size=n, max_size=n))
     got = bootstrap_percolate(g, seed, thresholds)
-    assert got == ref_bootstrap_percolate(g, seed, thresholds)
-    assert all(type(v) is int for v in got.infected)
+    assert (ids(got.infected), got.round_trace) == ref_bootstrap_percolate(g, seed, thresholds)
+    assert got.infected.dtype == bool and got.infected.shape == (n,)
     assert all(type(k) is int for k in got.round_trace)
 
 
@@ -134,9 +146,9 @@ def test_thm3_process_matches_edge_loop(n):
             for r in (0, n - 1):
                 stream = RngStream(seed).child("trial", r)
                 got = thm3_process(h, p, r, stream)
-                want = ref_thm3_process(h, p, r, stream)
-                assert (got.infected, got.round_trace) == (want.infected, want.round_trace)
-                assert set(map(tuple, got.protected_edges.edges.tolist())) == want.protected_edges
+                infected, trace, protected = ref_thm3_process(h, p, r, stream)
+                assert (ids(got.infected), got.round_trace) == (infected, trace)
+                assert set(map(tuple, h.edges[got.protected_edges].tolist())) == protected
 
 
 # --- the cached CSR arrays ------------------------------------------------------------
@@ -185,12 +197,13 @@ def test_components_in_any_call_order(case, data):
 def ref_thm3_fixpoint_violations(h, state):
     thresholds = [1] * h.n
     if state.protected_edges is not None:
-        for a, b in state.protected_edges.edges.tolist():
+        for a, b in h.edges[state.protected_edges].tolist():
             thresholds[a] = thresholds[b] = 2
+    infected = ids(state.infected)
     return [
         v for v in range(h.n)
-        if v not in state.infected
-        and sum(1 for w in h.adjacency()[v] if w in state.infected) >= thresholds[v]
+        if v not in infected
+        and sum(1 for w in h.adjacency()[v] if w in infected) >= thresholds[v]
     ]
 
 
@@ -199,11 +212,9 @@ def ref_thm3_fixpoint_violations(h, state):
 def test_thm3_audit_matches_the_walk(case, data):
     n, edges = case
     h = Graph(n, edges)
-    vertices = st.integers(0, n - 1) if n else st.nothing()
-    infected = frozenset(data.draw(st.sets(vertices, max_size=n)))
-    mask = np.array(data.draw(st.lists(st.booleans(), min_size=h.m, max_size=h.m)), dtype=bool)
-    protected = data.draw(st.sampled_from([None, h.with_edges(mask)]))
-    state = PercolationState(infected, (len(infected),), protected_edges=protected)
+    infected = data.draw(masks(n))
+    protected = data.draw(st.none() | masks(h.m))
+    state = PercolationState(infected, (int(infected.sum()),), protected_edges=protected)
     got = thm3_fixpoint_violations(h, state)
     assert got == ref_thm3_fixpoint_violations(h, state)
     assert all(type(v) is int for v in got)
@@ -216,6 +227,87 @@ def test_thm3_audit_clean_at_fixpoints(n):
         for p in (0.0, 0.1, 0.5, 1.0):
             state = thm3_process(h, p, 0, RngStream(seed).child("audit"))
             assert thm3_fixpoint_violations(h, state) == ref_thm3_fixpoint_violations(h, state) == []
+
+
+# --- the thm4 fixpoint audit ------------------------------------------------------------
+
+
+def ref_thm4_fixpoint_violations(h, state):
+    """The out-boundary of the fixpoint over the CSR, minus R."""
+    blocked = frozenset() if state.resilient_vertices is None else ids(state.resilient_vertices)
+    return sorted(vertex_boundary(h, ids(state.infected)) - blocked)
+
+
+def arcs(n):
+    arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda a: a[0] != a[1])
+    return st.lists(arc, max_size=3 * n, unique=True)
+
+
+digraphs = st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), arcs(n) if n else st.just([])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs, st.data())
+def test_thm4_audit_matches_the_boundary(case, data):
+    n, arc_list = case
+    h = DiGraph(n, arc_list)
+    infected = data.draw(masks(n))
+    blocked = data.draw(st.none() | masks(n))
+    state = PercolationState(infected, (int(infected.sum()),), resilient_vertices=blocked)
+    got = thm4_fixpoint_violations(h, state)
+    assert got == ref_thm4_fixpoint_violations(h, state)
+    assert all(type(v) is int for v in got)
+
+
+def test_thm4_audit_reads_the_arc_rows_not_the_csr():
+    """The fixpoints battery, spread over the in-CSR in place of the
+    out-CSR: the states are then not fixpoints of the digraph's arcs,
+    and an audit that counted over the same CSR would not see it."""
+    dg = random_two_regular_digraph(60, 0)
+    tails, heads = dg.arcs.T
+    dg._csr = _csr(dg.n, heads, tails)
+    root = RngStream(0xF1C)
+    flagged = 0
+    for i in range(20):
+        for p in (0.0, 0.05, 0.3):
+            state = thm4_process(dg, p, 0, root.child("block", i))
+            flagged += bool(thm4_fixpoint_violations(dg, state))
+            assert ref_thm4_fixpoint_violations(dg, state) == []
+    assert flagged > 0
+
+
+def test_state_masks_are_read_only():
+    h = random_regular_graph(20, 3, 1)
+    dg = random_two_regular_digraph(20, 1)
+    stream = RngStream(3).child("masks")
+    states = [
+        bootstrap_percolate(h, {0}, [2] * h.n),
+        thm3_process(h, 0.3, 0, stream),
+        thm4_process(dg, 0.3, 0, stream),
+    ]
+    for state in states:
+        for mask in (state.infected, state.protected_edges, state.resilient_vertices):
+            if mask is not None:
+                assert mask.dtype == bool and not mask.flags.writeable
+                with pytest.raises(ValueError):
+                    mask[0] = True
+
+
+def test_audits_reject_masks_of_the_wrong_length():
+    h = random_regular_graph(20, 3, 1)
+    dg = random_two_regular_digraph(20, 1)
+    stream = RngStream(3).child("masks")
+    three = thm3_process(h, 0.3, 0, stream)
+    four = thm4_process(dg, 0.3, 0, stream)
+    short = np.zeros(19, dtype=bool)
+    for audit, graph, state in (
+        (thm3_fixpoint_violations, h, dataclasses.replace(three, infected=short)),
+        (thm3_fixpoint_violations, h, dataclasses.replace(three, protected_edges=short)),
+        (thm4_fixpoint_violations, dg, dataclasses.replace(four, infected=short)),
+        (thm4_fixpoint_violations, dg, dataclasses.replace(four, resilient_vertices=short)),
+    ):
+        with pytest.raises(InputError):
+            audit(graph, state)
 
 
 # --- super-vertex classification ----------------------------------------------------------
@@ -309,7 +401,7 @@ def ref_resilient(edge_graph, layout, params):
         found = False
         for j in range(1, s + 3):
             for lo, hi in ((j, j + 1), (j + 1, j)):
-                good = sum(1 for x in layout.members(v, lo) if edges_into_layer(x, v, hi) * 4 >= k)
+                good = sum(1 for x in (layout.vertex_id(v, lo, pos) for pos in range(layout.m)) if edges_into_layer(x, v, hi) * 4 >= k)
                 if good * s >= k:
                     found = True
                     break
