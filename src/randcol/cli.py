@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+
+import numpy as np
 
 from .colouring import chromatic_number_exact, t_core, DEFAULT_NODE_BUDGET
 from .errors import InputError, RandcolError
 from .generators import (
     ConstructionParams,
+    _as_fraction,
     blow_up,
     find_cubic_expander,
     gadget_blow_up,
@@ -136,9 +138,9 @@ def cmd_sample(args) -> int:
         mode = {"mode": "one_round", "p": args.p}
     else:
         if args.alpha is not None:
-            rate = Fraction(args.alpha) / 3
+            rate = _as_fraction(args.alpha) / 3
         else:
-            rate = Fraction(args.first_rate)
+            rate = _as_fraction(args.first_rate, "first rate")
         sub = two_round_sample(g, rate, stream).survivors()
         mode = {"mode": "two_round", "first_rate": str(rate)}
     save_graph(sub, args.out)
@@ -149,7 +151,8 @@ def cmd_sample(args) -> int:
 def cmd_core(args) -> int:
     g = _load_undirected(args.infile)
     core = t_core(g, args.t)
-    _emit({"t": args.t, "core_size": len(core), "empty": not core, "vertices": sorted(core)})
+    vertices = np.flatnonzero(core).tolist()
+    _emit({"t": args.t, "core_size": len(vertices), "empty": not vertices, "vertices": vertices})
     return 0
 
 

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import Graph
+from .graphs import Graph, _frozen
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_N_CAP = 40
@@ -46,7 +46,7 @@ class ColouringResult:
     lower_bound: int
 
 
-def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[list, list]:
+def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[np.ndarray, list]:
     """Peel g at each threshold t of an ascending sequence in turn.
 
     At threshold t a round removes every live vertex with fewer than t
@@ -55,7 +55,7 @@ def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[list, list]:
     rounds repeat until one removes nothing, then the next threshold
     starts from the survivors. A round is one generation of the cascade,
     and a run is O(rounds * n + m). Stops when the sequence ends or
-    nothing is left. Returns (survivors in ascending id, peel order).
+    nothing is left. Returns (mask of the survivors, peel order).
     """
     indptr, indices = g._csr_arrays()
     degree = np.diff(indptr)
@@ -76,7 +76,7 @@ def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[list, list]:
             deg -= np.bincount(indices[arcs], minlength=g.n)
             out = np.flatnonzero(alive & (deg < t))
     peel = np.concatenate(rounds).tolist() if rounds else []
-    return np.flatnonzero(alive).tolist(), peel
+    return alive, peel
 
 
 def colouring_number(g: Graph) -> tuple[int, EliminationOrder]:
@@ -100,16 +100,16 @@ def colouring_number(g: Graph) -> tuple[int, EliminationOrder]:
     return order.degeneracy() + 1, order
 
 
-def t_core_with_trace(g: Graph, t: int) -> tuple[frozenset, tuple]:
-    """The t-core plus the peeled vertices in peel order (see _peel)."""
+def t_core_with_trace(g: Graph, t: int) -> tuple[np.ndarray, tuple]:
+    """The t-core's mask plus the peeled vertices in peel order (see _peel)."""
     if t < 0:
         raise InputError("t must be >= 0")
     core, trace = _peel(g, (t,))
-    return frozenset(core), tuple(trace)
+    return _frozen(core), tuple(trace)
 
 
-def t_core(g: Graph, t: int) -> frozenset:
-    """Vertex set of the unique maximal induced subgraph with minimum
+def t_core(g: Graph, t: int) -> np.ndarray:
+    """Read-only mask of the unique maximal induced subgraph with minimum
     degree >= t (possibly empty)."""
     return t_core_with_trace(g, t)[0]
 

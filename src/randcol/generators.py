@@ -19,12 +19,14 @@ from .spectral import SpectralCertificate, second_eigenvalue
 REJECTION_CAP = 100
 
 
-def _as_fraction(x) -> Fraction:
-    """Floats are read by their decimal literal (str) so that 0.3 means
-    3/10, not the nearest binary float."""
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+def _as_fraction(x, what: str = "alpha") -> Fraction:
+    """x as a Fraction; InputError unless it is a number or a fraction
+    string. Floats are read by their decimal literal (str) so that 0.3
+    means 3/10, not the nearest binary float."""
+    try:
+        return Fraction(str(x) if isinstance(x, float) else x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError(f"bad {what} {x!r}") from None
 
 
 @dataclass(frozen=True)

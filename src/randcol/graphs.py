@@ -2,15 +2,16 @@
 behind percolation, components and reachability, boundaries, girth, and
 small-scale exhaustive enumeration of connected edge subgraphs.
 
-Vertices are contiguous integers 0..n-1 throughout. The functions here
-take and return vertex sets as plain frozensets over that range, while
-result objects (a spread's state, a two-round sample) hold boolean masks.
+Vertices are contiguous integers 0..n-1 throughout, and a vertex set is
+a boolean mask over that range: every function here and in colouring and
+percolation takes its sets as masks (checked by _sized) and returns them
+as read-only masks. A single root is an id, checked by _root.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,20 +77,27 @@ def _bitmasks(indptr: np.ndarray, indices: np.ndarray) -> list[int]:
     return [sum(1 << w for w in nbrs) for nbrs in _neighbour_tuples(indptr, indices)]
 
 
-def _vertex_mask(n: int, vertices: Iterable[int], what: str = "vertex") -> np.ndarray:
-    """Boolean mask over 0..n-1 of the given ids; InputError for an id
-    outside that range (a numpy index would wrap a negative one)."""
-    ids = np.fromiter(vertices, dtype=np.intp)
-    bad = (ids < 0) | (ids >= n)
-    if bad.any():
-        raise InputError(f"{what} {ids[bad.argmax()]} out of range for n={n}")
-    mask = np.zeros(n, dtype=bool)
-    mask[ids] = True
+def _sized(mask, size: int, what: str) -> np.ndarray:
+    """mask, checked to be a boolean array of length size."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (size,):
+        raise InputError(f"{what} must be a boolean mask of length {size}")
     return mask
 
 
-def _ids(mask: np.ndarray) -> frozenset:
-    return frozenset(np.flatnonzero(mask).tolist())
+def _root(n: int, r: int) -> np.ndarray:
+    """One-hot mask of r over 0..n-1; InputError for r outside that range
+    (a numpy index would wrap a negative one)."""
+    if not 0 <= r < n:
+        raise InputError(f"root {r} out of range for n={n}")
+    mask = np.zeros(n, dtype=bool)
+    mask[int(r)] = True  # a bool index would select every entry
+    return mask
+
+
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    mask.flags.writeable = False
+    return mask
 
 
 def _spread(
@@ -285,17 +293,18 @@ class DiGraph:
         return f"DiGraph(n={self.n}, m={self.m})"
 
 
-def vertex_boundary(g: Graph | DiGraph, s: Iterable[int]) -> frozenset:
-    """Vertices outside s adjacent to s (out-neighbours of s, if directed)."""
-    inside = _vertex_mask(g.n, s)
+def vertex_boundary(g: Graph | DiGraph, s) -> np.ndarray:
+    """Mask of the vertices outside the mask s adjacent to s
+    (out-neighbours of s, if directed)."""
+    inside = _sized(s, g.n, "vertex set")
     indptr, indices = g._csr_arrays()
     hit = np.bincount(indices[inside.repeat(np.diff(indptr))], minlength=g.n)
-    return _ids((hit > 0) & ~inside)
+    return _frozen((hit > 0) & ~inside)
 
 
-def edge_boundary(g: Graph, s: Iterable[int]) -> list[tuple[int, int]]:
-    """Edges with exactly one endpoint in s, sorted."""
-    inside = _vertex_mask(g.n, s)
+def edge_boundary(g: Graph, s) -> list[tuple[int, int]]:
+    """Edges with exactly one endpoint in the mask s, sorted."""
+    inside = _sized(s, g.n, "vertex set")
     u, v = g.edges.T
     return list(map(tuple, g.edges[inside[u] != inside[v]].tolist()))
 
@@ -373,8 +382,7 @@ def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[in
     enumeration walk serves every size; each subgraph is visited once via
     binary partition over frontier edges.
     """
-    if not (0 <= v < g.n):
-        raise InputError(f"vertex {v} out of range")
+    _root(g.n, v)  # the range check only; the walk keeps bitmasks
     if t_max < 1:
         raise InputError("t must be >= 1")
     inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
@@ -409,21 +417,21 @@ def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[in
     return counts
 
 
-def reachable_set(h: DiGraph, r: int) -> frozenset:
-    """Vertices reachable from r by directed paths, including r."""
-    return _ids(_spread(*h._csr_arrays(), _vertex_mask(h.n, [r]), np.ones(h.n))[0])
+def reachable_set(h: DiGraph, r: int) -> np.ndarray:
+    """Mask of the vertices reachable from r by directed paths, r included."""
+    return _frozen(_spread(*h._csr_arrays(), _root(h.n, r), np.ones(h.n))[0])
 
 
-def connected_component(g: Graph, v: int) -> frozenset:
-    """The component of v, searched once per graph and shared by its vertices."""
-    if not (0 <= v < g.n):
-        raise InputError(f"vertex {v} out of range")
+def connected_component(g: Graph, v: int) -> np.ndarray:
+    """Mask of the component of v, searched once per graph: its vertices
+    share the one mask."""
+    seed = _root(g.n, v)
     if g._components is None:
         g._components = [None] * g.n
     comp = g._components[v]
     if comp is None:
-        comp = _ids(_spread(*g._csr_arrays(), _vertex_mask(g.n, [v]), np.ones(g.n))[0])
-        for w in comp:
+        comp = _frozen(_spread(*g._csr_arrays(), seed, np.ones(g.n))[0])
+        for w in np.flatnonzero(comp).tolist():
             g._components[w] = comp
     return comp
 
@@ -431,7 +439,7 @@ def connected_component(g: Graph, v: int) -> frozenset:
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
-    return len(connected_component(g, 0)) == g.n
+    return bool(connected_component(g, 0).all())
 
 
 def is_strongly_connected(h: DiGraph) -> bool:
@@ -439,7 +447,7 @@ def is_strongly_connected(h: DiGraph) -> bool:
     if h.n == 0:
         return True
     return all(
-        _spread(*csr, _vertex_mask(h.n, [0]), np.ones(h.n))[0].all()
+        _spread(*csr, _root(h.n, 0), np.ones(h.n))[0].all()
         for csr in (h._csr_arrays(), _csr(h.n, *h.arcs.T[::-1]))
     )
 

@@ -12,13 +12,14 @@ byte-identical files. CSV export is a flat projection of the records.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from fractions import Fraction
 
 from .bounds import proposition_lower_bound
@@ -31,6 +32,7 @@ from .colouring import (
 from .errors import InputError, RandcolError
 from .generators import (
     ConstructionParams,
+    _as_fraction,
     blow_up,
     find_cubic_expander,
     gadget_blow_up,
@@ -53,15 +55,6 @@ from .percolation import (
     thm4_process,
 )
 from .sampling import RngStream, partition_split, sample_subgraph, two_round_sample
-
-EXPERIMENT_KINDS = (
-    "core_emptiness",
-    "chromatic_tail",
-    "proposition_check",
-    "thm3_sweep",
-    "thm4_sweep",
-    "product_colouring",
-)
 
 # two-sided 95%
 WILSON_Z = 1.959963984540054
@@ -160,32 +153,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _want(recipe: dict, field: str):
     if field not in recipe:
         raise InputError(f"graph recipe {recipe.get('kind')!r} needs {field!r}")
     return recipe[field]
 
 
-def _params_to_dict(params: ConstructionParams | None):
-    if params is None:
-        return None
-    return {
-        "mode": params.mode,
-        "k": params.k,
-        "t": params.t,
-        "m": params.m,
-        "alpha": None if params.alpha is None else str(params.alpha),
-        "s": params.s,
-    }
-
-
-def _params_from_dict(d) -> ConstructionParams | None:
-    if d is None:
-        return None
-    alpha = None if d.get("alpha") is None else Fraction(d["alpha"])
-    return ConstructionParams(
-        mode=d["mode"], k=d["k"], t=d["t"], m=d["m"], alpha=alpha, s=d.get("s")
-    )
+def _params_from_dict(d) -> ConstructionParams:
+    if not isinstance(d, dict):
+        raise InputError(f"params must be a dict, got {d!r}")
+    alpha = d.get("alpha")
+    try:
+        return ConstructionParams(**dict(d, alpha=None if alpha is None else _as_fraction(alpha)))
+    except TypeError as exc:
+        raise InputError(f"bad params {d!r}: {exc}") from None
 
 
 def asymptotic_regime_report(
@@ -243,26 +228,6 @@ def asymptotic_regime_report(
     }
 
 
-_CONFIG_FIELDS = (
-    "kind",
-    "trials",
-    "master_seed",
-    "graph",
-    "params",
-    "p",
-    "p_sweep",
-    "first_rate",
-    "t",
-    "k",
-    "parts",
-    "budget",
-    "root",
-    "suite",
-    "output",
-    "regime_metadata",
-)
-
-
 @dataclass(frozen=True, eq=True)
 class ExperimentConfig:
     """Complete, serializable description of one experiment.
@@ -290,7 +255,7 @@ class ExperimentConfig:
     regime_metadata: dict | None = None
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in _TRIAL_FUNCS:
             raise InputError(f"unknown experiment kind {self.kind!r}")
         for name in ("trials", "master_seed", "root", "parts", "budget", "t", "k"):
             value = getattr(self, name)
@@ -302,14 +267,16 @@ class ExperimentConfig:
             raise InputError("master_seed must be a 64-bit unsigned integer")
         if self.root < 0:
             raise InputError("root must be a non-negative integer")
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise InputError("p must lie in [0, 1]")
+        if self.p is not None and not (_is_real(self.p) and 0.0 <= self.p <= 1.0):
+            raise InputError(f"p must be a number in [0, 1], got {self.p!r}")
         if self.p_sweep is not None:
+            if not isinstance(self.p_sweep, (list, tuple)):
+                raise InputError(f"p_sweep must be a list of numbers, got {self.p_sweep!r}")
             object.__setattr__(self, "p_sweep", tuple(self.p_sweep))
             if not self.p_sweep:
                 raise InputError("p_sweep must be non-empty")
-            if any(not 0.0 <= q <= 1.0 for q in self.p_sweep):
-                raise InputError("p_sweep values must lie in [0, 1]")
+            if any(not (_is_real(q) and 0.0 <= q <= 1.0) for q in self.p_sweep):
+                raise InputError("p_sweep values must be numbers in [0, 1]")
             if any(a >= b for a, b in zip(self.p_sweep, self.p_sweep[1:])):
                 raise InputError("p_sweep must be strictly increasing")
         if self.first_rate is not None:
@@ -346,28 +313,29 @@ class ExperimentConfig:
     def first_rate_fraction(self) -> Fraction:
         if self.first_rate is None:
             raise InputError("no first_rate configured")
-        try:
-            return Fraction(self.first_rate)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad first_rate {self.first_rate!r}: {exc}") from None
+        return _as_fraction(self.first_rate, "first_rate")
 
     def to_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in _CONFIG_FIELDS}
-        d["params"] = _params_to_dict(self.params)
+        d = asdict(self)
+        if self.params is not None and self.params.alpha is not None:
+            d["params"]["alpha"] = str(self.params.alpha)
         if self.p_sweep is not None:
             d["p_sweep"] = list(self.p_sweep)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - set(_CONFIG_FIELDS)
+        if not isinstance(d, dict):
+            raise InputError("a config must be a JSON object")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
+        if missing:
+            raise InputError(f"missing config fields: {sorted(missing)}")
         kwargs = dict(d)
         if kwargs.get("params") is not None:
             kwargs["params"] = _params_from_dict(kwargs["params"])
-        if kwargs.get("p_sweep") is not None:
-            kwargs["p_sweep"] = tuple(kwargs["p_sweep"])
         return cls(**kwargs)
 
     def to_json(self) -> str:
@@ -375,7 +343,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"config is not valid JSON: {exc}") from None
+        return cls.from_dict(d)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -419,16 +391,14 @@ def trial_stream(config: ExperimentConfig, index: int) -> RngStream:
 # --------------------------- trial bodies ---------------------------------
 
 
-def _fixed_graph(config: ExperimentConfig):
-    return build_graph(config.graph, config.params)
-
-
 def _trial_graph(config: ExperimentConfig, stream: RngStream):
-    """Per-trial graph: recipes without a seed get one from the trial
-    stream, giving an independent graph each trial. Such a graph is
-    built outside the cache, since no later trial asks for it again."""
+    """The graph every kind's trial runs on: random recipes without a
+    seed get one from the trial stream, giving an independent graph each
+    trial. Such a graph is built outside the cache, since no later trial
+    asks for it again; every other recipe comes from the build cache."""
     recipe = config.graph
-    if "seed" not in recipe and recipe.get("kind") not in ("complete", "cycle", "file", "blow_up", "gadget"):
+    fixed = ("complete", "cycle", "file", "blow_up", "gadget")
+    if isinstance(recipe, dict) and "seed" not in recipe and recipe.get("kind") not in fixed:
         seeded = dict(recipe, seed=stream.child("graph-seed").key())
         return _build_uncached(seeded, config.params)
     return build_graph(recipe, config.params)
@@ -442,23 +412,23 @@ def _sampled_graph(config: ExperimentConfig, g: Graph, stream: RngStream) -> Gra
 
 
 def _trial_core_emptiness(config: ExperimentConfig, stream: RngStream) -> dict:
-    g, layout = _fixed_graph(config)
+    g, layout = _trial_graph(config, stream)
     sub = _sampled_graph(config, g, stream)
     # the classification computes the t-core itself
     cls = None if layout is None else classify_supervertices_thm3(sub, layout, config.t)
     core = t_core(sub, config.t) if cls is None else cls.core
     values = {
-        "core_size": len(core),
-        "empty": not core,
+        "core_size": int(core.sum()),
+        "empty": not core.any(),
         "kept_edges": sub.m,
     }
     if cls is not None:
-        values["dead_supers"] = len(cls.dead_set())
+        values["dead_supers"] = int(cls.dead.sum())
     return values
 
 
 def _trial_chromatic_tail(config: ExperimentConfig, stream: RngStream) -> dict:
-    g, _ = _fixed_graph(config)
+    g, _ = _trial_graph(config, stream)
     sub = sample_subgraph(g, config.p, stream.child("sample"))
     res = chromatic_number_exact(sub, budget=config.budget)
     return {
@@ -470,7 +440,7 @@ def _trial_chromatic_tail(config: ExperimentConfig, stream: RngStream) -> dict:
 
 
 def _trial_proposition_check(config: ExperimentConfig, stream: RngStream) -> dict:
-    g, _ = _fixed_graph(config)
+    g, _ = _trial_graph(config, stream)
     if config.k is not None:
         k = config.k
     elif config.graph.get("kind") == "complete":
@@ -512,7 +482,7 @@ def _trial_sweep(config: ExperimentConfig, stream: RngStream) -> dict:
         "rounds": rounds,
         "monotone": all(a >= b for a, b in zip(sizes, sizes[1:])),
         "fixpoint_ok": fixpoint_ok,
-        size_key: len(whole(h, config.root)),
+        size_key: int(whole(h, config.root).sum()),
     }
 
 
@@ -537,6 +507,8 @@ _TRIAL_FUNCS = {
     "thm4_sweep": _trial_sweep,
     "product_colouring": _trial_product_colouring,
 }
+
+EXPERIMENT_KINDS = tuple(_TRIAL_FUNCS)
 
 
 def run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
@@ -625,11 +597,6 @@ def _worker_count(trials: int) -> int:
     return max(1, min(cap, trials))
 
 
-def _pool_trial(payload) -> TrialRecord:
-    config, index = payload
-    return run_trial(config, index)
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
@@ -655,10 +622,10 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
     if workers == 1:
         records = [run_trial(config, i) for i in range(config.trials)]
     else:
-        payloads = [(config, i) for i in range(config.trials)]
         chunk = max(1, config.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_pool_trial, payloads, chunksize=chunk))
+            trials = pool.map(run_trial, itertools.repeat(config), range(config.trials), chunksize=chunk)
+            records = list(trials)
     records.sort(key=lambda r: r.index)
     aggregate = recompute_aggregate(config, records)
     result = ExperimentResult(config, tuple(records), aggregate)

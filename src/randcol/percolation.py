@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
-from .graphs import DiGraph, Graph, _ids, _spread, _vertex_mask, vertex_boundary
+from .graphs import DiGraph, Graph, _frozen, _root, _sized, _spread, vertex_boundary
 from .colouring import t_core
 from .sampling import RngStream
 
@@ -35,18 +35,14 @@ class PercolationState:
     resilient_vertices: np.ndarray | None = None
 
 
-def _frozen(mask: np.ndarray) -> np.ndarray:
-    mask.flags.writeable = False
-    return mask
-
-
 def bootstrap_percolate(g: Graph, initially_infected, threshold_of: Sequence) -> PercolationState:
     """Least fixpoint of: infect v once it has >= threshold_of[v]
-    infected neighbours. Thresholds of 0 ignite in round one even
-    without neighbours; math.inf disables a vertex entirely. Each
-    synchronous round counts the last newcomers over the CSR arrays.
+    infected neighbours, from the mask initially_infected. Thresholds of
+    0 ignite in round one even without neighbours; math.inf disables a
+    vertex entirely. Each synchronous round counts the last newcomers
+    over the CSR arrays.
     """
-    seed = _vertex_mask(g.n, initially_infected, "seed vertex")
+    seed = _sized(initially_infected, g.n, "seed")
     thresholds = np.asarray(threshold_of, dtype=float)
     if thresholds.shape != (g.n,):
         raise InputError("threshold sequence length must equal vertex count")
@@ -58,17 +54,17 @@ def bootstrap_percolate(g: Graph, initially_infected, threshold_of: Sequence) ->
 
 
 def t_core_via_percolation(g: Graph, t: int) -> np.ndarray:
-    """Mask of the t-core, computed by infection: seed every vertex of
-    degree < t and spread removal with per-vertex threshold deg(v) - t + 1
-    (lose that many neighbours and you drop below t). The complement of
-    the fixpoint equals the peeled t-core exactly.
+    """Read-only mask of the t-core, computed by infection: seed every
+    vertex of degree < t and spread removal with per-vertex threshold
+    deg(v) - t + 1 (lose that many neighbours and you drop below t). The
+    complement of the fixpoint equals the peeled t-core exactly.
     """
     if t < 0:
         raise InputError("t must be >= 0")
     deg = np.diff(g._csr_arrays()[0])
     # vertices below t are seeds, so clamping their raw (negative)
     # thresholds changes nothing
-    return ~bootstrap_percolate(g, np.flatnonzero(deg < t), np.maximum(0, deg - t + 1)).infected
+    return _frozen(~bootstrap_percolate(g, deg < t, np.maximum(0, deg - t + 1)).infected)
 
 
 def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> PercolationState:
@@ -80,10 +76,9 @@ def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> Percolat
     """
     if not (0.0 <= p_protect <= 1.0):
         raise InputError(f"p_protect {p_protect} outside [0, 1]")
-    if not (0 <= r < h.n):
-        raise InputError(f"root {r} out of range")
+    seed = _root(h.n, r)
     protected = _frozen(rng.child("protect").uniforms(h.m) < p_protect)
-    state = bootstrap_percolate(h, [r], _thm3_thresholds(h, protected))
+    state = bootstrap_percolate(h, seed, _thm3_thresholds(h, protected))
     return replace(state, protected_edges=protected)
 
 
@@ -93,19 +88,10 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     from rng's "resilient" child stream. The root joins regardless."""
     if not (0.0 <= p_resilient <= 1.0):
         raise InputError(f"p_resilient {p_resilient} outside [0, 1]")
-    if not (0 <= r < h.n):
-        raise InputError(f"root {r} out of range")
+    seed = _root(h.n, r)
     hit = _frozen(rng.child("resilient").uniforms(h.n) < p_resilient)
-    infected, trace = _spread(*h._csr_arrays(), _vertex_mask(h.n, [r]), np.where(hit, np.inf, 1))
+    infected, trace = _spread(*h._csr_arrays(), seed, np.where(hit, np.inf, 1))
     return PercolationState(_frozen(infected), tuple(trace), resilient_vertices=hit)
-
-
-def _sized(mask, size: int, what: str) -> np.ndarray:
-    """mask, checked to be a boolean array of length size."""
-    mask = np.asarray(mask)
-    if mask.dtype != bool or mask.shape != (size,):
-        raise InputError(f"{what} must be a boolean mask of length {size}")
-    return mask
 
 
 def _thm3_thresholds(h: Graph, protected) -> np.ndarray:
@@ -147,39 +133,30 @@ def thm4_fixpoint_violations(h: DiGraph, state: PercolationState) -> list:
 # --- super-vertex classification ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
 class SuperVertexStatus:
-    """Per-super-vertex classification over a blow-up.
+    """Per-super-vertex classification over a blow-up, as read-only arrays.
 
-    status holds "dead" / "nearly_dead" / "alive" (most specific wins;
-    dead implies nearly dead). surviving_count[v][j-1] counts core
-    survivors in layer j of super-vertex v. resilient marks
-    super-vertices containing a resilient adjacent-layer pair; empty
-    when not evaluated (single-layer blow-ups).
+    core is the t-core's mask over the blow-up's vertices; dead and
+    nearly_dead are masks over the super-vertices (dead implies nearly
+    dead). surviving_count[v, j-1] counts core survivors in layer j of
+    super-vertex v. resilient masks the super-vertices containing a
+    resilient adjacent-layer pair, None when not evaluated (single-layer
+    blow-ups); dead_component is the dead component's mask or None.
     """
 
-    status: tuple
-    surviving_count: tuple
-    core: frozenset
-    resilient: tuple = ()
-    dead_component: frozenset | None = None
-
-    def is_nearly_dead(self, v: int) -> bool:
-        return self.status[v] in ("dead", "nearly_dead")
-
-    def dead_set(self) -> frozenset:
-        return frozenset(v for v, st in enumerate(self.status) if st == "dead")
-
-    def nearly_dead_set(self) -> frozenset:
-        return frozenset(v for v in range(len(self.status)) if self.is_nearly_dead(v))
+    core: np.ndarray
+    dead: np.ndarray
+    nearly_dead: np.ndarray
+    surviving_count: np.ndarray
+    resilient: np.ndarray | None = None
+    dead_component: np.ndarray | None = None
 
 
-def _survivor_table(core: frozenset, layout: BlowUpLayout) -> np.ndarray:
-    """Core survivors per (super-vertex, layer - 1): a vertex id // m is
-    super-vertex * layers + layer - 1."""
-    ids = np.fromiter(core, dtype=np.intp, count=len(core))
-    cells = layout.n_super * layout.layers
-    return np.bincount(ids // layout.m, minlength=cells).reshape(layout.n_super, layout.layers)
+def _survivor_table(core: np.ndarray, layout: BlowUpLayout) -> np.ndarray:
+    """Core survivors per (super-vertex, layer - 1): vertex ids run
+    super-vertex by super-vertex, layer by layer, m to a layer."""
+    return _frozen(core.reshape(layout.n_super, layout.layers, layout.m).sum(axis=2))
 
 
 def classify_supervertices_thm3(
@@ -197,21 +174,17 @@ def classify_supervertices_thm3(
         raise InputError("graph does not match layout dimensions")
     core = t_core(g_half, t)
     table = _survivor_table(core, layout)
-    dead = ~table.any(axis=1)
+    dead = _frozen(~table.any(axis=1))
     dead_component = None
     if root is not None:
         if h is None:
             raise InputError("dead-component report needs the base graph h")
         if h.n != layout.n_super:
             raise InputError("base graph does not match layout")
-        seed = _vertex_mask(h.n, [root])
-        dead_component = _ids(_spread(*h._csr_arrays(), seed, np.where(dead, 1, np.inf))[0])
-    return SuperVertexStatus(
-        status=tuple("dead" if d else "alive" for d in dead.tolist()),
-        surviving_count=tuple(map(tuple, table.tolist())),
-        core=core,
-        dead_component=dead_component,
-    )
+        seed = _root(h.n, root)
+        dead_component = _frozen(_spread(*h._csr_arrays(), seed, np.where(dead, 1, np.inf))[0])
+    # one layer has no nearly-dead class of its own
+    return SuperVertexStatus(core, dead, dead, table, dead_component=dead_component)
 
 
 def resilient_pair_detect(
@@ -242,11 +215,8 @@ def resilient_pair_detect(
         raise InputError(f"layer {s + 3} out of range 1..{layers}")
     core = t_core(g_half, params.t)
     table = _survivor_table(core, layout)
-    status = np.where(
-        ~table.any(axis=1),
-        "dead",
-        np.where((table[:, 1:s + 2] * s < k).all(axis=1), "nearly_dead", "alive"),
-    )
+    dead = _frozen(~table.any(axis=1))
+    nearly_dead = _frozen(dead | (table[:, 1:s + 2] * s < k).all(axis=1))
     # into[x, j - 1]: edges from vertex x to layer j of its own super-vertex
     a, b = np.concatenate((edge_graph.edges, edge_graph.edges[:, ::-1])).T
     own = a // (layers * layout.m) == b // (layers * layout.m)
@@ -257,28 +227,25 @@ def resilient_pair_detect(
     good = (into * 4 >= k).reshape(layout.n_super, layers, layout.m, layers).sum(axis=2)
     lo = np.arange(s + 2)
     pairs = np.concatenate((good[:, lo, lo + 1], good[:, lo + 1, lo]), axis=1)
-    return SuperVertexStatus(
-        status=tuple(status.tolist()),
-        surviving_count=tuple(map(tuple, table.tolist())),
-        core=core,
-        resilient=tuple((pairs * s >= k).any(axis=1).tolist()),
-    )
+    resilient = _frozen((pairs * s >= k).any(axis=1))
+    return SuperVertexStatus(core, dead, nearly_dead, table, resilient=resilient)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
 class BoundaryResilienceReport:
     """Check that every super-vertex on the out-boundary of the
-    nearly-dead reachable set contains a resilient pair. Violations are
-    reported, not raised: the guarantee is asymptotic and desk-scale
-    instances may sit outside its regime."""
+    nearly-dead reachable set contains a resilient pair, as read-only
+    masks over the super-vertices. Violations are reported, not raised:
+    the guarantee is asymptotic and desk-scale instances may sit outside
+    its regime."""
 
-    reachable_nearly_dead: frozenset
-    boundary: frozenset
-    violations: tuple
+    reachable_nearly_dead: np.ndarray
+    boundary: np.ndarray
+    violations: np.ndarray
 
     @property
     def holds(self) -> bool:
-        return not self.violations
+        return not self.violations.any()
 
 
 def boundary_resilience_audit(
@@ -297,17 +264,10 @@ def boundary_resilience_audit(
     from root along out-arcs staying inside nearly-dead super-vertices;
     the root is included unconditionally.
     """
-    if not (0 <= root < h.n):
-        raise InputError(f"root {root} out of range")
+    seed = _root(h.n, root)
     if h.n != layout.n_super:
         raise InputError("base digraph does not match layout")
     cls = resilient_pair_detect(final_graph, layout, params, edge_graph=round2_graph)
-    seed, nearly_dead = _vertex_mask(h.n, [root]), _vertex_mask(h.n, cls.nearly_dead_set())
-    t_set = _ids(_spread(*h._csr_arrays(), seed, np.where(nearly_dead, 1, np.inf))[0])
-    boundary = vertex_boundary(h, t_set)
-    violations = tuple(sorted(v for v in boundary if not cls.resilient[v]))
-    return BoundaryResilienceReport(
-        reachable_nearly_dead=t_set,
-        boundary=boundary,
-        violations=violations,
-    )
+    reach = _frozen(_spread(*h._csr_arrays(), seed, np.where(cls.nearly_dead, 1, np.inf))[0])
+    boundary = vertex_boundary(h, reach)
+    return BoundaryResilienceReport(reach, boundary, _frozen(boundary & ~cls.resilient))

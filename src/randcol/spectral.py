@@ -164,16 +164,17 @@ def verify_alon_milman(
         n_checked = samples
         for _ in range(samples):
             size = int(rng.integers(1, n))
-            members = set(rng.choice(n, size=size, replace=False).tolist())
-            b = len(edge_boundary(g, members))
+            inside = np.isin(np.arange(n), rng.choice(n, size=size, replace=False))
+            members = tuple(np.flatnonzero(inside).tolist())
+            b = len(edge_boundary(g, inside))
             bound = alon_milman_lower_bound(d, cert.lambda2, size, n)
             if b < bound - slack:
                 if len(violations) < 32:
-                    violations.append((tuple(sorted(members)), b, bound))
+                    violations.append((members, b, bound))
             ratio = b / bound
             if ratio < tightest:
                 tightest = ratio
-                witness = tuple(sorted(members))
+                witness = members
     return AlonMilmanReport(
         d=d,
         lambda2=cert.lambda2,
@@ -228,12 +229,12 @@ def verify_vertex_expansion(
         rng = (stream or RngStream(0).child("vertex-expansion")).generator()
         for _ in range(samples):
             size = int(rng.integers(1, n))
-            members = rng.choice(n, size=size, replace=False).tolist()
-            b = len(vertex_boundary(h, members))
+            inside = np.isin(np.arange(n), rng.choice(n, size=size, replace=False))
+            b = int(vertex_boundary(h, inside).sum())
             ratio = b / min(size, n - size)
             if ratio < best:
                 best = ratio
-                witness = tuple(sorted(members))
+                witness = tuple(np.flatnonzero(inside).tolist())
     return ExpansionCertificate(
         c3_hat=float(best), mode=mode, samples=samples_out, witness=witness, n=n
     )

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from randcol.cli import main
@@ -141,7 +142,7 @@ class TestSampleCoreChroma:
         assert code == 0
         info = last_json(stdout)
         g = load_graph(cubic_file)
-        assert frozenset(info["vertices"]) == t_core(g, 3)
+        assert info["vertices"] == np.flatnonzero(t_core(g, 3)).tolist()
         assert info["core_size"] == len(info["vertices"])
 
     def test_chroma(self, tmp_path, capsys):
@@ -161,7 +162,7 @@ class TestPercolate:
         assert code == 0
         info = last_json(stdout)
         g = load_graph(cubic_file)
-        assert info["core_size"] == len(t_core(g, 3))
+        assert info["core_size"] == int(t_core(g, 3).sum())
 
     def test_thm3_process(self, capsys, cubic_file):
         code, stdout, _ = run_cli(
@@ -245,6 +246,26 @@ class TestExperimentAndVerify:
         path.write_text(text)
         code, stdout, err = run_cli(capsys, "core", "--in", str(path), "--t", "1")
         assert code == 2 and err.startswith("error:") and "line" in err and stdout == ""
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sample", "--alpha", "abc"),
+        ("sample", "--first-rate", "abc"),
+        ("sample", "--first-rate", "1/0"),
+        ("construct", "--alpha", "abc"),
+    ])
+    def test_bad_fraction_is_reported(self, tmp_path, capsys, cubic_file, command, flag, value):
+        if command == "sample":
+            argv = ["sample", "--in", str(cubic_file), "--seed", "2"]
+        else:
+            argv = ["construct", "--mode", "thm3", "--k", "12", "--h-file", str(cubic_file)]
+        code, stdout, err = run_cli(capsys, *argv, flag, value, "--out", str(tmp_path / "no.txt"))
+        assert code == 2 and err.startswith("error:") and value in err and stdout == ""
+
+    def test_config_that_is_not_json_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("kind: core_emptiness\n")
+        code, stdout, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 2 and err.startswith("error:") and stdout == ""
 
     def test_missing_file_is_reported(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "core", "--in", str(tmp_path / "absent.txt"), "--t", "2")

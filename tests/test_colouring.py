@@ -17,6 +17,11 @@ from randcol.colouring import (
 from randcol.graphs import Graph
 
 
+def ids(mask):
+    """The vertex set of a mask."""
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
 def is_proper(g, colour_of):
     return all(colour_of[u] != colour_of[v] for u, v in g.edges.tolist())
 
@@ -134,26 +139,26 @@ def test_peel_builds_no_neighbour_tuples():
 
 def test_core_known():
     p = petersen()
-    assert t_core(p, 3) == frozenset(range(10))
-    assert t_core(p, 4) == frozenset()
+    assert ids(t_core(p, 3)) == frozenset(range(10))
+    assert ids(t_core(p, 4)) == frozenset()
     k4_minus = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    assert t_core(k4_minus, 3) == frozenset()
-    assert t_core(k4_minus, 2) == frozenset(range(4))
-    assert t_core(Graph(3, []), 0) == frozenset(range(3))
+    assert ids(t_core(k4_minus, 3)) == frozenset()
+    assert ids(t_core(k4_minus, 2)) == frozenset(range(4))
+    assert ids(t_core(Graph(3, []), 0)) == frozenset(range(3))
 
 
 def test_core_matches_subset_oracle():
     for seed in range(8):
         g = random_graph(9, 0.45, seed)
         for t in range(0, 5):
-            assert t_core(g, t) == core_oracle(g, t), (seed, t)
+            assert ids(t_core(g, t)) == core_oracle(g, t), (seed, t)
 
 
 def test_core_chain_in_t():
     g = random_graph(14, 0.5, 99)
     prev = frozenset(range(g.n))
     for t in range(0, 9):
-        cur = t_core(g, t)
+        cur = ids(t_core(g, t))
         assert cur <= prev
         prev = cur
 
@@ -161,6 +166,7 @@ def test_core_chain_in_t():
 def test_core_fixpoint_and_trace():
     g = random_graph(12, 0.4, 5)
     core, trace = t_core_with_trace(g, 3)
+    core = ids(core)
     for v in core:
         assert sum(1 for w in g.adjacency()[v] if w in core) >= 3
     assert core | set(trace) == set(range(g.n))

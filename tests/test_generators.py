@@ -50,7 +50,7 @@ def test_two_regular_is_cycle_cover():
     seen = set()
     while len(seen) < 6:
         v = min(set(range(6)) - seen)
-        comp = connected_component(g, v)
+        comp = frozenset(np.flatnonzero(connected_component(g, v)).tolist())
         assert len(comp) >= 3
         seen |= comp
 

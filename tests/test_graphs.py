@@ -28,6 +28,16 @@ def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def mask(n, vertices):
+    """Boolean mask over 0..n-1 of the given vertices."""
+    return np.isin(np.arange(n), list(vertices))
+
+
+def ids(mask):
+    """The vertex set of a mask."""
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
 def complete_graph(n):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
@@ -104,35 +114,53 @@ def test_digraph_rejects_repeated_in_colour():
 
 def test_vertex_boundary_four_cycle():
     g = cycle_graph(4)
-    assert vertex_boundary(g, {0}) == frozenset({1, 3})
-    assert vertex_boundary(g, {0, 1}) == frozenset({2, 3})
-    assert vertex_boundary(g, {0, 1, 2, 3}) == frozenset()
+    assert ids(vertex_boundary(g, mask(4, {0}))) == frozenset({1, 3})
+    assert ids(vertex_boundary(g, mask(4, {0, 1}))) == frozenset({2, 3})
+    assert ids(vertex_boundary(g, mask(4, {0, 1, 2, 3}))) == frozenset()
 
 
 def test_edge_boundary_four_cycle():
     g = cycle_graph(4)
-    assert edge_boundary(g, {0, 1}) == [(0, 3), (1, 2)]
-    assert edge_boundary(g, set(range(4))) == []
-    assert len(edge_boundary(g, {0})) == 2
+    assert edge_boundary(g, mask(4, {0, 1})) == [(0, 3), (1, 2)]
+    assert edge_boundary(g, mask(4, range(4))) == []
+    assert len(edge_boundary(g, mask(4, {0}))) == 2
 
 
 def test_boundary_rejects_bad_vertex():
-    # a numpy index would wrap -1 to the last vertex without an error
+    # the mask form of an id outside 0..n-1: a mask longer or shorter than n
     g = cycle_graph(4)
-    for v in (7, 4, -1):
+    for size in (8, 5, 3, 1):
+        bad = np.ones(size, dtype=bool)
         for check in (vertex_boundary, edge_boundary):
-            with pytest.raises(InputError, match=f"vertex {v} out of range"):
-                check(g, {0, v})
-        with pytest.raises(InputError, match=f"vertex {v} out of range"):
-            vertex_boundary(DiGraph(4, [(0, 1)]), [v])
-        with pytest.raises(InputError, match=f"seed vertex {v} out of range"):
-            bootstrap_percolate(g, [v], [1] * 4)
+            with pytest.raises(InputError, match="vertex set must be a boolean mask of length 4"):
+                check(g, bad)
+        with pytest.raises(InputError, match="vertex set must be a boolean mask of length 4"):
+            vertex_boundary(DiGraph(4, [(0, 1)]), bad)
+        with pytest.raises(InputError, match="seed must be a boolean mask of length 4"):
+            bootstrap_percolate(g, bad, [1] * 4)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([1, 0, 0, 0]), np.ones(4), {0}, [0], np.ones((2, 2), dtype=bool), True],
+    ids=["int-array", "float-array", "set", "id-list", "2d", "scalar"],
+)
+def test_vertex_sets_must_be_boolean_masks(bad):
+    g = cycle_graph(4)
+    for check in (
+        lambda s: vertex_boundary(g, s),
+        lambda s: vertex_boundary(DiGraph(4, [(0, 1)]), s),
+        lambda s: edge_boundary(g, s),
+        lambda s: bootstrap_percolate(g, s, [1] * 4),
+    ):
+        with pytest.raises(InputError, match="must be a boolean mask of length 4"):
+            check(bad)
 
 
 def test_directed_boundary_is_out_neighbours():
     h = DiGraph(4, [(0, 1), (2, 0), (1, 3)])
-    assert vertex_boundary(h, {0}) == frozenset({1})
-    assert vertex_boundary(h, {0, 1}) == frozenset({3})
+    assert ids(vertex_boundary(h, mask(4, {0}))) == frozenset({1})
+    assert ids(vertex_boundary(h, mask(4, {0, 1}))) == frozenset({3})
 
 
 # --- girth ----------------------------------------------------------------
@@ -295,18 +323,38 @@ def test_count_rejects_bad_args():
 
 def test_reachable_set():
     h = DiGraph(5, [(0, 1), (1, 2), (3, 0), (2, 1)])
-    assert reachable_set(h, 0) == frozenset({0, 1, 2})
-    assert reachable_set(h, 3) == frozenset({0, 1, 2, 3})
-    assert reachable_set(h, 4) == frozenset({4})
+    assert ids(reachable_set(h, 0)) == frozenset({0, 1, 2})
+    assert ids(reachable_set(h, 3)) == frozenset({0, 1, 2, 3})
+    assert ids(reachable_set(h, 4)) == frozenset({4})
 
 
 def test_connectivity_helpers():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert connected_component(g, 0) == frozenset({0, 1, 2})
+    assert ids(connected_component(g, 0)) == frozenset({0, 1, 2})
     assert not is_connected(g)
     assert is_connected(cycle_graph(5))
     assert is_strongly_connected(DiGraph(3, [(0, 1), (1, 2), (2, 0)]))
     assert not is_strongly_connected(DiGraph(3, [(0, 1), (1, 2)]))
+
+
+def test_component_is_one_mask_per_component():
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    first = connected_component(g, 2)
+    assert connected_component(g, 0) is first is connected_component(g, 1)
+    assert connected_component(g, 3) is connected_component(g, 4) is not first
+
+
+def test_every_root_is_checked_by_one_rule():
+    g = Graph(4, [(0, 1), (1, 2)])
+    h = DiGraph(4, [(0, 1), (1, 2)])
+    for r in (4, 9, -1):
+        for call in (
+            lambda: connected_component(g, r),
+            lambda: reachable_set(h, r),
+            lambda: count_connected_edge_subgraphs_upto(g, r, 2),
+        ):
+            with pytest.raises(InputError, match=f"root {r} out of range for n=4"):
+                call()
 
 
 # --- text format ------------------------------------------------------------

@@ -131,6 +131,34 @@ class TestConfig:
         with pytest.raises(InputError, match=field):
             core_config(**{field: value})
 
+    @pytest.mark.parametrize("overrides", [
+        {"p": "0.5"},
+        {"p": True},
+        {"kind": "thm3_sweep", "p": None, "p_sweep": ["0.1"]},
+        {"kind": "thm3_sweep", "p": None, "p_sweep": [False, True]},
+        {"kind": "thm3_sweep", "p": None, "p_sweep": 0.5},
+        {"params": {"k": 12, "t": 5, "m": 4, "alpha": "3/100"}},
+        {"params": {"mode": "expander-blowup", "k": 12, "t": 5, "m": 4, "alpha": "abc"}},
+        {"params": {"mode": "expander-blowup", "k": 12, "t": 5, "m": 4, "alpha": "1/0"}},
+    ], ids=["p-str", "p-bool", "sweep-str", "sweep-bool", "sweep-scalar",
+            "params-missing-mode", "params-bad-alpha", "params-zero-denominator"])
+    def test_values_from_outside_are_checked(self, overrides):
+        with pytest.raises(InputError):
+            ExperimentConfig.from_dict({**core_config().to_dict(), **overrides})
+
+    @pytest.mark.parametrize("field", ["kind", "trials", "master_seed"])
+    def test_required_fields_are_checked(self, field):
+        d = core_config().to_dict()
+        del d[field]
+        with pytest.raises(InputError, match=f"missing config fields: \\['{field}'\\]"):
+            ExperimentConfig.from_dict(d)
+
+    def test_config_that_is_not_json(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{not json")
+        with pytest.raises(InputError, match="not valid JSON"):
+            load_config(path)
+
     def test_regime_metadata_is_truthful(self):
         report = asymptotic_regime_report(ConstructionParams.thm3(12, 0.09), 200)
         assert not report["in_asymptotic_regime"]
@@ -241,6 +269,25 @@ class TestTrials:
         assert issubclass(error, ValueError) == (error in (InputError, CapacityError))
         monkeypatch.setitem(harness._TRIAL_FUNCS, "core_emptiness", failing)
         assert run_trial(core_config(), 0).error == f"{error.__name__}: no luck"
+
+    def test_blow_up_record_holds_python_numbers(self):
+        # a numpy integer or bool in the values would break the result file
+        values = run_trial(core_config(t=3), 0).values
+        assert set(values) == {"core_size", "empty", "kept_edges", "dead_supers"}
+        assert [type(values[k]) for k in ("core_size", "kept_edges", "dead_supers")] == [int] * 3
+        assert type(values["empty"]) is bool
+        assert json.loads(json.dumps(values)) == values
+
+    @pytest.mark.parametrize("kind,extra", [
+        ("core_emptiness", {"t": 2, "p": 0.5}),
+        ("chromatic_tail", {"p": 0.5}),
+    ])
+    def test_unseeded_recipes_get_a_graph_per_trial(self, kind, extra):
+        # every kind builds its graph the one way: no seed, a fresh graph
+        cfg = ExperimentConfig(kind=kind, trials=2, master_seed=5,
+                               graph={"kind": "random_regular", "n": 20, "d": 3}, **extra)
+        res = run_experiment(cfg)
+        assert res.aggregate["errors"] == 0
 
     def test_wall_time_not_serialized(self):
         rec = run_trial(core_config(), 0)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from randcol.colouring import t_core
+from randcol.colouring import t_core, t_core_with_trace
 from randcol.errors import InputError
 from randcol.generators import (
     ConstructionParams,
@@ -12,7 +12,7 @@ from randcol.generators import (
     gadget_blow_up,
     random_regular_graph,
 )
-from randcol.graphs import DiGraph, Graph, connected_component, reachable_set
+from randcol.graphs import DiGraph, Graph, connected_component, reachable_set, vertex_boundary
 from randcol.percolation import (
     BoundaryResilienceReport,
     PercolationState,
@@ -41,6 +41,11 @@ def random_graph(n, p, seed):
 def ids(mask):
     """The vertex set of a state's mask."""
     return frozenset(np.flatnonzero(mask).tolist())
+
+
+def mask(n, vertices):
+    """Boolean mask over 0..n-1 of the given vertices."""
+    return np.isin(np.arange(n), list(vertices))
 
 
 def same_state(a, b):
@@ -77,27 +82,27 @@ def async_percolate(g, seed, thresholds, rng):
 
 def test_threshold_one_fills_component():
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
-    state = bootstrap_percolate(g, {0}, [1] * 7)
-    assert ids(state.infected) == connected_component(g, 0)
+    state = bootstrap_percolate(g, mask(7, {0}), [1] * 7)
+    assert ids(state.infected) == ids(connected_component(g, 0))
 
 
 def test_infinite_threshold_freezes():
     g = cycle_graph(5)
-    state = bootstrap_percolate(g, {0, 2}, [math.inf] * 5)
+    state = bootstrap_percolate(g, mask(5, {0, 2}), [math.inf] * 5)
     assert ids(state.infected) == frozenset({0, 2})
     assert state.round_trace == (2,)
 
 
 def test_c4_opposite_seed():
     g = cycle_graph(4)
-    state = bootstrap_percolate(g, {0, 2}, [2] * 4)
+    state = bootstrap_percolate(g, mask(4, {0, 2}), [2] * 4)
     assert ids(state.infected) == frozenset(range(4))
     assert state.round_trace == (2, 2)
 
 
 def test_zero_threshold_self_ignites():
     g = Graph(3, [(0, 1)])
-    state = bootstrap_percolate(g, set(), [math.inf, math.inf, 0])
+    state = bootstrap_percolate(g, mask(3, set()), [math.inf, math.inf, 0])
     assert ids(state.infected) == frozenset({2})
     assert state.round_trace == (0, 1)
 
@@ -105,31 +110,31 @@ def test_zero_threshold_self_ignites():
 def test_engine_input_errors():
     g = cycle_graph(4)
     with pytest.raises(InputError):
-        bootstrap_percolate(g, {9}, [1] * 4)
+        bootstrap_percolate(g, mask(10, {9}), [1] * 4)
     with pytest.raises(InputError):
-        bootstrap_percolate(g, {0}, [1] * 3)
+        bootstrap_percolate(g, mask(4, {0}), [1] * 3)
     with pytest.raises(InputError):
-        bootstrap_percolate(g, {0}, [1, 1, -1, 1])
+        bootstrap_percolate(g, mask(4, {0}), [1, 1, -1, 1])
 
 
 def test_nan_threshold_is_an_error():
     with pytest.raises(InputError):
-        bootstrap_percolate(cycle_graph(5), {0}, [math.nan] * 5)
+        bootstrap_percolate(cycle_graph(5), mask(5, {0}), [math.nan] * 5)
     with pytest.raises(InputError):
-        bootstrap_percolate(cycle_graph(5), set(), [1, 1, math.nan, 1, 0])
+        bootstrap_percolate(cycle_graph(5), mask(5, set()), [1, 1, math.nan, 1, 0])
 
 
 def test_trace_accounts_for_everything():
     g = random_graph(20, 0.2, 3)
-    state = bootstrap_percolate(g, {0, 1, 2}, [2] * 20)
+    state = bootstrap_percolate(g, mask(20, {0, 1, 2}), [2] * 20)
     assert sum(state.round_trace) == int(state.infected.sum())
 
 
 def test_monotone_in_seed():
     g = random_graph(16, 0.25, 8)
     th = [2] * 16
-    small = ids(bootstrap_percolate(g, {0, 3}, th).infected)
-    big = ids(bootstrap_percolate(g, {0, 3, 7}, th).infected)
+    small = ids(bootstrap_percolate(g, mask(16, {0, 3}), th).infected)
+    big = ids(bootstrap_percolate(g, mask(16, {0, 3, 7}), th).infected)
     assert small <= big
 
 
@@ -139,7 +144,7 @@ def test_order_independence_against_async_engine():
         g = random_graph(12, 0.3, trial)
         thresholds = [rng.choice([0, 1, 2, 3, math.inf]) for _ in range(12)]
         seed = {v for v in range(12) if rng.random() < 0.2}
-        expected = ids(bootstrap_percolate(g, seed, thresholds).infected)
+        expected = ids(bootstrap_percolate(g, mask(12, seed), thresholds).infected)
         assert async_percolate(g, seed, thresholds, rng) == expected
 
 
@@ -162,7 +167,7 @@ def test_core_via_percolation_matches_peeling():
         g = random_graph(n, rng.uniform(0.05, 0.6), rng.randrange(10**6))
         top = max(g.degrees(), default=0) + 1
         for t in range(top + 1):
-            assert ids(t_core_via_percolation(g, t)) == t_core(g, t)
+            assert np.array_equal(t_core_via_percolation(g, t), t_core(g, t))
 
 
 # --- first spread process ---------------------------------------------------------
@@ -171,7 +176,7 @@ def test_core_via_percolation_matches_peeling():
 def test_thm3_p_zero_fills_component():
     g = Graph(6, [(0, 1), (1, 2), (3, 4)])
     state = thm3_process(g, 0.0, 0, RngStream(1).child("trial"))
-    assert ids(state.infected) == connected_component(g, 0)
+    assert np.array_equal(state.infected, connected_component(g, 0))
     assert not state.protected_edges.any()
 
 
@@ -228,7 +233,7 @@ def test_thm3_input_errors():
 
 def test_thm4_extremes():
     h = base_digraph_4()
-    assert ids(thm4_process(h, 0.0, 1, RngStream(0).child("t")).infected) == reachable_set(h, 1)
+    assert np.array_equal(thm4_process(h, 0.0, 1, RngStream(0).child("t")).infected, reachable_set(h, 1))
     state = thm4_process(h, 1.0, 1, RngStream(0).child("t"))
     assert ids(state.infected) == frozenset({1})
     assert state.resilient_vertices.all()
@@ -241,7 +246,7 @@ def test_thm4_boundary_audit():
         h = random_two_regular_digraph(30, seed)
         state = thm4_process(h, 0.3, seed % 30, RngStream(seed).child("y"))
         assert thm4_fixpoint_violations(h, state) == []
-        assert ids(state.infected) <= reachable_set(h, seed % 30)
+        assert ids(state.infected) <= ids(reachable_set(h, seed % 30))
 
 
 def test_thm4_coupled_sweep_is_monotone():
@@ -267,17 +272,17 @@ def test_thm4_deterministic():
 def test_classify_blowup_extremes():
     g, layout = blow_up(cycle_graph(4), 3)
     all_alive = classify_supervertices_thm3(g, layout, 0)
-    assert set(all_alive.status) == {"alive"}
-    assert all_alive.surviving_count == tuple((3,) for _ in range(4))
+    assert not all_alive.nearly_dead.any()
+    assert all_alive.surviving_count.tolist() == [[3]] * 4
     all_dead = classify_supervertices_thm3(g, layout, 7)  # G is 6-regular
-    assert set(all_dead.status) == {"dead"}
+    assert all_dead.dead.all()
 
 
 def test_classify_isolated_super_dies():
     g, layout = blow_up(cycle_graph(4), 3)
     pruned = g.with_edges(~(layout.h_vertex_of(g.edges) == 2).any(axis=1))
     cls = classify_supervertices_thm3(pruned, layout, 1)
-    assert cls.status == ("alive", "alive", "dead", "alive")
+    assert cls.dead.tolist() == cls.nearly_dead.tolist() == [False, False, True, False]
 
 
 def test_classify_dead_component():
@@ -285,7 +290,7 @@ def test_classify_dead_component():
     g, layout = blow_up(h, 3)
     pruned = g.with_edges(~np.isin(layout.h_vertex_of(g.edges), (1, 2)).any(axis=1))
     cls = classify_supervertices_thm3(pruned, layout, 1, root=1, h=h)
-    assert cls.dead_component == frozenset({1, 2})
+    assert ids(cls.dead_component) == frozenset({1, 2})
     with pytest.raises(InputError):
         classify_supervertices_thm3(pruned, layout, 1, root=1)
 
@@ -312,18 +317,18 @@ def gadget_12_3():
 def test_resilient_full_graph():
     g, layout, params = gadget_12_3()
     cls = resilient_pair_detect(g, layout, params)
-    assert set(cls.status) == {"alive"}
-    assert cls.resilient == (True,) * 4
-    assert cls.surviving_count == tuple((4,) * 6 for _ in range(4))
+    assert not cls.nearly_dead.any()
+    assert cls.resilient.tolist() == [True] * 4
+    assert cls.surviving_count.tolist() == [[4] * 6] * 4
 
 
 def test_resilient_empty_graph():
     g, layout, params = gadget_12_3()
     empty = Graph(g.n, [])
     cls = resilient_pair_detect(empty, layout, params)
-    assert set(cls.status) == {"dead"}
-    assert all(cls.is_nearly_dead(v) for v in range(4))
-    assert cls.resilient == (False,) * 4
+    assert cls.dead.all()
+    assert cls.nearly_dead.all()
+    assert cls.resilient.tolist() == [False] * 4
 
 
 def test_resilient_hand_built_threshold():
@@ -336,19 +341,19 @@ def test_resilient_hand_built_threshold():
         for b in list(members(layout, 0, 3))[:3]:
             block.append((a, b))
     cls = resilient_pair_detect(empty, layout, params, edge_graph=Graph(g.n, block))
-    assert cls.resilient == (True, False, False, False)
+    assert cls.resilient.tolist() == [True, False, False, False]
     # one sender short of the size threshold: not resilient
     senders = list(members(layout, 0, 2))[:3]
     short = [e for e in block if e[0] in senders]
     cls2 = resilient_pair_detect(empty, layout, params, edge_graph=Graph(g.n, short))
-    assert cls2.resilient == (False, False, False, False)
+    assert cls2.resilient.tolist() == [False, False, False, False]
     # mirror direction must count too: 4 receivers each sending 3 back
     mirror = []
     for b in members(layout, 0, 3):
         for a in list(members(layout, 0, 2))[:3]:
             mirror.append((b, a))
     cls3 = resilient_pair_detect(empty, layout, params, edge_graph=Graph(g.n, mirror))
-    assert cls3.resilient == (True, False, False, False)
+    assert cls3.resilient.tolist() == [True, False, False, False]
 
 
 def test_resilient_rejects_wrong_mode():
@@ -364,8 +369,8 @@ def test_boundary_resilience_full_survival_holds():
     g, layout, params = gadget_12_3()
     h = base_digraph_4()
     rep = boundary_resilience_audit(h, layout, params, g, g, root=0)
-    assert rep.reachable_nearly_dead == frozenset({0})
-    assert rep.boundary == frozenset({1, 2})
+    assert ids(rep.reachable_nearly_dead) == frozenset({0})
+    assert ids(rep.boundary) == frozenset({1, 2})
     assert rep.holds
 
 
@@ -374,8 +379,8 @@ def test_boundary_resilience_total_death_vacuous():
     h = base_digraph_4()
     empty = Graph(g.n, [])
     rep = boundary_resilience_audit(h, layout, params, empty, empty, root=0)
-    assert rep.reachable_nearly_dead == frozenset(range(4))
-    assert rep.boundary == frozenset()
+    assert ids(rep.reachable_nearly_dead) == frozenset(range(4))
+    assert ids(rep.boundary) == frozenset()
     assert rep.holds
 
 
@@ -384,6 +389,55 @@ def test_boundary_resilience_reports_violations():
     h = base_digraph_4()
     empty = Graph(g.n, [])
     rep = boundary_resilience_audit(h, layout, params, g, empty, root=0)
-    assert rep.boundary == frozenset({1, 2})
-    assert rep.violations == (1, 2)
+    assert ids(rep.boundary) == frozenset({1, 2})
+    assert ids(rep.violations) == frozenset({1, 2})
     assert not rep.holds
+
+
+# --- vertex sets as masks ------------------------------------------------------------
+
+
+def test_every_returned_mask_is_read_only():
+    g = cycle_graph(6)
+    h = base_digraph_4()
+    gadget, layout, params = gadget_12_3()
+    thm3_cls = classify_supervertices_thm3(*blow_up(cycle_graph(4), 3), 1, root=0, h=cycle_graph(4))
+    gadget_cls = resilient_pair_detect(gadget, layout, params)
+    report = boundary_resilience_audit(h, layout, params, gadget, gadget, root=0)
+    arrays = [
+        t_core(g, 2),
+        t_core_with_trace(g, 2)[0],
+        t_core_via_percolation(g, 2),
+        connected_component(g, 0),
+        reachable_set(h, 0),
+        vertex_boundary(g, mask(6, {0})),
+        vertex_boundary(h, mask(4, {0})),
+        *(getattr(cls, f) for cls in (thm3_cls, gadget_cls)
+          for f in ("core", "dead", "nearly_dead", "surviving_count", "resilient", "dead_component")),
+        report.reachable_nearly_dead,
+        report.boundary,
+        report.violations,
+    ]
+    assert sum(a is None for a in arrays) == 2  # thm3 resilient, gadget dead component
+    for a in arrays:
+        if a is not None:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+    assert thm3_cls.surviving_count.shape == (4, 1)
+    assert gadget_cls.surviving_count.shape == (4, params.s + 3)
+
+
+def test_process_and_classification_roots_share_one_rule():
+    g, layout = blow_up(cycle_graph(4), 3)
+    gadget, glayout, params = gadget_12_3()
+    h = base_digraph_4()
+    for r in (4, -1):
+        for call in (
+            lambda: thm3_process(cycle_graph(4), 0.5, r, RngStream(0)),
+            lambda: thm4_process(h, 0.5, r, RngStream(0)),
+            lambda: classify_supervertices_thm3(g, layout, 1, root=r, h=cycle_graph(4)),
+            lambda: boundary_resilience_audit(h, glayout, params, gadget, gadget, root=r),
+        ):
+            with pytest.raises(InputError, match=f"root {r} out of range for n=4"):
+                call()

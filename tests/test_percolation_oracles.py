@@ -57,6 +57,11 @@ def ids(mask):
     return frozenset(np.flatnonzero(mask).tolist())
 
 
+def mask(n, vertices):
+    """Boolean mask over 0..n-1 of the given vertices."""
+    return np.isin(np.arange(n), list(vertices))
+
+
 def masks(size):
     return st.lists(st.booleans(), min_size=size, max_size=size).map(lambda b: np.array(b, dtype=bool))
 
@@ -132,7 +137,7 @@ def test_bootstrap_matches_edge_loop(case, data):
     vertices = st.integers(0, n - 1) if n else st.nothing()
     seed = data.draw(st.sets(vertices, max_size=n))
     thresholds = data.draw(st.lists(st.sampled_from(THRESHOLDS), min_size=n, max_size=n))
-    got = bootstrap_percolate(g, seed, thresholds)
+    got = bootstrap_percolate(g, mask(n, seed), thresholds)
     assert (ids(got.infected), got.round_trace) == ref_bootstrap_percolate(g, seed, thresholds)
     assert got.infected.dtype == bool and got.infected.shape == (n,)
     assert all(type(k) is int for k in got.round_trace)
@@ -185,9 +190,9 @@ def test_components_in_any_call_order(case, data):
     order = data.draw(st.permutations(range(n)))
     got = {v: connected_component(g, v) for v in order}
     for v in range(n):
-        assert got[v] == ref_connected_component(g, v)
-        # every vertex of a component gets the one frozenset searched for it
-        assert all(got[w] is got[v] for w in got[v])
+        assert ids(got[v]) == ref_connected_component(g, v)
+        # every vertex of a component gets the one mask searched for it
+        assert all(got[w] is got[v] for w in ids(got[v]))
         assert connected_component(g, v) is got[v]
 
 
@@ -235,7 +240,7 @@ def test_thm3_audit_clean_at_fixpoints(n):
 def ref_thm4_fixpoint_violations(h, state):
     """The out-boundary of the fixpoint over the CSR, minus R."""
     blocked = frozenset() if state.resilient_vertices is None else ids(state.resilient_vertices)
-    return sorted(vertex_boundary(h, ids(state.infected)) - blocked)
+    return sorted(ids(vertex_boundary(h, state.infected)) - blocked)
 
 
 def arcs(n):
@@ -281,7 +286,7 @@ def test_state_masks_are_read_only():
     dg = random_two_regular_digraph(20, 1)
     stream = RngStream(3).child("masks")
     states = [
-        bootstrap_percolate(h, {0}, [2] * h.n),
+        bootstrap_percolate(h, np.arange(h.n) == 0, [2] * h.n),
         thm3_process(h, 0.3, 0, stream),
         thm4_process(dg, 0.3, 0, stream),
     ]
@@ -340,17 +345,25 @@ def ref_reached(adj, root, allowed=None):
     return frozenset(v for level in ref_bfs_levels(adj, root, allowed) for v in level)
 
 
+def status_of(cls):
+    """Each super-vertex's most specific class."""
+    return tuple(
+        "dead" if d else "nearly_dead" if nd else "alive"
+        for d, nd in zip(cls.dead.tolist(), cls.nearly_dead.tolist())
+    )
+
+
 def check_classification(g_half, layout, t, h):
-    table = ref_survivor_table(t_core(g_half, t), layout)
+    table = ref_survivor_table(ids(t_core(g_half, t)), layout)
     status = tuple("dead" if sum(row) == 0 else "alive" for row in table)
     dead = {v for v, st in enumerate(status) if st == "dead"}
     root = min(dead, default=0)
     cls = classify_supervertices_thm3(g_half, layout, t, root=root, h=h)
-    assert cls.status == status
-    assert cls.surviving_count == tuple(tuple(row) for row in table)
-    assert all(type(c) is int for row in cls.surviving_count for c in row)
-    assert cls.dead_set() == dead
-    assert cls.dead_component == ref_reached(h.adjacency(), root, dead)
+    assert status_of(cls) == status
+    assert cls.surviving_count.tolist() == table
+    assert cls.surviving_count.dtype.kind == "i"
+    assert ids(cls.dead) == dead
+    assert ids(cls.dead_component) == ref_reached(h.adjacency(), root, dead)
     return table
 
 
@@ -381,10 +394,10 @@ def test_classification_matches_the_loop_on_gadgets():
         half = patchy_sample(g, layout, seed)
         for t in range(params.t + 1):
             check_classification(half, layout, t, h)
-        table = ref_survivor_table(t_core(half, params.t), layout)
+        table = ref_survivor_table(ids(t_core(half, params.t)), layout)
         cls = resilient_pair_detect(half, layout, params)
-        assert cls.surviving_count == tuple(tuple(row) for row in table)
-        assert cls.dead_set() == {v for v, row in enumerate(table) if sum(row) == 0}
+        assert cls.surviving_count.tolist() == table
+        assert ids(cls.dead) == {v for v, row in enumerate(table) if sum(row) == 0}
 
 
 def ref_resilient(edge_graph, layout, params):
@@ -439,13 +452,13 @@ def test_resilient_pairs_match_the_loop(k, s):
         round2 = patchy_sample(g, layout, seed + 100)
         for edge_graph in (None, round2, g):
             cls = resilient_pair_detect(half, layout, params, edge_graph=edge_graph)
-            table = ref_survivor_table(t_core(half, params.t), layout)
-            assert cls.status == ref_status(table, params)
-            assert cls.surviving_count == tuple(tuple(row) for row in table)
-            assert cls.resilient == ref_resilient(edge_graph or half, layout, params)
-            assert all(type(r) is bool for r in cls.resilient)
-            seen.update(cls.resilient)
-            seen.update(cls.status)
+            table = ref_survivor_table(ids(t_core(half, params.t)), layout)
+            assert status_of(cls) == ref_status(table, params)
+            assert cls.surviving_count.tolist() == table
+            assert tuple(cls.resilient.tolist()) == ref_resilient(edge_graph or half, layout, params)
+            assert cls.resilient.dtype == bool
+            seen.update(cls.resilient.tolist())
+            seen.update(status_of(cls))
     # the samples hold resilient and non-resilient super-vertices alike
     assert {True, False} <= seen
     assert {"dead", "nearly_dead", "alive"} <= seen
@@ -464,13 +477,14 @@ def test_boundary_audit_matches_the_search():
         cls = resilient_pair_detect(final, layout, params, edge_graph=round2)
         for root in range(0, base.n, 3):
             report = boundary_resilience_audit(base, layout, params, final, round2, root)
-            t_set = ref_reached(out, root, cls.nearly_dead_set())
+            t_set = ref_reached(out, root, ids(cls.nearly_dead))
             boundary = frozenset(w for v in t_set for w in out[v]) - t_set
-            assert report.reachable_nearly_dead == t_set
-            assert report.boundary == boundary
-            assert report.violations == tuple(sorted(v for v in boundary if not cls.resilient[v]))
+            assert ids(report.reachable_nearly_dead) == t_set
+            assert ids(report.boundary) == boundary
+            assert ids(report.violations) == {v for v in boundary if not cls.resilient[v]}
+            assert report.holds == (not report.violations.any())
             sizes.add(len(t_set))
-            violations.add(len(report.violations))
+            violations.add(int(report.violations.sum()))
     # roots that reach nothing, part of the digraph and all of it; audits
     # that hold and audits that fail
     assert {1, base.n} <= sizes and len(sizes) > 4

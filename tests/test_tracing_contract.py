@@ -1,12 +1,19 @@
 """The benchmark's traced run wraps randcol functions and methods by
 name (perfbench/tracing.py). A renamed or moved name would not fail that
-run; its metrics would just read 0. So every name it wraps must exist."""
+run; its metrics would just read 0. So every name it wraps must exist,
+and every hook that reads a wrapped call's arguments or return value
+must be able to read them."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from randcol.graphs import Graph
+from randcol.percolation import thm3_process
+from randcol.sampling import RngStream
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,3 +47,25 @@ def test_request_bindings_exist(tracing):
     for module, attr in tracing._REQUEST_BINDINGS:
         bound = getattr(importlib.import_module(module), attr, None)
         assert bound is getattr(importlib.import_module(home[attr]), attr), f"{module}.{attr}"
+
+
+def test_after_hooks_read_real_calls(tracing):
+    # each hook, run through the wrapper install() would use, on one call
+    tracer = tracing.Tracer()
+    hooks = tracing._after_hooks(tracer)
+    assert set(hooks) == {"sampling.uniform_at", "graphs.Graph", "percolation.thm3_process"}
+    wrapped = {name: tracing._wrap(tracer, name, fn, hooks[name]) for name, fn in (
+        ("sampling.uniform_at", RngStream.uniform_at),
+        ("graphs.Graph", Graph.__init__),
+        ("percolation.thm3_process", thm3_process),
+    )}
+    wrapped["sampling.uniform_at"](RngStream(1), np.arange(5))
+    path = Graph.__new__(Graph)
+    wrapped["graphs.Graph"](path, 4, [(0, 1), (1, 2), (2, 3)])
+    state = wrapped["percolation.thm3_process"](path, 0.0, 0, RngStream(2))
+    assert state.round_trace == (1, 1, 1, 1)
+    assert tracer.counters == {
+        "sampling.uniforms.drawn": 5,
+        "graphs.Graph.edges": 3,
+        "percolation.thm3_process.rounds": 4,
+    }
