@@ -1,10 +1,10 @@
 """Closed-form probability bounds, exact binomial tails, and the
 nearly-disjoint block family used by the equipartition argument.
 
-Every asymptotic constant is an explicit BoundConstants field defaulting
-to 1.0. These defaults are NOT taken from any source; they exist so the
-expressions are computable, and experiments must treat them as free
-parameters to fit or sweep.
+Every asymptotic constant the bounds evaluate is a BoundConstants field
+defaulting to 1.0. These defaults are NOT taken from any source; they
+exist so the expressions are computable, and experiments must treat them
+as free parameters to fit or sweep.
 """
 
 from __future__ import annotations
@@ -18,22 +18,12 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Positive constants for the implicit Omega/Theta factors.
-
-    c_shinkar scales the exp(-c*d) colouring bound for expander
-    families; c1/c2 belong to the first blow-up proof; c3 is the digraph
-    vertex-expansion constant; c4 the resilient-pair constant; c_prime
-    and c_dprime the girth and spectral-gap constants; c_thm2 scales all
-    three subgraph-colouring tail regimes.
+    """Positive constants for the implicit Omega/Theta factors that code
+    evaluates: c4 the resilient-pair decay constant, and c_thm2 the scale
+    of all three subgraph-colouring tail regimes.
     """
 
-    c_shinkar: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 1.0
     c4: float = 1.0
-    c_prime: float = 1.0
-    c_dprime: float = 1.0
     c_thm2: float = 1.0
 
     def __post_init__(self):

@@ -29,6 +29,10 @@ def _as_fraction(x, what: str = "alpha") -> Fraction:
         raise InputError(f"bad {what} {x!r}") from None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
     """Sizes and thresholds for the two blow-up constructions.
@@ -39,7 +43,8 @@ class ConstructionParams:
     constraints (tiny alpha, s within [2/alpha, 4/alpha], astronomically
     large base graphs) are deliberately not preconditions; the harness
     records whether a run is in-regime instead. alpha only has to keep
-    both two-round deletion rates inside [0, 1], i.e. alpha < 3/2.
+    both two-round deletion rates inside [0, 1], i.e. alpha < 3/2. The
+    mode and the integer fields are checked, as config files supply them.
     """
 
     mode: str
@@ -48,6 +53,15 @@ class ConstructionParams:
     m: int
     alpha: Fraction | None = None
     s: int | None = None
+
+    def __post_init__(self):
+        if self.mode not in ("expander-blowup", "gadget"):
+            raise InputError(f"mode must be 'expander-blowup' or 'gadget', got {self.mode!r}")
+        for name in ("k", "t", "m", "s"):
+            value = getattr(self, name)
+            # only the gadget has layers, which s counts
+            if not (_is_int(value) or value is None and name == "s" and self.mode != "gadget"):
+                raise InputError(f"{name} must be an integer, got {value!r}")
 
     @classmethod
     def thm3(cls, k: int, alpha) -> "ConstructionParams":

@@ -181,7 +181,7 @@ class Graph:
         return max(self.degrees(), default=0)
 
     def adj_masks(self) -> list[int]:
-        """Per-vertex neighbourhood bitmasks (for exhaustive subset sweeps)."""
+        """Per-vertex neighbourhood bitmasks, for the colouring solver."""
         if self._masks is None:
             self._masks = _bitmasks(*self._csr_arrays())
         return self._masks
@@ -223,7 +223,7 @@ class DiGraph:
     colours (so in-degree at most 2).
     """
 
-    __slots__ = ("n", "arcs", "arc_colour", "_csr", "_out_masks")
+    __slots__ = ("n", "arcs", "arc_colour", "_csr")
 
     def __init__(
         self,
@@ -254,7 +254,6 @@ class DiGraph:
                     i = twice.argmax()
                     raise InputError(f"vertex {heads[i]} has two {self.arc_colour[i]!r} in-arcs")
         self._csr = None
-        self._out_masks = None
 
     @property
     def m(self) -> int:
@@ -266,11 +265,6 @@ class DiGraph:
         if self._csr is None:
             self._csr = _csr(self.n, *self.arcs.T)
         return self._csr
-
-    def out_masks(self) -> list[int]:
-        if self._out_masks is None:
-            self._out_masks = _bitmasks(*self._csr_arrays())
-        return self._out_masks
 
     def is_regular(self, d: int) -> bool:
         """In- and out-degree d at every vertex."""

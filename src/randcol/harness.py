@@ -33,6 +33,7 @@ from .errors import InputError, RandcolError
 from .generators import (
     ConstructionParams,
     _as_fraction,
+    _is_int,
     blow_up,
     find_cubic_expander,
     gadget_blow_up,
@@ -147,10 +148,6 @@ def _build_uncached(recipe: dict, params: ConstructionParams | None):
     else:
         raise InputError(f"unknown graph recipe kind {kind!r}")
     return g, layout
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -507,8 +504,6 @@ _TRIAL_FUNCS = {
     "thm4_sweep": _trial_sweep,
     "product_colouring": _trial_product_colouring,
 }
-
-EXPERIMENT_KINDS = tuple(_TRIAL_FUNCS)
 
 
 def run_trial(config: ExperimentConfig, index: int) -> TrialRecord:

@@ -1,19 +1,28 @@
-"""Second adjacency eigenvalues of regular graphs and verification of
-the edge- and vertex-expansion lower bounds they certify."""
+"""Second adjacency eigenvalues of regular graphs, and audits of the two
+expansion properties the constructions rest on: the Alon-Milman
+edge-boundary bound that lambda2 certifies, and directed vertex expansion.
 
+Both audits draw their subsets from _subset_blocks, as blocks of boolean
+rows whose rows times width (max(n, arcs)) stay under SWEEP_CELLS, and
+_sweep reduces each block with array operations over the arcs: the
+crossing arcs (tail inside, head outside) count the edge boundary, and
+their distinct heads are the directed out-boundary.
+"""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .graphs import DiGraph, Graph, edge_boundary, is_connected, vertex_boundary
+from .graphs import DiGraph, Graph, _csr, is_connected
 from .sampling import RngStream
 
 DEFAULT_TOLERANCE = 1e-9
 EXHAUSTIVE_CAP = 18
 DEFAULT_SUBSET_SAMPLES = 10_000
+SWEEP_CELLS = 1 << 20  # block rows times width; bounds a subset sweep's memory
 
 
 @dataclass(frozen=True)
@@ -87,18 +96,58 @@ def second_eigenvalue(
                                girth_checked=girth_checked)
 
 
-def alon_milman_lower_bound(d: int, lambda2: float, s_size: int, n: int) -> float:
-    """Guaranteed edge-boundary size (d - lambda2) * |S| * (n - |S|) / n."""
-    if not (0 <= s_size <= n):
+def alon_milman_lower_bound(d: int, lambda2: float, s_size, n: int):
+    """Guaranteed edge-boundary size (d - lambda2) * |S| * (n - |S|) / n,
+    for one subset size or an array of them."""
+    if np.any((s_size < 0) | (s_size > n)):
         raise InputError(f"subset size {s_size} outside 0..{n}")
     return (d - lambda2) * s_size * (n - s_size) / n
 
 
-def _popcounts(masks: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(len(masks), dtype=np.int64)
-    for b in range(n):
-        out += (masks >> b) & 1
-    return out
+def _subset_blocks(n: int, width: int, samples: int, rng):
+    """Subsets of 0..n-1 as blocks of boolean rows, SWEEP_CELLS // width
+    rows at most: with no rng, row s holds the bits of s for s = 0..2^n-1;
+    otherwise `samples` subsets drawn uniformly by size in 1..n-1, then
+    by membership."""
+    step = max(1, SWEEP_CELLS // width)
+    total = (1 << n) if rng is None else samples
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        if rng is None:
+            block = ((np.arange(lo, hi)[:, None] >> np.arange(n)) & 1).astype(bool)
+        else:
+            block = np.zeros((hi - lo, n), dtype=bool)
+            for row in block:
+                row[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = True
+        yield block
+
+
+def _members(row: np.ndarray) -> tuple:
+    return tuple(np.flatnonzero(row).tolist())
+
+
+def _sweep(indptr: np.ndarray, indices: np.ndarray, samples: int, rng, score):
+    """Least boundary / denominator over the proper subsets, the first
+    subset attaining it, and the first 32 flagged (subset, boundary, bound).
+
+    The arcs into v come from indices[indptr[v]:indptr[v + 1]].
+    score(sizes, crossing) maps a block's subset sizes and crossing arcs
+    to boundaries, denominators and flagged (row, boundary, bound).
+    """
+    n = len(indptr) - 1
+    heads = np.repeat(np.arange(n), np.diff(indptr))
+    best, witness, flagged = math.inf, (), []
+    for rows in _subset_blocks(n, max(n, len(indices)), samples, rng):
+        sizes = rows.sum(axis=1)
+        boundary, denominator, bad = score(sizes, rows[:, indices] & ~rows[:, heads])
+        ratio = np.divide(boundary, denominator, out=np.full(len(rows), math.inf),
+                          where=(sizes > 0) & (sizes < n))
+        i = int(np.argmin(ratio))
+        if ratio[i] < best:
+            best, witness = float(ratio[i]), _members(rows[i])
+        for j, b, bound in bad[: 32 - len(flagged)]:
+            flagged.append((_members(rows[j]), b, bound))
+    return best, witness, flagged
 
 
 @dataclass(frozen=True)
@@ -134,53 +183,23 @@ def verify_alon_milman(
     cert = second_eigenvalue(g, d)
     n = g.n
     slack = 1e-7  # eigenvalue tolerance leaves the bound this fuzzy
-    violations = []
-    tightest = float("inf")
-    witness: tuple = ()
-    if n <= exhaustive_cap:
-        mode = "exhaustive"
-        samples_out = None
-        masks = np.arange(1 << n, dtype=np.int64)
-        sizes = _popcounts(masks, n)
-        boundary = np.zeros(len(masks), dtype=np.int64)
-        for u, v in g.edges.tolist():
-            boundary += ((masks >> u) ^ (masks >> v)) & 1
-        bound = (d - cert.lambda2) * sizes * (n - sizes) / n
-        n_checked = len(masks)
-        bad = np.flatnonzero(boundary < bound - slack)
-        for s in bad[:32]:
-            members = tuple(v for v in range(n) if s >> v & 1)
-            violations.append((members, int(boundary[s]), float(bound[s])))
-        proper = (sizes > 0) & (sizes < n)
-        ratios = boundary[proper] / bound[proper]
-        idx = int(np.argmin(ratios))
-        tightest = float(ratios[idx])
-        wmask = int(masks[proper][idx])
-        witness = tuple(v for v in range(n) if wmask >> v & 1)
-    else:
-        mode = "sampled"
-        samples_out = samples
-        rng = (stream or RngStream(0).child("alon-milman")).generator()
-        n_checked = samples
-        for _ in range(samples):
-            size = int(rng.integers(1, n))
-            inside = np.isin(np.arange(n), rng.choice(n, size=size, replace=False))
-            members = tuple(np.flatnonzero(inside).tolist())
-            b = len(edge_boundary(g, inside))
-            bound = alon_milman_lower_bound(d, cert.lambda2, size, n)
-            if b < bound - slack:
-                if len(violations) < 32:
-                    violations.append((members, b, bound))
-            ratio = b / bound
-            if ratio < tightest:
-                tightest = ratio
-                witness = members
+
+    def score(sizes, crossing):
+        # each edge with one end in S has exactly one crossing arc
+        boundary = crossing.sum(axis=1)
+        bound = alon_milman_lower_bound(d, cert.lambda2, sizes, n)
+        bad = np.flatnonzero(boundary < bound - slack)[:32].tolist()
+        return boundary, bound, [(j, int(boundary[j]), float(bound[j])) for j in bad]
+
+    exhaustive = n <= exhaustive_cap
+    rng = None if exhaustive else (stream or RngStream(0).child("alon-milman")).generator()
+    tightest, witness, violations = _sweep(*g._csr_arrays(), samples, rng, score)
     return AlonMilmanReport(
         d=d,
         lambda2=cert.lambda2,
-        mode=mode,
-        samples=samples_out,
-        n_checked=n_checked,
+        mode="exhaustive" if exhaustive else "sampled",
+        samples=None if exhaustive else samples,
+        n_checked=(1 << n) if exhaustive else samples,
         violations=tuple(violations),
         tightest_ratio=tightest,
         witness=witness,
@@ -203,38 +222,21 @@ def verify_vertex_expansion(
     n = h.n
     if n < 2:
         raise InputError("need at least two vertices")
-    best = float("inf")
-    witness: tuple = ()
-    if n <= exhaustive_cap:
-        mode = "exhaustive"
-        samples_out = None
-        out_masks = h.out_masks()
-        full = (1 << n) - 1
-        reach = [0] * (1 << n)
-        for s in range(1, 1 << n):
-            low = s & -s
-            v = low.bit_length() - 1
-            reach[s] = reach[s ^ low] | out_masks[v]
-            size = s.bit_count()
-            if size == n:
-                continue
-            b = (reach[s] & ~s & full).bit_count()
-            ratio = b / min(size, n - size)
-            if ratio < best:
-                best = ratio
-                witness = tuple(v for v in range(n) if s >> v & 1)
-    else:
-        mode = "sampled"
-        samples_out = samples
-        rng = (stream or RngStream(0).child("vertex-expansion")).generator()
-        for _ in range(samples):
-            size = int(rng.integers(1, n))
-            inside = np.isin(np.arange(n), rng.choice(n, size=size, replace=False))
-            b = int(vertex_boundary(h, inside).sum())
-            ratio = b / min(size, n - size)
-            if ratio < best:
-                best = ratio
-                witness = tuple(np.flatnonzero(inside).tolist())
+    indptr, indices = _csr(n, *h.arcs.T[::-1])
+    firsts = indptr[:-1]  # every vertex has in-arcs, so each starts its own run
+
+    def score(sizes, crossing):
+        # the out-boundary is the set of distinct heads of crossing arcs
+        boundary = np.logical_or.reduceat(crossing, firsts, axis=1).sum(axis=1)
+        return boundary, np.minimum(sizes, n - sizes), []
+
+    exhaustive = n <= exhaustive_cap
+    rng = None if exhaustive else (stream or RngStream(0).child("vertex-expansion")).generator()
+    best, witness, _ = _sweep(indptr, indices, samples, rng, score)
     return ExpansionCertificate(
-        c3_hat=float(best), mode=mode, samples=samples_out, witness=witness, n=n
+        c3_hat=best,
+        mode="exhaustive" if exhaustive else "sampled",
+        samples=None if exhaustive else samples,
+        witness=witness,
+        n=n,
     )

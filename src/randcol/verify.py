@@ -42,16 +42,6 @@ from .sampling import (
 )
 from .spectral import verify_alon_milman, verify_vertex_expansion
 
-SUITE_NAMES = (
-    "alon_milman",
-    "tree_lemma",
-    "core_oracle",
-    "two_round",
-    "product_colouring",
-    "fixpoints",
-    "expansion",
-)
-
 CHI_SQUARE_SIGNIFICANCE = 0.001
 
 
@@ -279,40 +269,24 @@ def _suite_product_colouring() -> list:
 
 
 def _suite_fixpoints() -> list:
-    checks = []
-    h = random_regular_graph(60, 3, 0)
+    # built here so the functions are looked up when the suite runs
+    cases = (
+        ("protected-edge process", random_regular_graph(60, 3, 0), "protect",
+         thm3_process, thm3_fixpoint_violations),
+        ("blocked-vertex reachability", random_two_regular_digraph(60, 0), "block",
+         thm4_process, thm4_fixpoint_violations),
+    )
     root = RngStream(0xF1C)
-    bad = 0
-    runs = 0
-    for i in range(20):
-        for p in (0.0, 0.05, 0.3):
-            state = thm3_process(h, p, 0, root.child("protect", i))
-            runs += 1
-            if thm3_fixpoint_violations(h, state):
-                bad += 1
-    checks.append(
-        CheckResult(
-            "protected-edge process terminal states",
-            bad == 0,
-            f"{runs - bad}/{runs} clean fixpoints",
+    checks = []
+    for label, g, branch, process, violations in cases:
+        bad = runs = 0
+        for i in range(20):
+            for p in (0.0, 0.05, 0.3):
+                runs += 1
+                bad += bool(violations(g, process(g, p, 0, root.child(branch, i))))
+        checks.append(
+            CheckResult(f"{label} terminal states", bad == 0, f"{runs - bad}/{runs} clean fixpoints")
         )
-    )
-    dg = random_two_regular_digraph(60, 0)
-    bad = 0
-    runs = 0
-    for i in range(20):
-        for p in (0.0, 0.05, 0.3):
-            state = thm4_process(dg, p, 0, root.child("block", i))
-            runs += 1
-            if thm4_fixpoint_violations(dg, state):
-                bad += 1
-    checks.append(
-        CheckResult(
-            "blocked-vertex reachability terminal states",
-            bad == 0,
-            f"{runs - bad}/{runs} clean fixpoints",
-        )
-    )
     return checks
 
 
@@ -378,6 +352,7 @@ _SUITES = {
     "fixpoints": _suite_fixpoints,
     "expansion": _suite_expansion,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> SuiteReport:

@@ -140,8 +140,16 @@ class TestConfig:
         {"params": {"k": 12, "t": 5, "m": 4, "alpha": "3/100"}},
         {"params": {"mode": "expander-blowup", "k": 12, "t": 5, "m": 4, "alpha": "abc"}},
         {"params": {"mode": "expander-blowup", "k": 12, "t": 5, "m": 4, "alpha": "1/0"}},
+        {"params": {"mode": "foo", "k": 12, "t": 5, "m": 4}},
+        {"params": {"mode": "expander-blowup", "k": "12", "t": 5, "m": 4, "alpha": "1/200"}},
+        {"params": {"mode": "expander-blowup", "k": 12, "t": 5.0, "m": 4}},
+        {"params": {"mode": "expander-blowup", "k": 12, "t": 5, "m": "4"}},
+        {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "s": True}},
+        {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "alpha": "1/20"}},
     ], ids=["p-str", "p-bool", "sweep-str", "sweep-bool", "sweep-scalar",
-            "params-missing-mode", "params-bad-alpha", "params-zero-denominator"])
+            "params-missing-mode", "params-bad-alpha", "params-zero-denominator",
+            "params-unknown-mode", "params-k-str", "params-t-float", "params-m-str",
+            "params-s-bool", "params-gadget-without-s"])
     def test_values_from_outside_are_checked(self, overrides):
         with pytest.raises(InputError):
             ExperimentConfig.from_dict({**core_config().to_dict(), **overrides})
