@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConstructionError, GenerationError, InputError
 from .graphs import DiGraph, Graph, has_cycle_shorter_than, is_connected
-from .sampling import RngStream
+from .sampling import RngStream, _is_int
 from .spectral import SpectralCertificate, second_eigenvalue
 
 REJECTION_CAP = 100
@@ -27,10 +27,6 @@ def _as_fraction(x, what: str = "alpha") -> Fraction:
         return Fraction(str(x) if isinstance(x, float) else x)
     except (TypeError, ValueError, ZeroDivisionError):
         raise InputError(f"bad {what} {x!r}") from None
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

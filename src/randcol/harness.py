@@ -33,7 +33,6 @@ from .errors import InputError, RandcolError
 from .generators import (
     ConstructionParams,
     _as_fraction,
-    _is_int,
     blow_up,
     find_cubic_expander,
     gadget_blow_up,
@@ -55,7 +54,7 @@ from .percolation import (
     thm4_fixpoint_violations,
     thm4_process,
 )
-from .sampling import RngStream, partition_split, sample_subgraph, two_round_sample
+from .sampling import RngStream, _is_int, partition_split, sample_subgraph, two_round_sample
 
 # two-sided 95%
 WILSON_Z = 1.959963984540054

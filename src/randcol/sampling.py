@@ -33,44 +33,96 @@ _INV53 = np.array(2.0 ** -53)
 _INT_LITERAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(labels: tuple) -> tuple:
+    for lab in labels:
+        if isinstance(lab, str):
+            if _INT_LITERAL.fullmatch(lab):
+                raise InputError(f"string label {lab!r} would alias the int label {lab}")
+        elif not _is_int(lab):
+            raise InputError(f"stream labels must be int or str, got {type(lab).__name__}")
+    return labels
+
+
+def _fed(h, parts):
+    """h after hashing each part as "len:text;"; returns h."""
+    for part in parts:
+        text = str(part)
+        h.update(f"{len(text)}:{text};".encode())
+    return h
+
+
+def _key_of(h) -> int:
+    """The 64-bit key of a finished hash state."""
+    return int.from_bytes(h.digest(), "little")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A named, forkable source of index-addressable uniforms.
 
     child(*labels) derives an independent stream; uniforms(k) /
-    uniform_at(idx) give the stream's variates by position. Use one
-    stream per purpose; generator() taps the same key for sequential
+    uniform_at(idx) give the stream's variates by position, and with
+    labels one row per child stream in one pass. Use one stream per
+    purpose; generator() taps the same key for sequential
     (shuffle-style) use and should live on its own child stream.
+
+    A stream keeps the blake2b state of its (master seed, path), so a
+    child hashes only its own labels. The cached state is not part of
+    the value: equality, hash, repr, copy and pickle see
+    (master_seed, path) alone.
     """
 
     master_seed: int
     path: tuple = ()
 
+    def __post_init__(self):
+        if not _is_int(self.master_seed):
+            raise InputError(f"master seed must be an int, got {type(self.master_seed).__name__}")
+
+    def __reduce__(self):
+        return RngStream, (self.master_seed, self.path)
+
+    def _state(self):
+        """The blake2b state after (master seed, path); copy before use."""
+        h = self.__dict__.get("_h")
+        if h is None:
+            h = self.__dict__["_h"] = _fed(hashlib.blake2b(digest_size=8),
+                                          (self.master_seed, *self.path))
+        return h
+
     def child(self, *labels) -> "RngStream":
-        for lab in labels:
-            if isinstance(lab, bool) or not isinstance(lab, (int, str)):
-                raise InputError(f"stream labels must be int or str, got {type(lab).__name__}")
-            if isinstance(lab, str) and _INT_LITERAL.fullmatch(lab):
-                raise InputError(f"string label {lab!r} would alias the int label {lab}")
-        return RngStream(self.master_seed, self.path + tuple(labels))
+        h = _fed(self._state().copy(), _checked(labels))
+        s = RngStream(self.master_seed, self.path + labels)
+        s.__dict__["_h"] = h
+        return s
 
     def key(self) -> int:
-        h = hashlib.blake2b(digest_size=8)
-        parts = [str(self.master_seed)] + [str(p) for p in self.path]
-        for part in parts:
-            h.update(f"{len(part)}:{part};".encode())
-        return int.from_bytes(h.digest(), "little")
+        return _key_of(self._state())
 
-    def uniforms(self, count: int) -> np.ndarray:
+    def uniforms(self, count: int, *labels) -> np.ndarray:
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise InputError(f"count must be an int, got {type(count).__name__}")
         if count < 0:
             raise InputError("count must be non-negative")
-        return self.uniform_at(np.arange(count, dtype=np.uint64))
+        return self.uniform_at(np.arange(count, dtype=np.uint64), *labels)
 
-    def uniform_at(self, indices) -> np.ndarray:
+    def uniform_at(self, indices, *labels) -> np.ndarray:
+        """The variates at indices. With labels, row j holds those of
+        child(labels[j]): shape (len(labels),) + indices' shape."""
         # splitmix64 of key + (i + 1) * golden, in place on one fresh array
         z = np.asarray(indices, dtype=np.uint64) + _ONE
         z *= _GOLDEN
-        z += np.uint64(self.key())
+        if labels:
+            state = self._state()
+            keys = np.array([_key_of(_fed(state.copy(), (lab,))) for lab in _checked(labels)],
+                            dtype=np.uint64)
+            z = np.add.outer(keys, z)
+        else:
+            z += np.uint64(self.key())
         z ^= z >> _S30
         z *= _MIX1
         z ^= z >> _S27
@@ -116,10 +168,13 @@ def second_round_rate(first_rate: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=32)
-def _round_rates(first_rate) -> tuple[float, float]:
-    """Both deletion rates as floats, computed exactly once per rate."""
+def _round_rates(first_rate) -> tuple[float, np.ndarray]:
+    """The first rate as a float and both rates as a read-only (2, 1)
+    column, computed exactly once per rate."""
     a1 = Fraction(first_rate)
-    return float(a1), float(second_round_rate(a1))
+    rates = np.array([[float(a1)], [float(second_round_rate(a1))]])
+    rates.flags.writeable = False
+    return float(a1), rates
 
 
 @dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
@@ -153,8 +208,9 @@ def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:
     """Delete edges in two independent rounds at rates a and
     (1/2 - a)/(1 - a); the union of deletions leaves every edge alive
     with probability exactly 1/2."""
-    a1, a2 = _round_rates(first_rate)
-    hit1 = stream.child("round1").uniforms(g.m) < a1
-    hit2 = stream.child("round2").uniforms(g.m) < a2
-    hit1.flags.writeable = hit2.flags.writeable = False
-    return TwoRoundSample(graph=g, first_rate=a1, round1_hit=hit1, round2_hit=hit2)
+    a1, rates = _round_rates(first_rate)
+    # row r is round r's stream, child("round<r>"); rows of a read-only
+    # block are read-only
+    hits = stream.uniforms(g.m, "round1", "round2") < rates
+    hits.flags.writeable = False
+    return TwoRoundSample(graph=g, first_rate=a1, round1_hit=hits[0], round2_hit=hits[1])

@@ -4,6 +4,8 @@ honoured by construction (fixed batteries, pinned seeds); the assertions
 here are the tolerances themselves.
 """
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -57,10 +59,27 @@ def test_criterion_03_spectral_boundary_bound():
     )
 
 
+# sha256 of the two_round suite's format_text() and of its to_dict() JSON
+# in the form tests/test_golden.py pins (sorted keys, indent 2). Pinned
+# here, where the suite runs anyway, so that tier-1 runs it once.
+TWO_ROUND_GOLDEN = (
+    "7436ca4d29a5fd26e30a33ca589fd35761d73210d008bc0543c60001e9f5ff57",
+    "cdebc0c8f5707a18f4ca048a11d47360654e9131f39ae968a7396864bfee8aa8",
+)
+
+
 def test_criterion_04_two_round_identity():
     report = run_suite("two_round")
     symbolic = [c for c in report.checks if c.label.startswith("per-edge survival")]
     hist = [c for c in report.checks if c.label.startswith("histogram")]
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (report.format_text(), json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    )
+    assert digests == TWO_ROUND_GOLDEN, (
+        "the two_round suite's text or JSON changed bytes; if the move is deliberate, "
+        "update TWO_ROUND_GOLDEN and give the reason in CHANGES.md"
+    )
     ok = (
         report.passed
         and len(symbolic) == 3

@@ -125,6 +125,41 @@ def test_generator_reproducible():
 def test_bad_label_rejected():
     with pytest.raises(InputError):
         RngStream(1).child(3.5)
+    for bad in (3.5, "1", True):
+        with pytest.raises(InputError):
+            RngStream(1).uniforms(4, "a", bad)
+
+
+@pytest.mark.parametrize("seed", ["5", 1.5, True, None, np.int64(5)])
+def test_master_seed_must_be_an_int(seed):
+    # keys encode the seed with str(), so "5" would hash like 5
+    with pytest.raises(InputError, match="master seed must be an int"):
+        RngStream(seed)
+
+
+@pytest.mark.parametrize("count", [2.5, True, "3", None])
+def test_count_must_be_an_int(count):
+    with pytest.raises(InputError, match="count must be an int"):
+        RngStream(1).uniforms(count)
+
+
+def test_uniforms_accepts_numpy_counts():
+    s = RngStream(3).child("n")
+    assert np.array_equal(s.uniforms(np.int64(6)), s.uniforms(6))
+
+
+def test_block_rows_are_the_child_streams():
+    s = RngStream(5).child("x")
+    block = s.uniforms(40, "a", 7, "b")
+    assert block.shape == (3, 40)
+    for row, lab in zip(block, ("a", 7, "b")):
+        assert np.array_equal(row, s.child(lab).uniforms(40))
+    idx = np.array([[3, 0], [39, 12]])
+    picked = s.uniform_at(idx, "b", "a")
+    assert picked.shape == (2, 2, 2)
+    assert np.array_equal(picked[0], block[2][idx]) and np.array_equal(picked[1], block[0][idx])
+    assert s.uniform_at(5, "a").shape == (1,) and s.uniform_at(5, "a")[0] == block[0, 5]
+    assert s.uniforms(0, "a", "b").shape == (2, 0)
 
 
 # --- p-subgraphs -------------------------------------------------------------

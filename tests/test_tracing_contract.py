@@ -6,6 +6,8 @@ must be able to read them."""
 
 import importlib
 import importlib.util
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -69,3 +71,36 @@ def test_after_hooks_read_real_calls(tracing):
         "graphs.Graph.edges": 3,
         "percolation.thm3_process.rounds": 4,
     }
+
+
+@pytest.fixture
+def installed(tracing, monkeypatch):
+    """A tracer that install() has wrapped randcol with, undone after the
+    test: monkeypatch records every binding install() will replace."""
+    traced = {attr for _module, attr, _span in tracing.FUNCTIONS}
+    for name, module in list(sys.modules.items()):
+        if name == "randcol" or name.startswith("randcol."):
+            for attr in traced & set(vars(module)):
+                monkeypatch.setattr(module, attr, vars(module)[attr])
+    for module, cls_name, attr, _span in tracing.METHODS:
+        cls = getattr(importlib.import_module(module), cls_name)
+        monkeypatch.setattr(cls, attr, vars(cls)[attr])
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    return tracer
+
+
+def test_every_draw_is_counted(installed):
+    # a draw that skips uniform_at would read 0 in the traced benchmark
+    from randcol import sampling
+
+    drawn = lambda: installed.counters["sampling.uniforms.drawn"]
+    g = Graph(8, [(i, i + 1) for i in range(7)])
+    sampling.two_round_sample(g, Fraction(1, 30), RngStream(3).child(0))
+    assert drawn() == 2 * g.m
+    RngStream(4).uniforms(11)
+    assert drawn() == 2 * g.m + 11
+    sampling.sample_subgraph(g, 0.5, RngStream(5))
+    assert drawn() == 3 * g.m + 11
+    calls = {installed.names[i] for i in installed.name}
+    assert {"sampling.two_round_sample", "sampling.uniform_at"} <= calls
