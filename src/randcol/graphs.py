@@ -101,10 +101,11 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
 
 
 def _spread(
-    indptr: np.ndarray, indices: np.ndarray, seed_mask: np.ndarray, thresholds: np.ndarray
+    indptr: np.ndarray, indices: np.ndarray, seed_mask: np.ndarray, thresholds
 ) -> tuple[np.ndarray, list[int]]:
     """Least fixpoint of: v joins once >= thresholds[v] of the vertices
     with an arc into v (CSR indptr, indices) have joined, from seed_mask.
+    thresholds is an array over the vertices or one number for all.
 
     Returns the joined mask and the round trace: the seed size, then the
     count of newcomers in each synchronous round. A threshold of 0 joins
@@ -113,19 +114,40 @@ def _spread(
     rounds are the breadth-first levels from r through that set.
     """
     degree = indptr[1:] - indptr[:-1]
-    infected = seed_mask.copy()
-    counts = np.zeros(len(infected), dtype=np.intp)
-    trace = [int(np.count_nonzero(infected))]
-    new = infected
+    if degree.size and (degree == degree[0]).all():
+        degree = degree[0]  # regular: repeating by one count is 3x faster than by an array
+    # counts are integers no larger than the arc count, so an integer
+    # count reaches a threshold exactly at its ceiling, and any threshold
+    # above the arc count (inf included) acts as the arc count plus one
+    need = np.ceil(np.minimum(thresholds, len(indices) + 1)).astype(np.intp)
+    outside = ~seed_mask
+    counts = np.zeros(len(outside), dtype=np.intp)
+    trace = [int(np.count_nonzero(seed_mask))]
+    new, ready = seed_mask, np.empty(len(outside), dtype=bool)
     while True:
         # counts >= 0, so a threshold of 0 fires in the first round
-        counts += np.bincount(indices[new.repeat(degree)], minlength=len(infected))
-        new = (counts >= thresholds) & ~infected
+        counts += np.bincount(indices[new.repeat(degree)], minlength=len(outside))
+        new = np.greater_equal(counts, need, out=ready)
+        new &= outside
         size = int(np.count_nonzero(new))
         if not size:
-            return infected, trace
-        infected |= new
+            return ~outside, trace
+        outside ^= new
         trace.append(size)
+
+
+def _search(g: "Graph | DiGraph", r: int) -> tuple[np.ndarray, tuple]:
+    """(mask, round trace) of the threshold-1 spread from r along g's
+    arcs: the vertices reachable from r and its breadth-first level
+    sizes. Memoised on g, one entry per root; the memo is made on first
+    use, since most graphs are never searched."""
+    seed, key = _root(g.n, r), int(r)
+    if g._searches is None:
+        g._searches = {}
+    if key not in g._searches:
+        infected, trace = _spread(*g._csr_arrays(), seed, 1)
+        g._searches[key] = _frozen(infected), tuple(trace)
+    return g._searches[key]
 
 
 class Graph:
@@ -138,7 +160,7 @@ class Graph:
     keeps of another graph's edges are.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_csr", "_components", "_masks")
+    __slots__ = ("n", "edges", "_adj", "_arcs", "_csr", "_components", "_masks", "_searches")
 
     def __init__(self, n: int, edges, validate: bool = True):
         if n < 0:
@@ -152,21 +174,26 @@ class Graph:
             ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         ends.flags.writeable = False
         self.edges: np.ndarray = ends
-        self._adj = None
-        self._csr = None
-        self._components = None
-        self._masks = None
+        self._adj = self._arcs = self._csr = self._components = self._masks = None
+        self._searches = None
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
+    def _arc_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads): the edge rows in both directions, every (u, v)
+        and then every (v, u), read-only."""
+        if self._arcs is None:
+            u, v = self.edges.T
+            self._arcs = _frozen(np.concatenate((u, v))), _frozen(np.concatenate((v, u)))
+        return self._arcs
+
     def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices): the neighbours of v, ascending, are
         indices[indptr[v]:indptr[v + 1]]."""
         if self._csr is None:
-            u, v = self.edges.T
-            self._csr = _csr(self.n, np.concatenate((u, v)), np.concatenate((v, u)))
+            self._csr = _csr(self.n, *self._arc_rows())
         return self._csr
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -189,7 +216,8 @@ class Graph:
     def with_edges(self, mask) -> "Graph":
         """Spanning subgraph on the edges where the boolean mask over
         self.edges is set."""
-        return Graph(self.n, self.edges[np.asarray(mask, dtype=bool)], validate=False)
+        keep = _sized(mask, self.m, "edge set")
+        return Graph(self.n, self.edges.compress(keep, axis=0), validate=False)
 
     def regular_degree(self) -> int | None:
         """The common degree if the graph is regular, else None."""
@@ -223,7 +251,7 @@ class DiGraph:
     colours (so in-degree at most 2).
     """
 
-    __slots__ = ("n", "arcs", "arc_colour", "_csr")
+    __slots__ = ("n", "arcs", "arc_colour", "_csr", "_searches")
 
     def __init__(
         self,
@@ -253,7 +281,7 @@ class DiGraph:
                 if twice.any():
                     i = twice.argmax()
                     raise InputError(f"vertex {heads[i]} has two {self.arc_colour[i]!r} in-arcs")
-        self._csr = None
+        self._csr = self._searches = None
 
     @property
     def m(self) -> int:
@@ -300,7 +328,7 @@ def edge_boundary(g: Graph, s) -> list[tuple[int, int]]:
     """Edges with exactly one endpoint in the mask s, sorted."""
     inside = _sized(s, g.n, "vertex set")
     u, v = g.edges.T
-    return list(map(tuple, g.edges[inside[u] != inside[v]].tolist()))
+    return list(map(tuple, g.edges.compress(inside[u] != inside[v], axis=0).tolist()))
 
 
 def _cycle_below(g: Graph, best: float, first: bool) -> float:
@@ -413,18 +441,18 @@ def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[in
 
 def reachable_set(h: DiGraph, r: int) -> np.ndarray:
     """Mask of the vertices reachable from r by directed paths, r included."""
-    return _frozen(_spread(*h._csr_arrays(), _root(h.n, r), np.ones(h.n))[0])
+    return _search(h, r)[0]
 
 
 def connected_component(g: Graph, v: int) -> np.ndarray:
     """Mask of the component of v, searched once per graph: its vertices
     share the one mask."""
-    seed = _root(g.n, v)
+    _root(g.n, v)  # the range check: a negative index would wrap
     if g._components is None:
         g._components = [None] * g.n
     comp = g._components[v]
     if comp is None:
-        comp = _frozen(_spread(*g._csr_arrays(), seed, np.ones(g.n))[0])
+        comp = _search(g, v)[0]
         for w in np.flatnonzero(comp).tolist():
             g._components[w] = comp
     return comp
@@ -440,10 +468,8 @@ def is_strongly_connected(h: DiGraph) -> bool:
     """Every vertex reaches vertex 0 and is reached from it."""
     if h.n == 0:
         return True
-    return all(
-        _spread(*csr, _root(h.n, 0), np.ones(h.n))[0].all()
-        for csr in (h._csr_arrays(), _csr(h.n, *h.arcs.T[::-1]))
-    )
+    backwards = DiGraph(h.n, h.arcs[:, ::-1], validate=False)
+    return bool(reachable_set(h, 0).all() and reachable_set(backwards, 0).all())
 
 
 def complete_graph(n: int) -> Graph:

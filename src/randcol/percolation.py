@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
-from .graphs import DiGraph, Graph, _frozen, _root, _sized, _spread, vertex_boundary
+from .graphs import DiGraph, Graph, _frozen, _root, _search, _sized, _spread, vertex_boundary
 from .colouring import t_core
 from .sampling import RngStream
 
@@ -72,33 +72,38 @@ def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> Percolat
     neighbours, or with one infected neighbour if none of its incident
     edges is protected. Protection is a static per-edge coin flip at
     rate p_protect drawn from rng's "protect" child stream, so sweeps
-    over p with a shared stream are coupled monotonely.
+    over p with a shared stream are coupled monotonely. With no edge
+    protected the process is the search from r, read from h's memo.
     """
     if not (0.0 <= p_protect <= 1.0):
         raise InputError(f"p_protect {p_protect} outside [0, 1]")
-    seed = _root(h.n, r)
     protected = _frozen(rng.child("protect").uniforms(h.m) < p_protect)
-    state = bootstrap_percolate(h, seed, _thm3_thresholds(h, protected))
+    if not protected.any():
+        return PercolationState(*_search(h, r), protected_edges=protected)
+    state = bootstrap_percolate(h, _root(h.n, r), _thm3_thresholds(h, protected))
     return replace(state, protected_edges=protected)
 
 
 def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> PercolationState:
     """Directed spread from {r}: out-neighbours join unless they belong
     to the static random set R, drawn per-vertex at rate p_resilient
-    from rng's "resilient" child stream. The root joins regardless."""
+    from rng's "resilient" child stream. The root joins regardless. With
+    R empty the process is the search from r, read from h's memo."""
     if not (0.0 <= p_resilient <= 1.0):
         raise InputError(f"p_resilient {p_resilient} outside [0, 1]")
-    seed = _root(h.n, r)
     hit = _frozen(rng.child("resilient").uniforms(h.n) < p_resilient)
-    infected, trace = _spread(*h._csr_arrays(), seed, np.where(hit, np.inf, 1))
+    if not hit.any():
+        return PercolationState(*_search(h, r), resilient_vertices=hit)
+    infected, trace = _spread(*h._csr_arrays(), _root(h.n, r), np.where(hit, np.inf, 1))
     return PercolationState(_frozen(infected), tuple(trace), resilient_vertices=hit)
 
 
 def _thm3_thresholds(h: Graph, protected) -> np.ndarray:
     """2 at a vertex with a protected incident edge, else 1."""
-    thresholds = np.ones(h.n)
+    thresholds = np.ones(h.n, dtype=np.intp)
     if protected is not None:
-        thresholds[h.edges[_sized(protected, h.m, "protected_edges")].ravel()] = 2
+        keep = _sized(protected, h.m, "protected_edges")
+        thresholds[h.edges.compress(keep, axis=0).ravel()] = 2
     return thresholds
 
 
@@ -115,10 +120,8 @@ def _fixpoint_violations(g: Graph | DiGraph, tails, heads, infected, thresholds)
 def thm3_fixpoint_violations(h: Graph, state: PercolationState) -> list:
     """Outside vertices that the rule says should have joined, counted
     over the edge rows in both directions."""
-    u, v = h.edges.T
-    tails, heads = np.concatenate((u, v)), np.concatenate((v, u))
     thresholds = _thm3_thresholds(h, state.protected_edges)
-    return _fixpoint_violations(h, tails, heads, state.infected, thresholds)
+    return _fixpoint_violations(h, *h._arc_rows(), state.infected, thresholds)
 
 
 def thm4_fixpoint_violations(h: DiGraph, state: PercolationState) -> list:
@@ -218,7 +221,7 @@ def resilient_pair_detect(
     dead = _frozen(~table.any(axis=1))
     nearly_dead = _frozen(dead | (table[:, 1:s + 2] * s < k).all(axis=1))
     # into[x, j - 1]: edges from vertex x to layer j of its own super-vertex
-    a, b = np.concatenate((edge_graph.edges, edge_graph.edges[:, ::-1])).T
+    a, b = edge_graph._arc_rows()
     own = a // (layers * layout.m) == b // (layers * layout.m)
     into = np.bincount(
         a[own] * layers + (b[own] // layout.m) % layers, minlength=layout.n_vertices * layers

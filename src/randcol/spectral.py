@@ -23,6 +23,10 @@ DEFAULT_TOLERANCE = 1e-9
 EXHAUSTIVE_CAP = 18
 DEFAULT_SUBSET_SAMPLES = 10_000
 SWEEP_CELLS = 1 << 20  # block rows times width; bounds a subset sweep's memory
+# eigsh's default Krylov dimension for one eigenvalue, max(2k + 1, 20) at
+# k = 1. A graph this small fills ARPACK's whole Krylov space, after which
+# its last bits vary from call to call, so it gets a dense solve instead.
+DENSE_CAP = max(2 * 1 + 1, 20)
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,9 @@ def second_eigenvalue(
     A - ((2d+1)/n) J. Regularity makes the all-ones vector an
     eigenvector of both terms, so the shift moves its eigenvalue from d
     to -(d+1), below the rest of the spectrum, and leaves the others
-    unchanged. The start vector is seeded, so a graph always gets the
-    same bits back.
+    unchanged. The start vector is seeded, and graphs of at most
+    DENSE_CAP vertices get a dense solve of the same matrix, so a graph
+    always gets the same bits back.
     """
     import scipy.sparse  # here, since at module level it adds a third to `import randcol`
     import scipy.sparse.linalg
@@ -81,8 +86,13 @@ def second_eigenvalue(
         raise InputError("graph must be connected")
     n = g.n
     indptr, indices = g._csr_arrays()
-    a = scipy.sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     shift = (2 * d + 1) / n
+    if n <= DENSE_CAP:
+        a = np.zeros((n, n))
+        a[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1
+        return SpectralCertificate(d=d, lambda2=float(np.linalg.eigvalsh(a - shift)[-1]),
+                                   tolerance=tolerance, girth_checked=girth_checked)
+    a = scipy.sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     op = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda x: a @ x - shift * x.sum(axis=0), dtype=np.float64
     )

@@ -171,7 +171,8 @@ def _suite_core_oracle() -> list:
 def _survivor_counts_two_round(g, first_rate, root: RngStream, trials: int) -> np.ndarray:
     counts = np.zeros(trials, dtype=np.int64)
     for i in range(trials):
-        counts[i] = two_round_sample(g, first_rate, root.child(i)).survivors().m
+        sample = two_round_sample(g, first_rate, root.child(i))
+        counts[i] = g.m - np.count_nonzero(sample.round1_hit | sample.round2_hit)
     return counts
 
 

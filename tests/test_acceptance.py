@@ -137,7 +137,13 @@ def test_criterion_06_subsampled_clique_lower_bound():
 SWEEP = (0.0, 1e-4, 1e-3, 1e-2, 1e-1)
 
 
-def test_criterion_07_protected_edge_process():
+# sha256 of criterion 07's result file, which is the thm3_sweep benchmark's
+# chunk 0 (perfbench/expected.json), and of criterion 08's result text.
+THM3_SWEEP_GOLDEN = "42e29ba2344de6a8ae3358a402953ab104a288a76462c13456305201a653da2e"
+THM4_SWEEP_GOLDEN = "356bf9331ac86afdb2522b182d79238d42371a18620c88fa2e82237cbf7de8e5"
+
+
+def test_criterion_07_protected_edge_process(tmp_path):
     cfg = ExperimentConfig(
         kind="thm3_sweep",
         trials=200,
@@ -151,7 +157,12 @@ def test_criterion_07_protected_edge_process():
         },
         p_sweep=SWEEP,
     )
-    result = run_experiment(cfg)
+    path = tmp_path / "thm3_sweep.ndjson"
+    result = run_experiment(cfg, out_path=path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == THM3_SWEEP_GOLDEN, (
+        "criterion 07's thm3_sweep result file changed bytes; if the move is deliberate, "
+        "update THM3_SWEEP_GOLDEN and perfbench/expected.json in the same commit"
+    )
     agg = result.aggregate
     full_at_zero = all(
         r.values["v0_sizes"][0] == 2000 and r.values["component_size"] == 2000
@@ -181,6 +192,10 @@ def test_criterion_08_blocked_vertex_reachability():
         p_sweep=SWEEP,
     )
     result = run_experiment(cfg)
+    assert hashlib.sha256(result.text().encode()).hexdigest() == THM4_SWEEP_GOLDEN, (
+        "criterion 08's thm4_sweep result text changed bytes; if the move is deliberate, "
+        "update THM4_SWEEP_GOLDEN in the same commit"
+    )
     agg = result.aggregate
     reach_at_zero = all(
         r.values["v0_sizes"][0] == r.values["reachable_size"] for r in result.records

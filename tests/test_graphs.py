@@ -152,6 +152,7 @@ def test_vertex_sets_must_be_boolean_masks(bad):
         lambda s: vertex_boundary(DiGraph(4, [(0, 1)]), s),
         lambda s: edge_boundary(g, s),
         lambda s: bootstrap_percolate(g, s, [1] * 4),
+        lambda s: g.with_edges(s),  # four edges too
     ):
         with pytest.raises(InputError, match="must be a boolean mask of length 4"):
             check(bad)

@@ -1,10 +1,11 @@
-"""The array rounds of bootstrap_percolate, the cached CSR arrays, the
-cached components, the two fixpoint audits and the super-vertex
-classification against the code they replaced, kept here as the
-reference: the per-edge round loop of bootstrap_percolate (with the list
-thresholds of thm3_process), a breadth-first search per
-connected_component call, the thm3 audit's walk over every vertex's
-neighbours, the thm4 audit's out-boundary over the CSR, the per-vertex
+"""The array rounds of bootstrap_percolate, the integer-threshold spread
+round, the per-root search memo, the cached CSR arrays, the cached
+components, the two fixpoint audits and the super-vertex classification
+against the code they replaced, kept here as the reference: the per-edge
+round loop of bootstrap_percolate (with the list thresholds of
+thm3_process), the float-threshold spread round, a fresh spread per
+process, a breadth-first search per connected_component call, the thm3
+audit's walk over every vertex's neighbours, the thm4 audit's out-boundary over the CSR, the per-vertex
 survivor table, the breadth-first search through an allowed set that
 grew the dead component and the nearly-dead reachable set, and the
 per-vertex edge count of the resilient pairs."""
@@ -26,7 +27,17 @@ from randcol.generators import (
     random_regular_graph,
     random_two_regular_digraph,
 )
-from randcol.graphs import DiGraph, Graph, _csr, connected_component, vertex_boundary
+from randcol.graphs import (
+    DiGraph,
+    Graph,
+    _csr,
+    _frozen,
+    _root,
+    _spread,
+    connected_component,
+    reachable_set,
+    vertex_boundary,
+)
 from randcol.percolation import (
     PercolationState,
     boundary_resilience_audit,
@@ -154,6 +165,140 @@ def test_thm3_process_matches_edge_loop(n):
                 infected, trace, protected = ref_thm3_process(h, p, r, stream)
                 assert (ids(got.infected), got.round_trace) == (infected, trace)
                 assert set(map(tuple, h.edges[got.protected_edges].tolist())) == protected
+
+
+# --- the integer-threshold spread round ----------------------------------------------------
+
+
+def ref_spread(indptr, indices, seed_mask, thresholds):
+    """The float-threshold round: counts compared against the thresholds
+    as given, newcomers and the infected mask in fresh arrays."""
+    degree = indptr[1:] - indptr[:-1]
+    infected = seed_mask.copy()
+    counts = np.zeros(len(infected), dtype=np.intp)
+    trace = [int(np.count_nonzero(infected))]
+    new = infected
+    while True:
+        counts += np.bincount(indices[new.repeat(degree)], minlength=len(infected))
+        new = (counts >= thresholds) & ~infected
+        size = int(np.count_nonzero(new))
+        if not size:
+            return infected, trace
+        infected |= new
+        trace.append(size)
+
+
+def spread_thresholds(n, degree, data):
+    """Per-vertex thresholds from {0, 1, 1.5, 2, deg, deg + 3, inf}."""
+    picks = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    table = np.array([[0, 1, 1.5, 2, d, d + 3, math.inf] for d in degree.tolist()]).reshape(n, 7)
+    return table[np.arange(n), picks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs, st.data())
+def test_spread_round_matches_float_thresholds(case, data):
+    n, edges = case
+    indptr, indices = Graph(n, edges)._csr_arrays()
+    seed = data.draw(masks(n))
+    thresholds = spread_thresholds(n, np.diff(indptr), data)
+    infected, trace = _spread(indptr, indices, seed, thresholds)
+    want, want_trace = ref_spread(indptr, indices, seed, thresholds)
+    assert np.array_equal(infected, want) and trace == want_trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), arcs(n))), st.data())
+def test_directed_spread_round_matches_float_thresholds(case, data):
+    """In-degrees differ from out-degrees here, so a clamp by the wrong
+    degree would show."""
+    n, arc_list = case
+    indptr, indices = DiGraph(n, arc_list)._csr_arrays()
+    seed = data.draw(masks(n))
+    degree = data.draw(st.sampled_from((np.diff(indptr), np.bincount(indices, minlength=n))))
+    thresholds = spread_thresholds(n, degree, data)
+    infected, trace = _spread(indptr, indices, seed, thresholds)
+    want, want_trace = ref_spread(indptr, indices, seed, thresholds)
+    assert np.array_equal(infected, want) and trace == want_trace
+
+
+# --- the per-root search memo ------------------------------------------------------------
+
+
+def fresh_search(g, r):
+    infected, trace = ref_spread(*g._csr_arrays(), mask(g.n, {r}), np.ones(g.n))
+    return ids(infected), tuple(trace)
+
+
+def test_unprotected_processes_equal_a_fresh_spread():
+    h = random_regular_graph(60, 3, 4)
+    dg = random_two_regular_digraph(60, 4)
+    for i in range(5):
+        stream = RngStream(0x5EA).child(i)
+        for graph, process, drawn in (
+            (h, thm3_process, "protected_edges"),
+            (dg, thm4_process, "resilient_vertices"),
+        ):
+            for r in (0, 17, 59):
+                state = process(graph, 0.0, r, stream)
+                assert (ids(state.infected), state.round_trace) == fresh_search(graph, r)
+                assert state.infected is process(graph, 0.0, r, stream).infected
+                # the drawn set is the process's own, not the memo's
+                assert not getattr(state, drawn).any()
+                assert getattr(state, drawn) is not getattr(process(graph, 0.0, r, stream), drawn)
+
+
+def test_each_root_has_its_own_entry():
+    # a path: the search from an end has more rounds than from the middle
+    h = Graph(7, [(i, i + 1) for i in range(6)])
+    stream = RngStream(1)
+    end, middle = thm3_process(h, 0.0, 0, stream), thm3_process(h, 0.0, 3, stream)
+    assert end.round_trace == (1,) * 7 and middle.round_trace == (1, 2, 2, 2)
+    assert thm3_process(h, 0.0, 0, stream).round_trace == (1,) * 7
+    assert sorted(h._searches) == [0, 3]
+    dg = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
+    assert ids(reachable_set(dg, 1)) == {1, 2, 3} and ids(reachable_set(dg, 0)) == {0, 1, 2, 3}
+    assert thm4_process(dg, 0.0, 2, stream).round_trace == (1, 1)
+
+
+def test_memo_masks_are_read_only():
+    h = random_regular_graph(20, 3, 2)
+    dg = random_two_regular_digraph(20, 2)
+    stream = RngStream(2)
+    for found in (
+        thm3_process(h, 0.0, 0, stream).infected,
+        connected_component(h, 5),
+        thm4_process(dg, 0.0, 0, stream).infected,
+        reachable_set(dg, 3),
+    ):
+        with pytest.raises(ValueError):
+            found[0] = not found[0]
+    assert all(not m.flags.writeable for g in (h, dg) for m, _ in g._searches.values())
+
+
+def test_processes_with_a_drawn_set_never_read_the_memo():
+    h = random_regular_graph(30, 3, 3)
+    dg = random_two_regular_digraph(30, 3)
+    stream = RngStream(0xBAD)
+    for graph in (h, dg):
+        assert graph._searches is None
+    thm3_process(h, 1.0, 0, stream)
+    thm4_process(dg, 0.5, 0, stream)
+    for graph in (h, dg):
+        assert graph._searches is None  # nothing searched, nothing stored
+    # a planted entry that no spread would give is not read either
+    bogus = (_frozen(np.ones(30, dtype=bool)), (30,))
+    h._searches = {0: bogus}
+    dg._searches = {0: bogus}
+    three = thm3_process(h, 1.0, 0, stream)
+    infected, trace, _ = ref_thm3_process(h, 1.0, 0, stream)
+    assert (ids(three.infected), three.round_trace) == (infected, trace)
+    four = thm4_process(dg, 0.5, 0, stream)
+    want, want_trace = ref_spread(
+        *dg._csr_arrays(), _root(30, 0), np.where(four.resilient_vertices, math.inf, 1)
+    )
+    assert four.resilient_vertices.any()
+    assert np.array_equal(four.infected, want) and four.round_trace == tuple(want_trace)
 
 
 # --- the cached CSR arrays ------------------------------------------------------------

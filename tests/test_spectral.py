@@ -11,6 +11,7 @@ from randcol.generators import random_regular_graph
 from randcol.graphs import DiGraph, Graph, vertex_boundary
 from randcol.sampling import RngStream
 from randcol.spectral import (
+    DENSE_CAP,
     alon_milman_lower_bound,
     second_eigenvalue,
     verify_alon_milman,
@@ -92,13 +93,25 @@ def test_result_is_repeatable():
     assert second_eigenvalue(g, 3).lambda2 == second_eigenvalue(g, 3).lambda2
 
 
+def test_tiny_graphs_get_the_same_bits_back():
+    # ARPACK's last bits varied between calls on graphs this small
+    for g, d in [
+        (random_regular_graph(4, 2, 2), 2),
+        (petersen(), 3),
+        (complete_graph(4), 3),
+        (circulant(DENSE_CAP, [1, 3]), 4),
+    ]:
+        assert len({second_eigenvalue(g, d).lambda2.hex() for _ in range(6)}) == 1
+
+
 def test_no_convergence_raises(monkeypatch):
     def fail(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("no luck", np.array([]), np.array([]))
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    second_eigenvalue(circulant(DENSE_CAP, [1, 3]), 4)  # a dense solve, no eigsh
     with pytest.raises(ConvergenceError):
-        second_eigenvalue(petersen(), 3)
+        second_eigenvalue(circulant(DENSE_CAP + 1, [1, 3]), 4)
 
 
 def test_certificate_fields():
