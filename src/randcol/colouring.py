@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, _frozen
+from .graphs import Graph, _frontier_heads, _frozen
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_N_CAP = 40
@@ -51,30 +51,30 @@ def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[np.ndarray, list]:
 
     At threshold t a round removes every live vertex with fewer than t
     live neighbours at once, in ascending id, and lowers its neighbours'
-    degrees with one bincount over the removed vertices' CSR slices;
-    rounds repeat until one removes nothing, then the next threshold
-    starts from the survivors. A round is one generation of the cascade,
-    and a run is O(rounds * n + m). Stops when the sequence ends or
-    nothing is left. Returns (mask of the survivors, peel order).
+    degrees with one bincount over the heads of the removed vertices'
+    arcs (graphs._frontier_heads); rounds repeat until one removes
+    nothing, then the next threshold starts from the survivors. A round
+    is one generation of the cascade. It costs O(n) plus the removed
+    vertices' rows on a regular graph, O(n + m) otherwise. Stops when the
+    sequence ends or nothing is left. Returns (mask of the survivors,
+    peel order).
     """
     indptr, indices = g._csr_arrays()
-    degree = np.diff(indptr)
-    deg = degree.copy()
+    heads = _frontier_heads(indptr, indices)[1]
+    deg = np.diff(indptr)
     alive = np.ones(g.n, dtype=bool)
     rounds: list = []
     for t in thresholds:
         if not alive.any():
             break
-        out = np.flatnonzero(alive & (deg < t))
-        while out.size:
-            alive[out] = False
-            rounds.append(out)
-            # arc ids of the removed vertices' slices, laid end to end
-            size = degree[out]
-            ends = np.cumsum(size)
-            arcs = np.arange(ends[-1]) + np.repeat(indptr[out] - ends + size, size)
-            deg -= np.bincount(indices[arcs], minlength=g.n)
-            out = np.flatnonzero(alive & (deg < t))
+        out = alive & (deg < t)
+        ids = np.flatnonzero(out)
+        while ids.size:
+            alive ^= out
+            rounds.append(ids)
+            deg -= np.bincount(heads(out), minlength=g.n)
+            out = alive & (deg < t)
+            ids = np.flatnonzero(out)
     peel = np.concatenate(rounds).tolist() if rounds else []
     return alive, peel
 

@@ -6,6 +6,7 @@ audit."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +68,14 @@ def t_core_via_percolation(g: Graph, t: int) -> np.ndarray:
     return _frozen(~bootstrap_percolate(g, deg < t, np.maximum(0, deg - t + 1)).infected)
 
 
+@lru_cache(maxsize=1)
+def _coins(rng: RngStream, label: str, count: int) -> np.ndarray:
+    """The first count uniforms of rng's child stream label, read-only.
+    A sweep runs its process at every p on one stream, so only the first
+    p draws them; the one entry holds the last stream's coins."""
+    return _frozen(rng.child(label).uniforms(count))
+
+
 def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> PercolationState:
     """Spread over h from {r} where a vertex joins with two infected
     neighbours, or with one infected neighbour if none of its incident
@@ -77,7 +86,7 @@ def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> Percolat
     """
     if not (0.0 <= p_protect <= 1.0):
         raise InputError(f"p_protect {p_protect} outside [0, 1]")
-    protected = _frozen(rng.child("protect").uniforms(h.m) < p_protect)
+    protected = _frozen(_coins(rng, "protect", h.m) < p_protect)
     if not protected.any():
         return PercolationState(*_search(h, r), protected_edges=protected)
     state = bootstrap_percolate(h, _root(h.n, r), _thm3_thresholds(h, protected))
@@ -91,7 +100,7 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     R empty the process is the search from r, read from h's memo."""
     if not (0.0 <= p_resilient <= 1.0):
         raise InputError(f"p_resilient {p_resilient} outside [0, 1]")
-    hit = _frozen(rng.child("resilient").uniforms(h.n) < p_resilient)
+    hit = _frozen(_coins(rng, "resilient", h.n) < p_resilient)
     if not hit.any():
         return PercolationState(*_search(h, r), resilient_vertices=hit)
     infected, trace = _spread(*h._csr_arrays(), _root(h.n, r), np.where(hit, np.inf, 1))

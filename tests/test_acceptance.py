@@ -233,6 +233,11 @@ def test_criterion_09_construction_audits():
     criterion(9, ok, "; ".join(pieces))
 
 
+# sha256 of criterion 10's result file, which is the core_death benchmark's
+# chunk 0 (perfbench/expected.json).
+CORE_DEATH_GOLDEN = "76e4127f761fa5743f61817cc68cc2fbc20f369f43201829d9d0774710c4c054"
+
+
 def test_criterion_10_desk_scale_core_death(tmp_path):
     params = ConstructionParams.thm3(12, 0.09)
     assert params.t == 5 and params.first_round_rate() == Fraction(3, 100)
@@ -254,6 +259,10 @@ def test_criterion_10_desk_scale_core_death(tmp_path):
     result = run_experiment(cfg, out_path=a)
     run_experiment(cfg, out_path=b)
     identical = a.read_bytes() == b.read_bytes()
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == CORE_DEATH_GOLDEN, (
+        "criterion 10's core_emptiness result file changed bytes; if the move is deliberate, "
+        "update CORE_DEATH_GOLDEN and perfbench/expected.json in the same commit"
+    )
 
     prop = result.aggregate["empty_core"]["proportion"]
     in_range = prop is not None and 0.0 <= prop <= 1.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -17,6 +18,14 @@ def run_cli(capsys, *argv):
 
 def last_json(stdout: str):
     return json.loads(stdout)
+
+
+def assert_pinned(stdout: str, digest: str, command: str):
+    """The JSON a command printed has the sha256 digest."""
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest, (
+        f"`randcol {command}` printed different JSON bytes; if the move is deliberate, "
+        f"update its digest here and give the reason in CHANGES.md"
+    )
 
 
 class TestGenerate:
@@ -140,6 +149,7 @@ class TestSampleCoreChroma:
     def test_core_matches_library(self, capsys, cubic_file):
         code, stdout, _ = run_cli(capsys, "core", "--in", str(cubic_file), "--t", "3")
         assert code == 0
+        assert_pinned(stdout, "6d309d0770ba4d9039df99caabd80e84c5b953667f523eccca712c651bdfe364", "core")
         info = last_json(stdout)
         g = load_graph(cubic_file)
         assert info["vertices"] == np.flatnonzero(t_core(g, 3)).tolist()
@@ -160,6 +170,7 @@ class TestPercolate:
             capsys, "percolate", "--in", str(cubic_file), "--process", "threshold", "--t", "3"
         )
         assert code == 0
+        assert_pinned(stdout, "b5a66948722c10d2036432f04c007a679dd99cdbffcd5aeba45447907ca85f02", "percolate")
         info = last_json(stdout)
         g = load_graph(cubic_file)
         assert info["core_size"] == int(t_core(g, 3).sum())
@@ -170,6 +181,7 @@ class TestPercolate:
             "--p", "0.2", "--seed", "4",
         )
         assert code == 0
+        assert_pinned(stdout, "dc46d364044a81ba23b8dceef3d536f4faf16b9c7cdd8f454b3d1f97168e8f8d", "percolate")
         info = last_json(stdout)
         assert info["audit_violations"] == 0
 
@@ -179,6 +191,7 @@ class TestPercolate:
             "--p", "0.5", "--seed", "4",
         )
         assert code == 0
+        assert_pinned(stdout, "cce6e0721cf7ed5041488f2887172bd3610ff95291ece3123597db37e6c919e6", "percolate")
         assert last_json(stdout)["audit_violations"] == 0
 
     def test_missing_p(self, capsys, cubic_file):

@@ -1,10 +1,13 @@
 """The array rounds of bootstrap_percolate, the integer-threshold spread
-round, the per-root search memo, the cached CSR arrays, the cached
+round, the row gather of regular CSRs, the per-sweep coins, the
+per-root search memo, the cached CSR arrays, the cached
 components, the two fixpoint audits and the super-vertex classification
 against the code they replaced, kept here as the reference: the per-edge
 round loop of bootstrap_percolate (with the list thresholds of
-thm3_process), the float-threshold spread round, a fresh spread per
-process, a breadth-first search per connected_component call, the thm3
+thm3_process), the float-threshold spread round (which selects arcs by
+the mask repeated by degree), a fresh draw of coins per process, the
+degree set of regular_degree, a fresh spread per process, a
+breadth-first search per connected_component call, the thm3
 audit's walk over every vertex's neighbours, the thm4 audit's out-boundary over the CSR, the per-vertex
 survivor table, the breadth-first search through an allowed set that
 grew the dead component and the nearly-dead reachable set, and the
@@ -18,8 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randcol.colouring import t_core
-from randcol.errors import InputError
+from randcol.colouring import colouring_number, t_core, t_core_with_trace
+from randcol.errors import GenerationError, InputError
 from randcol.generators import (
     ConstructionParams,
     blow_up,
@@ -31,6 +34,7 @@ from randcol.graphs import (
     DiGraph,
     Graph,
     _csr,
+    _frontier_heads,
     _frozen,
     _root,
     _spread,
@@ -50,6 +54,7 @@ from randcol.percolation import (
     thm4_process,
 )
 from randcol.sampling import RngStream
+from test_peel_oracles import ref_colouring_number, ref_t_core_with_trace
 
 
 def pairs(n):
@@ -220,6 +225,141 @@ def test_directed_spread_round_matches_float_thresholds(case, data):
     infected, trace = _spread(indptr, indices, seed, thresholds)
     want, want_trace = ref_spread(indptr, indices, seed, thresholds)
     assert np.array_equal(infected, want) and trace == want_trace
+
+
+# --- the row gather of regular CSRs --------------------------------------------------------
+
+
+def ref_regular_degree(g):
+    """The common degree from the set of degrees; 0 without vertices."""
+    degs = set(g.degrees())
+    if not degs:
+        return 0
+    return degs.pop() if len(degs) == 1 else None
+
+
+def circulant(n, offsets):
+    """v joined to v + s and v - s (mod n) for each offset s."""
+    return Graph(n, {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in offsets})
+
+
+def two_out(data, n):
+    """A digraph in which every vertex has two out-arcs; in-degrees vary."""
+    heads = [data.draw(st.lists(st.integers(0, n - 1).filter(lambda w, v=v: w != v),
+                                min_size=2, max_size=2, unique=True)) for v in range(n)]
+    return DiGraph(n, [(v, w) for v in range(n) for w in heads[v]])
+
+
+def regular_case(data):
+    """A CSR with one out-degree: circulants, random regular graphs,
+    2-out and 2-in/2-out digraphs, edgeless graphs and n = 0."""
+    kind = data.draw(st.sampled_from(("circulant", "regular", "two_out", "digraph", "edgeless")))
+    if kind == "circulant":
+        n = data.draw(st.integers(3, 30))
+        return circulant(n, data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4)))
+    if kind == "regular":
+        d = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(d + 1, 30))
+        n += n * d % 2
+        try:
+            return random_regular_graph(n, d, data.draw(st.integers(0, 20)))
+        except GenerationError:  # no simple pairing in the attempts
+            return circulant(n, range(1, d // 2 + 1))
+    if kind == "two_out":
+        return two_out(data, data.draw(st.integers(3, 30)))
+    if kind == "digraph":
+        return random_two_regular_digraph(data.draw(st.integers(3, 30)), data.draw(st.integers(0, 20)))
+    return Graph(data.draw(st.integers(0, 30)), [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_spread_matches_the_mask_round(data):
+    g = regular_case(data)
+    n = g.n
+    indptr, indices = g._csr_arrays()
+    out_degree = np.diff(indptr)
+    d = int(out_degree[0]) if n else 0
+    assert (out_degree == d).all()
+    assert _frontier_heads(indptr, indices)[0] == d
+    if isinstance(g, Graph):
+        assert g.regular_degree() == ref_regular_degree(g) == d
+    seed = data.draw(masks(n))
+    degree = data.draw(st.sampled_from((out_degree, np.bincount(indices, minlength=n))))
+    for thresholds in (spread_thresholds(n, degree, data), 1):
+        infected, trace = _spread(indptr, indices, seed, thresholds)
+        want, want_trace = ref_spread(indptr, indices, seed, thresholds)
+        assert np.array_equal(infected, want) and trace == want_trace
+    inside = data.draw(masks(n))
+    arcs = g.edges.tolist() + g.edges[:, ::-1].tolist() if isinstance(g, Graph) else g.arcs.tolist()
+    boundary = {w for v, w in arcs if inside[v] and not inside[w]}
+    assert ids(vertex_boundary(g, inside)) == boundary
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_table_peel_matches_the_queue_and_the_heap(data):
+    g = regular_case(data)
+    if isinstance(g, DiGraph):
+        g = Graph(g.n, {tuple(sorted(a)) for a in g.arcs.tolist()})  # no longer regular
+    for t in range(g.max_degree() + 3):
+        core, trace, generation = ref_t_core_with_trace(g, t)
+        got_core, got_trace = t_core_with_trace(g, t)
+        assert ids(got_core) == core
+        assert got_trace == tuple(sorted(trace, key=lambda v: (generation[v], v)))
+    num, order = colouring_number(g)
+    assert num == ref_colouring_number(g)
+    pos = {v: i for i, v in enumerate(order.order)}
+    for i, v in enumerate(order.order):
+        assert order.back_degrees[i] == sum(pos[w] < i for w in g.adjacency()[v])
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs)
+def test_regular_degree_matches_the_degree_set(case):
+    g = Graph(*case)
+    assert g.regular_degree() == ref_regular_degree(g)
+
+
+# --- the per-sweep coins ---------------------------------------------------------------
+
+
+def test_every_process_gets_the_coins_of_its_own_stream_label_and_count():
+    """Each call compares a fresh draw; calls that change the stream, the
+    label (thm3 against thm4) or the count (graph size) in between get
+    their own coins, never the last call's."""
+    small, large = random_regular_graph(20, 3, 1), random_regular_graph(40, 3, 1)
+    dg = random_two_regular_digraph(30, 1)
+    root = RngStream(0xC015)
+    calls = [
+        (small, 0), (small, 0), (large, 0), (small, 0), (dg, 0), (small, 0), (small, 1), (dg, 1),
+    ]
+    for graph, trial in calls:
+        stream = root.child("trial", trial)
+        for p in (0.0, 0.05, 0.5):
+            if isinstance(graph, DiGraph):
+                state = thm4_process(graph, p, 0, stream)
+                drawn = state.resilient_vertices
+                want = stream.child("resilient").uniforms(graph.n) < p
+            else:
+                state = thm3_process(graph, p, 0, stream)
+                drawn = state.protected_edges
+                want = stream.child("protect").uniforms(graph.m) < p
+            assert np.array_equal(drawn, want)
+
+
+def test_a_sweep_draws_its_coins_once(monkeypatch):
+    h = random_regular_graph(30, 3, 2)
+    stream = RngStream(0xD4A).child("sweep")
+    first = thm3_process(h, 0.3, 0, stream).protected_edges
+    drawn = []
+    monkeypatch.setattr(RngStream, "uniform_at", lambda self, *a: drawn.append(a) or 1 / 0)
+    later = [thm3_process(h, p, 0, stream).protected_edges for p in (0.0, 0.1, 0.3, 1.0)]
+    assert drawn == []
+    # each call still returns its own read-only mask
+    assert np.array_equal(later[2], first) and later[2] is not first
+    assert len({id(mask) for mask in later}) == 4
+    assert all(not mask.flags.writeable for mask in later)
 
 
 # --- the per-root search memo ------------------------------------------------------------

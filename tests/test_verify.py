@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -62,6 +63,25 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+# sha256 of format_text() and of the to_dict() JSON (sorted keys, indent 2)
+# of the suites that tests/test_golden.py does not pin; pinned here, where
+# test_suite_passes runs them anyway.
+SUITE_GOLDEN = {
+    "tree_lemma": (
+        "354c3c764c3fc6ca24cf4deb7347ae63bd62adcc3277d72771a5d4be0348d0a7",
+        "82e30b6a23cb9ba7c5ccad090da6c2d73612ce534268b7f3ac612a41256f9b93",
+    ),
+    "core_oracle": (
+        "f215cc2909a24ce8fa1691629bc25482df532e3a95a558174dca9045d6b940d4",
+        "b457a2c3c3c491eef9b7df2fa7be792d9a72f7d7f8292d910eef76e2042396a1",
+    ),
+    "product_colouring": (
+        "5798bc620cb0cb0f9f599563da36de0c5c1c092d70765e056f8880cbeaced7a8",
+        "120a5593d019a41cecd80cee1a06f30d951128b45916a495b2fb59a5f8521072",
+    ),
+}
+
+
 class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(InputError):
@@ -75,6 +95,15 @@ class TestSuites:
         assert report.passed, [c for c in report.checks if not c.ok]
         assert report.name == name
         assert all(c.detail for c in report.checks)
+        if name in SUITE_GOLDEN:
+            digests = tuple(
+                hashlib.sha256(text.encode()).hexdigest()
+                for text in (report.format_text(), json.dumps(report.to_dict(), sort_keys=True, indent=2))
+            )
+            assert digests == SUITE_GOLDEN[name], (
+                f"the {name} suite's text or JSON changed bytes; if the move is deliberate, "
+                f"update its digests in SUITE_GOLDEN and give the reason in CHANGES.md"
+            )
 
     def test_alon_milman_battery_size(self):
         report = run_suite("alon_milman")
