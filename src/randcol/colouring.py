@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, _frontier_heads, _frozen
+from .graphs import Graph, _frozen
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_N_CAP = 40
@@ -51,30 +51,32 @@ def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[np.ndarray, list]:
 
     At threshold t a round removes every live vertex with fewer than t
     live neighbours at once, in ascending id, and lowers its neighbours'
-    degrees with one bincount over the heads of the removed vertices'
-    arcs (graphs._frontier_heads); rounds repeat until one removes
-    nothing, then the next threshold starts from the survivors. A round
-    is one generation of the cascade. It costs O(n) plus the removed
-    vertices' rows on a regular graph, O(n + m) otherwise. Stops when the
-    sequence ends or nothing is left. Returns (mask of the survivors,
-    peel order).
+    degrees by the arcs out of the removed vertices (g's cached
+    graphs._ArcView); rounds repeat until one removes nothing, then the
+    next threshold starts from the survivors. A round is one generation
+    of the cascade. It costs O(n) plus the removed vertices' rows when g
+    is regular or a view of a regular parent, such as a half-sample of a
+    blow-up, whose dropped edges are masked out of the parent's table;
+    O(n + m) otherwise. Stops when the sequence ends or nothing is left.
+    Returns (mask of the survivors, peel order).
     """
-    indptr, indices = g._csr_arrays()
-    heads = _frontier_heads(indptr, indices)[1]
-    deg = np.diff(indptr)
+    arcs = g._arc_view()
+    deg = arcs.degree.copy()
     alive = np.ones(g.n, dtype=bool)
+    out = np.empty(g.n, dtype=bool)
     rounds: list = []
     for t in thresholds:
         if not alive.any():
             break
-        out = alive & (deg < t)
-        ids = np.flatnonzero(out)
-        while ids.size:
+        while True:
+            np.less(deg, t, out=out)
+            out &= alive
+            ids = out.nonzero()[0]
+            if not ids.size:
+                break
             alive ^= out
             rounds.append(ids)
-            deg -= np.bincount(heads(out), minlength=g.n)
-            out = alive & (deg < t)
-            ids = np.flatnonzero(out)
+            deg -= arcs.counts(out, ids)
     peel = np.concatenate(rounds).tolist() if rounds else []
     return alive, peel
 

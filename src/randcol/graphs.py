@@ -11,7 +11,7 @@ as read-only masks. A single root is an id, checked by _root.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,37 +100,51 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _frontier_heads(
-    indptr: np.ndarray, indices: np.ndarray
-) -> tuple[int | None, Callable[[np.ndarray], np.ndarray]]:
-    """(d, heads) of the CSR (indptr, indices). d is its one out-degree,
-    0 when it has no vertices, None when out-degrees differ. heads maps a
-    boolean mask over the vertices, a frontier, to the heads of the arcs
-    out of it, repeats kept, so that their bincount counts each vertex's
-    arcs in from the frontier.
+def _common_degree(degree: np.ndarray) -> int | None:
+    """The one value of degree, 0 when it is empty, None when it varies."""
+    d = int(degree[0]) if len(degree) else 0
+    return None if np.count_nonzero(degree != d) else d
 
-    With d > 0, indices is an (n, d) table, and heads gathers the
-    frontier's rows of it: O(|frontier| * d) after an O(n) nonzero.
-    When out-degrees differ, heads selects the arcs by the mask repeated
-    by out-degree, O(n + m). An edgeless or empty CSR (d = 0) has no
-    arcs and no (n, 0) table, so heads gives the empty indices.
+
+class _ArcView:
+    """A graph's arcs as its frontier rounds read them: the read-only
+    out-degrees, the arc count, and counts(frontier, ids), the number of
+    arcs into each vertex from a frontier, given as a boolean mask and
+    as its ids (frontier.nonzero()[0], which every caller has at hand).
+
+    With a table, an (n, d) array whose row v lists 1 + the head of each
+    of v's arcs, 0 standing for a dropped arc, counts gathers the
+    frontier's rows: O(|frontier| * d). Without one it selects the CSR
+    indices by the frontier's mask repeated by out-degree, O(n + m).
     """
-    degree = indptr[1:] - indptr[:-1]
-    d = len(indices) // max(len(degree), 1)
-    if np.count_nonzero(degree != d):
-        return None, lambda frontier: indices[frontier.repeat(degree)]
-    if not d:
-        return 0, lambda frontier: indices
-    rows = indices.reshape(-1, d)
-    return d, lambda frontier: rows.take(frontier.nonzero()[0], axis=0).ravel()
+
+    __slots__ = ("degree", "arcs", "table", "indices")
+
+    def __init__(self, degree, arcs, table=None, indices=None):
+        self.degree, self.arcs, self.table, self.indices = _frozen(degree), arcs, table, indices
+
+    @classmethod
+    def of_csr(cls, indptr: np.ndarray, indices: np.ndarray) -> "_ArcView":
+        """A table when every out-degree is the same d > 0, since indices
+        is then (n, d) row by row; the repeated mask otherwise (an
+        edgeless CSR has no arcs and no (n, 0) table)."""
+        degree = indptr[1:] - indptr[:-1]
+        d = _common_degree(degree)
+        if d:
+            return cls(degree, len(indices), table=_frozen(indices.reshape(-1, d) + 1))
+        return cls(degree, len(indices), indices=indices)
+
+    def counts(self, frontier: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        n = len(self.degree)
+        if self.table is None:
+            return np.bincount(self.indices[frontier.repeat(self.degree)], minlength=n)
+        return np.bincount(self.table.take(ids, axis=0).ravel(), minlength=n + 1)[1:]
 
 
-def _spread(
-    indptr: np.ndarray, indices: np.ndarray, seed_mask: np.ndarray, thresholds
-) -> tuple[np.ndarray, list[int]]:
+def _spread(g: "Graph | DiGraph", seed_mask: np.ndarray, thresholds) -> tuple[np.ndarray, list[int]]:
     """Least fixpoint of: v joins once >= thresholds[v] of the vertices
-    with an arc into v (CSR indptr, indices) have joined, from seed_mask.
-    thresholds is an array over the vertices or one number for all.
+    with an arc into v have joined, from seed_mask. thresholds is an
+    array over the vertices or one number for all.
 
     Returns the joined mask and the round trace: the seed size, then the
     count of newcomers in each synchronous round. A threshold of 0 joins
@@ -138,29 +152,33 @@ def _spread(
     single seed r and threshold 1 inside an allowed set, inf outside, the
     rounds are the breadth-first levels from r through that set.
 
-    A round counts the arcs out of the last newcomers (_frontier_heads),
-    then compares all n counts: O(n) plus the newcomers' rows on a
-    regular CSR, O(n + m) otherwise.
+    A round counts the arcs out of the last newcomers (g's _ArcView),
+    then compares all n counts: O(n) plus the newcomers' rows when g or
+    the parent of its view is regular, O(n + m) otherwise.
     """
-    heads = _frontier_heads(indptr, indices)[1]
+    arcs = g._arc_view()
     # counts are integers no larger than the arc count, so an integer
     # count reaches a threshold exactly at its ceiling, and any threshold
-    # above the arc count (inf included) acts as the arc count plus one
-    need = np.ceil(np.minimum(thresholds, len(indices) + 1)).astype(np.intp)
+    # above the arc count (inf included) acts as the arc count plus one;
+    # an intp array, as thm3's, already compares exactly as it is
+    need = thresholds
+    if not (isinstance(thresholds, np.ndarray) and thresholds.dtype == np.intp):
+        need = np.ceil(np.minimum(thresholds, arcs.arcs + 1)).astype(np.intp)
     outside = ~seed_mask
     counts = np.zeros(len(outside), dtype=np.intp)
-    trace = [int(np.count_nonzero(seed_mask))]
     new, ready = seed_mask, np.empty(len(outside), dtype=bool)
+    ids = np.flatnonzero(new)
+    trace = [len(ids)]
     while True:
         # counts >= 0, so a threshold of 0 fires in the first round
-        counts += np.bincount(heads(new), minlength=len(outside))
+        counts += arcs.counts(new, ids)
         new = np.greater_equal(counts, need, out=ready)
         new &= outside
-        size = int(np.count_nonzero(new))
-        if not size:
+        ids = new.nonzero()[0]
+        if not len(ids):
             return ~outside, trace
         outside ^= new
-        trace.append(size)
+        trace.append(len(ids))
 
 
 def _search(g: "Graph | DiGraph", r: int) -> tuple[np.ndarray, tuple]:
@@ -172,7 +190,7 @@ def _search(g: "Graph | DiGraph", r: int) -> tuple[np.ndarray, tuple]:
     if g._searches is None:
         g._searches = {}
     if key not in g._searches:
-        infected, trace = _spread(*g._csr_arrays(), seed, 1)
+        infected, trace = _spread(g, seed, 1)
         g._searches[key] = _frozen(infected), tuple(trace)
     return g._searches[key]
 
@@ -185,28 +203,44 @@ class Graph:
     every per-edge mask. validate=False skips normalising and checking:
     the rows must already be canonical and sorted, as the rows a mask
     keeps of another graph's edges are.
+
+    A graph made by with_edges is usually a view: it keeps its root
+    parent and a read-only mask over the parent's edges, and reads its
+    rows and arcs from the parent's. The parent is not part of the value.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_arcs", "_csr", "_components", "_masks", "_searches")
+    __slots__ = (
+        "n", "_edges", "_parent", "_mask", "_adj", "_arcs", "_csr", "_arcview",
+        "_edge_of_pos", "_components", "_masks", "_searches",
+    )
 
     def __init__(self, n: int, edges, validate: bool = True):
         if n < 0:
             raise InputError("vertex count must be non-negative")
-        self.n = n
         if validate:
             ends = np.sort(_pairs(edges), axis=1)
             ends = ends[np.lexsort(ends.T[::-1])]
             _check_pairs(n, ends, "edge")
         else:
             ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-        ends.flags.writeable = False
-        self.edges: np.ndarray = ends
-        self._adj = self._arcs = self._csr = self._components = self._masks = None
-        self._searches = None
+        self._start(n, _frozen(ends))
+
+    def _start(self, n: int, edges, parent: "Graph | None" = None, mask=None) -> None:
+        self.n, self._edges, self._parent, self._mask = n, edges, parent, mask
+        self._adj = self._arcs = self._csr = self._arcview = self._edge_of_pos = None
+        self._components = self._masks = self._searches = None
+
+    @property
+    def edges(self) -> np.ndarray:
+        """A view's rows are its parent's rows under the mask, taken on
+        first read."""
+        if self._edges is None:
+            self._edges = _frozen(self._parent.edges.compress(self._mask, axis=0))
+        return self._edges
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edges) if self._mask is None else int(np.count_nonzero(self._mask))
 
     def _arc_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(tails, heads): the edge rows in both directions, every (u, v)
@@ -216,6 +250,13 @@ class Graph:
             self._arcs = _frozen(np.concatenate((u, v))), _frozen(np.concatenate((v, u)))
         return self._arcs
 
+    def _csr_edges(self) -> np.ndarray:
+        """The edge id of each position of the CSR's indices, read-only."""
+        if self._edge_of_pos is None:
+            tails, heads = self._arc_rows()
+            self._edge_of_pos = _frozen(np.argsort(tails * self.n + heads) % max(self.m, 1))
+        return self._edge_of_pos
+
     def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices): the neighbours of v, ascending, are
         indices[indptr[v]:indptr[v + 1]]."""
@@ -223,13 +264,29 @@ class Graph:
             self._csr = _csr(self.n, *self._arc_rows())
         return self._csr
 
+    def _arc_view(self) -> _ArcView:
+        """The arcs as spreads and peels read them, cached. A view of a
+        regular parent gathers rows of the parent's (n, d) table, its
+        dropped arcs zeroed; any other graph reads its own CSR."""
+        if self._arcview is None:
+            table = None if self._parent is None else self._parent._arc_view().table
+            if table is None:
+                self._arcview = _ArcView.of_csr(*self._csr_arrays())
+            else:
+                keep = self._mask.take(self._parent._csr_edges()).reshape(table.shape)
+                # row sums as an integer product, twice as fast as a count
+                # over the short axis (and, unlike a float one, no BLAS)
+                degree = keep.view(np.uint8) @ np.ones(table.shape[1], dtype=np.intp)
+                self._arcview = _ArcView(degree, 2 * self.m, table=_frozen(keep * table))
+        return self._arcview
+
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         if self._adj is None:
             self._adj = _neighbour_tuples(*self._csr_arrays())
         return self._adj
 
     def degrees(self) -> list[int]:
-        return np.diff(self._csr_arrays()[0]).tolist()
+        return self._arc_view().degree.tolist()
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
@@ -242,14 +299,27 @@ class Graph:
 
     def with_edges(self, mask) -> "Graph":
         """Spanning subgraph on the edges where the boolean mask over
-        self.edges is set."""
+        self.edges is set, as a view of the root parent. It keeps a
+        read-only copy of the mask, so later writes to the caller's
+        array do not reach it; a view's mask is composed with its own.
+        A subgraph with under a quarter of the root's edges is built on
+        its own rows instead, so that it neither holds the root's arrays
+        nor gathers the root's longer rows in its peels and spreads."""
         keep = _sized(mask, self.m, "edge set")
-        return Graph(self.n, self.edges.compress(keep, axis=0), validate=False)
+        parent, kept = self, keep.copy()
+        if self._parent is not None:
+            parent, kept = self._parent, self._mask.copy()
+            kept[self._mask] = keep
+        if 4 * np.count_nonzero(kept) < len(kept):
+            return Graph(self.n, parent.edges.compress(kept, axis=0), validate=False)
+        view = Graph.__new__(Graph)
+        view._start(self.n, None, parent, _frozen(kept))
+        return view
 
     def regular_degree(self) -> int | None:
         """The common degree if the graph is regular (0 if it has no
         vertices), else None."""
-        return _frontier_heads(*self._csr_arrays())[0]
+        return _common_degree(self._arc_view().degree)
 
     def __eq__(self, other):
         return (
@@ -274,7 +344,7 @@ class DiGraph:
     colours (so in-degree at most 2).
     """
 
-    __slots__ = ("n", "arcs", "arc_colour", "_csr", "_searches")
+    __slots__ = ("n", "arcs", "arc_colour", "_csr", "_arcview", "_searches")
 
     def __init__(
         self,
@@ -304,7 +374,7 @@ class DiGraph:
                 if twice.any():
                     i = twice.argmax()
                     raise InputError(f"vertex {heads[i]} has two {self.arc_colour[i]!r} in-arcs")
-        self._csr = self._searches = None
+        self._csr = self._arcview = self._searches = None
 
     @property
     def m(self) -> int:
@@ -316,6 +386,11 @@ class DiGraph:
         if self._csr is None:
             self._csr = _csr(self.n, *self.arcs.T)
         return self._csr
+
+    def _arc_view(self) -> _ArcView:
+        if self._arcview is None:
+            self._arcview = _ArcView.of_csr(*self._csr_arrays())
+        return self._arcview
 
     def is_regular(self, d: int) -> bool:
         """In- and out-degree d at every vertex."""
@@ -342,8 +417,7 @@ def vertex_boundary(g: Graph | DiGraph, s) -> np.ndarray:
     """Mask of the vertices outside the mask s adjacent to s
     (out-neighbours of s, if directed)."""
     inside = _sized(s, g.n, "vertex set")
-    hit = np.bincount(_frontier_heads(*g._csr_arrays())[1](inside), minlength=g.n)
-    return _frozen((hit > 0) & ~inside)
+    return _frozen((g._arc_view().counts(inside, np.flatnonzero(inside)) > 0) & ~inside)
 
 
 def edge_boundary(g: Graph, s) -> list[tuple[int, int]]:

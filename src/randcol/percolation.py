@@ -41,16 +41,19 @@ def bootstrap_percolate(g: Graph, initially_infected, threshold_of: Sequence) ->
     infected neighbours, from the mask initially_infected. Thresholds of
     0 ignite in round one even without neighbours; math.inf disables a
     vertex entirely. Each synchronous round counts the last newcomers
-    over the CSR arrays.
+    over the graph's arcs (an intp array of thresholds is compared as it
+    is, others are rounded up).
     """
     seed = _sized(initially_infected, g.n, "seed")
-    thresholds = np.asarray(threshold_of, dtype=float)
+    thresholds = np.asarray(threshold_of)
+    if thresholds.dtype != np.intp:
+        thresholds = thresholds.astype(float)
     if thresholds.shape != (g.n,):
         raise InputError("threshold sequence length must equal vertex count")
     bad = ~(thresholds >= 0)
     if bad.any():
         raise InputError(f"negative or NaN threshold at vertex {bad.argmax()}")
-    infected, trace = _spread(*g._csr_arrays(), seed, thresholds)
+    infected, trace = _spread(g, seed, thresholds)
     return PercolationState(infected=_frozen(infected), round_trace=tuple(trace))
 
 
@@ -62,7 +65,7 @@ def t_core_via_percolation(g: Graph, t: int) -> np.ndarray:
     """
     if t < 0:
         raise InputError("t must be >= 0")
-    deg = np.diff(g._csr_arrays()[0])
+    deg = g._arc_view().degree
     # vertices below t are seeds, so clamping their raw (negative)
     # thresholds changes nothing
     return _frozen(~bootstrap_percolate(g, deg < t, np.maximum(0, deg - t + 1)).infected)
@@ -103,7 +106,7 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     hit = _frozen(_coins(rng, "resilient", h.n) < p_resilient)
     if not hit.any():
         return PercolationState(*_search(h, r), resilient_vertices=hit)
-    infected, trace = _spread(*h._csr_arrays(), _root(h.n, r), np.where(hit, np.inf, 1))
+    infected, trace = _spread(h, _root(h.n, r), np.where(hit, np.inf, 1))
     return PercolationState(_frozen(infected), tuple(trace), resilient_vertices=hit)
 
 
@@ -194,7 +197,7 @@ def classify_supervertices_thm3(
         if h.n != layout.n_super:
             raise InputError("base graph does not match layout")
         seed = _root(h.n, root)
-        dead_component = _frozen(_spread(*h._csr_arrays(), seed, np.where(dead, 1, np.inf))[0])
+        dead_component = _frozen(_spread(h, seed, np.where(dead, 1, np.inf))[0])
     # one layer has no nearly-dead class of its own
     return SuperVertexStatus(core, dead, dead, table, dead_component=dead_component)
 
@@ -280,6 +283,6 @@ def boundary_resilience_audit(
     if h.n != layout.n_super:
         raise InputError("base digraph does not match layout")
     cls = resilient_pair_detect(final_graph, layout, params, edge_graph=round2_graph)
-    reach = _frozen(_spread(*h._csr_arrays(), seed, np.where(cls.nearly_dead, 1, np.inf))[0])
+    reach = _frozen(_spread(h, seed, np.where(cls.nearly_dead, 1, np.inf))[0])
     boundary = vertex_boundary(h, reach)
     return BoundaryResilienceReport(reach, boundary, _frozen(boundary & ~cls.resilient))

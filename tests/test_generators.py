@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from randcol.graphs import (
     DiGraph,
     Graph,
     connected_component,
+    format_graph,
     has_cycle_shorter_than,
     is_connected,
 )
@@ -35,6 +37,33 @@ def base_digraph_4():
     arcs = [(i, (i + 1) % 4) for i in range(4)] + [(i, (i + 2) % 4) for i in range(4)]
     colours = ["r"] * 4 + ["b"] * 4
     return DiGraph(4, arcs, arc_colour=colours)
+
+
+# --- pinned graphs ------------------------------------------------------------
+
+# sha256 of the text format (format_graph) of one graph per generator:
+# its edge rows, and for the digraph its arc colours. They move if the
+# draws behind a generator do, such as numpy's Generator.shuffle.
+GRAPH_GOLDEN = {
+    "random_regular_graph": "66d5f1e9984413de92dca92d14bc6e0b32a8ad89e64f4d50ea991e1b2fe3f817",
+    "cubic_expander": "7d2ffbeea8446268d105432201d650d40a5df52442383104b740b8ac4dcf56b3",
+    "random_two_regular_digraph": "eb015055b3f3385463980949702eeac84cfbcde1b728704e90e97d9fe04346e7",
+}
+
+PINNED_GRAPHS = {
+    "random_regular_graph": lambda: random_regular_graph(60, 4, 5),
+    "cubic_expander": lambda: find_cubic_expander(14, 7, lambda2_max=2.95, girth_min=4)[0],
+    "random_two_regular_digraph": lambda: random_two_regular_digraph(40, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_GOLDEN))
+def test_generated_graph_is_pinned(name):
+    text = format_graph(PINNED_GRAPHS[name]())
+    assert hashlib.sha256(text.encode()).hexdigest() == GRAPH_GOLDEN[name], (
+        f"the pinned {name} graph changed bytes; if the move is deliberate, "
+        f"update its digest in GRAPH_GOLDEN and give the reason in CHANGES.md"
+    )
 
 
 # --- random regular -----------------------------------------------------------

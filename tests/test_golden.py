@@ -7,8 +7,6 @@ import json
 
 import pytest
 
-from randcol.verify import run_suite
-
 # suite: (sha256 of format_text(), sha256 of the to_dict() JSON with the
 # sorted keys and indent of `randcol verify --report`)
 GOLDEN = {
@@ -32,8 +30,8 @@ def sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_suite_bytes_are_pinned(name):
-    report = run_suite(name)
+def test_suite_bytes_are_pinned(name, suite_report):
+    report = suite_report(name)
     text, payload = GOLDEN[name]
     artefacts = (
         ("format_text()", report.format_text(), text),

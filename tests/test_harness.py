@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import statistics
@@ -400,6 +401,36 @@ class TestExperiments:
         res = run_experiment(cfg)
         assert res.aggregate["errors"] == 0
         assert len(harness._BUILD_CACHE) == before
+
+
+# sha256 of result texts that no acceptance criterion pins: a one-round
+# core_emptiness run (sample_subgraph, then the peel of the sampled view)
+# and a product_colouring run (partition_split, then the exact solver
+# over each part's CSR)
+RESULT_GOLDEN = {
+    "core_emptiness": "e519dce6067b4e24c89cefa57dd0d80a96398d4e1efa5197868262ff328c99c2",
+    "product_colouring": "1587f63ba53e30b15467ae3de85b4eaa6b0e319d4bf668abae29afeb9f25d252",
+}
+
+PINNED_CONFIGS = {
+    "core_emptiness": core_config(t=3, trials=30),
+    "product_colouring": ExperimentConfig(
+        kind="product_colouring",
+        trials=25,
+        master_seed=17,
+        graph={"kind": "random", "n": 9, "density": 0.5},
+        parts=2,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RESULT_GOLDEN))
+def test_result_text_is_pinned(kind):
+    text = run_experiment(PINNED_CONFIGS[kind]).text()
+    assert hashlib.sha256(text.encode()).hexdigest() == RESULT_GOLDEN[kind], (
+        f"the pinned {kind} run's result text changed bytes; if the move is deliberate, "
+        f"update its digest in RESULT_GOLDEN and give the reason in CHANGES.md"
+    )
 
 
 class TestOutputs:

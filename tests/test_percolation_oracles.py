@@ -34,7 +34,6 @@ from randcol.graphs import (
     DiGraph,
     Graph,
     _csr,
-    _frontier_heads,
     _frozen,
     _root,
     _spread,
@@ -204,11 +203,27 @@ def spread_thresholds(n, degree, data):
 @given(graphs, st.data())
 def test_spread_round_matches_float_thresholds(case, data):
     n, edges = case
-    indptr, indices = Graph(n, edges)._csr_arrays()
+    g = Graph(n, edges)
+    indptr, indices = g._csr_arrays()
     seed = data.draw(masks(n))
     thresholds = spread_thresholds(n, np.diff(indptr), data)
-    infected, trace = _spread(indptr, indices, seed, thresholds)
+    infected, trace = _spread(g, seed, thresholds)
     want, want_trace = ref_spread(indptr, indices, seed, thresholds)
+    assert np.array_equal(infected, want) and trace == want_trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs, st.data())
+def test_intp_thresholds_match_their_float_values(case, data):
+    """An intp array reaches the round as it is, with no ceiling and no
+    cap: values above the arc count never fire, as inf does not."""
+    n, edges = case
+    g = Graph(n, edges)
+    seed = data.draw(masks(n))
+    picks = data.draw(st.lists(st.integers(0, 2 * g.m + 3), min_size=n, max_size=n))
+    thresholds = np.array(picks, dtype=np.intp)
+    infected, trace = _spread(g, seed, thresholds)
+    want, want_trace = ref_spread(*g._csr_arrays(), seed, thresholds.astype(float))
     assert np.array_equal(infected, want) and trace == want_trace
 
 
@@ -218,11 +233,12 @@ def test_directed_spread_round_matches_float_thresholds(case, data):
     """In-degrees differ from out-degrees here, so a clamp by the wrong
     degree would show."""
     n, arc_list = case
-    indptr, indices = DiGraph(n, arc_list)._csr_arrays()
+    h = DiGraph(n, arc_list)
+    indptr, indices = h._csr_arrays()
     seed = data.draw(masks(n))
     degree = data.draw(st.sampled_from((np.diff(indptr), np.bincount(indices, minlength=n))))
     thresholds = spread_thresholds(n, degree, data)
-    infected, trace = _spread(indptr, indices, seed, thresholds)
+    infected, trace = _spread(h, seed, thresholds)
     want, want_trace = ref_spread(indptr, indices, seed, thresholds)
     assert np.array_equal(infected, want) and trace == want_trace
 
@@ -281,13 +297,14 @@ def test_table_spread_matches_the_mask_round(data):
     out_degree = np.diff(indptr)
     d = int(out_degree[0]) if n else 0
     assert (out_degree == d).all()
-    assert _frontier_heads(indptr, indices)[0] == d
+    table = g._arc_view().table
+    assert table is None if not d else table.shape == (n, d)
     if isinstance(g, Graph):
         assert g.regular_degree() == ref_regular_degree(g) == d
     seed = data.draw(masks(n))
     degree = data.draw(st.sampled_from((out_degree, np.bincount(indices, minlength=n))))
     for thresholds in (spread_thresholds(n, degree, data), 1):
-        infected, trace = _spread(indptr, indices, seed, thresholds)
+        infected, trace = _spread(g, seed, thresholds)
         want, want_trace = ref_spread(indptr, indices, seed, thresholds)
         assert np.array_equal(infected, want) and trace == want_trace
     inside = data.draw(masks(n))

@@ -90,8 +90,8 @@ class TestSuites:
     @pytest.mark.parametrize(
         "name", ["alon_milman", "tree_lemma", "core_oracle", "product_colouring", "fixpoints", "expansion"]
     )
-    def test_suite_passes(self, name):
-        report = run_suite(name)
+    def test_suite_passes(self, name, suite_report):
+        report = suite_report(name)
         assert report.passed, [c for c in report.checks if not c.ok]
         assert report.name == name
         assert all(c.detail for c in report.checks)
@@ -105,12 +105,12 @@ class TestSuites:
                 f"update its digests in SUITE_GOLDEN and give the reason in CHANGES.md"
             )
 
-    def test_alon_milman_battery_size(self):
-        report = run_suite("alon_milman")
+    def test_alon_milman_battery_size(self, suite_report):
+        report = suite_report("alon_milman")
         assert len(report.checks) == 30
 
-    def test_tree_lemma_battery_size(self):
-        report = run_suite("tree_lemma")
+    def test_tree_lemma_battery_size(self, suite_report):
+        report = suite_report("tree_lemma")
         assert len(report.checks) == 20
 
     def test_report_rendering(self):

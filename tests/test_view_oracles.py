@@ -1,0 +1,189 @@
+"""Subgraphs made by with_edges are views of their root parent when they
+keep at least a quarter of its edges: they read their rows and arcs from
+the parent's (a view of a regular parent gathers rows of the parent's
+(n, d) table with its dropped arcs zeroed). The reference kept here is
+the materialised subgraph, Graph(g.n, sub.edges), whose CSR is sorted
+afresh by graphs._csr."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from randcol.colouring import colouring_number, t_core_with_trace
+from randcol.errors import GenerationError, InputError
+from randcol.generators import blow_up, random_regular_graph
+from randcol.graphs import Graph, _csr, connected_component, vertex_boundary
+from randcol.percolation import bootstrap_percolate
+
+
+def pairs(n):
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return st.sets(pair.map(lambda e: (min(e), max(e))), max_size=3 * n)
+
+
+def circulant(n, offsets):
+    """v joined to v + s and v - s (mod n) for each offset s."""
+    return Graph(n, {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in offsets})
+
+
+def parent_graph(data):
+    """Random graphs (rarely regular), regular ones with d > 0 (circulants,
+    random regular graphs and blow-ups), and edgeless ones, n = 0 among
+    them (d = 0)."""
+    kind = data.draw(st.sampled_from(("random", "circulant", "regular", "blow_up", "edgeless")))
+    if kind == "random":
+        n = data.draw(st.integers(0, 25))
+        return Graph(n, data.draw(pairs(n)) if n else [])
+    if kind == "circulant":
+        n = data.draw(st.integers(3, 25))
+        return circulant(n, data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4)))
+    if kind == "regular":
+        d = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(d + 1, 25))
+        n += n * d % 2
+        try:
+            return random_regular_graph(n, d, data.draw(st.integers(0, 20)))
+        except GenerationError:  # no simple pairing in the attempts
+            return circulant(n, range(1, d // 2 + 1))
+    if kind == "blow_up":
+        base = circulant(data.draw(st.integers(3, 7)), (1,))
+        return blow_up(base, data.draw(st.integers(1, 3)))[0]
+    return Graph(data.draw(st.integers(0, 10)), [])
+
+
+def edge_mask(data, m):
+    """Empty, full or random masks over m edges."""
+    kind = data.draw(st.sampled_from(("empty", "full", "random")))
+    if kind == "random":
+        return np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    return np.full(m, kind == "full")
+
+
+def vertex_mask(data, n):
+    return np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+
+
+def view_and_reference(data):
+    g = parent_graph(data)
+    sub = g.with_edges(edge_mask(data, g.m))
+    return g, sub, Graph(g.n, sub.edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_view_csr_and_value_match_the_materialised_graph(data):
+    g, sub, ref = view_and_reference(data)
+    indptr, indices = sub._csr_arrays()
+    want_indptr, want_indices = _csr(ref.n, *ref._arc_rows())
+    assert np.array_equal(indptr, want_indptr) and np.array_equal(indices, want_indices)
+    assert np.array_equal(indptr, ref._csr_arrays()[0])
+    assert np.array_equal(indices, ref._csr_arrays()[1])
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    assert sub == ref and hash(sub) == hash(ref) and repr(sub) == repr(ref)
+    assert sub.m == ref.m and np.array_equal(sub.edges, ref.edges)
+    assert sub.degrees() == ref.degrees()
+    assert sub.regular_degree() == ref.regular_degree()
+    assert sub.adjacency() == ref.adjacency() and sub.adj_masks() == ref.adj_masks()
+    # a subgraph with a quarter of the edges or more is a view, and a view
+    # of a regular parent reads the parent's table; any other its own CSR
+    view = 4 * sub.m >= g.m
+    assert sub._parent is (g if view else None)
+    assert (sub._arc_view().table is not None) == (view and bool(g.regular_degree()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_view_peels_match_the_materialised_graph(data):
+    _, sub, ref = view_and_reference(data)
+    for t in range(ref.max_degree() + 3):
+        got_core, got_trace = t_core_with_trace(sub, t)
+        want_core, want_trace = t_core_with_trace(ref, t)
+        assert np.array_equal(got_core, want_core) and got_trace == want_trace
+    assert colouring_number(sub) == colouring_number(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_view_spreads_match_the_materialised_graph(data):
+    _, sub, ref = view_and_reference(data)
+    n = ref.n
+    for v in range(n):
+        assert np.array_equal(connected_component(sub, v), connected_component(ref, v))
+    inside = vertex_mask(data, n)
+    assert np.array_equal(vertex_boundary(sub, inside), vertex_boundary(ref, inside))
+    seed = vertex_mask(data, n)
+    floats = data.draw(st.lists(st.sampled_from((0, 1, 2, 3, 1.5, math.inf)), min_size=n, max_size=n))
+    ints = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.intp)
+    for thresholds in (floats, ints):
+        got = bootstrap_percolate(sub, seed, thresholds)
+        want = bootstrap_percolate(ref, seed, thresholds)
+        assert np.array_equal(got.infected, want.infected)
+        assert got.round_trace == want.round_trace
+
+
+# --- the view's own mask -----------------------------------------------------------------
+
+
+def test_a_view_does_not_alias_its_callers_mask():
+    g = circulant(10, (1, 2))
+    mask = np.arange(g.m) % 3 == 0
+    sub = g.with_edges(mask)
+    edges, core = sub.edges.copy(), t_core_with_trace(sub, 2)
+    mask[:] = True  # a later write to the caller's array
+    fresh = g.with_edges(np.arange(g.m) % 3 == 0)
+    assert np.array_equal(sub.edges, edges) and sub == fresh
+    assert sub._mask is not mask and not sub._mask.flags.writeable
+    got = t_core_with_trace(fresh, 2)
+    assert np.array_equal(got[0], core[0]) and got[1] == core[1]
+
+
+def test_a_view_of_a_read_only_mask_keeps_its_value():
+    g = circulant(8, (1, 3))
+    mask = np.arange(g.m) % 2 == 0
+    mask.flags.writeable = False
+    sub = g.with_edges(mask)
+    mask.flags.writeable = True
+    mask[:] = False
+    assert sub.m == g.m // 2 == Graph(g.n, g.edges[::2]).m
+    assert sub == Graph(g.n, g.edges[::2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_view_of_a_view_composes_to_the_root_parent(data):
+    g = parent_graph(data)
+    outer = edge_mask(data, g.m)
+    inner = edge_mask(data, int(np.count_nonzero(outer)))
+    first = g.with_edges(outer)
+    second = first.with_edges(inner)
+    # composed to the root's mask, or materialised when under a quarter
+    assert first._parent is (g if 4 * first.m >= g.m else None)
+    root = first if first._parent is None else g
+    assert second._parent is (root if 4 * second.m >= root.m else None)
+    ref = Graph(g.n, g.edges[outer][inner])
+    assert second == ref and np.array_equal(second._csr_arrays()[1], ref._csr_arrays()[1])
+    for t in range(3):
+        got, want = t_core_with_trace(second, t), t_core_with_trace(ref, t)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_views_compose_until_they_keep_under_a_quarter_of_the_root():
+    g = circulant(10, (1, 2))  # 20 edges
+    first = g.with_edges(np.arange(20) % 4 != 0)  # 15 edges
+    second = first.with_edges(np.arange(15) % 3 != 0)  # 10: a view of g
+    third = second.with_edges(np.arange(10) < 4)  # 4 < 20 / 4: materialised
+    assert first._parent is g and second._parent is g and third._parent is None
+    assert second == Graph(10, g.edges[np.arange(20) % 4 != 0][np.arange(15) % 3 != 0])
+    assert third == Graph(10, second.edges[:4]) and third.edges.flags.writeable is False
+
+
+def test_with_edges_checks_the_mask():
+    g = circulant(6, (1,))
+    sub = g.with_edges(np.arange(g.m) < 3)
+    for bad in (np.ones(g.m - 1, dtype=bool), np.ones(g.m, dtype=int), [True] * g.m + [False]):
+        with pytest.raises(InputError):
+            g.with_edges(bad)
+    with pytest.raises(InputError):
+        sub.with_edges(np.ones(g.m, dtype=bool))  # a mask over the view's 3 edges, not g's
