@@ -202,7 +202,9 @@ class Graph:
     sorted, so equal graphs have equal arrays and row i is edge i of
     every per-edge mask. validate=False skips normalising and checking:
     the rows must already be canonical and sorted, as the rows a mask
-    keeps of another graph's edges are.
+    keeps of another graph's edges are. Either way the graph holds its
+    own copy of the rows, so later writes to the caller's array do not
+    reach it.
 
     A graph made by with_edges is usually a view: it keeps its root
     parent and a read-only mask over the parent's edges, and reads its
@@ -222,7 +224,7 @@ class Graph:
             ends = ends[np.lexsort(ends.T[::-1])]
             _check_pairs(n, ends, "edge")
         else:
-            ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+            ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
         self._start(n, _frozen(ends))
 
     def _start(self, n: int, edges, parent: "Graph | None" = None, mask=None) -> None:

@@ -18,9 +18,9 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .bounds import proposition_lower_bound
 from .colouring import (
@@ -309,7 +309,17 @@ class ExperimentConfig:
     def first_rate_fraction(self) -> Fraction:
         if self.first_rate is None:
             raise InputError("no first_rate configured")
+        return self._first_rate
+
+    @cached_property
+    def _first_rate(self) -> Fraction:
+        """first_rate parsed once per instance, as every two-round trial
+        reads it. It is not a field, so ==, hash, to_dict and replace
+        never see it, and __getstate__ keeps it out of the pickle."""
         return _as_fraction(self.first_rate, "first_rate")
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -616,6 +626,9 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
     if workers == 1:
         records = [run_trial(config, i) for i in range(config.trials)]
     else:
+        # imported here: multiprocessing would load with every `import randcol`
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, config.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = pool.map(run_trial, itertools.repeat(config), range(config.trials), chunksize=chunk)

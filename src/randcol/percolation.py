@@ -110,39 +110,46 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     return PercolationState(_frozen(infected), tuple(trace), resilient_vertices=hit)
 
 
-def _thm3_thresholds(h: Graph, protected) -> np.ndarray:
+def _thm3_thresholds(h: Graph, protected: np.ndarray) -> np.ndarray:
     """2 at a vertex with a protected incident edge, else 1."""
     thresholds = np.ones(h.n, dtype=np.intp)
-    if protected is not None:
-        keep = _sized(protected, h.m, "protected_edges")
-        thresholds[h.edges.compress(keep, axis=0).ravel()] = 2
+    thresholds[h.edges.compress(protected, axis=0).ravel()] = 2
     return thresholds
 
 
 def _fixpoint_violations(g: Graph | DiGraph, tails, heads, infected, thresholds) -> list:
-    """Vertices outside the infected mask with at least thresholds[v]
-    infected in-neighbours along the arcs tails[i] -> heads[i]. The
+    """Vertices outside the infected mask with at least threshold[v]
+    infected in-neighbours along the arcs tails[i] -> heads[i], where
+    thresholds() makes the per-vertex array (or one number for all). The
     counts come from the graph's rows, not from the CSR that the spread
-    reads, so the audit stays independent of it."""
+    reads, so the audit stays independent of it. A violation lies
+    outside the mask, so a full mask has none, and neither the counts
+    nor the thresholds are made for it."""
     infected = _sized(infected, g.n, "infected")
+    if infected.all():
+        return []
     count = np.bincount(heads[infected[tails]], minlength=g.n)
-    return np.flatnonzero(~infected & (count >= thresholds)).tolist()
+    return np.flatnonzero(~infected & (count >= thresholds())).tolist()
 
 
 def thm3_fixpoint_violations(h: Graph, state: PercolationState) -> list:
     """Outside vertices that the rule says should have joined, counted
     over the edge rows in both directions."""
-    thresholds = _thm3_thresholds(h, state.protected_edges)
-    return _fixpoint_violations(h, *h._arc_rows(), state.infected, thresholds)
+    protected = state.protected_edges
+    if protected is not None:
+        protected = _sized(protected, h.m, "protected_edges")
+    return _fixpoint_violations(h, *h._arc_rows(), state.infected,
+                                lambda: 1 if protected is None else _thm3_thresholds(h, protected))
 
 
 def thm4_fixpoint_violations(h: DiGraph, state: PercolationState) -> list:
     """Out-neighbours of the fixpoint that are not in R, counted over the
     arc rows."""
-    thresholds = np.ones(h.n)
-    if state.resilient_vertices is not None:
-        thresholds[_sized(state.resilient_vertices, h.n, "resilient_vertices")] = np.inf
-    return _fixpoint_violations(h, *h.arcs.T, state.infected, thresholds)
+    hit = state.resilient_vertices
+    if hit is not None:
+        hit = _sized(hit, h.n, "resilient_vertices")
+    return _fixpoint_violations(h, *h.arcs.T, state.infected,
+                                lambda: 1 if hit is None else np.where(hit, np.inf, 1))
 
 
 # --- super-vertex classification ---------------------------------------------

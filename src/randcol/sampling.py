@@ -168,10 +168,11 @@ def second_round_rate(first_rate: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=32)
-def _round_rates(first_rate) -> tuple[float, np.ndarray]:
+def _round_rates(numerator: int, denominator: int) -> tuple[float, np.ndarray]:
     """The first rate as a float and both rates as a read-only (2, 1)
-    column, computed exactly once per rate."""
-    a1 = Fraction(first_rate)
+    column, computed exactly once per rate. Keyed by the rate's integer
+    ratio, since a Fraction key would hash in pure Python per sample."""
+    a1 = Fraction(numerator, denominator)
     rates = np.array([[float(a1)], [float(second_round_rate(a1))]])
     rates.flags.writeable = False
     return float(a1), rates
@@ -207,8 +208,11 @@ class TwoRoundSample:
 def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:
     """Delete edges in two independent rounds at rates a and
     (1/2 - a)/(1 - a); the union of deletions leaves every edge alive
-    with probability exactly 1/2."""
-    a1, rates = _round_rates(first_rate)
+    with probability exactly 1/2. first_rate is a number or a string
+    that Fraction reads."""
+    if not hasattr(first_rate, "as_integer_ratio"):
+        first_rate = Fraction(first_rate)
+    a1, rates = _round_rates(*first_rate.as_integer_ratio())
     # row r is round r's stream, child("round<r>"); rows of a read-only
     # block are read-only
     hits = stream.uniforms(g.m, "round1", "round2") < rates

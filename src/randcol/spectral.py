@@ -74,7 +74,7 @@ def second_eigenvalue(
     DENSE_CAP vertices get a dense solve of the same matrix, so a graph
     always gets the same bits back.
     """
-    import scipy.sparse  # here, since at module level it adds a third to `import randcol`
+    import scipy.sparse  # here, since at module level it would more than double `import randcol`
     import scipy.sparse.linalg
 
     if tolerance <= 0:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.special
 
 from .colouring import product_colouring_check, t_core
 from .errors import InputError
@@ -210,7 +209,10 @@ def pooled_chi_square(a: np.ndarray, b: np.ndarray, m: int, min_expected: int = 
     stat = sum((oa - ob) ** 2 / (oa + ob) for oa, ob in cells)
     dof = len(cells) - 1
     # the chi-square quantile, as scipy.stats.chi2.ppf computes it;
-    # importing scipy.stats would double the time of `import randcol`
+    # imported here, since at module level scipy.special alone doubles
+    # the time of `import randcol`, and only this test reads it
+    import scipy.special
+
     critical = float(2 * scipy.special.gammaincinv(dof / 2, 1.0 - CHI_SQUARE_SIGNIFICANCE))
     return stat, dof, critical
 

@@ -72,6 +72,17 @@ def test_neighbour_lists_strictly_ascending(case):
         assert set(nbrs) == {u for e in edges for u in e if v in e} - {v}
 
 
+def test_unvalidated_rows_are_copied():
+    """A graph holds its own rows, so a write to the caller's array does
+    not change its edges or its hash."""
+    a = np.array([[0, 1], [1, 2]])
+    g = Graph(3, a, validate=False)
+    before = hash(g)
+    a[1] = (0, 2)
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+    assert hash(g) == before and g == Graph(3, [(0, 1), (1, 2)])
+
+
 def test_loop_rejected():
     with pytest.raises(InputError):
         Graph(3, [(1, 1)])

@@ -2,7 +2,13 @@ import csv
 import hashlib
 import json
 import math
+import os
+import pickle
 import statistics
+import subprocess
+import sys
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 from scipy.stats import binomtest
@@ -98,6 +104,20 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         save_config(cfg, path)
         assert load_config(path) == cfg
+
+    def test_parsed_rate_stays_out_of_the_value(self):
+        """The rate is parsed once per config, but ==, to_dict, replace
+        and the pickle see the fields alone."""
+        cfg = core_config(first_rate="1/30", p=None)
+        assert cfg.first_rate_fraction() == Fraction(1, 30)
+        assert cfg.first_rate_fraction() is cfg.first_rate_fraction()
+        assert "_first_rate" not in cfg.to_dict()
+        assert cfg.__getstate__() == {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        again = pickle.loads(pickle.dumps(cfg))
+        assert again == cfg and "_first_rate" not in vars(again)
+        assert again.first_rate_fraction() == Fraction(1, 30)
+        other = replace(cfg, first_rate="1/9")
+        assert other.first_rate_fraction() == Fraction(1, 9) and other != cfg
 
     def test_validation_errors(self):
         with pytest.raises(InputError):
@@ -480,3 +500,24 @@ class TestOutputs:
         assert rows[0]["index"] == "0"
         assert rows[0]["empty"] == "True"
         assert rows[3]["stream_id"] == result.records[3].stream_id
+
+
+def test_start_up_loads_no_scipy_and_no_process_pool():
+    """`import randcol` loads numpy and the standard library only, and a
+    core_emptiness run on a blow-up (one worker) loads no scipy either:
+    scipy serves the eigensolver and the chi-square test alone."""
+    code = (
+        "import sys, randcol\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "pools = ('multiprocessing', 'concurrent.futures.process')\n"
+        "print(loaded(), sorted(m for m in pools if m in sys.modules))\n"
+        "cfg = randcol.ExperimentConfig(kind='core_emptiness', trials=3, master_seed=7,\n"
+        f"                               graph={BLOWUP_RECIPE!r}, t=3, first_rate='1/30')\n"
+        "assert len(randcol.run_experiment(cfg).records) == 3\n"
+        "print(loaded())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "RANDCOL_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.splitlines() == ["[] []", "[]"]

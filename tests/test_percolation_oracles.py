@@ -566,6 +566,27 @@ def test_thm4_audit_matches_the_boundary(case, data):
     assert all(type(v) is int for v in got)
 
 
+@settings(max_examples=200, deadline=None)
+@given(graphs, digraphs, st.data())
+def test_audits_of_full_and_nearly_full_masks_match_the_count(case, dicase, data):
+    """The audits return early on a full mask; with every vertex infected,
+    or all but one, they still agree with the full counts. Returning
+    early on a mask with any vertex infected fails the second case."""
+    (n, edges), (dn, arc_list) = case, dicase
+    h, dg = Graph(n, edges), DiGraph(dn, arc_list)
+    protected = data.draw(st.none() | masks(h.m))
+    blocked = data.draw(st.none() | masks(dn))
+    for graph, audit, ref, state_of in (
+        (h, thm3_fixpoint_violations, ref_thm3_fixpoint_violations,
+         lambda infected: PercolationState(infected, (0,), protected_edges=protected)),
+        (dg, thm4_fixpoint_violations, ref_thm4_fixpoint_violations,
+         lambda infected: PercolationState(infected, (0,), resilient_vertices=blocked)),
+    ):
+        for out in range(-1, graph.n):  # -1 leaves every vertex infected
+            state = state_of(np.arange(graph.n) != out)
+            assert audit(graph, state) == ref(graph, state)
+
+
 def test_thm4_audit_reads_the_arc_rows_not_the_csr():
     """The fixpoints battery, spread over the in-CSR in place of the
     out-CSR: the states are then not fixpoints of the digraph's arcs,

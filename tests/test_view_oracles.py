@@ -87,10 +87,23 @@ def test_view_csr_and_value_match_the_materialised_graph(data):
     assert sub.regular_degree() == ref.regular_degree()
     assert sub.adjacency() == ref.adjacency() and sub.adj_masks() == ref.adj_masks()
     # a subgraph with a quarter of the edges or more is a view, and a view
-    # of a regular parent reads the parent's table; any other its own CSR
+    # of a regular parent reads the parent's table; any other its own CSR,
+    # which is a table exactly when the subgraph is itself regular, d > 0
     view = 4 * sub.m >= g.m
     assert sub._parent is (g if view else None)
-    assert (sub._arc_view().table is not None) == (view and bool(g.regular_degree()))
+    table = sub._arc_view().table
+    if view and g.regular_degree():
+        assert table.shape == (g.n, g.regular_degree())
+    else:
+        assert (table is not None) == bool(ref.regular_degree())
+        assert table is None or table.shape == (ref.n, ref.regular_degree())
+
+
+def test_a_regular_view_of_an_irregular_parent_reads_its_own_table():
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 3)])
+    sub = g.with_edges(np.array([False, True, False, True]))
+    assert sub._parent is g and g.regular_degree() is None and sub.regular_degree() == 1
+    assert np.array_equal(sub._arc_view().table, [[3], [4], [1], [2]])
 
 
 @settings(max_examples=300, deadline=None)
