@@ -68,7 +68,6 @@ from .harness import (
     load_config,
     load_result,
     run_experiment,
-    save_config,
     wilson_interval,
 )
 from .percolation import (

@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .bounds import proposition_lower_bound
 from .colouring import (
@@ -39,14 +40,7 @@ from .generators import (
     random_regular_graph,
     random_two_regular_digraph,
 )
-from .graphs import (
-    Graph,
-    complete_graph,
-    connected_component,
-    cycle_graph,
-    load_graph,
-    reachable_set,
-)
+from .graphs import complete_graph, connected_component, cycle_graph, load_graph, reachable_set
 from .percolation import (
     classify_supervertices_thm3,
     thm3_fixpoint_violations,
@@ -88,11 +82,40 @@ def mean_and_sample_variance(values) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Graph recipes. A recipe is a plain dict with a "kind" discriminator so
-# configs stay self-describing; recipes without a "seed" are rebuilt per
-# trial from the trial stream.
+# configs stay self-describing. A recipe is random when "seed" is among
+# its required fields; a config may leave that seed out, and then each
+# trial builds its own graph from the trial stream. Builders read the
+# generators from the module namespace at call time, so a wrapper
+# installed on a module attribute sees every call.
 # ---------------------------------------------------------------------------
 
 _BUILD_CACHE: dict = {}
+
+
+class _Recipe(NamedTuple):
+    needs: tuple
+    optional: tuple
+    build: Callable  # (recipe, params) -> (graph, layout)
+
+
+_RECIPES = {
+    "complete": _Recipe(("n",), (), lambda r, params: (complete_graph(r["n"]), None)),
+    "cycle": _Recipe(("n",), (), lambda r, params: (cycle_graph(r["n"]), None)),
+    "random": _Recipe(("n", "density", "seed"), (), lambda r, params: (sample_subgraph(
+        complete_graph(r["n"]), r["density"], RngStream(r["seed"]).child("recipe-random")), None)),
+    "random_regular": _Recipe(("n", "d", "seed"), (), lambda r, params: (
+        random_regular_graph(r["n"], r["d"], r["seed"]), None)),
+    "cubic_expander": _Recipe(("n", "seed"), ("lambda2_max", "girth_min"), lambda r, params: (
+        find_cubic_expander(r["n"], r["seed"], lambda2_max=r.get("lambda2_max", 2.9),
+                            girth_min=r.get("girth_min", 3))[0], None)),
+    "two_regular_digraph": _Recipe(("n", "seed"), (), lambda r, params: (
+        random_two_regular_digraph(r["n"], r["seed"]), None)),
+    "blow_up": _Recipe(("base", "m"), (), lambda r, params: blow_up(
+        build_graph(r["base"])[0], r["m"])),
+    "gadget": _Recipe(("base",), (), lambda r, params: gadget_blow_up(
+        build_graph(r["base"])[0], params)),
+    "file": _Recipe(("path",), (), lambda r, params: (load_graph(r["path"]), None)),
+}
 
 
 def build_graph(recipe: dict, params: ConstructionParams | None = None):
@@ -101,8 +124,6 @@ def build_graph(recipe: dict, params: ConstructionParams | None = None):
     Returns (graph, layout) where layout is None except for blow-up
     recipes. Results are cached per process keyed by the recipe.
     """
-    if not isinstance(recipe, dict) or "kind" not in recipe:
-        raise InputError("graph recipe must be a dict with a 'kind' entry")
     key = (json.dumps(recipe, sort_keys=True), params)
     if key not in _BUILD_CACHE:
         _BUILD_CACHE[key] = _build_uncached(recipe, params)
@@ -110,53 +131,37 @@ def build_graph(recipe: dict, params: ConstructionParams | None = None):
 
 
 def _build_uncached(recipe: dict, params: ConstructionParams | None):
-    kind = recipe["kind"]
+    _check_recipe(recipe, params)
+    return _RECIPES[recipe["kind"]].build(recipe, params)
+
+
+def _check_recipe(recipe, params: ConstructionParams | None, unseeded: bool = False) -> None:
+    """Raise InputError unless the recipe, and its base if it has one,
+    names a known kind with exactly that kind's fields, an integer seed
+    and, for a gadget, construction params. unseeded lets a random
+    recipe leave out its seed. Builds nothing."""
+    kind = recipe.get("kind") if isinstance(recipe, dict) else None
+    if not isinstance(kind, str) or kind not in _RECIPES:
+        raise InputError(f"graph recipe must be a dict whose 'kind' is one of {sorted(_RECIPES)}, "
+                         f"got {recipe!r}")
+    row = _RECIPES[kind]
+    missing = [f for f in row.needs if f not in recipe and not (unseeded and f == "seed")]
+    if missing:
+        raise InputError(f"graph recipe {kind!r} needs {missing[0]!r}")
+    unknown = sorted(set(recipe) - {"kind", *row.needs, *row.optional})
+    if unknown:
+        raise InputError(f"graph recipe {kind!r} takes no fields {unknown}")
     # RngStream hashes its seed through str(), so "5" would alias 5
     if "seed" in recipe and not _is_int(recipe["seed"]):
         raise InputError(f"graph recipe seed must be an integer, got {recipe['seed']!r}")
-    layout = None
-    if kind == "complete":
-        g = complete_graph(_want(recipe, "n"))
-    elif kind == "cycle":
-        g = cycle_graph(_want(recipe, "n"))
-    elif kind == "random":
-        base = complete_graph(_want(recipe, "n"))
-        stream = RngStream(_want(recipe, "seed")).child("recipe-random")
-        g = sample_subgraph(base, _want(recipe, "density"), stream)
-    elif kind == "random_regular":
-        g = random_regular_graph(_want(recipe, "n"), _want(recipe, "d"), _want(recipe, "seed"))
-    elif kind == "cubic_expander":
-        g, _cert = find_cubic_expander(
-            _want(recipe, "n"),
-            _want(recipe, "seed"),
-            lambda2_max=recipe.get("lambda2_max", 2.9),
-            girth_min=recipe.get("girth_min", 3),
-        )
-    elif kind == "two_regular_digraph":
-        g = random_two_regular_digraph(_want(recipe, "n"), _want(recipe, "seed"))
-    elif kind == "blow_up":
-        base, _ = build_graph(_want(recipe, "base"))
-        g, layout = blow_up(base, _want(recipe, "m"))
-    elif kind == "gadget":
-        if params is None:
-            raise InputError("gadget recipe needs construction params")
-        base, _ = build_graph(_want(recipe, "base"))
-        g, layout = gadget_blow_up(base, params)
-    elif kind == "file":
-        g = load_graph(_want(recipe, "path"))
-    else:
-        raise InputError(f"unknown graph recipe kind {kind!r}")
-    return g, layout
+    if kind == "gadget" and params is None:
+        raise InputError("gadget recipe needs construction params")
+    if "base" in recipe:
+        _check_recipe(recipe["base"], None)
 
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _want(recipe: dict, field: str):
-    if field not in recipe:
-        raise InputError(f"graph recipe {recipe.get('kind')!r} needs {field!r}")
-    return recipe[field]
 
 
 def _params_from_dict(d) -> ConstructionParams:
@@ -224,13 +229,19 @@ def asymptotic_regime_report(
     }
 
 
+# the optional fields that a kind's row must name for a config to set them
+_KIND_FIELDS = ("p", "p_sweep", "first_rate", "t", "k", "suite")
+
+
 @dataclass(frozen=True, eq=True)
 class ExperimentConfig:
     """Complete, serializable description of one experiment.
 
     first_rate is kept as the literal fraction/decimal string ("1/9",
-    "0.03") so configs round-trip losslessly. regime_metadata is filled
-    automatically when omitted.
+    "0.03") so configs round-trip losslessly. Of the fields in
+    _KIND_FIELDS, a config sets only those its kind's row names, and the
+    graph recipe is checked against its row in _RECIPES. regime_metadata
+    is derived from params and the graph; a given value must equal it.
     """
 
     kind: str
@@ -251,7 +262,7 @@ class ExperimentConfig:
     regime_metadata: dict | None = None
 
     def __post_init__(self):
-        if self.kind not in _TRIAL_FUNCS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise InputError(f"unknown experiment kind {self.kind!r}")
         for name in ("trials", "master_seed", "root", "parts", "budget", "t", "k"):
             value = getattr(self, name)
@@ -263,6 +274,10 @@ class ExperimentConfig:
             raise InputError("master_seed must be a 64-bit unsigned integer")
         if self.root < 0:
             raise InputError("root must be a non-negative integer")
+        if self.parts < 2:
+            raise InputError("parts must be at least 2")
+        if self.t is not None and self.t < 0:
+            raise InputError("t must be a non-negative integer")
         if self.p is not None and not (_is_real(self.p) and 0.0 <= self.p <= 1.0):
             raise InputError(f"p must be a number in [0, 1], got {self.p!r}")
         if self.p_sweep is not None:
@@ -280,31 +295,25 @@ class ExperimentConfig:
             if not 0 <= rate <= Fraction(1, 2):
                 raise InputError("first_rate must lie in [0, 1/2]")
         self._check_kind_fields()
+        report = asymptotic_regime_report(self.params, self.graph.get("n"))
         if self.regime_metadata is None:
-            n = self.graph.get("n") if isinstance(self.graph, dict) else None
-            object.__setattr__(
-                self, "regime_metadata", asymptotic_regime_report(self.params, n)
-            )
+            object.__setattr__(self, "regime_metadata", report)
+        elif self.regime_metadata != report:
+            raise InputError(f"regime_metadata must be the report of params and graph: {report!r}")
 
     def _check_kind_fields(self):
-        kind = self.kind
-        def need(cond, msg):
-            if not cond:
-                raise InputError(f"{kind}: {msg}")
-
-        need(self.graph is not None, "needs a graph recipe")
-        if kind == "core_emptiness":
-            need(self.t is not None and self.t >= 0, "needs a threshold t >= 0")
-            need(
-                (self.p is None) != (self.first_rate is None),
-                "needs exactly one of p (one round) or first_rate (two rounds)",
-            )
-        elif kind in ("chromatic_tail", "proposition_check"):
-            need(self.p is not None, "needs p")
-        elif kind in ("thm3_sweep", "thm4_sweep"):
-            need(self.p_sweep is not None, "needs p_sweep")
-        elif kind == "product_colouring":
-            need(self.parts >= 2, "needs parts >= 2")
+        row = _KINDS[self.kind]
+        for need in row.needs:
+            names = need.split("|")
+            if sum(getattr(self, name) is not None for name in names) != 1:
+                both = ", not both" * (len(names) > 1)
+                raise InputError(f"{self.kind}: needs {' or '.join(names)}{both}")
+        reads = {name for field in row.needs + row.optional for name in field.split("|")}
+        unread = [n for n in _KIND_FIELDS if n not in reads and getattr(self, n) is not None]
+        if unread:
+            raise InputError(f"{self.kind}: does not read {', '.join(unread)}")
+        # a missing graph fails here too
+        _check_recipe(self.graph, self.params, unseeded=True)
 
     def first_rate_fraction(self) -> Fraction:
         if self.first_rate is None:
@@ -361,11 +370,6 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_json(fh.read())
 
 
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config.to_json())
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """One trial's measurements. wall_time stays out of the serialized
@@ -395,39 +399,32 @@ def trial_stream(config: ExperimentConfig, index: int) -> RngStream:
 
 
 # --------------------------- trial bodies ---------------------------------
+# Each reads the layer functions from the module namespace at call time,
+# so a wrapper installed on a module attribute sees every call.
 
 
 def _trial_graph(config: ExperimentConfig, stream: RngStream):
-    """The graph every kind's trial runs on: random recipes without a
-    seed get one from the trial stream, giving an independent graph each
+    """The graph every kind's trial runs on: a random recipe without a
+    seed gets one from the trial stream, giving an independent graph each
     trial. Such a graph is built outside the cache, since no later trial
     asks for it again; every other recipe comes from the build cache."""
     recipe = config.graph
-    fixed = ("complete", "cycle", "file", "blow_up", "gadget")
-    if isinstance(recipe, dict) and "seed" not in recipe and recipe.get("kind") not in fixed:
+    if "seed" not in recipe and "seed" in _RECIPES[recipe["kind"]].needs:
         seeded = dict(recipe, seed=stream.child("graph-seed").key())
         return _build_uncached(seeded, config.params)
     return build_graph(recipe, config.params)
 
 
-def _sampled_graph(config: ExperimentConfig, g: Graph, stream: RngStream) -> Graph:
-    if config.p is not None:
-        return sample_subgraph(g, config.p, stream.child("sample"))
-    rate = config.first_rate_fraction()
-    return two_round_sample(g, rate, stream.child("sample")).survivors()
-
-
 def _trial_core_emptiness(config: ExperimentConfig, stream: RngStream) -> dict:
     g, layout = _trial_graph(config, stream)
-    sub = _sampled_graph(config, g, stream)
+    if config.p is not None:
+        sub = sample_subgraph(g, config.p, stream.child("sample"))
+    else:
+        sub = two_round_sample(g, config.first_rate_fraction(), stream.child("sample")).survivors()
     # the classification computes the t-core itself
     cls = None if layout is None else classify_supervertices_thm3(sub, layout, config.t)
     core = t_core(sub, config.t) if cls is None else cls.core
-    values = {
-        "core_size": int(core.sum()),
-        "empty": not core.any(),
-        "kept_edges": sub.m,
-    }
+    values = {"core_size": int(core.sum()), "empty": not core.any(), "kept_edges": sub.m}
     if cls is not None:
         values["dead_supers"] = int(cls.dead.sum())
     return values
@@ -437,44 +434,28 @@ def _trial_chromatic_tail(config: ExperimentConfig, stream: RngStream) -> dict:
     g, _ = _trial_graph(config, stream)
     sub = sample_subgraph(g, config.p, stream.child("sample"))
     res = chromatic_number_exact(sub, budget=config.budget)
-    return {
-        "chi": res.num_colours,
-        "exact": res.exact,
-        "chi_lower": res.lower_bound,
-        "kept_edges": sub.m,
-    }
+    return {"chi": res.num_colours, "exact": res.exact, "chi_lower": res.lower_bound,
+            "kept_edges": sub.m}
 
 
 def _trial_proposition_check(config: ExperimentConfig, stream: RngStream) -> dict:
     g, _ = _trial_graph(config, stream)
     if config.k is not None:
         k = config.k
-    elif config.graph.get("kind") == "complete":
+    elif config.graph["kind"] == "complete":
         k = g.n
     else:
         raise InputError("proposition_check needs k unless the graph is complete")
     sub = sample_subgraph(g, config.p, stream.child("sample"))
     res = chromatic_number_exact(sub, budget=config.budget)
     bound = proposition_lower_bound(config.p, k, g.n)
-    return {
-        "chi": res.num_colours,
-        "exact": res.exact,
-        "bound": bound,
-        "ok": bool(res.exact and res.num_colours >= bound),
-    }
+    ok = bool(res.exact and res.num_colours >= bound)
+    return {"chi": res.num_colours, "exact": res.exact, "bound": bound, "ok": ok}
 
 
-def _trial_sweep(config: ExperimentConfig, stream: RngStream) -> dict:
-    """One spread process at every p of the sweep, on one graph. The
-    process functions are read from the module namespace at call time,
-    so a wrapper installed on a module attribute sees every call."""
+def _sweep(config: ExperimentConfig, stream: RngStream, process, audit, size_key, whole) -> dict:
+    """One spread process at every p of the sweep, on one graph."""
     h, _ = _trial_graph(config, stream)
-    if config.kind == "thm3_sweep":
-        process, audit = thm3_process, thm3_fixpoint_violations
-        size_key, whole = "component_size", connected_component
-    else:
-        process, audit = thm4_process, thm4_fixpoint_violations
-        size_key, whole = "reachable_size", reachable_set
     sizes, rounds = [], []
     fixpoint_ok = True
     for p in config.p_sweep:
@@ -496,22 +477,58 @@ def _trial_product_colouring(config: ExperimentConfig, stream: RngStream) -> dic
     g, _ = _trial_graph(config, stream)
     parts = partition_split(g, config.parts, stream.child("split"))
     report = product_colouring_check(g, parts, budget=config.budget)
-    return {
-        "chi": report.chi,
-        "part_chis": list(report.part_values),
-        "product": report.product,
-        "margin": report.margin,
-        "ok": report.ok,
-    }
+    return {"chi": report.chi, "part_chis": list(report.part_values), "product": report.product,
+            "margin": report.margin, "ok": report.ok}
 
 
-_TRIAL_FUNCS = {
-    "core_emptiness": _trial_core_emptiness,
-    "chromatic_tail": _trial_chromatic_tail,
-    "proposition_check": _trial_proposition_check,
-    "thm3_sweep": _trial_sweep,
-    "thm4_sweep": _trial_sweep,
-    "product_colouring": _trial_product_colouring,
+def _per_p(config: ExperimentConfig, good: list) -> dict:
+    per_p = []
+    for j, p in enumerate(config.p_sweep):
+        mu, var = mean_and_sample_variance(r.values["v0_sizes"][j] for r in good)
+        per_p.append({"p": p, "v0_mean": mu, "v0_variance": var})
+    return {"per_p": per_p}
+
+
+class _Kind(NamedTuple):
+    trial: Callable  # (config, stream) -> the trial's values
+    # fields of _KIND_FIELDS the kind requires; "a|b" asks for exactly one
+    needs: tuple = ()
+    optional: tuple = ()
+    # aggregate: (key, value) pairs whose boolean value gets a Wilson
+    # block, values that get a mean and variance, and (config, good
+    # records) -> the kind's other aggregate entries
+    proportions: tuple = ()
+    moments: tuple = ()
+    extra: Callable = lambda config, good: {}
+
+
+_SWEEP = dict(needs=("p_sweep",), extra=_per_p,
+              proportions=(("monotone", "monotone"), ("fixpoint_ok", "fixpoint_ok")))
+
+_KINDS = {
+    "core_emptiness": _Kind(
+        _trial_core_emptiness, needs=("t", "p|first_rate"),
+        proportions=(("empty_core", "empty"),), moments=("core_size",)),
+    "chromatic_tail": _Kind(
+        _trial_chromatic_tail, needs=("p",), moments=("chi",),
+        extra=lambda config, good: {
+            "chi_histogram": dict(Counter(str(r.values["chi"]) for r in good)),
+            "all_exact": all(r.values["exact"] for r in good),
+        }),
+    "proposition_check": _Kind(
+        _trial_proposition_check, needs=("p",), optional=("k",),
+        proportions=(("bound_holds", "ok"),), moments=("chi",),
+        extra=lambda config, good: {"bound": good[0].values["bound"] if good else None}),
+    "thm3_sweep": _Kind(
+        lambda config, stream: _sweep(config, stream, thm3_process, thm3_fixpoint_violations,
+                                      "component_size", connected_component), **_SWEEP),
+    "thm4_sweep": _Kind(
+        lambda config, stream: _sweep(config, stream, thm4_process, thm4_fixpoint_violations,
+                                      "reachable_size", reachable_set), **_SWEEP),
+    "product_colouring": _Kind(
+        _trial_product_colouring, proportions=(("inequality_holds", "ok"),), moments=("product",),
+        extra=lambda config, good: {
+            "min_margin": min((r.values["margin"] for r in good), default=None)}),
 }
 
 
@@ -521,7 +538,7 @@ def run_trial(config: ExperimentConfig, index: int) -> TrialRecord:
     values: dict = {}
     error = None
     try:
-        values = _TRIAL_FUNCS[config.kind](config, stream)
+        values = _KINDS[config.kind].trial(config, stream)
     except RandcolError as exc:  # a trial's own failure; a bug raises
         error = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - start
@@ -543,16 +560,12 @@ def _proportion_block(flags) -> dict:
     }
 
 
-def _put_moments(agg: dict, good: list, key: str) -> None:
-    """agg[key_mean] and agg[key_variance] over the values of the good records."""
-    agg[f"{key}_mean"], agg[f"{key}_variance"] = mean_and_sample_variance(r.values[key] for r in good)
-
-
 def recompute_aggregate(config: ExperimentConfig, records) -> dict:
     """Aggregate statistics derived purely from (config, records); the
     emitted aggregate block is exactly this function's output."""
     records = sorted(records, key=lambda r: r.index)
     good = [r for r in records if r.error is None]
+    row = _KINDS[config.kind]
     agg: dict = {
         "kind": config.kind,
         "trials": len(records),
@@ -560,31 +573,12 @@ def recompute_aggregate(config: ExperimentConfig, records) -> dict:
         "errors": len(records) - len(good),
         "config": config.to_dict(),
     }
-    kind = config.kind
-    if kind == "core_emptiness":
-        agg["empty_core"] = _proportion_block(r.values["empty"] for r in good)
-        _put_moments(agg, good, "core_size")
-    elif kind == "chromatic_tail":
-        _put_moments(agg, good, "chi")
-        agg["chi_histogram"] = dict(Counter(str(r.values["chi"]) for r in good))
-        agg["all_exact"] = all(r.values["exact"] for r in good)
-    elif kind == "proposition_check":
-        agg["bound_holds"] = _proportion_block(r.values["ok"] for r in good)
-        _put_moments(agg, good, "chi")
-        agg["bound"] = good[0].values["bound"] if good else None
-    elif kind in ("thm3_sweep", "thm4_sweep"):
-        sweeps = [r.values["v0_sizes"] for r in good]
-        per_p = []
-        for j, p in enumerate(config.p_sweep):
-            mu, var = mean_and_sample_variance(s[j] for s in sweeps)
-            per_p.append({"p": p, "v0_mean": mu, "v0_variance": var})
-        agg["per_p"] = per_p
-        agg["monotone"] = _proportion_block(r.values["monotone"] for r in good)
-        agg["fixpoint_ok"] = _proportion_block(r.values["fixpoint_ok"] for r in good)
-    elif kind == "product_colouring":
-        agg["inequality_holds"] = _proportion_block(r.values["ok"] for r in good)
-        agg["min_margin"] = min((r.values["margin"] for r in good), default=None)
-        _put_moments(agg, good, "product")
+    for key, flag in row.proportions:
+        agg[key] = _proportion_block(r.values[flag] for r in good)
+    for key in row.moments:
+        moments = mean_and_sample_variance(r.values[key] for r in good)
+        agg[f"{key}_mean"], agg[f"{key}_variance"] = moments
+    agg.update(row.extra(config, good))
     agg["regime_metadata"] = config.regime_metadata
     return agg
 

@@ -7,7 +7,7 @@ import pytest
 from randcol.cli import main
 from randcol.colouring import t_core
 from randcol.graphs import DiGraph, Graph, load_graph, save_graph
-from randcol.harness import ExperimentConfig, save_config
+from randcol.harness import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -212,7 +212,7 @@ class TestExperimentAndVerify:
             output=str(out),
         )
         cfg_path = tmp_path / "cfg.json"
-        save_config(cfg, cfg_path)
+        cfg_path.write_text(cfg.to_json())
         code, stdout, _ = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 0
         agg = last_json(stdout)
@@ -226,7 +226,7 @@ class TestExperimentAndVerify:
         cfg = ExperimentConfig(kind="chromatic_tail", trials=3, master_seed=1,
                                graph={"kind": "complete", "n": 45}, p=0.5, output=str(out))
         cfg_path = tmp_path / "cfg.json"
-        save_config(cfg, cfg_path)
+        cfg_path.write_text(cfg.to_json())
         code, stdout, _ = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 1
         assert last_json(stdout)["errors"] == 3

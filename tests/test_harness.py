@@ -36,7 +36,6 @@ from randcol.harness import (
     recompute_aggregate,
     run_experiment,
     run_trial,
-    save_config,
     trial_stream,
     wilson_interval,
 )
@@ -102,7 +101,7 @@ class TestConfig:
     def test_config_file_round_trip(self, tmp_path):
         cfg = core_config(first_rate="1/30", p=None)
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(cfg.to_json())
         assert load_config(path) == cfg
 
     def test_parsed_rate_stays_out_of_the_value(self):
@@ -142,6 +141,19 @@ class TestConfig:
                              graph={"kind": "cycle", "n": 5}, p_sweep=(0.3, 0.1))
         with pytest.raises(InputError):
             ExperimentConfig.from_dict({**core_config().to_dict(), "bogus": 1})
+        # a field the kind does not read would be recorded in the result as if it were used
+        for kind, extra, unread in [
+            ("chromatic_tail", {"p": 0.5, "first_rate": "1/30", "p_sweep": (0.1, 0.2), "t": 3},
+             "p_sweep, first_rate, t"),
+            ("chromatic_tail", {"p": 0.5, "k": 8}, "k"),
+            ("thm3_sweep", {"p_sweep": (0.1, 0.2), "p": 0.7}, "p"),
+            ("thm4_sweep", {"p_sweep": (0.1, 0.2), "t": 2}, "t"),
+            ("product_colouring", {"first_rate": "1/30"}, "first_rate"),
+            ("core_emptiness", {"p": 0.5, "t": 2, "suite": "two_round"}, "suite"),
+        ]:
+            with pytest.raises(InputError, match=f"{kind}: does not read {unread}$"):
+                ExperimentConfig(kind=kind, trials=2, master_seed=1,
+                                 graph={"kind": "complete", "n": 8}, **extra)
 
     @pytest.mark.parametrize("field,value", [
         ("parts", 2.5), ("t", 2.5), ("k", 3.5), ("budget", "x"), ("budget", None),
@@ -155,9 +167,9 @@ class TestConfig:
     @pytest.mark.parametrize("overrides", [
         {"p": "0.5"},
         {"p": True},
-        {"kind": "thm3_sweep", "p": None, "p_sweep": ["0.1"]},
-        {"kind": "thm3_sweep", "p": None, "p_sweep": [False, True]},
-        {"kind": "thm3_sweep", "p": None, "p_sweep": 0.5},
+        {"kind": "thm3_sweep", "p": None, "t": None, "p_sweep": ["0.1"]},
+        {"kind": "thm3_sweep", "p": None, "t": None, "p_sweep": [False, True]},
+        {"kind": "thm3_sweep", "p": None, "t": None, "p_sweep": 0.5},
         {"params": {"k": 12, "t": 5, "m": 4, "alpha": "3/100"}},
         {"params": {"mode": "expander-blowup", "k": 12, "t": 5, "m": 4, "alpha": "abc"}},
         {"params": {"mode": "expander-blowup", "k": 12, "t": 5, "m": 4, "alpha": "1/0"}},
@@ -167,10 +179,25 @@ class TestConfig:
         {"params": {"mode": "expander-blowup", "k": 12, "t": 5, "m": "4"}},
         {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "s": True}},
         {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "alpha": "1/20"}},
+        {"graph": {"kind": "martian"}},
+        {"graph": "complete"},
+        {"graph": {**BLOWUP_RECIPE, "seed": 3}},
+        {"graph": {"kind": "blow_up", "base": {"kind": "complete", "n": 4}}},
+        {"graph": {"kind": "blow_up", "m": 2,
+                   "base": {"kind": "cubic_expander", "n": 40, "seed": 1, "girthmin": 9}}},
+        {"graph": {"kind": "blow_up", "m": 2,
+                   "base": {"kind": "random_regular", "n": 20, "d": 3, "seed": "5"}}},
+        {"graph": {"kind": "gadget", "base": {"kind": "complete", "n": 4}}},
+        {"suite": "two_round"},
+        {"k": 4},
+        {"regime_metadata": {**core_config().regime_metadata, "in_asymptotic_regime": True}},
     ], ids=["p-str", "p-bool", "sweep-str", "sweep-bool", "sweep-scalar",
             "params-missing-mode", "params-bad-alpha", "params-zero-denominator",
             "params-unknown-mode", "params-k-str", "params-t-float", "params-m-str",
-            "params-s-bool", "params-gadget-without-s"])
+            "params-s-bool", "params-gadget-without-s", "recipe-unknown-kind",
+            "recipe-not-a-dict", "recipe-unknown-field", "recipe-missing-field",
+            "recipe-misspelt-base-field", "recipe-base-seed-str", "recipe-gadget-without-params",
+            "suite-set", "unread-k", "regime-false-report"])
     def test_values_from_outside_are_checked(self, overrides):
         with pytest.raises(InputError):
             ExperimentConfig.from_dict({**core_config().to_dict(), **overrides})
@@ -212,6 +239,8 @@ class TestConfig:
 
         cfg = core_config()
         assert cfg.regime_metadata["notes"][0].startswith("no construction parameters")
+        with pytest.raises(InputError, match="regime_metadata"):
+            core_config(regime_metadata={**cfg.regime_metadata, "in_asymptotic_regime": True})
 
 
 class TestBuildGraph:
@@ -246,6 +275,22 @@ class TestBuildGraph:
             build_graph({"n": 4})
         with pytest.raises(InputError):
             build_graph({"kind": "gadget", "base": {"kind": "complete", "n": 3}})
+        # a misspelt optional field would otherwise be dropped: this graph has girth 4
+        with pytest.raises(InputError, match="girthmin"):
+            build_graph({"kind": "cubic_expander", "n": 40, "seed": 1, "girthmin": 9})
+        with pytest.raises(InputError, match="martian"):
+            core_config(graph={"kind": "martian"})
+        with pytest.raises(InputError, match="needs 'seed'"):  # a base is never seeded per trial
+            core_config(graph={"kind": "blow_up", "m": 2,
+                               "base": {"kind": "random_regular", "n": 20, "d": 3}})
+        # the config checks its recipe, base included, and builds nothing; a
+        # random recipe without a seed stays allowed
+        before = len(harness._BUILD_CACHE)
+        core_config(graph={"kind": "blow_up", "m": 2,
+                           "base": {"kind": "random_regular", "n": 22, "d": 3, "seed": 5}})
+        core_config(graph={"kind": "random_regular", "n": 20, "d": 3})
+        core_config(graph={"kind": "file", "path": "no-such-file.txt"})
+        assert len(harness._BUILD_CACHE) == before
 
     @pytest.mark.parametrize("seed", ["5", 5.0, True])
     def test_recipe_seed_must_be_an_int(self, seed):
@@ -283,7 +328,8 @@ class TestTrials:
         def broken(config, stream):
             raise TypeError("a bug, not a trial outcome")
 
-        monkeypatch.setitem(harness._TRIAL_FUNCS, "core_emptiness", broken)
+        row = harness._KINDS["core_emptiness"]._replace(trial=broken)
+        monkeypatch.setitem(harness._KINDS, "core_emptiness", row)
         with pytest.raises(TypeError, match="a bug"):
             run_trial(core_config(), 0)
 
@@ -296,7 +342,8 @@ class TestTrials:
 
         assert issubclass(error, RandcolError)
         assert issubclass(error, ValueError) == (error in (InputError, CapacityError))
-        monkeypatch.setitem(harness._TRIAL_FUNCS, "core_emptiness", failing)
+        row = harness._KINDS["core_emptiness"]._replace(trial=failing)
+        monkeypatch.setitem(harness._KINDS, "core_emptiness", row)
         assert run_trial(core_config(), 0).error == f"{error.__name__}: no luck"
 
     def test_blow_up_record_holds_python_numbers(self):
@@ -424,12 +471,18 @@ class TestExperiments:
 
 
 # sha256 of result texts that no acceptance criterion pins: a one-round
-# core_emptiness run (sample_subgraph, then the peel of the sampled view)
-# and a product_colouring run (partition_split, then the exact solver
-# over each part's CSR)
+# core_emptiness run (sample_subgraph, then the peel of the sampled view),
+# a product_colouring run (partition_split, then the exact solver over
+# each part's CSR), a chromatic_tail and a proposition_check run (the
+# exact solver on samples of complete graphs), and a proposition_check
+# run whose every trial records an InputError (the aggregate over no
+# good records)
 RESULT_GOLDEN = {
     "core_emptiness": "e519dce6067b4e24c89cefa57dd0d80a96398d4e1efa5197868262ff328c99c2",
     "product_colouring": "1587f63ba53e30b15467ae3de85b4eaa6b0e319d4bf668abae29afeb9f25d252",
+    "chromatic_tail": "07f7a401fd671f5a3feb867e3061d69cf428f95dcf378cca00f5addee668a9b3",
+    "proposition_check": "eb89e37726e447cd429d072671f594e0c0529f63404e0e0d6abbda990aa5c596",
+    "proposition_check_all_errors": "10b00002595dc8eca44bf2e31ac23a387f7c68058464b4b2cd0bf80d0723ed1f",
 }
 
 PINNED_CONFIGS = {
@@ -441,6 +494,16 @@ PINNED_CONFIGS = {
         graph={"kind": "random", "n": 9, "density": 0.5},
         parts=2,
     ),
+    "chromatic_tail": ExperimentConfig(
+        kind="chromatic_tail", trials=40, master_seed=5, graph={"kind": "complete", "n": 8}, p=0.5
+    ),
+    "proposition_check": ExperimentConfig(
+        kind="proposition_check", trials=30, master_seed=9, graph={"kind": "complete", "n": 12}, p=0.5
+    ),
+    # a cycle is not complete and no k is given, so every trial fails
+    "proposition_check_all_errors": ExperimentConfig(
+        kind="proposition_check", trials=3, master_seed=1, graph={"kind": "cycle", "n": 8}, p=0.5
+    ),
 }
 
 
@@ -451,6 +514,18 @@ def test_result_text_is_pinned(kind):
         f"the pinned {kind} run's result text changed bytes; if the move is deliberate, "
         f"update its digest in RESULT_GOLDEN and give the reason in CHANGES.md"
     )
+
+
+def test_every_kind_has_a_result_pin():
+    from test_acceptance import CORE_DEATH_GOLDEN, THM3_SWEEP_GOLDEN, THM4_SWEEP_GOLDEN
+
+    pinned = {cfg.kind for cfg in PINNED_CONFIGS.values()}
+    # criteria 10 (two-round core_emptiness), 07 and 08 pin these result texts
+    for kind, digest in [("core_emptiness", CORE_DEATH_GOLDEN), ("thm3_sweep", THM3_SWEEP_GOLDEN),
+                         ("thm4_sweep", THM4_SWEEP_GOLDEN)]:
+        assert len(digest) == 64
+        pinned.add(kind)
+    assert set(harness._KINDS) <= pinned, "a new experiment kind needs a result pin"
 
 
 class TestOutputs:
