@@ -92,12 +92,11 @@ def colouring_number(g: Graph) -> tuple[int, EliminationOrder]:
     """
     if g.n == 0:
         return 0, EliminationOrder((), ())
-    indptr, indices = g._csr_arrays()
     _, peel = _peel(g, itertools.count(1))
     pos = np.empty(g.n, dtype=np.intp)
     pos[peel] = np.arange(g.n)
-    tails = np.repeat(np.arange(g.n), np.diff(indptr))
-    later = np.bincount(tails[pos[indices] > pos[tails]], minlength=g.n)
+    u, v = g.edges.T
+    later = np.bincount(np.where(pos[u] < pos[v], u, v), minlength=g.n)
     order = EliminationOrder(tuple(reversed(peel)), tuple(later[peel[::-1]].tolist()))
     return order.degeneracy() + 1, order
 
@@ -116,10 +115,13 @@ def t_core(g: Graph, t: int) -> np.ndarray:
     return t_core_with_trace(g, t)[0]
 
 
-def _greedy_clique(g: Graph) -> list[int]:
-    masks = g.adj_masks()
-    deg = g.degrees()
-    by_deg = sorted(range(g.n), key=lambda v: (-deg[v], v))
+def _neighbour_masks(g: Graph) -> list[int]:
+    """The solver's form of g: bit w of entry v is set when vw is an edge."""
+    return [sum(1 << w for w in nbrs) for nbrs in g.adjacency()]
+
+
+def _greedy_clique(masks: list[int], deg: list[int]) -> list[int]:
+    by_deg = sorted(range(len(masks)), key=lambda v: (-deg[v], v))
     best: list[int] = []
     for start in by_deg:
         clique = [start]
@@ -139,32 +141,43 @@ def _greedy_clique(g: Graph) -> list[int]:
     return best
 
 
-def _dsatur_greedy(g: Graph) -> list[int]:
-    n = g.n
-    masks = g.adj_masks()
-    deg = g.degrees()
-    colour = [-1] * n
-    forbid = [0] * n
-    for _ in range(n):
-        v = -1
-        key = (-1, -1)
-        for u in range(n):
-            if colour[u] < 0:
-                k = (bin(forbid[u]).count("1"), deg[u])
-                if k > key:
-                    key = k
-                    v = u
-        c = 0
+def _pick(colour: list[int], forbid: list[int], deg: list[int]) -> int:
+    """DSATUR's next vertex: the uncoloured one with the most forbidden
+    colours, then the largest degree, then the smallest id."""
+    v = -1
+    key = (-1, -1)
+    for u, c in enumerate(colour):
+        if c < 0:
+            k = (bin(forbid[u]).count("1"), deg[u])
+            if k > key:
+                key = k
+                v = u
+    return v
+
+
+def _forbid(masks: list[int], colour: list[int], forbid: list[int], v: int, c: int) -> list[int]:
+    """Forbid colour c at the uncoloured neighbours of v; returns those
+    where it is new, so that a branch can clear it again."""
+    bit = 1 << c
+    touched = []
+    m = masks[v]
+    while m:
+        w = (m & -m).bit_length() - 1
+        m &= m - 1
+        if colour[w] < 0 and not forbid[w] & bit:
+            forbid[w] |= bit
+            touched.append(w)
+    return touched
+
+
+def _dsatur_greedy(masks: list[int], deg: list[int]) -> list[int]:
+    colour = [-1] * len(masks)
+    forbid = [0] * len(masks)
+    for _ in masks:
+        v = _pick(colour, forbid, deg)
         f = forbid[v]
-        while f >> c & 1:
-            c += 1
-        colour[v] = c
-        m = masks[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if colour[w] < 0:
-                forbid[w] |= 1 << c
+        colour[v] = c = (~f & (f + 1)).bit_length() - 1  # the lowest clear bit
+        _forbid(masks, colour, forbid, v, c)
     return colour
 
 
@@ -177,23 +190,22 @@ def chromatic_number_exact(
 
     Colours are tried in ascending id with at most one fresh colour per
     node; a greedy clique is pre-coloured to break symmetry. The budget
-    counts search-node expansions; when it runs out the best proper
-    colouring found so far is returned with exact=False.
+    counts search-node expansions, at least one; when it runs out the
+    best proper colouring found so far is returned with exact=False.
     """
     n = g.n
+    if budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
     if n > n_cap:
         raise CapacityError(f"n={n} exceeds cap {n_cap} (raise n_cap to allow)")
     if n == 0:
         return ColouringResult((), 0, True, 0)
-    if g.m == 0:
-        return ColouringResult((0,) * n, 1, True, 1)
-    masks = g.adj_masks()
+    masks = _neighbour_masks(g)
     deg = g.degrees()
-    clique = _greedy_clique(g)
+    clique = _greedy_clique(masks, deg)
     lb = len(clique)
-    greedy = _dsatur_greedy(g)
-    best = max(greedy) + 1
-    best_cols = list(greedy)
+    best_cols = _dsatur_greedy(masks, deg)
+    best = max(best_cols) + 1
     if lb >= best:
         return ColouringResult(tuple(best_cols), best, True, best)
 
@@ -201,13 +213,7 @@ def chromatic_number_exact(
     forbid = [0] * n
     for i, v in enumerate(clique):
         colour[v] = i
-        bit = 1 << i
-        m = masks[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if colour[w] < 0:
-                forbid[w] |= bit
+        _forbid(masks, colour, forbid, v, i)
     nodes = 0
     aborted = False
 
@@ -223,33 +229,18 @@ def chromatic_number_exact(
             best = used
             best_cols = colour[:]
             return
-        v = -1
-        key = (-1, -1)
-        for u in range(n):
-            if colour[u] < 0:
-                k = (bin(forbid[u]).count("1"), deg[u])
-                if k > key:
-                    key = k
-                    v = u
+        v = _pick(colour, forbid, deg)
         limit = min(used + 1, best - 1)
         avail = ~forbid[v] & ((1 << limit) - 1)
         while avail:
             c = (avail & -avail).bit_length() - 1
             avail &= avail - 1
-            bit = 1 << c
             colour[v] = c
-            touched = []
-            m = masks[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                if colour[w] < 0 and not forbid[w] & bit:
-                    forbid[w] |= bit
-                    touched.append(w)
+            touched = _forbid(masks, colour, forbid, v, c)
             solve(num_coloured + 1, max(used, c + 1))
             colour[v] = -1
             for w in touched:
-                forbid[w] ^= bit
+                forbid[w] ^= 1 << c
             if aborted or best <= lb:
                 return
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -38,9 +37,10 @@ class ConstructionParams:
     m = k/2 - k/(2s), threshold t = ceil(k/4 + 2k/s). Asymptotic-regime
     constraints (tiny alpha, s within [2/alpha, 4/alpha], astronomically
     large base graphs) are deliberately not preconditions; the harness
-    records whether a run is in-regime instead. alpha only has to keep
-    both two-round deletion rates inside [0, 1], i.e. alpha < 3/2. The
-    mode and the integer fields are checked, as config files supply them.
+    records whether a run is in-regime instead. A given alpha only has to
+    keep both two-round deletion rates inside (0, 1], i.e. 0 < alpha < 3/2,
+    and a gadget needs s >= 2. All fields are checked, as config files
+    supply them.
     """
 
     mode: str
@@ -58,31 +58,26 @@ class ConstructionParams:
             # only the gadget has layers, which s counts
             if not (_is_int(value) or value is None and name == "s" and self.mode != "gadget"):
                 raise InputError(f"{name} must be an integer, got {value!r}")
+        if self.alpha is not None and not 0 < self.alpha < Fraction(3, 2):
+            raise InputError("alpha must lie in (0, 3/2)")
+        if self.mode == "gadget" and self.s < 2:
+            raise InputError("s must be at least 2")
 
     @classmethod
     def thm3(cls, k: int, alpha) -> "ConstructionParams":
         if k <= 0 or k % 3:
             raise InputError("k must be a positive multiple of 3")
         a = _as_fraction(alpha)
-        if not (0 < a < Fraction(3, 2)):
-            raise InputError("alpha must lie in (0, 3/2)")
         t = k // 3 + math.floor(a * k)
         return cls(mode="expander-blowup", k=k, t=t, m=k // 3, alpha=a)
 
     @classmethod
     def thm4(cls, k: int, s: int, alpha=None) -> "ConstructionParams":
-        if s < 2:
-            raise InputError("s must be at least 2")
-        if k <= 0 or k % (2 * s):
+        # no positive k is a multiple of 0; __post_init__ rejects s < 2
+        if k <= 0 or not s or k % (2 * s):
             raise InputError("k must be a positive multiple of 2s")
-        a = None
-        if alpha is not None:
-            a = _as_fraction(alpha)
-            if not (0 < a < Fraction(3, 2)):
-                raise InputError("alpha must lie in (0, 3/2)")
+        a = None if alpha is None else _as_fraction(alpha)
         m = k // 2 - k // (2 * s)
-        if m <= 0:
-            raise InputError("layer size k/2 - k/2s must be positive")
         t = math.ceil(Fraction(k, 4) + Fraction(2 * k, s))
         return cls(mode="gadget", k=k, t=t, m=m, alpha=a, s=s)
 
@@ -277,17 +272,22 @@ def find_cubic_expander(
 # --- blow-ups -------------------------------------------------------------------
 
 
+def _complete_bipartite(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
+    """(len(lo) * m * m, 2) rows joining lo[i] + a to hi[i] + b for
+    every a, b < m: one complete bipartite block per entry of lo."""
+    a = np.arange(m)
+    tails = np.repeat(lo[:, None] + a, m, axis=1)
+    heads = np.tile(hi[:, None] + a, m)
+    return np.column_stack((tails.ravel(), heads.ravel()))
+
+
 def blow_up(h: Graph, m: int) -> tuple[Graph, BlowUpLayout]:
     """Replace every vertex of h by an independent m-set and every edge
     by a complete bipartite graph."""
     if m < 1:
         raise InputError("m must be >= 1")
     layout = BlowUpLayout(n_super=h.n, layers=1, m=m)
-    a = np.arange(m)
-    # edge (u, v) gives the rows (u*m + a, v*m + b) for every a, b < m
-    tails = np.repeat(h.edges[:, :1] * m + a, m, axis=1)
-    heads = np.tile(h.edges[:, 1:] * m + a, m)
-    return Graph(layout.n_vertices, np.column_stack((tails.ravel(), heads.ravel()))), layout
+    return Graph(layout.n_vertices, _complete_bipartite(*(h.edges * m).T, m)), layout
 
 
 def circulant_biregular(set_size: int, degree: int) -> list:
@@ -307,7 +307,8 @@ def gadget_blow_up(h: DiGraph, params: ConstructionParams) -> tuple[Graph, BlowU
     complete bipartite graphs between consecutive layers. Each red arc
     u->v adds a (k/2s)-regular circulant bipartite graph from every
     middle layer of u (2..s+2) into layer 1 of v; blue arcs feed layer
-    s+3 instead. The result is audited k-regular.
+    s+3 instead. The rows are built as array blocks, and the result is
+    audited k-regular.
     """
     if params.mode != "gadget":
         raise InputError("params must be in gadget mode")
@@ -318,25 +319,15 @@ def gadget_blow_up(h: DiGraph, params: ConstructionParams) -> tuple[Graph, BlowU
     s = params.s
     m = params.m
     layout = BlowUpLayout(n_super=h.n, layers=s + 3, m=m)
-    vid = layout.vertex_id
-    edges = []
-    for v in range(h.n):
-        for j in range(1, s + 3):
-            lo = vid(v, j, 0)
-            hi = vid(v, j + 1, 0)
-            for a in range(m):
-                for b in range(m):
-                    edges.append((lo + a, hi + b))
-    r = params.bipartite_degree()
-    block = circulant_biregular(m, r)
-    for (u, v), colour in zip(h.arcs.tolist(), h.arc_colour):
-        target_layer = 1 if colour == "r" else s + 3
-        for j in range(2, s + 3):
-            lo = vid(u, j, 0)
-            hi = vid(v, target_layer, 0)
-            for a, b in block:
-                edges.append((lo + a, hi + b))
-    g = Graph(layout.n_vertices, edges)
+    # the first id of each layer, one row per super-vertex
+    first = np.arange(h.n * layout.layers).reshape(h.n, layout.layers) * m
+    ladder = _complete_bipartite(first[:, :-1].ravel(), first[:, 1:].ravel(), m)
+    u, v = h.arcs.T
+    lo = first[u, 1:-1].ravel()  # layers 2..s+2 of each arc's tail
+    hi = first[v, np.where(np.array(h.arc_colour) == "r", 0, s + 2)].repeat(s + 1)
+    a, b = np.array(circulant_biregular(m, params.bipartite_degree())).reshape(-1, 2).T
+    circulant = np.column_stack(((lo[:, None] + a).ravel(), (hi[:, None] + b).ravel()))
+    g = Graph(layout.n_vertices, np.concatenate((ladder, circulant)))
     audit_blow_up(g, layout, expect_degree=params.k)
     return g, layout
 
@@ -347,11 +338,10 @@ def audit_blow_up(g: Graph, layout: BlowUpLayout, expect_degree: int | None = No
     if g.n != layout.n_vertices:
         raise ConstructionError("vertex count does not match layout")
     if expect_degree is not None:
-        degs = g.degrees()
-        bad = [v for v in range(g.n) if degs[v] != expect_degree]
-        if bad:
+        bad = np.flatnonzero(g._arc_view().degree != expect_degree)
+        if bad.size:
             raise ConstructionError(
-                f"{len(bad)} vertices miss degree {expect_degree} (first: {bad[:5]})"
+                f"{bad.size} vertices miss degree {expect_degree} (first: {bad[:5].tolist()})"
             )
     u, v = g.edges.T
     inside = layout.h_vertex_of(u) == layout.h_vertex_of(v)

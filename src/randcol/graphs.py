@@ -68,15 +68,6 @@ def _csr(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.n
     return indptr, indices
 
 
-def _neighbour_tuples(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    flat, ptr = indices.tolist(), indptr.tolist()
-    return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
-
-
-def _bitmasks(indptr: np.ndarray, indices: np.ndarray) -> list[int]:
-    return [sum(1 << w for w in nbrs) for nbrs in _neighbour_tuples(indptr, indices)]
-
-
 def _sized(mask, size: int, what: str) -> np.ndarray:
     """mask, checked to be a boolean array of length size."""
     mask = np.asarray(mask)
@@ -213,7 +204,7 @@ class Graph:
 
     __slots__ = (
         "n", "_edges", "_parent", "_mask", "_adj", "_arcs", "_csr", "_arcview",
-        "_edge_of_pos", "_components", "_masks", "_searches",
+        "_edge_of_pos", "_components", "_searches",
     )
 
     def __init__(self, n: int, edges, validate: bool = True):
@@ -230,7 +221,7 @@ class Graph:
     def _start(self, n: int, edges, parent: "Graph | None" = None, mask=None) -> None:
         self.n, self._edges, self._parent, self._mask = n, edges, parent, mask
         self._adj = self._arcs = self._csr = self._arcview = self._edge_of_pos = None
-        self._components = self._masks = self._searches = None
+        self._components = self._searches = None
 
     @property
     def edges(self) -> np.ndarray:
@@ -284,7 +275,9 @@ class Graph:
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         if self._adj is None:
-            self._adj = _neighbour_tuples(*self._csr_arrays())
+            indptr, indices = self._csr_arrays()
+            flat, ptr = indices.tolist(), indptr.tolist()
+            self._adj = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
         return self._adj
 
     def degrees(self) -> list[int]:
@@ -292,12 +285,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
-
-    def adj_masks(self) -> list[int]:
-        """Per-vertex neighbourhood bitmasks, for the colouring solver."""
-        if self._masks is None:
-            self._masks = _bitmasks(*self._csr_arrays())
-        return self._masks
 
     def with_edges(self, mask) -> "Graph":
         """Spanning subgraph on the edges where the boolean mask over

@@ -276,6 +276,8 @@ class ExperimentConfig:
             raise InputError("root must be a non-negative integer")
         if self.parts < 2:
             raise InputError("parts must be at least 2")
+        if self.budget < 1:
+            raise InputError("budget must be at least 1")
         if self.t is not None and self.t < 0:
             raise InputError("t must be a non-negative integer")
         if self.p is not None and not (_is_real(self.p) and 0.0 <= self.p <= 1.0):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
@@ -15,6 +17,7 @@ from randcol.colouring import (
     t_core_with_trace,
 )
 from randcol.graphs import Graph
+from randcol.sampling import RngStream, sample_subgraph
 
 
 def ids(mask):
@@ -229,6 +232,36 @@ def test_budget_exhaustion_returns_bounds():
     assert not res.exact
     assert is_proper(g, res.colour_of)
     assert res.lower_bound <= full.num_colours <= res.num_colours
+
+
+def test_budget_below_one_is_rejected():
+    # budget 0 would return the greedy colouring unproved whenever the
+    # clique does not close, as if the search had run and run out
+    for g in (random_graph(12, 0.5, 3), complete_graph(4), Graph(3, [])):
+        for budget in (0, -1):
+            with pytest.raises(InputError, match="budget"):
+                chromatic_number_exact(g, budget=budget)
+    assert chromatic_number_exact(complete_graph(4), budget=1).exact
+
+
+# sha256 of json.dumps of every [n, i, budget, colour_of, num_colours,
+# exact, lower_bound] on 12 half-samples of complete graphs, 11 of the 60
+# runs out of budget: the colouring found when the budget runs out, and
+# so the search order, is pinned, not only the closed answers
+SOLVER_GOLDEN = "b65759c3e63e4cda3a1a265dc7a0d96f1a5389ac94c3fa4f81b499dc1e1fa6ac"
+
+
+def test_search_order_is_pinned():
+    runs = []
+    for n in (8, 16, 24, 32):
+        for i in range(3):
+            g = sample_subgraph(complete_graph(n), 0.5, RngStream(n).child(i))
+            for budget in (1, 5, 50, 500, 10**7):
+                res = chromatic_number_exact(g, budget=budget)
+                runs.append([n, i, budget, list(res.colour_of), res.num_colours,
+                             res.exact, res.lower_bound])
+    assert sum(not run[5] for run in runs) == 11
+    assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == SOLVER_GOLDEN
 
 
 def test_n_cap_enforced():

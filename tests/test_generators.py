@@ -43,17 +43,23 @@ def base_digraph_4():
 
 # sha256 of the text format (format_graph) of one graph per generator:
 # its edge rows, and for the digraph its arc colours. They move if the
-# draws behind a generator do, such as numpy's Generator.shuffle.
+# draws behind a generator do, such as numpy's Generator.shuffle, or if a
+# blow-up joins other vertices.
 GRAPH_GOLDEN = {
     "random_regular_graph": "66d5f1e9984413de92dca92d14bc6e0b32a8ad89e64f4d50ea991e1b2fe3f817",
     "cubic_expander": "7d2ffbeea8446268d105432201d650d40a5df52442383104b740b8ac4dcf56b3",
     "random_two_regular_digraph": "eb015055b3f3385463980949702eeac84cfbcde1b728704e90e97d9fe04346e7",
+    "gadget_blow_up": "a689add59c7bca6ea12efc6ddfe30a8c4690cc043a2633d4bfb9a39dc629b965",
+    "blow_up": "163221349907a2dd3a7e2ae802d26a2fd00ab3adc9d889117dbfa5d2665f837b",
 }
 
 PINNED_GRAPHS = {
     "random_regular_graph": lambda: random_regular_graph(60, 4, 5),
     "cubic_expander": lambda: find_cubic_expander(14, 7, lambda2_max=2.95, girth_min=4)[0],
     "random_two_regular_digraph": lambda: random_two_regular_digraph(40, 0),
+    "gadget_blow_up": lambda: gadget_blow_up(
+        random_two_regular_digraph(12, 0), ConstructionParams.thm4(12, 3))[0],
+    "blow_up": lambda: blow_up(random_regular_graph(30, 3, 1), 3)[0],
 }
 
 

@@ -1,8 +1,8 @@
 """Graph and DiGraph on edge arrays against the tuple code they replaced,
 kept here as the reference: normalising, validation, neighbour tuples,
-degrees, bitmasks, DiGraph's per-list sorts, the text format and the
-itertools.compress mask subsets, on hypothesis edge lists in any order
-and orientation."""
+degrees, the colouring solver's bitmasks, DiGraph's per-list sorts, the
+text format and the itertools.compress mask subsets, on hypothesis edge
+lists in any order and orientation."""
 
 from itertools import compress
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from randcol.colouring import _neighbour_masks
 from randcol.errors import InputError
 from randcol.graphs import DiGraph, Graph, _csr, format_graph, load_graph, save_graph
 
@@ -149,11 +150,11 @@ def test_graph_views_match_the_tuples(case):
     assert g.m == len(ref.edges)
     assert g.adjacency() == ref.adjacency()
     assert g.degrees() == ref.degrees()
-    assert g.adj_masks() == ref.adj_masks()
+    assert _neighbour_masks(g) == ref.adj_masks()
     indptr, indices = g._csr_arrays()
     assert indptr.tolist() == np.cumsum([0] + ref.degrees()).tolist()
     assert indices.tolist() == [w for nbrs in ref.adjacency() for w in nbrs]
-    plain = g.degrees() + g.adj_masks() + [w for nbrs in g.adjacency() for w in nbrs]
+    plain = g.degrees() + _neighbour_masks(g) + [w for nbrs in g.adjacency() for w in nbrs]
     assert all(type(x) is int for x in plain)
 
 

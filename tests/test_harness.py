@@ -179,6 +179,12 @@ class TestConfig:
         {"params": {"mode": "expander-blowup", "k": 12, "t": 5, "m": "4"}},
         {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "s": True}},
         {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "alpha": "1/20"}},
+        # with the report derived, so that only the params are at fault
+        {"params": {"mode": "expander-blowup", "k": 12, "t": 4, "m": 4, "alpha": "0"},
+         "regime_metadata": None},
+        {"params": {"mode": "expander-blowup", "k": 12, "t": 3, "m": 4, "alpha": "-1/10"},
+         "regime_metadata": None},
+        {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "s": 0}, "regime_metadata": None},
         {"graph": {"kind": "martian"}},
         {"graph": "complete"},
         {"graph": {**BLOWUP_RECIPE, "seed": 3}},
@@ -188,16 +194,18 @@ class TestConfig:
         {"graph": {"kind": "blow_up", "m": 2,
                    "base": {"kind": "random_regular", "n": 20, "d": 3, "seed": "5"}}},
         {"graph": {"kind": "gadget", "base": {"kind": "complete", "n": 4}}},
+        {"budget": 0},
         {"suite": "two_round"},
         {"k": 4},
         {"regime_metadata": {**core_config().regime_metadata, "in_asymptotic_regime": True}},
     ], ids=["p-str", "p-bool", "sweep-str", "sweep-bool", "sweep-scalar",
             "params-missing-mode", "params-bad-alpha", "params-zero-denominator",
             "params-unknown-mode", "params-k-str", "params-t-float", "params-m-str",
-            "params-s-bool", "params-gadget-without-s", "recipe-unknown-kind",
+            "params-s-bool", "params-gadget-without-s", "params-alpha-zero",
+            "params-alpha-negative", "params-gadget-s-zero", "recipe-unknown-kind",
             "recipe-not-a-dict", "recipe-unknown-field", "recipe-missing-field",
             "recipe-misspelt-base-field", "recipe-base-seed-str", "recipe-gadget-without-params",
-            "suite-set", "unread-k", "regime-false-report"])
+            "budget-zero", "suite-set", "unread-k", "regime-false-report"])
     def test_values_from_outside_are_checked(self, overrides):
         with pytest.raises(InputError):
             ExperimentConfig.from_dict({**core_config().to_dict(), **overrides})
