@@ -46,7 +46,7 @@ class ColouringResult:
     lower_bound: int
 
 
-def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[np.ndarray, list]:
+def _peel(g: Graph, thresholds: Iterable[int], rounds: list | None = None) -> np.ndarray:
     """Peel g at each threshold t of an ascending sequence in turn.
 
     At threshold t a round removes every live vertex with fewer than t
@@ -58,13 +58,14 @@ def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[np.ndarray, list]:
     is regular or a view of a regular parent, such as a half-sample of a
     blow-up, whose dropped edges are masked out of the parent's table;
     O(n + m) otherwise. Stops when the sequence ends or nothing is left.
-    Returns (mask of the survivors, peel order).
+    Returns the mask of the survivors; when rounds is given, each
+    round's removed ids are appended to it, so that their concatenation
+    is the peel order.
     """
     arcs = g._arc_view()
     deg = arcs.degree.copy()
     alive = np.ones(g.n, dtype=bool)
     out = np.empty(g.n, dtype=bool)
-    rounds: list = []
     for t in thresholds:
         if not alive.any():
             break
@@ -75,10 +76,10 @@ def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[np.ndarray, list]:
             if not ids.size:
                 break
             alive ^= out
-            rounds.append(ids)
+            if rounds is not None:
+                rounds.append(ids)
             deg -= arcs.counts(out, ids)
-    peel = np.concatenate(rounds).tolist() if rounds else []
-    return alive, peel
+    return alive
 
 
 def colouring_number(g: Graph) -> tuple[int, EliminationOrder]:
@@ -92,27 +93,34 @@ def colouring_number(g: Graph) -> tuple[int, EliminationOrder]:
     """
     if g.n == 0:
         return 0, EliminationOrder((), ())
-    _, peel = _peel(g, itertools.count(1))
+    rounds: list = []
+    _peel(g, itertools.count(1), rounds)
+    peel = np.concatenate(rounds)
     pos = np.empty(g.n, dtype=np.intp)
     pos[peel] = np.arange(g.n)
     u, v = g.edges.T
     later = np.bincount(np.where(pos[u] < pos[v], u, v), minlength=g.n)
-    order = EliminationOrder(tuple(reversed(peel)), tuple(later[peel[::-1]].tolist()))
+    order = EliminationOrder(tuple(peel[::-1].tolist()), tuple(later[peel[::-1]].tolist()))
     return order.degeneracy() + 1, order
+
+
+def _core(g: Graph, t: int, rounds: list | None = None) -> np.ndarray:
+    if t < 0:
+        raise InputError("t must be >= 0")
+    return _frozen(_peel(g, (t,), rounds))
 
 
 def t_core_with_trace(g: Graph, t: int) -> tuple[np.ndarray, tuple]:
     """The t-core's mask plus the peeled vertices in peel order (see _peel)."""
-    if t < 0:
-        raise InputError("t must be >= 0")
-    core, trace = _peel(g, (t,))
-    return _frozen(core), tuple(trace)
+    rounds: list = []
+    core = _core(g, t, rounds)
+    return core, tuple(np.concatenate(rounds).tolist()) if rounds else ()
 
 
 def t_core(g: Graph, t: int) -> np.ndarray:
     """Read-only mask of the unique maximal induced subgraph with minimum
-    degree >= t (possibly empty)."""
-    return t_core_with_trace(g, t)[0]
+    degree >= t (possibly empty). Builds no peel order."""
+    return _core(g, t)
 
 
 def _neighbour_masks(g: Graph) -> list[int]:

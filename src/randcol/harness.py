@@ -20,8 +20,10 @@ import time
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .bounds import proposition_lower_bound
 from .colouring import (
@@ -40,7 +42,8 @@ from .generators import (
     random_regular_graph,
     random_two_regular_digraph,
 )
-from .graphs import complete_graph, connected_component, cycle_graph, load_graph, reachable_set
+from .graphs import (DiGraph, Graph, complete_graph, connected_component, cycle_graph,
+                     load_graph, reachable_set)
 from .percolation import (
     classify_supervertices_thm3,
     thm3_fixpoint_violations,
@@ -96,6 +99,23 @@ class _Recipe(NamedTuple):
     needs: tuple
     optional: tuple
     build: Callable  # (recipe, params) -> (graph, layout)
+    makes: type | None = Graph  # the graph type built; None when either (a file)
+    base: type | None = None  # the graph type its base must build
+
+
+def _wrong_base(kind: str, got: type) -> InputError:
+    need = _RECIPES[kind].base.__name__
+    return InputError(f"graph recipe {kind!r} needs a base that builds a {need}, "
+                      f"got a {got.__name__}")
+
+
+def _base_graph(recipe: dict):
+    """The graph of a recipe's base, checked against the type the recipe
+    needs: a file base is known only once it is read."""
+    g = build_graph(recipe["base"])[0]
+    if not isinstance(g, _RECIPES[recipe["kind"]].base):
+        raise _wrong_base(recipe["kind"], type(g))
+    return g
 
 
 _RECIPES = {
@@ -109,12 +129,12 @@ _RECIPES = {
         find_cubic_expander(r["n"], r["seed"], lambda2_max=r.get("lambda2_max", 2.9),
                             girth_min=r.get("girth_min", 3))[0], None)),
     "two_regular_digraph": _Recipe(("n", "seed"), (), lambda r, params: (
-        random_two_regular_digraph(r["n"], r["seed"]), None)),
+        random_two_regular_digraph(r["n"], r["seed"]), None), makes=DiGraph),
     "blow_up": _Recipe(("base", "m"), (), lambda r, params: blow_up(
-        build_graph(r["base"])[0], r["m"])),
+        _base_graph(r), r["m"]), base=Graph),
     "gadget": _Recipe(("base",), (), lambda r, params: gadget_blow_up(
-        build_graph(r["base"])[0], params)),
-    "file": _Recipe(("path",), (), lambda r, params: (load_graph(r["path"]), None)),
+        _base_graph(r), params), base=DiGraph),
+    "file": _Recipe(("path",), (), lambda r, params: (load_graph(r["path"]), None), makes=None),
 }
 
 
@@ -125,9 +145,10 @@ def build_graph(recipe: dict, params: ConstructionParams | None = None):
     recipes. Results are cached per process keyed by the recipe.
     """
     key = (json.dumps(recipe, sort_keys=True), params)
-    if key not in _BUILD_CACHE:
-        _BUILD_CACHE[key] = _build_uncached(recipe, params)
-    return _BUILD_CACHE[key]
+    built = _BUILD_CACHE.get(key)
+    if built is None:
+        built = _BUILD_CACHE[key] = _build_uncached(recipe, params)
+    return built
 
 
 def _build_uncached(recipe: dict, params: ConstructionParams | None):
@@ -138,8 +159,9 @@ def _build_uncached(recipe: dict, params: ConstructionParams | None):
 def _check_recipe(recipe, params: ConstructionParams | None, unseeded: bool = False) -> None:
     """Raise InputError unless the recipe, and its base if it has one,
     names a known kind with exactly that kind's fields, an integer seed
-    and, for a gadget, construction params. unseeded lets a random
-    recipe leave out its seed. Builds nothing."""
+    and, for a gadget, construction params, and its base builds the
+    graph type it needs (a file base is checked when it is built).
+    unseeded lets a random recipe leave out its seed. Builds nothing."""
     kind = recipe.get("kind") if isinstance(recipe, dict) else None
     if not isinstance(kind, str) or kind not in _RECIPES:
         raise InputError(f"graph recipe must be a dict whose 'kind' is one of {sorted(_RECIPES)}, "
@@ -158,6 +180,9 @@ def _check_recipe(recipe, params: ConstructionParams | None, unseeded: bool = Fa
         raise InputError("gadget recipe needs construction params")
     if "base" in recipe:
         _check_recipe(recipe["base"], None)
+        makes = _RECIPES[recipe["base"]["kind"]].makes
+        if makes is not None and makes is not row.base:
+            raise _wrong_base(kind, makes)
 
 
 def _is_real(value) -> bool:
@@ -397,7 +422,15 @@ class TrialRecord:
 
 
 def trial_stream(config: ExperimentConfig, index: int) -> RngStream:
-    return RngStream(config.master_seed).child("trial", index)
+    """RngStream(config.master_seed).child("trial", index)."""
+    return _trial_prefix(config.master_seed).child(index)
+
+
+@lru_cache(maxsize=64)
+def _trial_prefix(master_seed: int) -> RngStream:
+    """The ("trial",) stream of a master seed, hashed once for all of its
+    trials (a config's master seed is an int, never a bool)."""
+    return RngStream(master_seed).child("trial")
 
 
 # --------------------------- trial bodies ---------------------------------
@@ -426,9 +459,10 @@ def _trial_core_emptiness(config: ExperimentConfig, stream: RngStream) -> dict:
     # the classification computes the t-core itself
     cls = None if layout is None else classify_supervertices_thm3(sub, layout, config.t)
     core = t_core(sub, config.t) if cls is None else cls.core
-    values = {"core_size": int(core.sum()), "empty": not core.any(), "kept_edges": sub.m}
+    size = int(np.count_nonzero(core))
+    values = {"core_size": size, "empty": size == 0, "kept_edges": sub.m}
     if cls is not None:
-        values["dead_supers"] = int(cls.dead.sum())
+        values["dead_supers"] = int(np.count_nonzero(cls.dead))
     return values
 
 

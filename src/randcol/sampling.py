@@ -11,6 +11,7 @@ cheap.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,8 @@ _GOLDEN, _MIX1, _MIX2, _ONE, _S11, _S27, _S30, _S31 = (
     for k in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 1, 11, 27, 30, 31)
 )
 _INV53 = np.array(2.0 ** -53)
+_TOP = 1 << 53  # a variate is k * 2^-53 for an integer k in [0, 2^53)
+_MAX = (1 << 64) - 1
 
 # Exactly the strings str() gives for an int: such a label would hash
 # like that int, since keys encode labels with str().
@@ -58,6 +61,59 @@ def _fed(h, parts):
 def _key_of(h) -> int:
     """The 64-bit key of a finished hash state."""
     return int.from_bytes(h.digest(), "little")
+
+
+@lru_cache(maxsize=8)
+def _indices(count: int) -> np.ndarray:
+    """0..count-1 as a read-only uint64 array, shared by every draw of
+    that many variates (uniform_at adds to a copy)."""
+    indices = np.arange(count, dtype=np.uint64)
+    indices.flags.writeable = False
+    return indices
+
+
+def _word_limit(rate) -> int:
+    """The least L with (variate < rate) == (word < L).
+
+    A variate is (word >> 11) * 2^-53 = k * 2^-53, exactly, so for an
+    integer k, k * 2^-53 < rate iff k < ceil(rate * 2^53) iff word <
+    ceil(rate * 2^53) << 11. rate is read exactly through its integer
+    ratio, so a Fraction compares as itself, not as its nearest float.
+    L lies in [0, 2^64]: 0 for rate <= 0, 2^64 for rate > 1 - 2^-53."""
+    try:
+        if rate >= 1:
+            return _TOP << 11
+        if rate <= 0:
+            return 0
+        num, den = rate.as_integer_ratio()
+    except (AttributeError, TypeError, ValueError):  # NaN has no ratio
+        raise InputError(f"rate must be a real number, got {rate!r}") from None
+    return -(-num * _TOP // den) << 11
+
+
+def _below(words: np.ndarray, below) -> np.ndarray:
+    """Whether each word's variate is below the rate or array of rates
+    below, decided on the words (see _word_limit)."""
+    below = np.asarray(below)  # a Fraction stays one, in an object array
+    limit, full = _limits(below.shape, tuple(below.ravel().tolist()))
+    hit = words < limit
+    if full is not None:
+        hit |= full
+    return hit
+
+
+@lru_cache(maxsize=32)
+def _limits(shape: tuple, rates: tuple):
+    """(limit, full) for rates of that shape, read-only, once per value:
+    a two-round sample passes the same column every time. A variate is
+    below its rate iff its word is below limit or full is set; uint64
+    stops at 2^64 - 1, so a rate whose limit is 2^64 (every word
+    passes) is marked in full, which is None when there are none."""
+    limits = [_word_limit(r) for r in rates]
+    limit = np.array([min(lim, _MAX) for lim in limits], dtype=np.uint64).reshape(shape)
+    full = np.array([lim >> 64 for lim in limits], dtype=bool).reshape(shape)
+    limit.flags.writeable = full.flags.writeable = False
+    return limit, (full if full.any() else None)
 
 
 @dataclass(frozen=True)
@@ -96,23 +152,29 @@ class RngStream:
 
     def child(self, *labels) -> "RngStream":
         h = _fed(self._state().copy(), _checked(labels))
-        s = RngStream(self.master_seed, self.path + labels)
-        s.__dict__["_h"] = h
+        # built without __init__: this master seed was checked in self's
+        s = object.__new__(RngStream)
+        s.__dict__.update(master_seed=self.master_seed, path=self.path + labels, _h=h)
         return s
 
     def key(self) -> int:
         return _key_of(self._state())
 
-    def uniforms(self, count: int, *labels) -> np.ndarray:
+    def uniforms(self, count: int, *labels, below=None) -> np.ndarray:
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
             raise InputError(f"count must be an int, got {type(count).__name__}")
         if count < 0:
             raise InputError("count must be non-negative")
-        return self.uniform_at(np.arange(count, dtype=np.uint64), *labels)
+        return self.uniform_at(_indices(int(count)), *labels, below=below)
 
-    def uniform_at(self, indices, *labels) -> np.ndarray:
+    def uniform_at(self, indices, *labels, below=None) -> np.ndarray:
         """The variates at indices. With labels, row j holds those of
-        child(labels[j]): shape (len(labels),) + indices' shape."""
+        child(labels[j]): shape (len(labels),) + indices' shape.
+
+        With below, a rate or an array of rates that broadcasts against
+        the result (a column gives one per row), the boolean array
+        variates < below instead, compared exactly on the integer words
+        (see _word_limit) without making the variates."""
         # splitmix64 of key + (i + 1) * golden, in place on one fresh array
         z = np.asarray(indices, dtype=np.uint64) + _ONE
         z *= _GOLDEN
@@ -128,6 +190,8 @@ class RngStream:
         z ^= z >> _S27
         z *= _MIX2
         z ^= z >> _S31
+        if below is not None:
+            return _below(z, below)
         z >>= _S11
         return z * _INV53
 
@@ -135,18 +199,26 @@ class RngStream:
         return np.random.default_rng(self.key())
 
 
+def _check_probability(p) -> None:
+    """InputError unless p is a real number in [0, 1]; a bool is not one."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+        raise InputError(f"probability must be a number in [0, 1], got {p!r}")
+
+
 def subgraph_from_uniforms(g: Graph, u: np.ndarray, p: float) -> Graph:
     """Keep edge i iff u[i] < p. Deterministic given (g, u, p)."""
     if len(u) != g.m:
         raise InputError("uniform count must match edge count")
-    if not (0.0 <= p <= 1.0):
-        raise InputError(f"probability {p} outside [0, 1]")
+    _check_probability(p)
     return g.with_edges(u < p)
 
 
 def sample_subgraph(g: Graph, p: float, stream: RngStream) -> Graph:
-    """Independent p-subgraph: each edge retained with probability p."""
-    return subgraph_from_uniforms(g, stream.uniforms(g.m), p)
+    """Independent p-subgraph: each edge retained with probability p.
+    Edge i is kept iff stream's variate i is below p, compared exactly:
+    a Fraction p compares as itself."""
+    _check_probability(p)
+    return g.with_edges(stream.uniforms(g.m, below=p))
 
 
 def partition_split(g: Graph, parts: int, stream: RngStream) -> list[Graph]:
@@ -210,11 +282,17 @@ def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:
     (1/2 - a)/(1 - a); the union of deletions leaves every edge alive
     with probability exactly 1/2. first_rate is a number or a string
     that Fraction reads."""
-    if not hasattr(first_rate, "as_integer_ratio"):
-        first_rate = Fraction(first_rate)
-    a1, rates = _round_rates(*first_rate.as_integer_ratio())
-    # row r is round r's stream, child("round<r>"); rows of a read-only
-    # block are read-only
-    hits = stream.uniforms(g.m, "round1", "round2") < rates
+    try:
+        if not hasattr(first_rate, "as_integer_ratio"):
+            first_rate = Fraction(first_rate)
+        ratio = first_rate.as_integer_ratio()
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        ratio = None
+    if ratio is None or isinstance(first_rate, bool):
+        raise InputError(f"first-round rate must be a finite number, got {first_rate!r}")
+    a1, rates = _round_rates(*ratio)
+    # row r is round r's stream, child("round<r>"), compared with the
+    # rate as a float; rows of a read-only block are read-only
+    hits = stream.uniforms(g.m, "round1", "round2", below=rates)
     hits.flags.writeable = False
     return TwoRoundSample(graph=g, first_rate=a1, round1_hit=hits[0], round2_hit=hits[1])

@@ -240,6 +240,21 @@ class TestExperimentAndVerify:
         code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 2 and "root" in err and stdout == ""
 
+    @pytest.mark.parametrize("graph,params", [
+        ({"kind": "gadget", "base": {"kind": "complete", "n": 4}},
+         {"mode": "gadget", "k": 12, "t": 11, "m": 4, "s": 3}),
+        ({"kind": "blow_up", "m": 2, "base": {"kind": "two_regular_digraph", "n": 4, "seed": 0}},
+         None),
+    ], ids=["gadget-undirected-base", "blow-up-digraph-base"])
+    def test_experiment_rejects_a_base_of_the_wrong_graph_type(self, tmp_path, capsys, graph,
+                                                               params):
+        cfg = {"kind": "core_emptiness", "trials": 2, "master_seed": 1, "graph": graph,
+               "params": params, "t": 2, "p": 0.5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2 and err.startswith("error:") and "needs a base" in err and stdout == ""
+
     def test_verify_suite(self, tmp_path, capsys):
         report_path = tmp_path / "rep.json"
         code, stdout, _ = run_cli(capsys, "verify", "--suite", "fixpoints", "--report", str(report_path))

@@ -64,6 +64,7 @@ class TestStatistics:
 
 
 BLOWUP_RECIPE = {"kind": "blow_up", "base": {"kind": "complete", "n": 4}, "m": 2}
+GADGET_PARAMS = {"mode": "gadget", "k": 12, "t": 11, "m": 4, "s": 3}  # ConstructionParams.thm4(12, 3)
 
 
 def core_config(**overrides):
@@ -194,6 +195,10 @@ class TestConfig:
         {"graph": {"kind": "blow_up", "m": 2,
                    "base": {"kind": "random_regular", "n": 20, "d": 3, "seed": "5"}}},
         {"graph": {"kind": "gadget", "base": {"kind": "complete", "n": 4}}},
+        {"graph": {"kind": "gadget", "base": {"kind": "complete", "n": 4}},
+         "params": GADGET_PARAMS, "regime_metadata": None},
+        {"graph": {"kind": "blow_up", "m": 2,
+                   "base": {"kind": "two_regular_digraph", "n": 4, "seed": 0}}},
         {"budget": 0},
         {"suite": "two_round"},
         {"k": 4},
@@ -205,7 +210,7 @@ class TestConfig:
             "params-alpha-negative", "params-gadget-s-zero", "recipe-unknown-kind",
             "recipe-not-a-dict", "recipe-unknown-field", "recipe-missing-field",
             "recipe-misspelt-base-field", "recipe-base-seed-str", "recipe-gadget-without-params",
-            "budget-zero", "suite-set", "unread-k", "regime-false-report"])
+            "recipe-gadget-undirected-base", "recipe-blow-up-digraph-base", "budget-zero", "suite-set", "unread-k", "regime-false-report"])
     def test_values_from_outside_are_checked(self, overrides):
         with pytest.raises(InputError):
             ExperimentConfig.from_dict({**core_config().to_dict(), **overrides})
@@ -299,6 +304,34 @@ class TestBuildGraph:
         core_config(graph={"kind": "random_regular", "n": 20, "d": 3})
         core_config(graph={"kind": "file", "path": "no-such-file.txt"})
         assert len(harness._BUILD_CACHE) == before
+
+    def test_base_must_build_the_graph_type_its_recipe_needs(self, tmp_path):
+        # a blow-up takes a graph, a gadget a digraph: a known base is
+        # checked at load, a file base when it is read
+        params = ConstructionParams.thm4(12, 3)
+        assert params == harness._params_from_dict(GADGET_PARAMS)
+        digraph = {"kind": "two_regular_digraph", "n": 4, "seed": 0}
+        gadget = build_graph({"kind": "gadget", "base": digraph}, params)[0]
+        assert gadget.n == params.m * (params.s + 3) * 4
+        with pytest.raises(InputError, match="'blow_up' needs a base that builds a Graph"):
+            build_graph({"kind": "blow_up", "m": 2, "base": digraph})
+        with pytest.raises(InputError, match="'gadget' needs a base that builds a DiGraph"):
+            build_graph({"kind": "gadget", "base": {"kind": "complete", "n": 4}}, params)
+        graph_file, digraph_file = tmp_path / "g.txt", tmp_path / "h.txt"
+        save_graph(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), graph_file)
+        save_graph(build_graph(digraph)[0], digraph_file)
+        wrong = [({"kind": "blow_up", "m": 2, "base": {"kind": "file", "path": str(digraph_file)}},
+                  None, "Graph, got a DiGraph"),
+                 ({"kind": "gadget", "base": {"kind": "file", "path": str(graph_file)}},
+                  params, "DiGraph, got a Graph")]
+        for recipe, recipe_params, message in wrong:
+            cfg = core_config(graph=recipe, params=recipe_params, t=2)  # loads: no file is read
+            with pytest.raises(InputError, match=message):
+                build_graph(recipe, recipe_params)
+            errors = {r.error for r in run_experiment(replace(cfg, trials=2)).records}
+            assert len(errors) == 1 and errors.pop().startswith("InputError: ")
+        right = {"kind": "blow_up", "m": 2, "base": {"kind": "file", "path": str(graph_file)}}
+        assert build_graph(right)[0].n == 8
 
     @pytest.mark.parametrize("seed", ["5", 5.0, True])
     def test_recipe_seed_must_be_an_int(self, seed):

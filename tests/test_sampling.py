@@ -216,6 +216,16 @@ def test_bad_probability_rejected():
         subgraph_from_uniforms(g, np.zeros(2), 0.5)
 
 
+@pytest.mark.parametrize("p", [True, False, float("nan"), "0.5", None])
+def test_probability_that_is_not_a_number_in_range_is_rejected(p):
+    # a bool is rejected as ExperimentConfig rejects it
+    g = complete_graph(4)
+    with pytest.raises(InputError, match="probability"):
+        sample_subgraph(g, p, RngStream(0))
+    with pytest.raises(InputError, match="probability"):
+        subgraph_from_uniforms(g, np.zeros(g.m), p)
+
+
 # --- splits ------------------------------------------------------------------
 
 
@@ -271,6 +281,13 @@ def test_two_round_survival_is_half():
     g = complete_graph(80)  # m = 3160
     out = two_round_sample(g, Fraction(1, 9), RngStream(4).child("rounds"))
     assert abs(out.survivors().m / g.m - 0.5) < 0.04
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), "x", "1/0", None,
+                                  False])
+def test_two_round_rejects_a_rate_that_is_not_a_finite_number(rate):
+    with pytest.raises(InputError, match="first-round rate"):
+        two_round_sample(complete_graph(5), rate, RngStream(8))
 
 
 def test_two_round_zero_first_rate():

@@ -11,8 +11,17 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from randcol.graphs import Graph
-from randcol.sampling import RngStream, second_round_rate, two_round_sample
+from randcol.graphs import Graph, complete_graph
+from randcol.harness import ExperimentConfig, _trial_prefix, trial_stream
+from randcol.sampling import (
+    RngStream,
+    _below,
+    _word_limit,
+    sample_subgraph,
+    second_round_rate,
+    subgraph_from_uniforms,
+    two_round_sample,
+)
 
 
 def ref_key(master_seed, path) -> int:
@@ -117,6 +126,8 @@ def test_derived_stream_is_the_direct_stream(seed, steps):
         derived, path = derived.child(*labs), path + labs
     derived.key()  # fills the cache
     direct = RngStream(seed, path)
+    # child() builds its stream without the constructor
+    assert type(derived) is RngStream and (derived.master_seed, derived.path) == (seed, path)
     assert derived == direct and hash(derived) == hash(direct)
     assert repr(derived) == repr(direct)
     # the cached hash state is not pickled
@@ -125,6 +136,31 @@ def test_derived_stream_is_the_direct_stream(seed, steps):
         assert clone == direct and repr(clone) == repr(direct)
         assert clone.key() == ref_key(seed, path)
         assert clone.child("c").key() == ref_key(seed, path + ("c",))
+
+
+def _config(master_seed):
+    return ExperimentConfig(kind="core_emptiness", trials=1, master_seed=master_seed,
+                            graph={"kind": "complete", "n": 4}, t=1, p=0.5)
+
+
+def test_trial_streams_are_the_streams_of_their_path():
+    # more master seeds than the prefix cache holds, interleaved, so that
+    # every prefix is evicted and hashed again between its uses
+    count = _trial_prefix.cache_info().maxsize + 7
+    configs = [_config(seed) for seed in range(0, 3 * count, 3)]
+    for index in (0, 1, 2**40, 5):
+        for cfg in configs[::2] + configs[1::2]:
+            got = trial_stream(cfg, index)
+            want = RngStream(cfg.master_seed).child("trial", index)
+            assert got == want and hash(got) == hash(want) and got.path == ("trial", index)
+            assert got.key() == want.key() == ref_key(cfg.master_seed, ("trial", index))
+            clone = pickle.loads(pickle.dumps(got))
+            assert clone == want and clone.key() == want.key()
+            assert pickle.dumps(got) == pickle.dumps(want)
+    # a trial's own child hashes from the trial's path, not the prefix's
+    cfg = configs[0]
+    assert trial_stream(cfg, 3).child("sample").key() == ref_key(0, ("trial", 3, "sample"))
+    assert trial_stream(cfg, 4) != trial_stream(cfg, 3)
 
 
 def test_a_child_does_not_touch_its_parents_state():
@@ -136,3 +172,71 @@ def test_a_child_does_not_touch_its_parents_state():
         ref_key(11, ()), ref_key(11, ("a",)), ref_key(11, ("b",)))
     assert np.array_equal(a.uniforms(5, "y", "z")[1], ref_uniforms(11, ("a", "z"), 5))
 
+
+# --- draws compared on the integer words ---------------------------------------
+
+
+def _two_round_rates(alpha):
+    a1 = Fraction(alpha) / 3  # ConstructionParams.thm3's first-round rate
+    return float(a1), float(second_round_rate(a1))
+
+
+_NAMED_RATES = [0.0, 1.0, 0.5, 0.25] + [
+    r for alpha in ("1/100", "1/10", "3/10") for r in _two_round_rates(alpha)]
+# every named rate, its float neighbours on both sides, and random floats
+word_rates = st.one_of(
+    st.sampled_from([np.nextafter(r, side) for r in _NAMED_RATES for side in (-1.0, 2.0)]
+                    + _NAMED_RATES),
+    st.floats(-0.5, 1.5),
+    st.floats(0, 2.0 ** -40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.lists(labels, max_size=3).map(tuple), st.integers(0, 300), word_rates,
+       word_rates)
+def test_word_comparison_equals_the_float_comparison(seed, rows, count, rate, other):
+    stream = RngStream(seed).child("w")
+    assert np.array_equal(stream.uniforms(count, *rows, below=rate),
+                          stream.uniforms(count, *rows) < rate)
+    if rows:
+        # a column: one rate per row
+        column = np.array([rate, other] * len(rows))[:len(rows), None]
+        assert np.array_equal(stream.uniforms(count, *rows, below=column),
+                              stream.uniforms(count, *rows) < column)
+    idx = np.arange(count, dtype=np.int64)[::-1].reshape(-1, 1)
+    assert np.array_equal(stream.uniform_at(idx, below=rate), stream.uniform_at(idx) < rate)
+
+
+exact_rates = st.one_of(
+    st.sampled_from([Fraction(1, 3), Fraction(2, 7), 1 - Fraction(1, 2**60), Fraction(1, 2**60),
+                     Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**20),
+    word_rates,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_rates)
+def test_below_decides_every_word_as_its_variate(rate):
+    # a word's variate is (word >> 11) * 2^-53; the words around the
+    # limit and at both ends of the range must compare as their variates
+    c = _word_limit(rate) >> 11
+    assert 0 <= c <= 2**53
+    near = {0, 2**11 - 1, 2**64 - 2**11, 2**64 - 1}
+    near |= {w for k in (c - 1, c) for w in (k << 11, (k << 11) + 2**11 - 1) if 0 <= w < 2**64}
+    words = sorted(near)
+    want = [Fraction(w >> 11, 2**53) < rate for w in words]
+    assert _below(np.array(words, dtype=np.uint64), rate).tolist() == want
+    # as one row of a column of rates
+    rows = _below(np.array([words, words], dtype=np.uint64), np.array([[rate], [0.5]], dtype=object))
+    assert rows[0].tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, exact_rates.filter(lambda r: 0 <= r <= 1), st.integers(2, 40))
+def test_sample_subgraph_keeps_the_masks_of_the_float_path(seed, p, n):
+    # the float path compares each float variate with p itself, so a
+    # Fraction compares exactly there as well
+    g, stream = complete_graph(n), RngStream(seed).child("edges")
+    assert sample_subgraph(g, p, stream) == subgraph_from_uniforms(g, stream.uniforms(g.m), p)

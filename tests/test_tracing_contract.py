@@ -7,6 +7,7 @@ must be able to read them."""
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from randcol.graphs import Graph
+from randcol.harness import ExperimentConfig
 from randcol.percolation import thm3_process
 from randcol.sampling import RngStream
 
@@ -102,5 +104,31 @@ def test_every_draw_is_counted(installed):
     assert drawn() == 2 * g.m + 11
     sampling.sample_subgraph(g, 0.5, RngStream(5))
     assert drawn() == 3 * g.m + 11
+    # a draw compared on the words returns booleans, counted all the same
+    hits = RngStream(6).uniforms(13, "a", "b", below=0.25)
+    assert hits.dtype == bool and drawn() == 3 * g.m + 11 + 26
     calls = {installed.names[i] for i in installed.name}
     assert {"sampling.two_round_sample", "sampling.uniform_at"} <= calls
+
+
+def test_core_death_trials_are_seen_by_every_layer_metric(installed):
+    # core_death's path, three two-round trials on the K4 blow-up: each
+    # per-layer metric the benchmark reads for it must see every trial
+    from randcol import harness
+
+    config = ExperimentConfig(
+        kind="core_emptiness", trials=3, master_seed=0xDE5C, t=2, first_rate="1/30",
+        graph={"kind": "blow_up", "m": 2, "base": {"kind": "complete", "n": 4}})
+    g, layout = harness.build_graph(config.graph)
+    assert layout is not None and g.m == 24
+    start = len(installed.name)
+    before = installed.counters["sampling.uniforms.drawn"]
+    for i in range(3):
+        record = harness.run_trial(config, i)
+        assert record.error is None
+    calls = Counter(installed.names[i] for i in installed.name[start:])
+    assert calls["colouring.t_core"] == 3
+    assert calls["sampling.two_round_sample"] == 3
+    assert calls["sampling.survivors"] == 3
+    assert calls["harness.run_trial"] == 3
+    assert installed.counters["sampling.uniforms.drawn"] - before == 3 * 2 * g.m

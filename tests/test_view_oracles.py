@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randcol.colouring import _neighbour_masks, colouring_number, t_core_with_trace
+from randcol.colouring import _neighbour_masks, colouring_number, t_core, t_core_with_trace
 from randcol.errors import GenerationError, InputError
 from randcol.generators import blow_up, random_regular_graph
 from randcol.graphs import Graph, _csr, connected_component, vertex_boundary
@@ -118,6 +118,22 @@ def test_view_peels_match_the_materialised_graph(data):
         want_core, want_trace = t_core_with_trace(ref, t)
         assert np.array_equal(got_core, want_core) and got_trace == want_trace
     assert colouring_number(sub) == colouring_number(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_t_core_is_the_core_of_the_traced_peel(data):
+    # t_core builds no peel order; its mask must be t_core_with_trace's,
+    # on parents, on their views (the half-samples of core_death are views
+    # of a regular parent's table) and on the materialised subgraphs
+    g, sub, ref = view_and_reference(data)
+    for graph in (g, sub, ref):
+        for t in range(graph.max_degree() + 3):
+            core = t_core(graph, t)
+            assert np.array_equal(core, t_core_with_trace(graph, t)[0])
+            assert core.dtype == bool and not core.flags.writeable
+    with pytest.raises(InputError):
+        t_core(g, -1)
 
 
 @settings(max_examples=300, deadline=None)
