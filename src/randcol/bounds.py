@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
+from .generators import ConstructionParams
 
 
 @dataclass(frozen=True)
@@ -32,13 +33,6 @@ class BoundConstants:
                 raise InputError(f"constant {name} must be positive")
 
 
-def _ceil_exact(x) -> int:
-    # math.ceil is exact on int/Fraction; floats convert exactly first
-    if isinstance(x, float):
-        x = Fraction(x)
-    return math.ceil(x)
-
-
 def binom_tail_geq(n: int, q, x) -> float:
     """Exact upper tail P(Binom(n, q) >= x) by stable log-space
     summation (fsum of per-term exponentials). Non-integer x means the
@@ -49,7 +43,7 @@ def binom_tail_geq(n: int, q, x) -> float:
         raise InputError("q must lie in [0, 1]")
     if not 0 <= x <= n + 1:
         raise InputError(f"x={x} outside 0..n+1")
-    lo = max(0, _ceil_exact(x))
+    lo = max(0, math.ceil(x))
     if lo == 0:
         return 1.0
     if lo > n:
@@ -120,16 +114,14 @@ def _log_choose(n: int, r: int) -> float:
 def resilient_pair_probability_bound(k: int, s: int, constants: BoundConstants | None = None):
     """Union bound on one super-vertex containing a resilient pair:
     (s+2) * C(M, k/s) * P(Binom(M, 1/2 + 1/2s) >= k/4)^(k/s) with
-    M = k/2 - k/2s, evaluated in log-space and clamped to [0, 1].
+    M = k/2 - k/2s (the gadget's layer size, so k and s are checked as
+    ConstructionParams.thm4 checks them), evaluated in log-space and
+    clamped to [0, 1].
 
     Returns the value alone, or (value, (1+c4)^(-k^2)) when constants
     are supplied for comparison against the target decay rate.
     """
-    if s < 2:
-        raise InputError("s must be at least 2")
-    if k <= 0 or k % (2 * s):
-        raise InputError("k must be a positive multiple of 2s")
-    m = k // 2 - k // (2 * s)
+    m = ConstructionParams.thm4(k, s).m
     size = k // s
     if size > m:
         value = 0.0

@@ -25,7 +25,7 @@ from .generators import (
     random_two_regular_digraph,
     save_layout,
 )
-from .graphs import DiGraph, Graph, load_graph, save_graph
+from .graphs import DiGraph, Graph, _expect, load_graph, save_graph
 from .harness import load_config, run_experiment
 from .percolation import (
     t_core_via_percolation,
@@ -40,20 +40,6 @@ from .verify import SUITE_NAMES, run_suite
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
-
-
-def _load_undirected(path) -> Graph:
-    g = load_graph(path)
-    if not isinstance(g, Graph):
-        raise InputError(f"{path} holds a digraph; this command needs an undirected graph")
-    return g
-
-
-def _load_directed(path) -> DiGraph:
-    g = load_graph(path)
-    if not isinstance(g, DiGraph):
-        raise InputError(f"{path} holds an undirected graph; this command needs a digraph")
-    return g
 
 
 def cmd_generate(args) -> int:
@@ -98,7 +84,7 @@ def cmd_construct(args) -> int:
         if args.alpha is None:
             raise InputError("--mode thm3 needs --alpha")
         params = ConstructionParams.thm3(args.k, args.alpha)
-        h = _load_undirected(args.h_file)
+        h = _expect(load_graph(args.h_file), Graph, f"--h-file {args.h_file}")
         if h.regular_degree() != 3:
             raise InputError("the expander blow-up needs a cubic base graph")
         g, layout = blow_up(h, params.m)
@@ -106,7 +92,7 @@ def cmd_construct(args) -> int:
         if args.s is None:
             raise InputError("--mode thm4 needs --s")
         params = ConstructionParams.thm4(args.k, args.s, args.alpha)
-        h = _load_directed(args.h_file)
+        h = _expect(load_graph(args.h_file), DiGraph, f"--h-file {args.h_file}")
         g, layout = gadget_blow_up(h, params)
     save_graph(g, args.out)
     layout_path = args.layout_out if args.layout_out else args.out + ".layout"
@@ -128,7 +114,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    g = _load_undirected(args.infile)
+    g = _expect(load_graph(args.infile), Graph, f"--in {args.infile}")
     stream = RngStream(args.seed).child("cli-sample")
     given = [x is not None for x in (args.p, args.alpha, args.first_rate)]
     if sum(given) != 1:
@@ -149,7 +135,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_core(args) -> int:
-    g = _load_undirected(args.infile)
+    g = _expect(load_graph(args.infile), Graph, f"--in {args.infile}")
     core = t_core(g, args.t)
     vertices = np.flatnonzero(core).tolist()
     _emit({"t": args.t, "core_size": len(vertices), "empty": not vertices, "vertices": vertices})
@@ -157,7 +143,7 @@ def cmd_core(args) -> int:
 
 
 def cmd_chroma(args) -> int:
-    g = _load_undirected(args.infile)
+    g = _expect(load_graph(args.infile), Graph, f"--in {args.infile}")
     res = chromatic_number_exact(g, budget=args.budget)
     _emit(
         {
@@ -174,18 +160,18 @@ def cmd_percolate(args) -> int:
     if args.process == "threshold":
         if args.t is None:
             raise InputError("--process threshold needs --t")
-        g = _load_undirected(args.infile)
+        g = _expect(load_graph(args.infile), Graph, f"--in {args.infile}")
         core_size = int(t_core_via_percolation(g, args.t).sum())
         _emit({"process": "threshold", "t": args.t, "core_size": core_size, "removed": g.n - core_size})
         return 0
     if args.p is None:
         raise InputError(f"--process {args.process} needs --p")
     if args.process == "thm3":
-        g = _load_undirected(args.infile)
+        g = _expect(load_graph(args.infile), Graph, f"--in {args.infile}")
         state = thm3_process(g, args.p, args.root, stream)
         violations = thm3_fixpoint_violations(g, state)
     else:
-        h = _load_directed(args.infile)
+        h = _expect(load_graph(args.infile), DiGraph, f"--in {args.infile}")
         state = thm4_process(h, args.p, args.root, stream)
         violations = thm4_fixpoint_violations(h, state)
     _emit(

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstructionError, GenerationError, InputError
-from .graphs import DiGraph, Graph, has_cycle_shorter_than, is_connected
+from .graphs import DiGraph, Graph, _expect, has_cycle_shorter_than, is_connected
 from .sampling import RngStream, _is_int
 from .spectral import SpectralCertificate, second_eigenvalue
 
@@ -284,6 +284,7 @@ def _complete_bipartite(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
 def blow_up(h: Graph, m: int) -> tuple[Graph, BlowUpLayout]:
     """Replace every vertex of h by an independent m-set and every edge
     by a complete bipartite graph."""
+    _expect(h, Graph, "blow_up")
     if m < 1:
         raise InputError("m must be >= 1")
     layout = BlowUpLayout(n_super=h.n, layers=1, m=m)
@@ -310,6 +311,7 @@ def gadget_blow_up(h: DiGraph, params: ConstructionParams) -> tuple[Graph, BlowU
     s+3 instead. The rows are built as array blocks, and the result is
     audited k-regular.
     """
+    _expect(h, DiGraph, "gadget_blow_up")
     if params.mode != "gadget":
         raise InputError("params must be in gadget mode")
     if not h.is_regular(2):

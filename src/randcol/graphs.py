@@ -91,6 +91,14 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _expect(g, cls: type, what: str):
+    """g, or InputError unless it is a cls: the one check of which graph
+    type a consumer takes."""
+    if not isinstance(g, cls):
+        raise InputError(f"{what} needs a {cls.__name__}, got a {type(g).__name__}")
+    return g
+
+
 def _common_degree(degree: np.ndarray) -> int | None:
     """The one value of degree, 0 when it is empty, None when it varies."""
     d = int(degree[0]) if len(degree) else 0
@@ -203,7 +211,7 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "_edges", "_parent", "_mask", "_adj", "_arcs", "_csr", "_arcview",
+        "n", "m", "_edges", "_parent", "_mask", "_adj", "_arcs", "_csr", "_arcview",
         "_edge_of_pos", "_components", "_searches",
     )
 
@@ -218,8 +226,10 @@ class Graph:
             ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
         self._start(n, _frozen(ends))
 
-    def _start(self, n: int, edges, parent: "Graph | None" = None, mask=None) -> None:
+    def _start(self, n: int, edges, parent: "Graph | None" = None, mask=None, m=None) -> None:
+        """m is a view's count of kept edges, which with_edges has made."""
         self.n, self._edges, self._parent, self._mask = n, edges, parent, mask
+        self.m = len(edges) if m is None else m
         self._adj = self._arcs = self._csr = self._arcview = self._edge_of_pos = None
         self._components = self._searches = None
 
@@ -230,10 +240,6 @@ class Graph:
         if self._edges is None:
             self._edges = _frozen(self._parent.edges.compress(self._mask, axis=0))
         return self._edges
-
-    @property
-    def m(self) -> int:
-        return len(self.edges) if self._mask is None else int(np.count_nonzero(self._mask))
 
     def _arc_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(tails, heads): the edge rows in both directions, every (u, v)
@@ -299,10 +305,11 @@ class Graph:
         if self._parent is not None:
             parent, kept = self._parent, self._mask.copy()
             kept[self._mask] = keep
-        if 4 * np.count_nonzero(kept) < len(kept):
+        m = int(np.count_nonzero(kept))
+        if 4 * m < len(kept):
             return Graph(self.n, parent.edges.compress(kept, axis=0), validate=False)
         view = Graph.__new__(Graph)
-        view._start(self.n, None, parent, _frozen(kept))
+        view._start(self.n, None, parent, _frozen(kept), m)
         return view
 
     def regular_degree(self) -> int | None:

@@ -42,8 +42,8 @@ from .generators import (
     random_regular_graph,
     random_two_regular_digraph,
 )
-from .graphs import (DiGraph, Graph, complete_graph, connected_component, cycle_graph,
-                     load_graph, reachable_set)
+from .graphs import (DiGraph, Graph, _expect, complete_graph, connected_component,
+                     cycle_graph, load_graph, reachable_set)
 from .percolation import (
     classify_supervertices_thm3,
     thm3_fixpoint_violations,
@@ -103,21 +103,6 @@ class _Recipe(NamedTuple):
     base: type | None = None  # the graph type its base must build
 
 
-def _wrong_base(kind: str, got: type) -> InputError:
-    need = _RECIPES[kind].base.__name__
-    return InputError(f"graph recipe {kind!r} needs a base that builds a {need}, "
-                      f"got a {got.__name__}")
-
-
-def _base_graph(recipe: dict):
-    """The graph of a recipe's base, checked against the type the recipe
-    needs: a file base is known only once it is read."""
-    g = build_graph(recipe["base"])[0]
-    if not isinstance(g, _RECIPES[recipe["kind"]].base):
-        raise _wrong_base(recipe["kind"], type(g))
-    return g
-
-
 _RECIPES = {
     "complete": _Recipe(("n",), (), lambda r, params: (complete_graph(r["n"]), None)),
     "cycle": _Recipe(("n",), (), lambda r, params: (cycle_graph(r["n"]), None)),
@@ -131,9 +116,9 @@ _RECIPES = {
     "two_regular_digraph": _Recipe(("n", "seed"), (), lambda r, params: (
         random_two_regular_digraph(r["n"], r["seed"]), None), makes=DiGraph),
     "blow_up": _Recipe(("base", "m"), (), lambda r, params: blow_up(
-        _base_graph(r), r["m"]), base=Graph),
+        build_graph(r["base"])[0], r["m"]), base=Graph),
     "gadget": _Recipe(("base",), (), lambda r, params: gadget_blow_up(
-        _base_graph(r), params), base=DiGraph),
+        build_graph(r["base"])[0], params), base=DiGraph),
     "file": _Recipe(("path",), (), lambda r, params: (load_graph(r["path"]), None), makes=None),
 }
 
@@ -160,8 +145,8 @@ def _check_recipe(recipe, params: ConstructionParams | None, unseeded: bool = Fa
     """Raise InputError unless the recipe, and its base if it has one,
     names a known kind with exactly that kind's fields, an integer seed
     and, for a gadget, construction params, and its base builds the
-    graph type it needs (a file base is checked when it is built).
-    unseeded lets a random recipe leave out its seed. Builds nothing."""
+    graph type it needs (_check_makes). unseeded lets a random recipe
+    leave out its seed. Builds nothing."""
     kind = recipe.get("kind") if isinstance(recipe, dict) else None
     if not isinstance(kind, str) or kind not in _RECIPES:
         raise InputError(f"graph recipe must be a dict whose 'kind' is one of {sorted(_RECIPES)}, "
@@ -180,9 +165,16 @@ def _check_recipe(recipe, params: ConstructionParams | None, unseeded: bool = Fa
         raise InputError("gadget recipe needs construction params")
     if "base" in recipe:
         _check_recipe(recipe["base"], None)
-        makes = _RECIPES[recipe["base"]["kind"]].makes
-        if makes is not None and makes is not row.base:
-            raise _wrong_base(kind, makes)
+        _check_makes(recipe["base"], row.base, f"graph recipe {kind!r} needs a base")
+
+
+def _check_makes(recipe: dict, need: type, what: str) -> None:
+    """InputError when a checked recipe is known to build another graph
+    type than need. A file's type is known only once it is read, so the
+    builders and _trial_graph check the graph itself (graphs._expect)."""
+    makes = _RECIPES[recipe["kind"]].makes
+    if makes is not None and makes is not need:
+        raise InputError(f"{what} that builds a {need.__name__}, got a {makes.__name__}")
 
 
 def _is_real(value) -> bool:
@@ -265,8 +257,9 @@ class ExperimentConfig:
     first_rate is kept as the literal fraction/decimal string ("1/9",
     "0.03") so configs round-trip losslessly. Of the fields in
     _KIND_FIELDS, a config sets only those its kind's row names, and the
-    graph recipe is checked against its row in _RECIPES. regime_metadata
-    is derived from params and the graph; a given value must equal it.
+    graph recipe is checked against its row in _RECIPES and the graph
+    type the kind's row takes. regime_metadata is derived from params and
+    the graph; a given value must equal it.
     """
 
     kind: str
@@ -341,6 +334,7 @@ class ExperimentConfig:
             raise InputError(f"{self.kind}: does not read {', '.join(unread)}")
         # a missing graph fails here too
         _check_recipe(self.graph, self.params, unseeded=True)
+        _check_makes(self.graph, row.graph, f"experiment kind {self.kind!r} needs a graph recipe")
 
     def first_rate_fraction(self) -> Fraction:
         if self.first_rate is None:
@@ -442,12 +436,15 @@ def _trial_graph(config: ExperimentConfig, stream: RngStream):
     """The graph every kind's trial runs on: a random recipe without a
     seed gets one from the trial stream, giving an independent graph each
     trial. Such a graph is built outside the cache, since no later trial
-    asks for it again; every other recipe comes from the build cache."""
+    asks for it again; every other recipe comes from the build cache. A
+    graph of another type than the kind's row takes is an InputError."""
     recipe = config.graph
     if "seed" not in recipe and "seed" in _RECIPES[recipe["kind"]].needs:
-        seeded = dict(recipe, seed=stream.child("graph-seed").key())
-        return _build_uncached(seeded, config.params)
-    return build_graph(recipe, config.params)
+        built = _build_uncached(dict(recipe, seed=stream.child("graph-seed").key()), config.params)
+    else:
+        built = build_graph(recipe, config.params)
+    _expect(built[0], _KINDS[config.kind].graph, config.kind)
+    return built
 
 
 def _trial_core_emptiness(config: ExperimentConfig, stream: RngStream) -> dict:
@@ -527,6 +524,7 @@ def _per_p(config: ExperimentConfig, good: list) -> dict:
 
 class _Kind(NamedTuple):
     trial: Callable  # (config, stream) -> the trial's values
+    graph: type = Graph  # the graph type its trials run on
     # fields of _KIND_FIELDS the kind requires; "a|b" asks for exactly one
     needs: tuple = ()
     optional: tuple = ()
@@ -560,7 +558,7 @@ _KINDS = {
                                       "component_size", connected_component), **_SWEEP),
     "thm4_sweep": _Kind(
         lambda config, stream: _sweep(config, stream, thm4_process, thm4_fixpoint_violations,
-                                      "reachable_size", reachable_set), **_SWEEP),
+                                      "reachable_size", reachable_set), graph=DiGraph, **_SWEEP),
     "product_colouring": _Kind(
         _trial_product_colouring, proportions=(("inequality_holds", "ok"),), moments=("product",),
         extra=lambda config, good: {

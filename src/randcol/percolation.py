@@ -15,7 +15,7 @@ from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
 from .graphs import DiGraph, Graph, _frozen, _root, _search, _sized, _spread, vertex_boundary
 from .colouring import t_core
-from .sampling import RngStream
+from .sampling import RngStream, _check_probability
 
 
 @dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
@@ -87,8 +87,7 @@ def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> Percolat
     over p with a shared stream are coupled monotonely. With no edge
     protected the process is the search from r, read from h's memo.
     """
-    if not (0.0 <= p_protect <= 1.0):
-        raise InputError(f"p_protect {p_protect} outside [0, 1]")
+    _check_probability(p_protect)
     protected = _frozen(_coins(rng, "protect", h.m) < p_protect)
     if not protected.any():
         return PercolationState(*_search(h, r), protected_edges=protected)
@@ -101,8 +100,7 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     to the static random set R, drawn per-vertex at rate p_resilient
     from rng's "resilient" child stream. The root joins regardless. With
     R empty the process is the search from r, read from h's memo."""
-    if not (0.0 <= p_resilient <= 1.0):
-        raise InputError(f"p_resilient {p_resilient} outside [0, 1]")
+    _check_probability(p_resilient)
     hit = _frozen(_coins(rng, "resilient", h.n) < p_resilient)
     if not hit.any():
         return PercolationState(*_search(h, r), resilient_vertices=hit)
@@ -175,13 +173,18 @@ class SuperVertexStatus:
     dead_component: np.ndarray | None = None
 
 
-def _survivor_table(core: np.ndarray, layout: BlowUpLayout) -> np.ndarray:
-    """Core survivors per (super-vertex, layer - 1): vertex ids run
-    super-vertex by super-vertex, layer by layer, m to a layer. The
-    counts are one integer product, as graphs.Graph._arc_view counts
-    degrees."""
+def _core_classes(g_half: Graph, layout: BlowUpLayout, t: int) -> tuple:
+    """(core, table, dead) for a blow-up's half-sample: the t-core's
+    mask, its survivors per (super-vertex, layer - 1) and the mask of the
+    super-vertices with none. Vertex ids run super-vertex by
+    super-vertex, layer by layer, m to a layer; the counts are one
+    integer product, as graphs.Graph._arc_view counts degrees."""
+    if g_half.n != layout.n_vertices:
+        raise InputError("graph does not match layout dimensions")
+    core = t_core(g_half, t)
     blocks = core.reshape(layout.n_super, layout.layers, layout.m).view(np.uint8)
-    return _frozen(blocks @ np.ones(layout.m, dtype=np.intp))
+    table = _frozen(blocks @ np.ones(layout.m, dtype=np.intp))
+    return core, table, _frozen(~table.any(axis=1))
 
 
 def classify_supervertices_thm3(
@@ -195,11 +198,7 @@ def classify_supervertices_thm3(
     t-core of g_half. With root and the base graph h given, also report
     the connected set of dead super-vertices containing the root (the
     root is included even if it is not dead)."""
-    if g_half.n != layout.n_vertices:
-        raise InputError("graph does not match layout dimensions")
-    core = t_core(g_half, t)
-    table = _survivor_table(core, layout)
-    dead = _frozen(~table.any(axis=1))
+    core, table, dead = _core_classes(g_half, layout, t)
     dead_component = None
     if root is not None:
         if h is None:
@@ -229,8 +228,7 @@ def resilient_pair_detect(
     """
     if params.mode != "gadget":
         raise InputError("params must be in gadget mode")
-    if g_half.n != layout.n_vertices:
-        raise InputError("graph does not match layout dimensions")
+    core, table, dead = _core_classes(g_half, layout, params.t)
     if edge_graph is None:
         edge_graph = g_half
     if edge_graph.n != layout.n_vertices:
@@ -238,9 +236,6 @@ def resilient_pair_detect(
     k, s, layers = params.k, params.s, layout.layers
     if layers < s + 3:
         raise InputError(f"layer {s + 3} out of range 1..{layers}")
-    core = t_core(g_half, params.t)
-    table = _survivor_table(core, layout)
-    dead = _frozen(~table.any(axis=1))
     nearly_dead = _frozen(dead | (table[:, 1:s + 2] * s < k).all(axis=1))
     # into[x, j - 1]: edges from vertex x to layer j of its own super-vertex
     a, b = edge_graph._arc_rows()

@@ -230,10 +230,24 @@ def partition_split(g: Graph, parts: int, stream: RngStream) -> list[Graph]:
     return [g.with_edges(which == j) for j in range(parts)]
 
 
-def second_round_rate(first_rate: Fraction) -> Fraction:
+def _rate_ratio(first_rate) -> tuple[int, int]:
+    """The exact integer ratio of a first-round rate; InputError unless
+    it is a finite number (not a bool) or a string that Fraction reads."""
+    try:
+        if not hasattr(first_rate, "as_integer_ratio"):
+            first_rate = Fraction(first_rate)
+        ratio = first_rate.as_integer_ratio()
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        ratio = None
+    if ratio is None or isinstance(first_rate, bool):
+        raise InputError(f"first-round rate must be a finite number, got {first_rate!r}")
+    return ratio
+
+
+def second_round_rate(first_rate) -> Fraction:
     """Deletion rate for the second round so that overall per-edge
     survival is exactly 1/2: (1/2 - a)/(1 - a)."""
-    a = Fraction(first_rate)
+    a = Fraction(*_rate_ratio(first_rate))
     if not (0 <= a <= Fraction(1, 2)):
         raise InputError("first-round rate must lie in [0, 1/2]")
     return (Fraction(1, 2) - a) / (1 - a)
@@ -282,15 +296,7 @@ def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:
     (1/2 - a)/(1 - a); the union of deletions leaves every edge alive
     with probability exactly 1/2. first_rate is a number or a string
     that Fraction reads."""
-    try:
-        if not hasattr(first_rate, "as_integer_ratio"):
-            first_rate = Fraction(first_rate)
-        ratio = first_rate.as_integer_ratio()
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        ratio = None
-    if ratio is None or isinstance(first_rate, bool):
-        raise InputError(f"first-round rate must be a finite number, got {first_rate!r}")
-    a1, rates = _round_rates(*ratio)
+    a1, rates = _round_rates(*_rate_ratio(first_rate))
     # row r is round r's stream, child("round<r>"), compared with the
     # rate as a float; rows of a read-only block are read-only
     hits = stream.uniforms(g.m, "round1", "round2", below=rates)

@@ -51,13 +51,6 @@ class ExpansionCertificate:
     n: int
 
 
-def _require_regular(g: Graph, d: int):
-    degs = g.degrees()
-    for v, dv in enumerate(degs):
-        if dv != d:
-            raise InputError(f"vertex {v} has degree {dv}, expected {d}")
-
-
 def second_eigenvalue(
     g: Graph,
     d: int,
@@ -81,7 +74,8 @@ def second_eigenvalue(
         raise InputError("tolerance must be positive")
     if g.n < 2:
         raise InputError("need at least two vertices")
-    _require_regular(g, d)
+    if g.regular_degree() != d:
+        raise InputError(f"graph is not {d}-regular")
     if not is_connected(g):
         raise InputError("graph must be connected")
     n = g.n

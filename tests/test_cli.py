@@ -9,6 +9,8 @@ from randcol.colouring import t_core
 from randcol.graphs import DiGraph, Graph, load_graph, save_graph
 from randcol.harness import ExperimentConfig
 
+from helpers import KIND_FIELDS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -255,6 +257,17 @@ class TestExperimentAndVerify:
         code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 2 and err.startswith("error:") and "needs a base" in err and stdout == ""
 
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_experiment_rejects_a_recipe_of_the_wrong_graph_type(self, tmp_path, capsys, kind):
+        graph = ({"kind": "complete", "n": 4} if kind == "thm4_sweep" else
+                 {"kind": "two_regular_digraph", "n": 6, "seed": 0})
+        cfg = {"kind": kind, "trials": 2, "master_seed": 1, "graph": graph, **KIND_FIELDS[kind]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2 and err.startswith("error:") and stdout == ""
+        assert f"'{kind}' needs a graph recipe" in err
+
     def test_verify_suite(self, tmp_path, capsys):
         report_path = tmp_path / "rep.json"
         code, stdout, _ = run_cli(capsys, "verify", "--suite", "fixpoints", "--report", str(report_path))
@@ -294,6 +307,29 @@ class TestExperimentAndVerify:
         path.write_text("kind: core_emptiness\n")
         code, stdout, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2 and err.startswith("error:") and stdout == ""
+
+    @pytest.mark.parametrize("argv,takes", [
+        (["sample", "--in", "IN", "--seed", "1", "--p", "0.5", "--out", "OUT"], "Graph"),
+        (["core", "--in", "IN", "--t", "2"], "Graph"),
+        (["chroma", "--in", "IN"], "Graph"),
+        (["percolate", "--in", "IN", "--process", "threshold", "--t", "2"], "Graph"),
+        (["percolate", "--in", "IN", "--process", "thm3", "--p", "0.5"], "Graph"),
+        (["percolate", "--in", "IN", "--process", "thm4", "--p", "0.5"], "DiGraph"),
+        (["construct", "--mode", "thm3", "--k", "12", "--alpha", "0.05", "--h-file", "IN",
+          "--out", "OUT"], "Graph"),
+        (["construct", "--mode", "thm4", "--k", "12", "--s", "3", "--h-file", "IN",
+          "--out", "OUT"], "DiGraph"),
+    ], ids=["sample", "core", "chroma", "percolate-threshold", "percolate-thm3",
+            "percolate-thm4", "construct-thm3", "construct-thm4"])
+    def test_graph_file_of_the_other_type_is_reported(self, tmp_path, capsys, cubic_file,
+                                                       digraph_file, argv, takes):
+        wrong = digraph_file if takes == "Graph" else cubic_file
+        out = tmp_path / "no.txt"
+        argv = [{"IN": str(wrong), "OUT": str(out)}.get(a, a) for a in argv]
+        code, stdout, err = run_cli(capsys, *argv)
+        other = "DiGraph" if takes == "Graph" else "Graph"
+        assert code == 2 and err.startswith("error:") and stdout == ""
+        assert f"{wrong} needs a {takes}, got a {other}" in err and not out.exists()
 
     def test_missing_file_is_reported(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "core", "--in", str(tmp_path / "absent.txt"), "--t", "2")

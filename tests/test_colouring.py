@@ -19,29 +19,11 @@ from randcol.colouring import (
 from randcol.graphs import Graph
 from randcol.sampling import RngStream, sample_subgraph
 
-
-def ids(mask):
-    """The vertex set of a mask."""
-    return frozenset(np.flatnonzero(mask).tolist())
+from helpers import complete_graph, cycle_graph, ids, petersen, random_graph
 
 
 def is_proper(g, colour_of):
     return all(colour_of[u] != colour_of[v] for u, v in g.edges.tolist())
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    return Graph(10, outer + inner + spokes)
 
 
 def grotzsch():
@@ -50,11 +32,6 @@ def grotzsch():
         u, v = i, (i + 1) % 5
         edges += [(u, v), (u + 5, v), (v + 5, u), (10, 5 + i)]
     return Graph(11, edges)
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
 def chi_oracle(g):

@@ -28,9 +28,7 @@ from randcol.graphs import (
 )
 from randcol.sampling import RngStream
 
-
-def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+from helpers import complete_graph
 
 
 def base_digraph_4():
@@ -354,6 +352,14 @@ def test_gadget_input_errors():
     path = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(InputError):
         gadget_blow_up(path, ConstructionParams.thm4(12, 3))
+
+
+def test_blow_ups_reject_a_base_of_the_other_graph_type():
+    # a blow-up reads a graph's edges, a gadget a digraph's coloured arcs
+    with pytest.raises(InputError, match="blow_up needs a Graph, got a DiGraph"):
+        blow_up(base_digraph_4(), 2)
+    with pytest.raises(InputError, match="gadget_blow_up needs a DiGraph, got a Graph"):
+        gadget_blow_up(complete_graph(4), ConstructionParams.thm4(12, 3))
 
 
 def test_audit_catches_tampering():

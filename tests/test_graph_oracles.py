@@ -23,23 +23,13 @@ from randcol.graphs import (
 from randcol.percolation import thm4_process
 from randcol.sampling import RngStream, sample_subgraph
 
+from helpers import ids, pairs
+
 nx = pytest.importorskip("networkx")
-
-
-def pairs(n, directed):
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    if not directed:
-        pair = pair.map(lambda e: (min(e), max(e)))
-    return st.sets(pair, max_size=3 * n)
 
 
 graphs = st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), pairs(n, False)))
 digraphs = st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), pairs(n, True)))
-
-
-def ids(mask):
-    """The vertex set of a mask."""
-    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def nx_graph(n, edges, directed=False):

@@ -23,30 +23,7 @@ from randcol.graphs import (
 )
 from randcol.percolation import bootstrap_percolate
 
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def mask(n, vertices):
-    """Boolean mask over 0..n-1 of the given vertices."""
-    return np.isin(np.arange(n), list(vertices))
-
-
-def ids(mask):
-    """The vertex set of a mask."""
-    return frozenset(np.flatnonzero(mask).tolist())
-
-
-def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    return Graph(10, outer + inner + spokes)
+from helpers import complete_graph, cycle_graph, ids, mask, petersen
 
 
 # --- construction / validation -------------------------------------------

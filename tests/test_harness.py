@@ -40,6 +40,8 @@ from randcol.harness import (
     wilson_interval,
 )
 
+from helpers import KIND_FIELDS, complete_graph
+
 
 class TestStatistics:
     @pytest.mark.parametrize("successes,trials", [(0, 10), (3, 10), (50, 100), (100, 100), (1, 1)])
@@ -342,6 +344,39 @@ class TestBuildGraph:
                   "base": {"kind": "random_regular", "n": 20, "d": 3, "seed": seed}}
         with pytest.raises(InputError, match="seed"):
             build_graph(nested)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_kind_rejects_a_recipe_of_the_other_graph_type_at_load(self, kind):
+        # thm4_sweep spreads over arcs, every other kind samples edges
+        takes, other = ("DiGraph", "Graph") if kind == "thm4_sweep" else ("Graph", "DiGraph")
+        recipes = ([{"kind": "complete", "n": 4}, {"kind": "cycle", "n": 5}] if other == "Graph" else
+                   [{"kind": "two_regular_digraph", "n": 6, "seed": 0},
+                    {"kind": "two_regular_digraph", "n": 6}])
+        before = len(harness._BUILD_CACHE)
+        for recipe in recipes:
+            with pytest.raises(InputError, match=f"experiment kind '{kind}' needs a graph recipe "
+                                                 f"that builds a {takes}, got a {other}"):
+                ExperimentConfig(kind=kind, trials=2, master_seed=1, graph=recipe,
+                                 **KIND_FIELDS[kind])
+        assert len(harness._BUILD_CACHE) == before
+
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_kind_on_a_file_of_the_other_graph_type_records_an_input_error(self, kind, tmp_path):
+        # a file's graph type is known only once it is read, so each trial
+        # records the error; a file of the right type runs
+        graph_file, digraph_file = tmp_path / "g.txt", tmp_path / "h.txt"
+        save_graph(complete_graph(5), graph_file)
+        save_graph(build_graph({"kind": "two_regular_digraph", "n": 6, "seed": 0})[0], digraph_file)
+        if kind == "thm4_sweep":
+            takes, other, right, wrong = "DiGraph", "Graph", digraph_file, graph_file
+        else:
+            takes, other, right, wrong = "Graph", "DiGraph", graph_file, digraph_file
+        cfg = ExperimentConfig(kind=kind, trials=3, master_seed=1,
+                               graph={"kind": "file", "path": str(wrong)}, **KIND_FIELDS[kind])
+        errors = [r.error for r in run_experiment(cfg).records]
+        assert errors == [f"InputError: {kind} needs a {takes}, got a {other}"] * 3
+        result = run_experiment(replace(cfg, graph={"kind": "file", "path": str(right)}))
+        assert result.aggregate["errors"] == 0
 
 
 class TestTrials:

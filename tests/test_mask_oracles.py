@@ -19,12 +19,7 @@ from randcol.sampling import (
     two_round_sample,
 )
 
-
-def pairs(n, directed):
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    if not directed:
-        pair = pair.map(lambda e: (min(e), max(e)))
-    return st.sets(pair, max_size=3 * n)
+from helpers import pairs
 
 
 graphs = st.integers(1, 14).flatmap(lambda n: st.tuples(st.just(n), pairs(n, False)))

@@ -19,6 +19,8 @@ from randcol.generators import (
 from randcol.graphs import DiGraph, Graph
 from randcol.sampling import RngStream
 
+from helpers import ids
+
 
 def pairs(n):
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
@@ -26,11 +28,6 @@ def pairs(n):
 
 
 graphs = st.integers(0, 25).flatmap(lambda n: st.tuples(st.just(n), pairs(n) if n else st.just(set())))
-
-
-def ids(mask):
-    """The vertex set of a mask."""
-    return frozenset(np.flatnonzero(mask).tolist())
 
 
 # --- the heap and queue reference ------------------------------------------------

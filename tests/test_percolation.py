@@ -28,24 +28,7 @@ from randcol.percolation import (
 )
 from randcol.sampling import RngStream
 
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-
-
-def ids(mask):
-    """The vertex set of a state's mask."""
-    return frozenset(np.flatnonzero(mask).tolist())
-
-
-def mask(n, vertices):
-    """Boolean mask over 0..n-1 of the given vertices."""
-    return np.isin(np.arange(n), list(vertices))
+from helpers import cycle_graph, ids, mask, random_graph
 
 
 def same_state(a, b):
@@ -226,6 +209,14 @@ def test_thm3_input_errors():
         thm3_process(g, -0.1, 0, RngStream(0))
     with pytest.raises(InputError):
         thm3_process(g, 0.5, 4, RngStream(0))
+
+
+@pytest.mark.parametrize("p", [True, False, "0.5", None, -0.1, 1.5, math.nan])
+def test_spread_probability_must_be_a_number_in_range(p):
+    # sampling's rule: a bool is not a number, and a string is not compared
+    for process, h in [(thm3_process, cycle_graph(4)), (thm4_process, base_digraph_4())]:
+        with pytest.raises(InputError, match="probability must be a number in"):
+            process(h, p, 0, RngStream(0))
 
 
 # --- second spread process ---------------------------------------------------------

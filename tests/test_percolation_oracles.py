@@ -53,28 +53,14 @@ from randcol.percolation import (
     thm4_process,
 )
 from randcol.sampling import RngStream
+from helpers import circulant, ids, mask, pairs
 from test_peel_oracles import ref_colouring_number, ref_t_core_with_trace
-
-
-def pairs(n):
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    return st.sets(pair.map(lambda e: (min(e), max(e))), max_size=3 * n)
 
 
 # sparse edge sets up to n = 30 leave isolated vertices in many draws
 graphs = st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), pairs(n) if n else st.just(set())))
 
 THRESHOLDS = (0, 1, 2, 3, 1.5, math.inf)
-
-
-def ids(mask):
-    """The vertex set of a state's mask."""
-    return frozenset(np.flatnonzero(mask).tolist())
-
-
-def mask(n, vertices):
-    """Boolean mask over 0..n-1 of the given vertices."""
-    return np.isin(np.arange(n), list(vertices))
 
 
 def masks(size):
@@ -252,11 +238,6 @@ def ref_regular_degree(g):
     if not degs:
         return 0
     return degs.pop() if len(degs) == 1 else None
-
-
-def circulant(n, offsets):
-    """v joined to v + s and v - s (mod n) for each offset s."""
-    return Graph(n, {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in offsets})
 
 
 def two_out(data, n):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randcol.errors import InputError
-from randcol.graphs import Graph
 from randcol.sampling import (
     RngStream,
     partition_split,
@@ -15,13 +14,11 @@ from randcol.sampling import (
     two_round_sample,
 )
 
+from helpers import _aliases_int, complete_graph
+
 
 def edge_set(g):
     return set(map(tuple, g.edges.tolist()))
-
-
-def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 # --- stream behaviour -------------------------------------------------------
@@ -47,13 +44,6 @@ def test_child_paths_do_not_collide():
         s.child("+1").key(),
     }
     assert len(keys) == 8
-
-
-def _aliases_int(label: str) -> bool:
-    try:
-        return str(int(label)) == label
-    except ValueError:
-        return False
 
 
 def test_labels_that_alias_an_int_are_rejected():
@@ -287,6 +277,14 @@ def test_two_round_survival_is_half():
                                   False])
 def test_two_round_rejects_a_rate_that_is_not_a_finite_number(rate):
     with pytest.raises(InputError, match="first-round rate"):
+        two_round_sample(complete_graph(5), rate, RngStream(8))
+
+
+@pytest.mark.parametrize("rate", ["x", None, True, "1/0", float("nan"), float("inf")])
+def test_second_round_rate_parses_as_two_round_sample_does(rate):
+    with pytest.raises(InputError, match="first-round rate must be a finite number"):
+        second_round_rate(rate)
+    with pytest.raises(InputError, match="first-round rate must be a finite number"):
         two_round_sample(complete_graph(5), rate, RngStream(8))
 
 

@@ -18,12 +18,7 @@ from randcol.spectral import (
     verify_vertex_expansion,
 )
 
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    return Graph(10, outer + inner + spokes)
+from helpers import complete_graph, petersen
 
 
 def circulant(n, offsets):
@@ -34,10 +29,6 @@ def circulant(n, offsets):
             if i != j:
                 edges.add((min(i, j), max(i, j)))
     return Graph(n, sorted(edges))
-
-
-def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_digraph(n, shift=0):

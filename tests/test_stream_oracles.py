@@ -23,6 +23,8 @@ from randcol.sampling import (
     two_round_sample,
 )
 
+from helpers import _aliases_int
+
 
 def ref_key(master_seed, path) -> int:
     """The key rebuilt over the whole (master seed, path)."""
@@ -53,13 +55,6 @@ def ref_two_round_hits(m: int, first_rate, master_seed, path):
     hit1 = ref_uniforms(master_seed, path + ("round1",), m) < float(a1)
     hit2 = ref_uniforms(master_seed, path + ("round2",), m) < float(second_round_rate(a1))
     return hit1, hit2
-
-
-def _aliases_int(label: str) -> bool:
-    try:
-        return str(int(label)) == label
-    except ValueError:
-        return False
 
 
 seeds = st.integers(-(2**70), 2**70)

@@ -17,17 +17,8 @@ from randcol.generators import blow_up, random_regular_graph
 from randcol.graphs import Graph, _csr, connected_component, vertex_boundary
 from randcol.percolation import bootstrap_percolate
 
+from helpers import circulant, pairs
 from test_graph_array_oracles import RefGraph
-
-
-def pairs(n):
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    return st.sets(pair.map(lambda e: (min(e), max(e))), max_size=3 * n)
-
-
-def circulant(n, offsets):
-    """v joined to v + s and v - s (mod n) for each offset s."""
-    return Graph(n, {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in offsets})
 
 
 def parent_graph(data):
@@ -100,6 +91,21 @@ def test_view_csr_and_value_match_the_materialised_graph(data):
     else:
         assert (table is not None) == bool(ref.regular_degree())
         assert table is None or table.shape == (ref.n, ref.regular_degree())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_view_edge_count_is_the_count_of_its_root_mask(data):
+    # a view keeps the count with_edges made for its quarter rule; it must
+    # stay the kept edges of its mask over the root, for views of views too
+    g = parent_graph(data)
+    sub = g.with_edges(edge_mask(data, g.m))
+    subsub = sub.with_edges(edge_mask(data, sub.m))
+    # a materialised subgraph is the root of its own views
+    for view, root in [(sub, g), (subsub, g if sub._parent is g else sub)]:
+        if view._parent is not None:
+            assert view._parent is root and view.m == np.count_nonzero(view._mask)
+        assert view.m == Graph(view.n, view.edges).m == len(view.edges)
 
 
 def test_a_regular_view_of_an_irregular_parent_reads_its_own_table():
