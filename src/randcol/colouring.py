@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, _frozen
+from .graphs import Graph, _expect, _frozen
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_N_CAP = 40
@@ -91,6 +91,7 @@ def colouring_number(g: Graph) -> tuple[int, EliminationOrder]:
     peeled at threshold t has fewer than t neighbours later in the peel,
     and the last threshold reached is one more than the degeneracy.
     """
+    _expect(g, Graph, "colouring_number")
     if g.n == 0:
         return 0, EliminationOrder((), ())
     rounds: list = []
@@ -105,6 +106,7 @@ def colouring_number(g: Graph) -> tuple[int, EliminationOrder]:
 
 
 def _core(g: Graph, t: int, rounds: list | None = None) -> np.ndarray:
+    _expect(g, Graph, "t_core")
     if t < 0:
         raise InputError("t must be >= 0")
     return _frozen(_peel(g, (t,), rounds))
@@ -201,6 +203,7 @@ def chromatic_number_exact(
     counts search-node expansions, at least one; when it runs out the
     best proper colouring found so far is returned with exact=False.
     """
+    _expect(g, Graph, "chromatic_number_exact")
     n = g.n
     if budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")

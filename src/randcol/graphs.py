@@ -140,7 +140,8 @@ class _ArcView:
         return np.bincount(self.table.take(ids, axis=0).ravel(), minlength=n + 1)[1:]
 
 
-def _spread(g: "Graph | DiGraph", seed_mask: np.ndarray, thresholds) -> tuple[np.ndarray, list[int]]:
+def _spread(g: "Graph | DiGraph", seed_mask: np.ndarray, thresholds, levels=None,
+            full=None) -> tuple[np.ndarray, list[int]]:
     """Least fixpoint of: v joins once >= thresholds[v] of the vertices
     with an arc into v have joined, from seed_mask. thresholds is an
     array over the vertices or one number for all.
@@ -149,7 +150,11 @@ def _spread(g: "Graph | DiGraph", seed_mask: np.ndarray, thresholds) -> tuple[np
     count of newcomers in each synchronous round. A threshold of 0 joins
     in round one even without neighbours; math.inf never joins. With a
     single seed r and threshold 1 inside an allowed set, inf outside, the
-    rounds are the breadth-first levels from r through that set.
+    rounds are the breadth-first levels from r through that set. levels,
+    when given, is an array over the vertices in which each newcomer's
+    entry is set to its round. The spread stops once full vertices (by
+    default all n) have joined, a size that the caller knows no later
+    round can pass.
 
     A round counts the arcs out of the last newcomers (g's _ArcView),
     then compares all n counts: O(n) plus the newcomers' rows when g or
@@ -168,30 +173,81 @@ def _spread(g: "Graph | DiGraph", seed_mask: np.ndarray, thresholds) -> tuple[np
     new, ready = seed_mask, np.empty(len(outside), dtype=bool)
     ids = np.flatnonzero(new)
     trace = [len(ids)]
-    while True:
+    joined, full = len(ids), len(outside) if full is None else full
+    while joined < full:
         # counts >= 0, so a threshold of 0 fires in the first round
         counts += arcs.counts(new, ids)
         new = np.greater_equal(counts, need, out=ready)
         new &= outside
         ids = new.nonzero()[0]
         if not len(ids):
-            return ~outside, trace
+            break
         outside ^= new
         trace.append(len(ids))
+        joined += len(ids)
+        if levels is not None:
+            levels[ids] = len(trace) - 1
+    return ~outside, trace
 
 
-def _search(g: "Graph | DiGraph", r: int) -> tuple[np.ndarray, tuple]:
-    """(mask, round trace) of the threshold-1 spread from r along g's
-    arcs: the vertices reachable from r and its breadth-first level
-    sizes. Memoised on g, one entry per root; the memo is made on first
-    use, since most graphs are never searched."""
-    seed, key = _root(g.n, r), int(r)
+# the level of a vertex that the root does not reach
+_FAR = np.iinfo(np.int32).max
+
+
+def _search(g: "Graph | DiGraph", r: int, levelled: bool = False) -> tuple:
+    """(mask, round trace, levels) of the threshold-1 spread from r along
+    g's arcs: the vertices reachable from r, its breadth-first level
+    sizes and, with levelled, each vertex's level as a read-only int32
+    array (_FAR where r does not reach). Memoised on g, one entry per
+    root; the memo is made on first use, since most graphs are never
+    searched. Levels are kept only for the roots that a spread replays
+    from (_spread_from), so an entry that connected_component or
+    reachable_set made holds None and keeps its one mask; asked for
+    later, they come from a second search that keeps the entry's mask
+    and trace."""
     if g._searches is None:
         g._searches = {}
-    if key not in g._searches:
-        infected, trace = _spread(g, seed, 1)
-        g._searches[key] = _frozen(infected), tuple(trace)
-    return g._searches[key]
+    # the keys are checked roots, so a hit needs no check
+    key = int(r)
+    entry = g._searches.get(key)
+    if entry is None or levelled and entry[2] is None:
+        seed = _root(g.n, r)
+        levels = np.where(seed, 0, _FAR).astype(np.int32) if levelled else None
+        infected, trace = _spread(g, seed, 1, levels)
+        mask, trace = (_frozen(infected), tuple(trace)) if entry is None else entry[:2]
+        entry = g._searches[key] = mask, trace, levels if levels is None else _frozen(levels)
+    return entry
+
+
+def _spread_from(g: "Graph | DiGraph", r: int, hit: np.ndarray, values) -> tuple:
+    """(read-only mask, round trace) of _spread from the single root r,
+    replaying the memoised search. Every threshold is 1 but those of the
+    vertices hit (an id array; repeats and r allowed), which are values:
+    one intp >= 0 for all of them or an array like hit.
+
+    Let D be the least level from r of a vertex of hit other than r,
+    taking any threshold of 0 as level 1 (such a vertex joins in round
+    1, reached or not) and passing over the vertices r does not reach,
+    which only a threshold-0 vertex could start. Rounds 1..D-1 are then
+    the search's levels, so the spread runs from the ball of radius D-1
+    and its trace follows the search's first D entries; with no such
+    vertex it is the search itself. Unless some threshold is 0, nothing
+    outside r's component can join, so the spread stops once all of the
+    component has joined.
+    """
+    mask, trace, levels = _search(g, r, levelled=True)
+    other = hit != r
+    if not other.any():
+        return mask, trace
+    hit, values = hit[other], values[other] if np.ndim(values) else values
+    zero = np.min(values) < 1
+    depth = 1 if zero else int(levels.take(hit).min())
+    if depth == _FAR:
+        return mask, trace
+    need = np.ones(g.n, dtype=np.intp)
+    need[hit] = values
+    infected, rest = _spread(g, levels < depth, need, full=None if zero else sum(trace))
+    return _frozen(infected), trace[:depth] + tuple(rest[1:])
 
 
 class Graph:

@@ -123,17 +123,29 @@ _RECIPES = {
 }
 
 
-def build_graph(recipe: dict, params: ConstructionParams | None = None):
+def build_graph(recipe: dict, params: ConstructionParams | None = None, *, key: str | None = None):
     """Construct the (di)graph a recipe describes.
 
     Returns (graph, layout) where layout is None except for blow-up
-    recipes. Results are cached per process keyed by the recipe.
+    recipes. Results are cached per process keyed by the recipe; key,
+    when given, is that key, _build_key(recipe, params), which a config
+    makes once for all of its trials.
     """
-    key = (json.dumps(recipe, sort_keys=True), params)
+    if key is None:
+        key = _build_key(recipe, params)
     built = _BUILD_CACHE.get(key)
     if built is None:
         built = _BUILD_CACHE[key] = _build_uncached(recipe, params)
     return built
+
+
+def _build_key(recipe: dict, params: ConstructionParams | None) -> str:
+    """The build cache's key of a recipe and its params: one string,
+    which caches its own hash, where a (recipe text, params) pair would
+    hash the params and their Fraction on every lookup. Params that
+    load from a config hold alpha as a Fraction, so equal ones have
+    equal reprs; an alpha given as a float too only builds again."""
+    return f"{json.dumps(recipe, sort_keys=True)} {params!r}"
 
 
 def _build_uncached(recipe: dict, params: ConstructionParams | None):
@@ -348,6 +360,13 @@ class ExperimentConfig:
         never see it, and __getstate__ keeps it out of the pickle."""
         return _as_fraction(self.first_rate, "first_rate")
 
+    @cached_property
+    def _graph_key(self) -> str:
+        """The build cache's key of the graph, made once per instance for
+        all of its trials, and kept out of ==, to_dict and the pickle as
+        _first_rate is."""
+        return _build_key(self.graph, self.params)
+
     def __getstate__(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -442,7 +461,7 @@ def _trial_graph(config: ExperimentConfig, stream: RngStream):
     if "seed" not in recipe and "seed" in _RECIPES[recipe["kind"]].needs:
         built = _build_uncached(dict(recipe, seed=stream.child("graph-seed").key()), config.params)
     else:
-        built = build_graph(recipe, config.params)
+        built = build_graph(recipe, config.params, key=config._graph_key)
     _expect(built[0], _KINDS[config.kind].graph, config.kind)
     return built
 

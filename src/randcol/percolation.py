@@ -5,7 +5,7 @@ audit."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
-from .graphs import DiGraph, Graph, _frozen, _root, _search, _sized, _spread, vertex_boundary
+from .graphs import (DiGraph, Graph, _expect, _frozen, _root, _sized, _spread, _spread_from,
+                     vertex_boundary)
 from .colouring import t_core
 from .sampling import RngStream, _check_probability
 
@@ -84,28 +85,30 @@ def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> Percolat
     neighbours, or with one infected neighbour if none of its incident
     edges is protected. Protection is a static per-edge coin flip at
     rate p_protect drawn from rng's "protect" child stream, so sweeps
-    over p with a shared stream are coupled monotonely. With no edge
-    protected the process is the search from r, read from h's memo.
+    over p with a shared stream are coupled monotonely. The spread
+    replays the search from r, memoised on h, up to the first level that
+    holds an endpoint of a protected edge (graphs._spread_from); with no
+    edge protected it is that search.
     """
+    _expect(h, Graph, "thm3_process")
     _check_probability(p_protect)
     protected = _frozen(_coins(rng, "protect", h.m) < p_protect)
-    if not protected.any():
-        return PercolationState(*_search(h, r), protected_edges=protected)
-    state = bootstrap_percolate(h, _root(h.n, r), _thm3_thresholds(h, protected))
-    return replace(state, protected_edges=protected)
+    infected, trace = _spread_from(h, r, h.edges.compress(protected, axis=0).ravel(), 2)
+    return PercolationState(infected, trace, protected_edges=protected)
 
 
 def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> PercolationState:
     """Directed spread from {r}: out-neighbours join unless they belong
     to the static random set R, drawn per-vertex at rate p_resilient
-    from rng's "resilient" child stream. The root joins regardless. With
-    R empty the process is the search from r, read from h's memo."""
+    from rng's "resilient" child stream. The root joins regardless. A
+    vertex of R has the threshold m + 1, which no count of its in-arcs
+    reaches, so the spread replays the search from r, as thm3_process
+    does, up to the first level that holds a vertex of R."""
+    _expect(h, DiGraph, "thm4_process")
     _check_probability(p_resilient)
     hit = _frozen(_coins(rng, "resilient", h.n) < p_resilient)
-    if not hit.any():
-        return PercolationState(*_search(h, r), resilient_vertices=hit)
-    infected, trace = _spread(h, _root(h.n, r), np.where(hit, np.inf, 1))
-    return PercolationState(_frozen(infected), tuple(trace), resilient_vertices=hit)
+    infected, trace = _spread_from(h, r, hit.nonzero()[0], h.m + 1)
+    return PercolationState(infected, trace, resilient_vertices=hit)
 
 
 def _thm3_thresholds(h: Graph, protected: np.ndarray) -> np.ndarray:

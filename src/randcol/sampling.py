@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, _expect
 
 # 0-d arrays: ufuncs take them with less overhead than numpy scalars
 _GOLDEN, _MIX1, _MIX2, _ONE, _S11, _S27, _S30, _S31 = (
@@ -217,6 +217,7 @@ def sample_subgraph(g: Graph, p: float, stream: RngStream) -> Graph:
     """Independent p-subgraph: each edge retained with probability p.
     Edge i is kept iff stream's variate i is below p, compared exactly:
     a Fraction p compares as itself."""
+    _expect(g, Graph, "sample_subgraph")
     _check_probability(p)
     return g.with_edges(stream.uniforms(g.m, below=p))
 
@@ -296,6 +297,7 @@ def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:
     (1/2 - a)/(1 - a); the union of deletions leaves every edge alive
     with probability exactly 1/2. first_rate is a number or a string
     that Fraction reads."""
+    _expect(g, Graph, "two_round_sample")
     a1, rates = _round_rates(*_rate_ratio(first_rate))
     # row r is round r's stream, child("round<r>"), compared with the
     # rate as a float; rows of a read-only block are read-only

@@ -16,7 +16,7 @@ from randcol.colouring import (
     t_core,
     t_core_with_trace,
 )
-from randcol.graphs import Graph
+from randcol.graphs import DiGraph, Graph
 from randcol.sampling import RngStream, sample_subgraph
 
 from helpers import complete_graph, cycle_graph, ids, petersen, random_graph
@@ -289,3 +289,15 @@ def test_product_rejects_bad_partition():
         product_colouring_check(g, [Graph(3, [(0, 1)])])  # not covering
     with pytest.raises(InputError):
         product_colouring_check(g, [Graph(4, [])])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda g: t_core(g, 1),
+    lambda g: colouring_number(g),
+    lambda g: chromatic_number_exact(g),
+], ids=["t_core", "colouring_number", "chromatic_number_exact"])
+def test_colouring_a_digraph_is_an_input_error(entry):
+    # t_core peeled a digraph by out-degree; the others raised AttributeError
+    digraph = DiGraph(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(InputError, match="needs a Graph, got a DiGraph"):
+        entry(digraph)

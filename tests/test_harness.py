@@ -121,6 +121,23 @@ class TestConfig:
         other = replace(cfg, first_rate="1/9")
         assert other.first_rate_fraction() == Fraction(1, 9) and other != cfg
 
+    def test_graph_key_is_made_once_per_config(self, monkeypatch):
+        """The build cache's key is made once for all trials, and ==,
+        to_dict and the pickle see the fields alone, as for the rate."""
+        made = []
+        build_key = harness._build_key
+        monkeypatch.setattr(harness, "_build_key", lambda *args: made.append(args) or build_key(*args))
+        cfg = core_config(graph={"kind": "complete", "n": 6}, t=2, trials=6)
+        plain = pickle.loads(pickle.dumps(cfg))
+        result = run_experiment(cfg)
+        assert len(made) == 1 and not any(r.error for r in result.records)
+        assert cfg._graph_key == build_key(cfg.graph, cfg.params)
+        assert cfg == plain and cfg.to_dict() == plain.to_dict()
+        assert cfg.__getstate__() == plain.__getstate__() and "_graph_key" not in vars(plain)
+        # a replaced config makes its own key, once
+        run_experiment(replace(cfg, master_seed=8))
+        assert len(made) == 2
+
     def test_validation_errors(self):
         with pytest.raises(InputError):
             core_config(kind="nonsense")

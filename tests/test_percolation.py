@@ -219,6 +219,18 @@ def test_spread_probability_must_be_a_number_in_range(p):
             process(h, p, 0, RngStream(0))
 
 
+@pytest.mark.parametrize("process, other", [
+    (thm3_process, lambda: base_digraph_4()),
+    (thm4_process, lambda: cycle_graph(4)),
+], ids=["thm3_process", "thm4_process"])
+def test_process_on_the_other_graph_type_is_an_input_error(process, other):
+    # thm3 spreads over edges and thm4 over arcs; read as the other type,
+    # a digraph had no edges and a graph's edges spread as two arcs
+    takes = "Graph" if process is thm3_process else "DiGraph"
+    with pytest.raises(InputError, match=f"{process.__name__} needs a {takes}, got a "):
+        process(other(), 0.5, 0, RngStream(0))
+
+
 # --- second spread process ---------------------------------------------------------
 
 

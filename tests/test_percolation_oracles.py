@@ -1,12 +1,14 @@
 """The array rounds of bootstrap_percolate, the integer-threshold spread
 round, the row gather of regular CSRs, the per-sweep coins, the
-per-root search memo, the cached CSR arrays, the cached
+per-root search memo and the replay of its levels, the cached CSR
+arrays, the cached
 components, the two fixpoint audits and the super-vertex classification
 against the code they replaced, kept here as the reference: the per-edge
 round loop of bootstrap_percolate (with the list thresholds of
 thm3_process), the float-threshold spread round (which selects arcs by
 the mask repeated by degree), a fresh draw of coins per process, the
-degree set of regular_degree, a fresh spread per process, a
+degree set of regular_degree, a fresh spread per process (and from
+the root alone for the replay), a
 breadth-first search per connected_component call, the thm3
 audit's walk over every vertex's neighbours, the thm4 audit's out-boundary over the CSR, the per-vertex
 survivor table, the breadth-first search through an allowed set that
@@ -19,7 +21,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from randcol.colouring import colouring_number, t_core, t_core_with_trace
 from randcol.errors import GenerationError, InputError
@@ -34,9 +36,11 @@ from randcol.graphs import (
     DiGraph,
     Graph,
     _csr,
-    _frozen,
+    _ArcView,
     _root,
+    _search,
     _spread,
+    _spread_from,
     connected_component,
     reachable_set,
     vertex_boundary,
@@ -53,7 +57,7 @@ from randcol.percolation import (
     thm4_process,
 )
 from randcol.sampling import RngStream
-from helpers import circulant, ids, mask, pairs
+from helpers import circulant, cycle_graph, ids, mask, pairs
 from test_peel_oracles import ref_colouring_number, ref_t_core_with_trace
 
 
@@ -411,32 +415,199 @@ def test_memo_masks_are_read_only():
     ):
         with pytest.raises(ValueError):
             found[0] = not found[0]
-    assert all(not m.flags.writeable for g in (h, dg) for m, _ in g._searches.values())
+    assert all(not m.flags.writeable for g in (h, dg) for m, _, _ in g._searches.values())
+    # the processes keep the levels of their root, read-only; the
+    # component and reachability searches keep none
+    for g in (h, dg):
+        levels = g._searches[0][2]
+        assert levels.dtype == np.int32 and not levels.flags.writeable
+        with pytest.raises(ValueError):
+            levels[0] = 1
+    assert h._searches[5][2] is None and dg._searches[3][2] is None
+
+
+def ref_levels(g, r):
+    """Breadth-first level of each vertex from r along the CSR, -1 where
+    r does not reach."""
+    indptr, indices = g._csr_arrays()
+    level = [-1] * g.n
+    level[r] = 0
+    queue = deque([r])
+    while queue:
+        v = queue.popleft()
+        for w in indices[indptr[v]:indptr[v + 1]].tolist():
+            if level[w] == -1:
+                level[w] = level[v] + 1
+                queue.append(w)
+    return level
 
 
 def test_processes_with_a_drawn_set_never_read_the_memo():
+    # the name predates the replay: a process with a drawn set now reads
+    # its root's memoised levels and replays them up to the first level
+    # that holds a vertex whose threshold is not 1
     h = random_regular_graph(30, 3, 3)
     dg = random_two_regular_digraph(30, 3)
     stream = RngStream(0xBAD)
     for graph in (h, dg):
         assert graph._searches is None
-    thm3_process(h, 1.0, 0, stream)
-    thm4_process(dg, 0.5, 0, stream)
-    for graph in (h, dg):
-        assert graph._searches is None  # nothing searched, nothing stored
-    # a planted entry that no spread would give is not read either
-    bogus = (_frozen(np.ones(30, dtype=bool)), (30,))
-    h._searches = {0: bogus}
-    dg._searches = {0: bogus}
     three = thm3_process(h, 1.0, 0, stream)
+    four = thm4_process(dg, 0.5, 0, stream)
+    for graph in (h, dg):
+        # one levelled search of the root, as a fresh search finds it
+        (root, (found, trace, levels)), = graph._searches.items()
+        assert root == 0 and (ids(found), trace) == fresh_search(graph, 0)
+        assert np.where(found, levels, -1).tolist() == ref_levels(graph, 0)
+        assert not levels.flags.writeable
     infected, trace, _ = ref_thm3_process(h, 1.0, 0, stream)
     assert (ids(three.infected), three.round_trace) == (infected, trace)
-    four = thm4_process(dg, 0.5, 0, stream)
     want, want_trace = ref_spread(
         *dg._csr_arrays(), _root(30, 0), np.where(four.resilient_vertices, math.inf, 1)
     )
     assert four.resilient_vertices.any()
     assert np.array_equal(four.infected, want) and four.round_trace == tuple(want_trace)
+    # a component's entry gains its levels when a process replays from
+    # its root, and keeps its mask
+    comp = connected_component(h, 7)
+    assert h._searches[7][2] is None
+    for p in (0.0, 0.05, 0.3):
+        got = thm3_process(h, p, 7, stream)
+        assert h._searches[7][0] is comp and h._searches[7][2] is not None
+        infected, trace, _ = ref_thm3_process(h, p, 7, stream)
+        assert (ids(got.infected), got.round_trace) == (infected, trace)
+
+
+# --- the replay of the memoised search ------------------------------------------------
+
+
+def spread_from(g, r, thresholds):
+    """_spread_from with float thresholds from {0, 1, 2, inf}: the ids
+    that are not 1, inf as the arc count plus one."""
+    hit = np.flatnonzero(thresholds != 1)
+    values = np.minimum(thresholds[hit], g._arc_view().arcs + 1).astype(np.intp)
+    return _spread_from(g, r, hit, values)
+
+
+def check_replay(g, r, thresholds):
+    infected, trace = spread_from(g, r, thresholds)
+    want, want_trace = ref_spread(*g._csr_arrays(), mask(g.n, {r}), thresholds)
+    assert np.array_equal(infected, want) and trace == tuple(want_trace)
+    assert not infected.flags.writeable
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def disjoint(*parts):
+    """The disjoint union of graphs, ids shifted part by part."""
+    edges, n = [], 0
+    for part in parts:
+        edges += (part.edges + n).tolist()
+        n += part.n
+    return Graph(n, edges)
+
+
+def built(make, *args):
+    try:
+        return make(*args)
+    except GenerationError:
+        assume(False)
+
+
+replay_graphs = st.one_of(
+    st.integers(1, 12).map(path_graph),
+    st.tuples(st.integers(1, 7), st.integers(3, 7)).map(
+        lambda c: disjoint(path_graph(c[0]), cycle_graph(c[1]), Graph(1, []))),
+    st.tuples(st.sampled_from([4, 6, 8, 12, 20]), st.integers(0, 40)).map(
+        lambda c: (random_regular_graph, c[0], 3, c[1])),
+    st.tuples(st.integers(3, 16), st.integers(0, 40)).map(
+        lambda c: (random_two_regular_digraph, c[0], c[1])),
+)
+
+# mostly 1, so that most spreads replay some levels
+REPLAY_THRESHOLDS = (1, 1, 1, 1, 0, 2, math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(replay_graphs, st.data())
+def test_replay_matches_a_fresh_spread(case, data):
+    g = case if isinstance(case, Graph) else built(*case)
+    r = data.draw(st.integers(0, g.n - 1))
+    thresholds = np.array(data.draw(st.lists(st.sampled_from(REPLAY_THRESHOLDS),
+                                             min_size=g.n, max_size=g.n)), dtype=float)
+    # one vertex of each class the replay treats apart: the root, the
+    # first level and the vertices the root does not reach
+    level = ref_levels(g, r)
+    for spot in ([r], [v for v in range(g.n) if level[v] == 1], [v for v in range(g.n) if level[v] < 0]):
+        if spot:
+            thresholds[data.draw(st.sampled_from(spot))] = data.draw(st.sampled_from((0, 2, math.inf)))
+    if data.draw(st.booleans()):
+        # the entry of a component or reachability search has no levels yet
+        (connected_component if isinstance(g, Graph) else reachable_set)(g, r)
+    check_replay(g, r, thresholds)
+    found, trace, levels = g._searches[r]
+    assert np.where(found, levels, -1).tolist() == level and not levels.flags.writeable
+
+
+def test_replay_rules():
+    # a path 0-...-5 from root 0, and an edge 6-7 that it does not reach
+    g = disjoint(path_graph(6), path_graph(2))
+    ones = np.ones(8)
+    search = _search(g, 0)
+    for v, t, trace in [
+        (0, 2, None),  # the root's own threshold: the search itself
+        (0, 0, None),
+        (7, 2, None),  # unreached, and not 0: no bound
+        (7, math.inf, None),
+        (7, 0, (1, 2, 2, 1, 1, 1)),  # threshold 0 anywhere joins in round 1, then 6
+        (1, 2, (1,)),  # the first level: nothing to replay
+        (3, 2, (1, 1, 1)),  # rounds 1 and 2 replayed, then vertex 3 never joins
+        (5, math.inf, (1, 1, 1, 1, 1)),
+    ]:
+        thresholds = ones.copy()
+        thresholds[v] = t
+        check_replay(g, 0, thresholds)
+        infected, got = spread_from(g, 0, thresholds)
+        if trace is None:
+            assert infected is search[0] and got == search[1]
+        else:
+            assert got == trace
+
+
+def rounds_counted(monkeypatch):
+    """The frontier sizes of every round counted from now on."""
+    calls, counts = [], _ArcView.counts
+    monkeypatch.setattr(_ArcView, "counts", lambda self, frontier, ids: calls.append(len(ids))
+                        or counts(self, frontier, ids))
+    return calls
+
+
+def test_replay_stops_once_the_component_has_joined(monkeypatch):
+    # a cycle 0-...-7 and an edge 8-9 it does not reach; vertex 4, at
+    # level 4, needs both neighbours, which the ball of radius 3 holds
+    g = disjoint(cycle_graph(8), path_graph(2))
+    _search(g, 0, levelled=True)
+    calls = rounds_counted(monkeypatch)
+    thresholds = np.ones(10)
+    thresholds[4] = 2
+    check_replay(g, 0, thresholds)
+    # one round from the ball, in which the component's last vertex
+    # joins, and no empty round after it
+    assert calls == [7]
+
+
+def test_replay_runs_to_an_empty_round_when_part_of_the_component_is_left_out(monkeypatch):
+    # vertex 4 of the cycle never joins; the spread only knows that from
+    # an empty round
+    g = disjoint(cycle_graph(8), path_graph(2))
+    _search(g, 0, levelled=True)
+    calls = rounds_counted(monkeypatch)
+    thresholds = np.ones(10)
+    thresholds[4] = math.inf
+    infected, trace = spread_from(g, 0, thresholds)
+    assert ids(infected) == {0, 1, 2, 3, 5, 6, 7} and trace == (1, 2, 2, 2)
+    assert calls == [7]
 
 
 # --- the cached CSR arrays ------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randcol.errors import InputError
+from randcol.graphs import DiGraph
 from randcol.sampling import (
     RngStream,
     partition_split,
@@ -293,3 +294,15 @@ def test_two_round_zero_first_rate():
     out = two_round_sample(g, 0, RngStream(8).child("rounds"))
     assert not out.round1_hit.any()
     assert out.survivors() == out.round2_only_survivors()
+
+
+@pytest.mark.parametrize("sample", [
+    lambda g: sample_subgraph(g, 0.5, RngStream(0)),
+    lambda g: two_round_sample(g, "1/9", RngStream(0)),
+], ids=["sample_subgraph", "two_round_sample"])
+def test_sampling_a_digraph_is_an_input_error(sample):
+    # a digraph has arcs, not edges: this was an AttributeError, or a
+    # sample whose survivors() failed later
+    digraph = DiGraph(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(InputError, match="needs a Graph, got a DiGraph"):
+        sample(digraph)
