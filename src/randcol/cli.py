@@ -161,7 +161,7 @@ def cmd_percolate(args) -> int:
         if args.t is None:
             raise InputError("--process threshold needs --t")
         g = _expect(load_graph(args.infile), Graph, f"--in {args.infile}")
-        core_size = int(t_core_via_percolation(g, args.t).sum())
+        core_size = int(np.count_nonzero(t_core_via_percolation(g, args.t)))
         _emit({"process": "threshold", "t": args.t, "core_size": core_size, "removed": g.n - core_size})
         return 0
     if args.p is None:
@@ -179,7 +179,7 @@ def cmd_percolate(args) -> int:
             "process": args.process,
             "p": args.p,
             "root": args.root,
-            "infected": int(state.infected.sum()),
+            "infected": int(np.count_nonzero(state.infected)),
             "rounds": len(state.round_trace),
             "audit_violations": len(violations),
         }

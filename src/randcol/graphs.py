@@ -5,7 +5,7 @@ small-scale exhaustive enumeration of connected edge subgraphs.
 Vertices are contiguous integers 0..n-1 throughout, and a vertex set is
 a boolean mask over that range: every function here and in colouring and
 percolation takes its sets as masks (checked by _sized) and returns them
-as read-only masks. A single root is an id, checked by _root.
+as read-only masks. A single root is an int id, checked by _vertex.
 """
 
 from __future__ import annotations
@@ -76,18 +76,25 @@ def _sized(mask, size: int, what: str) -> np.ndarray:
     return mask
 
 
-def _root(n: int, r: int) -> np.ndarray:
-    """One-hot mask of r over 0..n-1; InputError for r outside that range
-    (a numpy index would wrap a negative one)."""
+def _vertex(n: int, r) -> int:
+    """r as an int; InputError unless it is an int or numpy integer, not a
+    bool, in 0..n-1 (a numpy index would wrap a negative one)."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise InputError(f"root must be an integer vertex id, got {r!r}")
     if not 0 <= r < n:
         raise InputError(f"root {r} out of range for n={n}")
+    return int(r)
+
+
+def _root(n: int, r) -> np.ndarray:
+    """One-hot mask of r over 0..n-1, checked by _vertex."""
     mask = np.zeros(n, dtype=bool)
-    mask[int(r)] = True  # a bool index would select every entry
+    mask[_vertex(n, r)] = True
     return mask
 
 
 def _frozen(mask: np.ndarray) -> np.ndarray:
-    mask.flags.writeable = False
+    mask.setflags(write=False)
     return mask
 
 
@@ -207,11 +214,11 @@ def _search(g: "Graph | DiGraph", r: int, levelled: bool = False) -> tuple:
     and trace."""
     if g._searches is None:
         g._searches = {}
-    # the keys are checked roots, so a hit needs no check
-    key = int(r)
+    # checked before the memo is read, so a hit never decides what passes
+    key = _vertex(g.n, r)
     entry = g._searches.get(key)
     if entry is None or levelled and entry[2] is None:
-        seed = _root(g.n, r)
+        seed = _root(g.n, key)
         levels = np.where(seed, 0, _FAR).astype(np.int32) if levelled else None
         infected, trace = _spread(g, seed, 1, levels)
         mask, trace = (_frozen(infected), tuple(trace)) if entry is None else entry[:2]
@@ -239,8 +246,9 @@ def _spread_from(g: "Graph | DiGraph", r: int, hit: np.ndarray, values) -> tuple
     other = hit != r
     if not other.any():
         return mask, trace
-    hit, values = hit[other], values[other] if np.ndim(values) else values
-    zero = np.min(values) < 1
+    hit, array = hit[other], isinstance(values, np.ndarray)
+    values = values[other] if array else values
+    zero = (values.min() if array else values) < 1
     depth = 1 if zero else int(levels.take(hit).min())
     if depth == _FAR:
         return mask, trace
@@ -408,8 +416,7 @@ class DiGraph:
         if n < 0:
             raise InputError("vertex count must be non-negative")
         self.n = n
-        self.arcs: np.ndarray = _pairs(arcs)
-        self.arcs.flags.writeable = False
+        self.arcs: np.ndarray = _frozen(_pairs(arcs))
         self.arc_colour: tuple[str, ...] | None = (
             tuple(arc_colour) if arc_colour is not None else None
         )
@@ -552,7 +559,7 @@ def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[in
     enumeration walk serves every size; each subgraph is visited once via
     binary partition over frontier edges.
     """
-    _root(g.n, v)  # the range check only; the walk keeps bitmasks
+    v = _vertex(g.n, v)  # a Python int, as the walk's bitmasks are
     if t_max < 1:
         raise InputError("t must be >= 1")
     inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
@@ -581,7 +588,6 @@ def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[in
                     extend(size + 1, spanned | (1 << w), banned | bit, new_cands, pos)
             # exclude eid from every subgraph explored after this point
             banned |= bit
-        return
 
     extend(0, 1 << v, 0, list(inc[v]), 0)
     return counts
@@ -595,7 +601,7 @@ def reachable_set(h: DiGraph, r: int) -> np.ndarray:
 def connected_component(g: Graph, v: int) -> np.ndarray:
     """Mask of the component of v, searched once per graph: its vertices
     share the one mask."""
-    _root(g.n, v)  # the range check: a negative index would wrap
+    v = _vertex(g.n, v)
     if g._components is None:
         g._components = [None] * g.n
     comp = g._components[v]

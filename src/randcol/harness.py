@@ -512,7 +512,7 @@ def _sweep(config: ExperimentConfig, stream: RngStream, process, audit, size_key
     fixpoint_ok = True
     for p in config.p_sweep:
         state = process(h, p, config.root, stream)
-        sizes.append(int(state.infected.sum()))
+        sizes.append(int(np.count_nonzero(state.infected)))
         rounds.append(len(state.round_trace))
         if audit(h, state):
             fixpoint_ok = False
@@ -521,7 +521,7 @@ def _sweep(config: ExperimentConfig, stream: RngStream, process, audit, size_key
         "rounds": rounds,
         "monotone": all(a >= b for a, b in zip(sizes, sizes[1:])),
         "fixpoint_ok": fixpoint_ok,
-        size_key: int(whole(h, config.root).sum()),
+        size_key: int(np.count_nonzero(whole(h, config.root))),
     }
 
 

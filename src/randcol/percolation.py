@@ -16,7 +16,7 @@ from .generators import BlowUpLayout, ConstructionParams
 from .graphs import (DiGraph, Graph, _expect, _frozen, _root, _sized, _spread, _spread_from,
                      vertex_boundary)
 from .colouring import t_core
-from .sampling import RngStream, _check_probability
+from .sampling import RngStream, _below, _check_probability, _indices
 
 
 @dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
@@ -74,10 +74,20 @@ def t_core_via_percolation(g: Graph, t: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _coins(rng: RngStream, label: str, count: int) -> np.ndarray:
-    """The first count uniforms of rng's child stream label, read-only.
-    A sweep runs its process at every p on one stream, so only the first
-    p draws them; the one entry holds the last stream's coins."""
-    return _frozen(rng.child(label).uniforms(count))
+    """The words of the first count uniforms of rng's child stream label,
+    read-only, for sampling._below. A sweep runs its process at every p on
+    one stream, so only the first p draws them; the one entry holds the
+    last stream's coins."""
+    return _frozen(rng.child(label).uniform_at(_indices(count), words=True))
+
+
+def _state(infected, trace, protected=None, resilient=None) -> PercolationState:
+    """A process's PercolationState, built without the frozen __init__,
+    which sets each field through object.__setattr__."""
+    state = object.__new__(PercolationState)
+    state.__dict__.update(infected=infected, round_trace=trace, protected_edges=protected,
+                          resilient_vertices=resilient)
+    return state
 
 
 def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> PercolationState:
@@ -92,9 +102,9 @@ def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> Percolat
     """
     _expect(h, Graph, "thm3_process")
     _check_probability(p_protect)
-    protected = _frozen(_coins(rng, "protect", h.m) < p_protect)
+    protected = _frozen(_below(_coins(rng, "protect", h.m), p_protect))
     infected, trace = _spread_from(h, r, h.edges.compress(protected, axis=0).ravel(), 2)
-    return PercolationState(infected, trace, protected_edges=protected)
+    return _state(infected, trace, protected=protected)
 
 
 def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> PercolationState:
@@ -106,9 +116,9 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     does, up to the first level that holds a vertex of R."""
     _expect(h, DiGraph, "thm4_process")
     _check_probability(p_resilient)
-    hit = _frozen(_coins(rng, "resilient", h.n) < p_resilient)
+    hit = _frozen(_below(_coins(rng, "resilient", h.n), p_resilient))
     infected, trace = _spread_from(h, r, hit.nonzero()[0], h.m + 1)
-    return PercolationState(infected, trace, resilient_vertices=hit)
+    return _state(infected, trace, resilient=hit)
 
 
 def _thm3_thresholds(h: Graph, protected: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, _expect
+from .graphs import Graph, _expect, _frozen
 
 # 0-d arrays: ufuncs take them with less overhead than numpy scalars
 _GOLDEN, _MIX1, _MIX2, _ONE, _S11, _S27, _S30, _S31 = (
@@ -67,9 +67,7 @@ def _key_of(h) -> int:
 def _indices(count: int) -> np.ndarray:
     """0..count-1 as a read-only uint64 array, shared by every draw of
     that many variates (uniform_at adds to a copy)."""
-    indices = np.arange(count, dtype=np.uint64)
-    indices.flags.writeable = False
-    return indices
+    return _frozen(np.arange(count, dtype=np.uint64))
 
 
 def _word_limit(rate) -> int:
@@ -167,14 +165,15 @@ class RngStream:
             raise InputError("count must be non-negative")
         return self.uniform_at(_indices(int(count)), *labels, below=below)
 
-    def uniform_at(self, indices, *labels, below=None) -> np.ndarray:
+    def uniform_at(self, indices, *labels, below=None, words=False) -> np.ndarray:
         """The variates at indices. With labels, row j holds those of
         child(labels[j]): shape (len(labels),) + indices' shape.
 
         With below, a rate or an array of rates that broadcasts against
         the result (a column gives one per row), the boolean array
         variates < below instead, compared exactly on the integer words
-        (see _word_limit) without making the variates."""
+        (see _word_limit) without making the variates. With words, the
+        uint64 words themselves, for a caller that compares them later."""
         # splitmix64 of key + (i + 1) * golden, in place on one fresh array
         z = np.asarray(indices, dtype=np.uint64) + _ONE
         z *= _GOLDEN
@@ -192,6 +191,8 @@ class RngStream:
         z ^= z >> _S31
         if below is not None:
             return _below(z, below)
+        if words:
+            return z
         z >>= _S11
         return z * _INV53
 
@@ -200,8 +201,10 @@ class RngStream:
 
 
 def _check_probability(p) -> None:
-    """InputError unless p is a real number in [0, 1]; a bool is not one."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+    """InputError unless p is a real number in [0, 1]; a bool is not one.
+    A plain float, the sweeps' case, skips the costlier ABC check."""
+    if (type(p) is not float and (isinstance(p, bool) or not isinstance(p, numbers.Real))
+            or not 0 <= p <= 1):
         raise InputError(f"probability must be a number in [0, 1], got {p!r}")
 
 
@@ -260,8 +263,7 @@ def _round_rates(numerator: int, denominator: int) -> tuple[float, np.ndarray]:
     column, computed exactly once per rate. Keyed by the rate's integer
     ratio, since a Fraction key would hash in pure Python per sample."""
     a1 = Fraction(numerator, denominator)
-    rates = np.array([[float(a1)], [float(second_round_rate(a1))]])
-    rates.flags.writeable = False
+    rates = _frozen(np.array([[float(a1)], [float(second_round_rate(a1))]]))
     return float(a1), rates
 
 
@@ -301,6 +303,5 @@ def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:
     a1, rates = _round_rates(*_rate_ratio(first_rate))
     # row r is round r's stream, child("round<r>"), compared with the
     # rate as a float; rows of a read-only block are read-only
-    hits = stream.uniforms(g.m, "round1", "round2", below=rates)
-    hits.flags.writeable = False
+    hits = _frozen(stream.uniforms(g.m, "round1", "round2", below=rates))
     return TwoRoundSample(graph=g, first_rate=a1, round1_hit=hits[0], round2_hit=hits[1])

@@ -346,6 +346,14 @@ def test_every_root_is_checked_by_one_rule():
                 call()
 
 
+def test_a_numpy_root_past_bit_63_counts_as_its_int():
+    # the walk's bitmasks are Python ints; shifted by a numpy root they
+    # would be int64 and overflow
+    g = Graph(70, [(i, i + 1) for i in range(69)])
+    for r in (np.int64(68), np.uint16(68)):
+        assert count_connected_edge_subgraphs_upto(g, r, 3) == [0, 2, 2, 2]
+
+
 # --- text format ------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -12,7 +14,8 @@ from randcol.generators import (
     gadget_blow_up,
     random_regular_graph,
 )
-from randcol.graphs import DiGraph, Graph, connected_component, reachable_set, vertex_boundary
+from randcol.graphs import (DiGraph, Graph, connected_component,
+                            count_connected_edge_subgraphs_upto, reachable_set, vertex_boundary)
 from randcol.percolation import (
     BoundaryResilienceReport,
     PercolationState,
@@ -444,3 +447,66 @@ def test_process_and_classification_roots_share_one_rule():
         ):
             with pytest.raises(InputError, match=f"root {r} out of range for n=4"):
                 call()
+
+
+def root_calls():
+    """Each entry point that takes a root, on graphs of its own: r -> the
+    mask or counts it returns."""
+    g, h = cycle_graph(4), base_digraph_4()
+    blown, layout = blow_up(cycle_graph(4), 3)
+    return [
+        lambda r: thm3_process(g, 0.5, r, RngStream(0)).infected,
+        lambda r: thm4_process(h, 0.5, r, RngStream(0)).infected,
+        lambda r: connected_component(g, r),
+        lambda r: reachable_set(h, r),
+        lambda r: classify_supervertices_thm3(blown, layout, 1, root=r, h=g).dead_component,
+        lambda r: count_connected_edge_subgraphs_upto(g, r, 2),
+    ]
+
+
+# None is left out: classify_supervertices_thm3 reads root=None as "no dead component"
+NOT_ROOTS = ["1", 1.7, 1.0, 2.5, True, False, np.True_, np.float64(1.0), np.array(1), [1]]
+
+
+@pytest.mark.parametrize("memoised", [False, True])
+def test_only_an_integer_root_passes_whatever_the_memo_holds(memoised):
+    """A str, float or bool root is an InputError, also once root 1 is
+    memoised (the check comes before the memo is read); any int or numpy
+    integer 1 gives what the int gives."""
+    want = [call(1) for call in root_calls()]
+    for r in NOT_ROOTS:
+        calls = root_calls()
+        if memoised:
+            for call in calls:
+                call(1)
+        for call in calls:
+            with pytest.raises(InputError, match="root must be an integer vertex id"):
+                call(r)
+    for r in (np.int64(1), np.int32(1), np.uint8(1), np.intp(1)):
+        calls = root_calls()
+        if memoised:
+            for call in calls:
+                call(1)
+        for call, got in zip(calls, want):
+            assert np.array_equal(call(r), got)
+
+
+def test_process_states_stay_frozen_dataclasses():
+    """The processes build their states without __init__; the states are
+    still frozen, and fields, replace, repr and pickle see every field."""
+    names = ["infected", "round_trace", "protected_edges", "resilient_vertices"]
+    states = [thm3_process(cycle_graph(6), 0.3, 0, RngStream(1)),
+              thm4_process(base_digraph_4(), 0.3, 0, RngStream(1))]
+    for state, drawn in zip(states, ("protected_edges", "resilient_vertices")):
+        assert type(state) is PercolationState
+        assert [f.name for f in dataclasses.fields(state)] == names
+        assert {name for name in names if getattr(state, name) is None} == set(names[2:]) - {drawn}
+        for name in names + ["other"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, name, None)
+        built = PercolationState(**{name: getattr(state, name) for name in names})
+        assert same_state(built, state) and repr(built) == repr(state)
+        moved = dataclasses.replace(state, round_trace=(1,))
+        assert moved.round_trace == (1,) and moved.infected is state.infected
+        assert getattr(moved, drawn) is getattr(state, drawn)
+        assert same_state(pickle.loads(pickle.dumps(state)), state)

@@ -18,6 +18,7 @@ per-vertex edge count of the resilient pairs."""
 import dataclasses
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -364,6 +365,30 @@ def test_a_sweep_draws_its_coins_once(monkeypatch):
     assert all(not mask.flags.writeable for mask in later)
 
 
+COIN_GRAPH, COIN_DIGRAPH = random_regular_graph(20, 3, 1), random_two_regular_digraph(30, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.data())
+def test_word_coins_give_the_masks_of_float_coins(seed, data):
+    """The cached coins are words, compared by sampling._below; the drawn
+    sets equal the float coins below p, at random rates and at rates equal
+    to a coin's variate (that coin is not below it), as floats and as
+    Fractions."""
+    stream = RngStream(seed).child("trial", 0)
+    for graph, process, label, count, field in (
+        (COIN_GRAPH, thm3_process, "protect", COIN_GRAPH.m, "protected_edges"),
+        (COIN_DIGRAPH, thm4_process, "resilient", COIN_DIGRAPH.n, "resilient_vertices"),
+    ):
+        floats = stream.child(label).uniforms(count)
+        coin = float(floats[data.draw(st.integers(0, len(floats) - 1))])
+        rates = [data.draw(st.floats(0, 1)), coin, np.nextafter(coin, 2.0), Fraction(coin),
+                 Fraction(coin) + Fraction(1, 2**80)]
+        for p in rates:
+            got = getattr(process(graph, p, 0, stream), field)
+            assert np.array_equal(got, floats < p) and not got.flags.writeable
+
+
 # --- the per-root search memo ------------------------------------------------------------
 
 
@@ -548,6 +573,25 @@ def test_replay_matches_a_fresh_spread(case, data):
     check_replay(g, r, thresholds)
     found, trace, levels = g._searches[r]
     assert np.where(found, levels, -1).tolist() == level and not levels.flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(replay_graphs, st.data())
+def test_a_scalar_threshold_replays_as_the_equal_array(case, data):
+    """_spread_from with one threshold for every vertex hit (thm3's 2,
+    thm4's m + 1, and 0) gives the (mask, trace) of the equal array,
+    and both equal a fresh spread; hit may repeat ids and hold r."""
+    g = case if isinstance(case, Graph) else built(*case)
+    r = data.draw(st.integers(0, g.n - 1))
+    hit = np.array(data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)), dtype=np.intp)
+    for value in (0, 2, g.m + 1):
+        got = _spread_from(g, r, hit, value)
+        same = _spread_from(g, r, hit, np.full(len(hit), value, dtype=np.intp))
+        assert np.array_equal(got[0], same[0]) and got[1] == same[1]
+        thresholds = np.ones(g.n)
+        thresholds[hit[hit != r]] = value
+        want, want_trace = ref_spread(*g._csr_arrays(), mask(g.n, {r}), thresholds)
+        assert np.array_equal(got[0], want) and got[1] == tuple(want_trace)
 
 
 def test_replay_rules():

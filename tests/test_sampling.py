@@ -1,3 +1,5 @@
+import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from randcol.errors import InputError
 from randcol.graphs import DiGraph
 from randcol.sampling import (
     RngStream,
+    _check_probability,
     partition_split,
     sample_subgraph,
     second_round_rate,
@@ -215,6 +218,30 @@ def test_probability_that_is_not_a_number_in_range_is_rejected(p):
         sample_subgraph(g, p, RngStream(0))
     with pytest.raises(InputError, match="probability"):
         subgraph_from_uniforms(g, np.zeros(g.m), p)
+
+
+def ref_check_probability(p):
+    """The probability rule without the plain-float shortcut."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+        raise InputError(f"probability must be a number in [0, 1], got {p!r}")
+
+
+def verdict(check, p):
+    try:
+        check(p)
+    except InputError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p", [
+    0.0, -0.0, 0.5, 1.0, 5e-324, 1 - 2**-53, -5e-324, 1 + 2**-52, 1.5, -0.1,
+    math.nan, math.inf, -math.inf, np.float64(0.3), np.float64(-0.0), np.float64(math.nan),
+    np.float64(math.inf), np.float64(2.0), np.float32(0.5), Fraction(1, 3), Fraction(4, 3),
+    0, 1, 2, -1, np.int64(1), True, False, np.True_, "0.5", None,
+])
+def test_probability_check_keeps_its_verdict(p):
+    assert verdict(_check_probability, p) == verdict(ref_check_probability, p)
 
 
 # --- splits ------------------------------------------------------------------

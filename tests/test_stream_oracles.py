@@ -203,6 +203,16 @@ def test_word_comparison_equals_the_float_comparison(seed, rows, count, rate, ot
     assert np.array_equal(stream.uniform_at(idx, below=rate), stream.uniform_at(idx) < rate)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(0, 60), st.lists(labels, max_size=2, unique=True))
+def test_words_are_the_variates_before_scaling(seed, count, rows):
+    # a variate is (word >> 11) * 2^-53, row by row with labels
+    stream = RngStream(seed).child("words")
+    words = stream.uniform_at(np.arange(count), *rows, words=True)
+    assert words.dtype == np.uint64
+    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, stream.uniforms(count, *rows))
+
+
 exact_rates = st.one_of(
     st.sampled_from([Fraction(1, 3), Fraction(2, 7), 1 - Fraction(1, 2**60), Fraction(1, 2**60),
                      Fraction(0), Fraction(1)]),
