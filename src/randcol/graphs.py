@@ -365,7 +365,13 @@ class Graph:
         its own rows instead, so that it neither holds the root's arrays
         nor gathers the root's longer rows in its peels and spreads."""
         keep = _sized(mask, self.m, "edge set")
-        parent, kept = self, keep.copy()
+        return self._with_mask(keep if self._parent is not None else keep.copy())
+
+    def _with_mask(self, keep: np.ndarray) -> "Graph":
+        """with_edges on a fresh boolean mask of length m, which a root
+        graph's view keeps as it is: the samplers pass masks they have
+        just made, so neither the check nor the copy is needed."""
+        parent, kept = self, keep
         if self._parent is not None:
             parent, kept = self._parent, self._mask.copy()
             kept[self._mask] = keep

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, _expect, _frozen
+from .graphs import Graph, _expect, _frozen, _sized
 
 # 0-d arrays: ufuncs take them with less overhead than numpy scalars
 _GOLDEN, _MIX1, _MIX2, _ONE, _S11, _S27, _S30, _S31 = (
@@ -50,12 +50,38 @@ def _checked(labels: tuple) -> tuple:
     return labels
 
 
+def _encoded(part) -> bytes:
+    """part as a key hashes it: "len:text;" with text = str(part)."""
+    text = str(part)
+    return f"{len(text)}:{text};".encode()
+
+
 def _fed(h, parts):
-    """h after hashing each part as "len:text;"; returns h."""
+    """h after hashing each part (see _encoded); returns h."""
     for part in parts:
-        text = str(part)
-        h.update(f"{len(text)}:{text};".encode())
+        h.update(_encoded(part))
     return h
+
+
+@lru_cache(maxsize=64, typed=True)
+def _label_part(label) -> bytes:
+    """A row label, checked and encoded once: typed, so 1, True, 1.0 and
+    np.int64(1) never share an entry; a label that fails is not cached."""
+    return _encoded(_checked((label,))[0])
+
+
+def _row_keys(state, labels) -> np.ndarray:
+    """The key of child(label) for each label, from the parent's state."""
+    keys = []
+    for lab in labels:
+        try:
+            part = _label_part(lab)
+        except TypeError:  # unhashable: checked and encoded without the cache
+            part = _encoded(_checked((lab,))[0])
+        h = state.copy()
+        h.update(part)
+        keys.append(_key_of(h))
+    return np.array(keys, dtype=np.uint64)
 
 
 def _key_of(h) -> int:
@@ -66,8 +92,14 @@ def _key_of(h) -> int:
 @lru_cache(maxsize=8)
 def _indices(count: int) -> np.ndarray:
     """0..count-1 as a read-only uint64 array, shared by every draw of
-    that many variates (uniform_at adds to a copy)."""
+    that many variates."""
     return _frozen(np.arange(count, dtype=np.uint64))
+
+
+@lru_cache(maxsize=8)
+def _offsets(count: int) -> np.ndarray:
+    """(i + 1) * golden over _indices(count), read-only (see uniform_at)."""
+    return _frozen((_indices(count) + _ONE) * _GOLDEN)
 
 
 def _word_limit(rate) -> int:
@@ -92,8 +124,11 @@ def _word_limit(rate) -> int:
 def _below(words: np.ndarray, below) -> np.ndarray:
     """Whether each word's variate is below the rate or array of rates
     below, decided on the words (see _word_limit)."""
-    below = np.asarray(below)  # a Fraction stays one, in an object array
-    limit, full = _limits(below.shape, tuple(below.ravel().tolist()))
+    if type(below) is float:
+        limit, full = _limits((), (below,))
+    else:
+        below = np.asarray(below)  # a Fraction stays one, in an object array
+        limit, full = _limits(below.shape, tuple(below.ravel().tolist()))
     hit = words < limit
     if full is not None:
         hit |= full
@@ -158,12 +193,12 @@ class RngStream:
     def key(self) -> int:
         return _key_of(self._state())
 
-    def uniforms(self, count: int, *labels, below=None) -> np.ndarray:
+    def uniforms(self, count: int, *labels, below=None, words=False) -> np.ndarray:
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
             raise InputError(f"count must be an int, got {type(count).__name__}")
         if count < 0:
             raise InputError("count must be non-negative")
-        return self.uniform_at(_indices(int(count)), *labels, below=below)
+        return self.uniform_at(_indices(int(count)), *labels, below=below, words=words)
 
     def uniform_at(self, indices, *labels, below=None, words=False) -> np.ndarray:
         """The variates at indices. With labels, row j holds those of
@@ -174,16 +209,19 @@ class RngStream:
         variates < below instead, compared exactly on the integer words
         (see _word_limit) without making the variates. With words, the
         uint64 words themselves, for a caller that compares them later."""
-        # splitmix64 of key + (i + 1) * golden, in place on one fresh array
-        z = np.asarray(indices, dtype=np.uint64) + _ONE
-        z *= _GOLDEN
-        if labels:
-            state = self._state()
-            keys = np.array([_key_of(_fed(state.copy(), (lab,))) for lab in _checked(labels)],
-                            dtype=np.uint64)
-            z = np.add.outer(keys, z)
+        if below is not None and words:
+            raise InputError("uniform_at takes below= or words=, not both")
+        # splitmix64 of key + (i + 1) * golden, in place once the key is
+        # added; the positions uniforms passes have their offsets cached
+        if (type(indices) is np.ndarray and not indices.flags.writeable
+                and indices.ndim == 1 and indices is _indices(len(indices))):
+            z = _offsets(len(indices))
         else:
-            z += np.uint64(self.key())
+            z = (np.asarray(indices, dtype=np.uint64) + _ONE) * _GOLDEN
+        if labels:
+            z = np.add.outer(_row_keys(self._state(), labels), z)
+        else:  # a ufunc: a 0-d draw is a numpy scalar, whose + warns as it wraps
+            z = np.add(z, np.uint64(self.key()))
         z ^= z >> _S30
         z *= _MIX1
         z ^= z >> _S27
@@ -208,35 +246,38 @@ def _check_probability(p) -> None:
         raise InputError(f"probability must be a number in [0, 1], got {p!r}")
 
 
-def subgraph_from_uniforms(g: Graph, u: np.ndarray, p: float) -> Graph:
-    """Keep edge i iff u[i] < p. Deterministic given (g, u, p)."""
-    if len(u) != g.m:
-        raise InputError("uniform count must match edge count")
-    _check_probability(p)
-    return g.with_edges(u < p)
-
-
 def sample_subgraph(g: Graph, p: float, stream: RngStream) -> Graph:
     """Independent p-subgraph: each edge retained with probability p.
     Edge i is kept iff stream's variate i is below p, compared exactly:
     a Fraction p compares as itself."""
     _expect(g, Graph, "sample_subgraph")
     _check_probability(p)
-    return g.with_edges(stream.uniforms(g.m, below=p))
+    return g._with_mask(stream.uniforms(g.m, below=p))
+
+
+def _parts(words: np.ndarray, parts: int) -> np.ndarray:
+    """floor(k * parts / 2^53) for k = word >> 11 (Lemire 2019), exact for
+    parts < 2^32 in two limbs, since k * parts passes 2^64: with
+    k = hi * 2^32 + lo, it is (hi * parts + (lo * parts >> 32)) >> 21."""
+    k = words >> _S11
+    return ((k >> 32) * parts + (((k & 0xFFFFFFFF) * parts) >> 32)) >> 21
 
 
 def partition_split(g: Graph, parts: int, stream: RngStream) -> list[Graph]:
     """Assign every edge to exactly one of `parts` spanning subgraphs,
-    independently and uniformly."""
-    if parts < 1:
-        raise InputError("parts must be >= 1")
-    which = np.minimum((stream.uniforms(g.m) * parts).astype(np.int64), parts - 1)
-    return [g.with_edges(which == j) for j in range(parts)]
+    independently and uniformly: edge i goes to part
+    floor(k * parts / 2^53), where k * 2^-53 is stream's variate i."""
+    if not 1 <= parts < 1 << 32:
+        raise InputError("parts must lie in [1, 2^32)")
+    which = _parts(stream.uniforms(g.m, words=True), parts)
+    return [g._with_mask(which == j) for j in range(parts)]
 
 
 def _rate_ratio(first_rate) -> tuple[int, int]:
     """The exact integer ratio of a first-round rate; InputError unless
     it is a finite number (not a bool) or a string that Fraction reads."""
+    if type(first_rate) is Fraction:
+        return first_rate.numerator, first_rate.denominator
     try:
         if not hasattr(first_rate, "as_integer_ratio"):
             first_rate = Fraction(first_rate)
@@ -259,12 +300,13 @@ def second_round_rate(first_rate) -> Fraction:
 
 @lru_cache(maxsize=32)
 def _round_rates(numerator: int, denominator: int) -> tuple[float, np.ndarray]:
-    """The first rate as a float and both rates as a read-only (2, 1)
-    column, computed exactly once per rate. Keyed by the rate's integer
+    """The first rate as a float and the read-only (2, 1) column of both
+    rates' word limits (as floats; neither exceeds 1/2, so _limits' full
+    is None), computed exactly once per rate. Keyed by the rate's integer
     ratio, since a Fraction key would hash in pure Python per sample."""
     a1 = Fraction(numerator, denominator)
-    rates = _frozen(np.array([[float(a1)], [float(second_round_rate(a1))]]))
-    return float(a1), rates
+    limit, _ = _limits((2, 1), (float(a1), float(second_round_rate(a1))))
+    return float(a1), limit
 
 
 @dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
@@ -283,15 +325,19 @@ class TwoRoundSample:
     round1_hit: np.ndarray
     round2_hit: np.ndarray
 
+    def __post_init__(self):  # skipped by two_round_sample; the survivors rely on it
+        for hit in (self.round1_hit, self.round2_hit):
+            _sized(hit, self.graph.m, "a round's hits")
+
     def round1_survivors(self) -> Graph:
-        return self.graph.with_edges(~self.round1_hit)
+        return self.graph._with_mask(~self.round1_hit)
 
     def round2_only_survivors(self) -> Graph:
         """Edges missed by the second-round sample, ignoring round one."""
-        return self.graph.with_edges(~self.round2_hit)
+        return self.graph._with_mask(~self.round2_hit)
 
     def survivors(self) -> Graph:
-        return self.graph.with_edges(~(self.round1_hit | self.round2_hit))
+        return self.graph._with_mask(~(self.round1_hit | self.round2_hit))
 
 
 def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:
@@ -300,8 +346,11 @@ def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:
     with probability exactly 1/2. first_rate is a number or a string
     that Fraction reads."""
     _expect(g, Graph, "two_round_sample")
-    a1, rates = _round_rates(*_rate_ratio(first_rate))
-    # row r is round r's stream, child("round<r>"), compared with the
-    # rate as a float; rows of a read-only block are read-only
-    hits = _frozen(stream.uniforms(g.m, "round1", "round2", below=rates))
-    return TwoRoundSample(graph=g, first_rate=a1, round1_hit=hits[0], round2_hit=hits[1])
+    a1, limit = _round_rates(*_rate_ratio(first_rate))
+    # row r is round r's stream, child("round<r>"), its words compared
+    # with the limit of its rate; rows of a read-only block are read-only
+    hits = _frozen(stream.uniforms(g.m, "round1", "round2", words=True) < limit)
+    # built as RngStream.child builds a stream, without the frozen __init__
+    sample = object.__new__(TwoRoundSample)
+    sample.__dict__.update(graph=g, first_rate=a1, round1_hit=hits[0], round2_hit=hits[1])
+    return sample

@@ -10,7 +10,9 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
+from randcol.errors import InputError
 from randcol.graphs import Graph
+from randcol.sampling import _check_probability
 
 
 def ids(mask):
@@ -55,6 +57,15 @@ def pairs(n, directed=False):
     if not directed:
         pair = pair.map(lambda e: (min(e), max(e)))
     return st.sets(pair, max_size=3 * n)
+
+
+def subgraph_from_uniforms(g: Graph, u: np.ndarray, p: float) -> Graph:
+    """Keep edge i iff the float u[i] < p: the float reference for the
+    samplers, which compare words."""
+    if len(u) != g.m:
+        raise InputError("uniform count must match edge count")
+    _check_probability(p)
+    return g.with_edges(u < p)
 
 
 def _aliases_int(label: str) -> bool:

@@ -15,11 +15,10 @@ from randcol.sampling import (
     partition_split,
     sample_subgraph,
     second_round_rate,
-    subgraph_from_uniforms,
     two_round_sample,
 )
 
-from helpers import pairs
+from helpers import pairs, subgraph_from_uniforms
 
 
 graphs = st.integers(1, 14).flatmap(lambda n: st.tuples(st.just(n), pairs(n, False)))

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import numbers
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -10,15 +12,16 @@ from randcol.errors import InputError
 from randcol.graphs import DiGraph
 from randcol.sampling import (
     RngStream,
+    TwoRoundSample,
     _check_probability,
+    _parts,
     partition_split,
     sample_subgraph,
     second_round_rate,
-    subgraph_from_uniforms,
     two_round_sample,
 )
 
-from helpers import _aliases_int, complete_graph
+from helpers import _aliases_int, complete_graph, subgraph_from_uniforms
 
 
 def edge_set(g):
@@ -258,6 +261,28 @@ def test_partition_split_is_a_partition():
     assert union == edge_set(g)
 
 
+def test_the_partition_map_is_the_exact_floor():
+    # k * 2^-53 * 3 rounds up to 2.0 as a float, but k * 3 < 2 * 2^53
+    k = (2**54 - 1) // 3
+    word = np.array([k << 11], dtype=np.uint64)
+    assert min(int(k * 2.0**-53 * 3), 2) == 2
+    assert _parts(word, 3).tolist() == [1]
+    rng = np.random.default_rng(7)
+    edges = [0, 2**11 - 1, 2**64 - 2**11, 2**64 - 1, (2**53 - 1) << 11]
+    words = np.concatenate([np.array(edges, dtype=np.uint64),
+                            rng.integers(0, 2**64, size=2000, dtype=np.uint64, endpoint=False)])
+    for parts in (1, 2, 3, 7, 2**11 - 1, 2**11, 2**20, 2**32 - 1):
+        want = [((w >> 11) * parts) >> 53 for w in words.tolist()]
+        got = _parts(words, parts)
+        assert got.tolist() == want and max(want) < parts
+
+
+@pytest.mark.parametrize("parts", [0, -1, 2**32])
+def test_partition_split_takes_parts_in_range(parts):
+    with pytest.raises(InputError, match="parts"):
+        partition_split(complete_graph(4), parts, RngStream(0))
+
+
 def test_two_way_partition_split_halves():
     g = complete_graph(40)
     a, b = partition_split(g, 2, RngStream(6).child("split"))
@@ -333,3 +358,58 @@ def test_sampling_a_digraph_is_an_input_error(sample):
     digraph = DiGraph(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(InputError, match="needs a Graph, got a DiGraph"):
         sample(digraph)
+
+
+def test_uniform_at_takes_below_or_words_not_both():
+    stream = RngStream(2)
+    with pytest.raises(InputError, match="not both"):
+        stream.uniform_at(np.arange(5), below=0.5, words=True)
+    with pytest.raises(InputError, match="not both"):
+        stream.uniforms(5, "a", below=0.5, words=True)
+
+
+def test_two_round_samples_stay_frozen_dataclasses():
+    """two_round_sample builds its samples without __init__; they are
+    still frozen, and fields, replace and pickle see every field."""
+    g = complete_graph(12)
+    sample = two_round_sample(g, "1/9", RngStream(5))
+    names = ["graph", "first_rate", "round1_hit", "round2_hit"]
+    assert type(sample) is TwoRoundSample
+    assert [f.name for f in dataclasses.fields(sample)] == names
+    for name in names + ["other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sample, name, None)
+    moved = dataclasses.replace(sample, first_rate=0.25)
+    assert moved.first_rate == 0.25 and moved.round1_hit is sample.round1_hit
+    assert moved.survivors() == sample.survivors()
+    clone = pickle.loads(pickle.dumps(sample))
+    assert clone.graph == g and clone.first_rate == sample.first_rate
+    assert np.array_equal(clone.round1_hit, sample.round1_hit)
+    assert np.array_equal(clone.round2_hit, sample.round2_hit)
+    assert clone.survivors() == sample.survivors()
+    # a sample built by hand has its masks checked, since its survivor
+    # graphs take them without a check
+    built = TwoRoundSample(g, sample.first_rate, sample.round1_hit, sample.round2_hit)
+    assert built.survivors() == sample.survivors()
+    for bad in (sample.round1_hit[1:], sample.round1_hit.astype(int), [True] * (g.m + 1)):
+        with pytest.raises(InputError, match="boolean mask"):
+            TwoRoundSample(g, 0.1, bad, sample.round2_hit)
+        with pytest.raises(InputError, match="boolean mask"):
+            TwoRoundSample(g, 0.1, sample.round1_hit, bad)
+
+
+def test_subgraph_masks_stay_apart_from_their_callers():
+    g = complete_graph(10)
+    for parent in (g, g.with_edges(np.arange(g.m) % 5 != 0)):
+        mask = np.ones(parent.m, dtype=bool)
+        view = parent.with_edges(mask)
+        edges = view.edges.copy()
+        mask[:] = False  # the view keeps its own copy
+        assert view.m == parent.m and np.array_equal(view.edges, edges)
+        assert not view._mask.flags.writeable
+    sample = two_round_sample(g, "1/30", RngStream(1))
+    views = [sample_subgraph(g, 0.9, RngStream(2)), sample.survivors(),
+             sample.round1_survivors(), sample.round2_only_survivors()]
+    for view in views:
+        assert view._mask is not None and not view._mask.flags.writeable
+    assert views[1] == g.with_edges(~(sample.round1_hit | sample.round2_hit))

@@ -9,21 +9,27 @@ import pickle
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from randcol.graphs import Graph, complete_graph
 from randcol.harness import ExperimentConfig, _trial_prefix, trial_stream
+from randcol.errors import InputError
 from randcol.sampling import (
     RngStream,
     _below,
+    _indices,
+    _label_part,
+    _limits,
+    _offsets,
+    _round_rates,
     _word_limit,
     sample_subgraph,
     second_round_rate,
-    subgraph_from_uniforms,
     two_round_sample,
 )
 
-from helpers import _aliases_int
+from helpers import _aliases_int, subgraph_from_uniforms
 
 
 def ref_key(master_seed, path) -> int:
@@ -35,7 +41,7 @@ def ref_key(master_seed, path) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def ref_uniforms(master_seed, path, count: int) -> np.ndarray:
+def ref_words(master_seed, path, count: int) -> np.ndarray:
     """splitmix64 of key + (i + 1) * golden, one separate pass per stream."""
     z = np.arange(count, dtype=np.uint64) + np.uint64(1)
     z *= np.uint64(0x9E3779B97F4A7C15)
@@ -45,8 +51,12 @@ def ref_uniforms(master_seed, path, count: int) -> np.ndarray:
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return z * 2.0 ** -53
+    return z
+
+
+def ref_uniforms(master_seed, path, count: int) -> np.ndarray:
+    """The variates (word >> 11) * 2^-53 of ref_words."""
+    return (ref_words(master_seed, path, count) >> np.uint64(11)) * 2.0 ** -53
 
 
 def ref_two_round_hits(m: int, first_rate, master_seed, path):
@@ -245,3 +255,98 @@ def test_sample_subgraph_keeps_the_masks_of_the_float_path(seed, p, n):
     # Fraction compares exactly there as well
     g, stream = complete_graph(n), RngStream(seed).child("edges")
     assert sample_subgraph(g, p, stream) == subgraph_from_uniforms(g, stream.uniforms(g.m), p)
+
+
+# --- the cached parts of a draw: offsets per count, label bytes, limits ---------
+
+counts = st.one_of(st.sampled_from([0, 1, 3, 49, 50, 51]), st.integers(0, 90))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.lists(labels, max_size=2).map(tuple), counts,
+       st.lists(labels, max_size=3).map(tuple), rates)
+def test_cached_draws_equal_the_separate_passes(seed, path, count, rows, rate):
+    stream = RngStream(seed).child(*path)
+    want = [ref_words(seed, path + (lab,), count) for lab in rows] if rows else \
+        ref_words(seed, path, count)
+    want_u = (np.asarray(want) >> np.uint64(11)) * 2.0**-53
+    words = stream.uniforms(count, *rows, words=True)
+    assert words.dtype == np.uint64 and np.array_equal(words, np.asarray(want).reshape(words.shape))
+    assert np.array_equal(stream.uniforms(count, *rows), want_u.reshape(words.shape))
+    r = float(Fraction(rate))
+    assert np.array_equal(stream.uniforms(count, *rows, below=r), want_u.reshape(words.shape) < r)
+    # both rounds as one block, against the two separate draws
+    limit = _round_rates(*Fraction(rate).as_integer_ratio())[1]
+    block = stream.uniforms(count, "round1", "round2", words=True) < limit
+    assert np.array_equal(block, ref_two_round_hits(count, rate, seed, path))
+    # any other index array takes the uncached path and gives the same words
+    full = stream.uniforms(count, *rows)
+    at = np.arange(count)
+    # read-only ones too: one equal to the cached positions, but not them
+    frozen, backwards = np.arange(count, dtype=np.uint64), at[::-1].copy()
+    frozen.setflags(write=False)
+    backwards.setflags(write=False)
+    for idx in (at, frozen, at[::-1], backwards, at.reshape(1, -1).repeat(2, axis=0)):
+        got = stream.uniform_at(idx, *rows)
+        assert np.array_equal(got, full[..., idx])
+    for i in range(min(count, 3)):
+        for idx in (i, np.array(i), np.uint64(i)):
+            assert np.array_equal(stream.uniform_at(idx, *rows), full[..., i])
+
+
+def test_the_cached_offsets_stay_unwritten():
+    stream = RngStream(4)
+    # an index array of the caller's fills no cache
+    before = _indices.cache_info()
+    stream.uniform_at(np.arange(77, dtype=np.uint64))
+    assert _indices.cache_info() == before
+    before = stream.uniforms(51, words=True)
+    offsets = _offsets(51)
+    assert not offsets.flags.writeable and not _indices(51).flags.writeable
+    for _ in range(3):
+        stream.uniforms(51)
+        RngStream(5).uniforms(51, "a", words=True)
+    assert np.array_equal(stream.uniforms(51, words=True), before)
+    assert np.array_equal(offsets, (np.arange(51, dtype=np.uint64) + np.uint64(1))
+                          * np.uint64(0x9E3779B97F4A7C15))
+
+
+def test_the_alias_rule_survives_the_label_cache():
+    stream = RngStream(3)
+    stream.uniforms(4, 7)
+    stream.child(7)
+    stream.uniforms(4, 1, "x")
+    before = _label_part.cache_info().currsize
+    # typed: 1 is cached, and True, 1.0 and np.int64(1) equal it
+    for bad in ("7", "1", True, 1.0, np.int64(1), [1], None):
+        with pytest.raises(InputError):
+            stream.uniforms(4, bad)
+        with pytest.raises(InputError):
+            stream.uniforms(4, "x", bad)
+        with pytest.raises(InputError):
+            stream.child(bad)
+    # a label that fails is never cached
+    assert _label_part.cache_info().currsize == before
+    assert np.array_equal(stream.uniforms(4, 7, 1)[1], ref_uniforms(3, (1,), 4))
+
+    # equal labels of two types keep their own bytes
+    class Named(int):
+        def __str__(self):
+            return "one"
+
+    class Plain(int):
+        pass
+
+    for first, second in ((Named(1), Plain(1)), (Plain(2), Named(2))):
+        for lab in (first, second):
+            assert np.array_equal(stream.uniforms(4, lab)[0], ref_uniforms(3, (lab,), 4))
+
+    class Unhashable(str):  # passes the check without the cache
+        __hash__ = None
+
+    assert np.array_equal(stream.uniforms(4, Unhashable("x"))[0], ref_uniforms(3, ("x",), 4))
+
+
+@pytest.mark.parametrize("cache", [_indices, _offsets, _label_part, _limits, _round_rates])
+def test_every_draw_cache_is_bounded(cache):
+    assert 0 < cache.cache_info().maxsize <= 64
