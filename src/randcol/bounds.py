@@ -1,4 +1,4 @@
-"""Closed-form probability bounds, exact binomial tails, and the
+"""Closed-form probability bounds, binomial tails from scipy's bdtrc, and the
 nearly-disjoint block family used by the equipartition argument.
 
 Every asymptotic constant the bounds evaluate is a BoundConstants field
@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .generators import ConstructionParams
+from .graphs import _is_integer
 
 
 @dataclass(frozen=True)
@@ -34,38 +35,17 @@ class BoundConstants:
 
 
 def binom_tail_geq(n: int, q, x) -> float:
-    """Exact upper tail P(Binom(n, q) >= x) by stable log-space
-    summation (fsum of per-term exponentials). Non-integer x means the
-    sum starts at ceil(x)."""
-    if n < 0:
-        raise InputError("n must be non-negative")
+    """Upper tail P(Binom(n, q) >= x) as scipy's bdtrc(ceil(x) - 1, n, q), so a
+    fractional x starts the sum at ceil(x); n must be an integer, which bdtrc floors."""
+    if not (_is_integer(n) and n >= 0):
+        raise InputError(f"n must be a non-negative integer, got {n!r}")
     if not 0 <= q <= 1:
         raise InputError("q must lie in [0, 1]")
     if not 0 <= x <= n + 1:
         raise InputError(f"x={x} outside 0..n+1")
-    lo = max(0, math.ceil(x))
-    if lo == 0:
-        return 1.0
-    if lo > n:
-        return 0.0
-    qf = float(q)
-    if qf == 0.0:
-        return 0.0
-    if qf == 1.0:
-        return 1.0
-    lq, l1q = math.log(qf), math.log1p(-qf)
-    lgn = math.lgamma(n + 1)
-    terms = [
-        math.exp(
-            lgn
-            - math.lgamma(i + 1)
-            - math.lgamma(n - i + 1)
-            + i * lq
-            + (n - i) * l1q
-        )
-        for i in range(lo, n + 1)
-    ]
-    return min(1.0, math.fsum(terms))
+    import scipy.special  # here, as in verify.pooled_chi_square, so `import randcol` skips it
+
+    return float(scipy.special.bdtrc(math.ceil(x) - 1, n, float(q)))
 
 
 def theorem2_tail_bound(k: int, d: int, constants: BoundConstants | None = None) -> tuple:
@@ -107,10 +87,6 @@ def proposition_lower_bound(p: float, k, n) -> float:
     return p * k / (2 * math.log(n))
 
 
-def _log_choose(n: int, r: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
-
-
 def resilient_pair_probability_bound(k: int, s: int, constants: BoundConstants | None = None):
     """Union bound on one super-vertex containing a resilient pair:
     (s+2) * C(M, k/s) * P(Binom(M, 1/2 + 1/2s) >= k/4)^(k/s) with
@@ -130,9 +106,7 @@ def resilient_pair_probability_bound(k: int, s: int, constants: BoundConstants |
         if tail == 0.0:
             value = 0.0
         else:
-            log_value = (
-                math.log(s + 2) + _log_choose(m, size) + size * math.log(tail)
-            )
+            log_value = math.log(s + 2) + math.log(math.comb(m, size)) + size * math.log(tail)
             value = min(1.0, math.exp(log_value))
     if constants is None:
         return value

@@ -76,10 +76,15 @@ def _sized(mask, size: int, what: str) -> np.ndarray:
     return mask
 
 
+def _is_integer(value) -> bool:
+    """The package's integer rule: an int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _vertex(n: int, r) -> int:
-    """r as an int; InputError unless it is an int or numpy integer, not a
-    bool, in 0..n-1 (a numpy index would wrap a negative one)."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+    """r as an int; InputError unless it is an integer (_is_integer) in
+    0..n-1 (a numpy index would wrap a negative one)."""
+    if not _is_integer(r):
         raise InputError(f"root must be an integer vertex id, got {r!r}")
     if not 0 <= r < n:
         raise InputError(f"root {r} out of range for n={n}")
@@ -566,8 +571,8 @@ def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[in
     binary partition over frontier edges.
     """
     v = _vertex(g.n, v)  # a Python int, as the walk's bitmasks are
-    if t_max < 1:
-        raise InputError("t must be >= 1")
+    if not (_is_integer(t_max) and t_max >= 1):
+        raise InputError(f"t must be an integer >= 1, got {t_max!r}")
     inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for i, (a, b) in enumerate(g.edges.tolist()):
         inc[a].append((i, b))

@@ -391,7 +391,7 @@ class ExperimentConfig:
         kwargs = dict(d)
         if kwargs.get("params") is not None:
             kwargs["params"] = _params_from_dict(kwargs["params"])
-        return cls(**kwargs)
+        return _check_k(cls(**kwargs))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -403,6 +403,15 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise InputError(f"config is not valid JSON: {exc}") from None
         return cls.from_dict(d)
+
+
+def _check_k(config: ExperimentConfig) -> ExperimentConfig:
+    """config, or InputError for a proposition_check with no k on a graph other
+    than complete: at load from JSON, and in each trial of one built directly."""
+    complete = config.graph["kind"] == "complete"  # then k is the vertex count
+    if config.kind == "proposition_check" and config.k is None and not complete:
+        raise InputError("proposition_check needs k unless the graph is complete")
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -492,12 +501,8 @@ def _trial_chromatic_tail(config: ExperimentConfig, stream: RngStream) -> dict:
 
 def _trial_proposition_check(config: ExperimentConfig, stream: RngStream) -> dict:
     g, _ = _trial_graph(config, stream)
-    if config.k is not None:
-        k = config.k
-    elif config.graph["kind"] == "complete":
-        k = g.n
-    else:
-        raise InputError("proposition_check needs k unless the graph is complete")
+    _check_k(config)
+    k = g.n if config.k is None else config.k
     sub = sample_subgraph(g, config.p, stream.child("sample"))
     res = chromatic_number_exact(sub, budget=config.budget)
     bound = proposition_lower_bound(config.p, k, g.n)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
-from .graphs import (DiGraph, Graph, _expect, _frozen, _root, _sized, _spread, _spread_from,
+from .graphs import (DiGraph, Graph, _expect, _frozen, _sized, _spread, _spread_from, _vertex,
                      vertex_boundary)
 from .colouring import t_core
 from .sampling import RngStream, _below, _check_probability, _indices
@@ -81,15 +81,6 @@ def _coins(rng: RngStream, label: str, count: int) -> np.ndarray:
     return _frozen(rng.child(label).uniform_at(_indices(count), words=True))
 
 
-def _state(infected, trace, protected=None, resilient=None) -> PercolationState:
-    """A process's PercolationState, built without the frozen __init__,
-    which sets each field through object.__setattr__."""
-    state = object.__new__(PercolationState)
-    state.__dict__.update(infected=infected, round_trace=trace, protected_edges=protected,
-                          resilient_vertices=resilient)
-    return state
-
-
 def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> PercolationState:
     """Spread over h from {r} where a vertex joins with two infected
     neighbours, or with one infected neighbour if none of its incident
@@ -104,7 +95,7 @@ def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> Percolat
     _check_probability(p_protect)
     protected = _frozen(_below(_coins(rng, "protect", h.m), p_protect))
     infected, trace = _spread_from(h, r, h.edges.compress(protected, axis=0).ravel(), 2)
-    return _state(infected, trace, protected=protected)
+    return PercolationState(infected, trace, protected_edges=protected)
 
 
 def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> PercolationState:
@@ -118,7 +109,7 @@ def thm4_process(h: DiGraph, p_resilient: float, r: int, rng: RngStream) -> Perc
     _check_probability(p_resilient)
     hit = _frozen(_below(_coins(rng, "resilient", h.n), p_resilient))
     infected, trace = _spread_from(h, r, hit.nonzero()[0], h.m + 1)
-    return _state(infected, trace, resilient=hit)
+    return PercolationState(infected, trace, resilient_vertices=hit)
 
 
 def _thm3_thresholds(h: Graph, protected: np.ndarray) -> np.ndarray:
@@ -210,7 +201,8 @@ def classify_supervertices_thm3(
     """Mark each super-vertex dead iff none of its vertices lies in the
     t-core of g_half. With root and the base graph h given, also report
     the connected set of dead super-vertices containing the root (the
-    root is included even if it is not dead)."""
+    root is included even if it is not dead): a replay of h's memo
+    (graphs._spread_from), threshold h.m + 1 outside the dead set."""
     core, table, dead = _core_classes(g_half, layout, t)
     dead_component = None
     if root is not None:
@@ -218,8 +210,7 @@ def classify_supervertices_thm3(
             raise InputError("dead-component report needs the base graph h")
         if h.n != layout.n_super:
             raise InputError("base graph does not match layout")
-        seed = _root(h.n, root)
-        dead_component = _frozen(_spread(h, seed, np.where(dead, 1, np.inf))[0])
+        dead_component = _spread_from(h, root, np.flatnonzero(~dead), h.m + 1)[0]
     # one layer has no nearly-dead class of its own
     return SuperVertexStatus(core, dead, dead, table, dead_component=dead_component)
 
@@ -294,13 +285,13 @@ def boundary_resilience_audit(
     final_graph is the graph after both deletion rounds (defines
     survival); round2_graph contains the edges missed by the second
     round alone (defines resilient pairs). The nearly-dead set is grown
-    from root along out-arcs staying inside nearly-dead super-vertices;
-    the root is included unconditionally.
+    from root along out-arcs inside nearly-dead super-vertices, root
+    included, by a replay of h's memo as in classify_supervertices_thm3.
     """
-    seed = _root(h.n, root)
+    _vertex(h.n, root)  # the root's check comes first
     if h.n != layout.n_super:
         raise InputError("base digraph does not match layout")
     cls = resilient_pair_detect(final_graph, layout, params, edge_graph=round2_graph)
-    reach = _frozen(_spread(h, seed, np.where(cls.nearly_dead, 1, np.inf))[0])
+    reach = _spread_from(h, root, np.flatnonzero(~cls.nearly_dead), h.m + 1)[0]
     boundary = vertex_boundary(h, reach)
     return BoundaryResilienceReport(reach, boundary, _frozen(boundary & ~cls.resilient))

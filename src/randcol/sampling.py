@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, _expect, _frozen, _sized
+from .graphs import Graph, _expect, _frozen, _is_integer, _sized
 
 # 0-d arrays: ufuncs take them with less overhead than numpy scalars
 _GOLDEN, _MIX1, _MIX2, _ONE, _S11, _S27, _S30, _S31 = (
@@ -194,7 +194,7 @@ class RngStream:
         return _key_of(self._state())
 
     def uniforms(self, count: int, *labels, below=None, words=False) -> np.ndarray:
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        if not _is_integer(count):
             raise InputError(f"count must be an int, got {type(count).__name__}")
         if count < 0:
             raise InputError("count must be non-negative")
@@ -267,9 +267,10 @@ def partition_split(g: Graph, parts: int, stream: RngStream) -> list[Graph]:
     """Assign every edge to exactly one of `parts` spanning subgraphs,
     independently and uniformly: edge i goes to part
     floor(k * parts / 2^53), where k * 2^-53 is stream's variate i."""
-    if not 1 <= parts < 1 << 32:
-        raise InputError("parts must lie in [1, 2^32)")
-    which = _parts(stream.uniforms(g.m, words=True), parts)
+    if not (_is_integer(parts) and 1 <= parts < 1 << 32):
+        raise InputError(f"parts must be an integer in [1, 2^32), got {parts!r}")
+    # an int, since a numpy integer would promote the uint64 words to float64
+    which = _parts(stream.uniforms(g.m, words=True), int(parts))
     return [g._with_mask(which == j) for j in range(parts)]
 
 

@@ -210,7 +210,7 @@ def pooled_chi_square(a: np.ndarray, b: np.ndarray, m: int, min_expected: int = 
     dof = len(cells) - 1
     # the chi-square quantile, as scipy.stats.chi2.ppf computes it;
     # imported here, since at module level scipy.special alone doubles
-    # the time of `import randcol`, and only this test reads it
+    # the time of `import randcol`, and only this test and bounds.binom_tail_geq read it
     import scipy.special
 
     critical = float(2 * scipy.special.gammaincinv(dof / 2, 1.0 - CHI_SQUARE_SIGNIFICANCE))

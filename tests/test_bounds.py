@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,10 +52,38 @@ class TestBinomTail:
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_large_n_accuracy(self):
-        # exercise the lgamma path well away from the mean
+        # well away from the mean
         for x in (10, 32, 50, 64):
             want = float(rational_tail(64, Fraction(2, 3), x))
             assert binom_tail_geq(64, Fraction(2, 3), x) == pytest.approx(want, rel=1e-12)
+
+    # thresholds from below the mean out to the far tail: down to ~1e-300
+    # where the tail gets there, else to x = n, whose tail is q^n
+    FAR_TAILS = {
+        (300, Fraction(1, 100)): (1, 3, 34, 66, 97, 128, 160, 191),
+        (300, Fraction(3, 10)): (67, 90, 125, 160, 195, 230, 265, 300),
+        (300, Fraction(2, 3)): (176, 200, 217, 233, 250, 267, 283, 300),
+        (600, Fraction(1, 100)): (1, 6, 44, 82, 120, 159, 197, 235),
+        (600, Fraction(3, 10)): (147, 180, 249, 318, 387, 456, 525, 594),
+        (600, Fraction(2, 3)): (366, 400, 433, 467, 500, 533, 567, 600),
+    }
+
+    @pytest.mark.parametrize("n, q", sorted(FAR_TAILS))
+    def test_far_tail_accuracy(self, n, q):
+        wants = []
+        for x in self.FAR_TAILS[n, q]:
+            want = float(rational_tail(n, q, x))
+            assert binom_tail_geq(n, q, x) == pytest.approx(want, rel=1e-11, abs=0.0)
+            wants.append(want)
+        # normal floats all, and the last is far out in the tail
+        assert min(wants) > 1e-300 and wants[-1] < 1e-50
+
+    def test_n_is_an_integer(self):
+        # scipy's bdtrc floors n, so 3.5 read as 3
+        for n in (3.5, 4.0, True, "4"):
+            with pytest.raises(InputError, match="n must be a non-negative integer"):
+                binom_tail_geq(n, 0.5, 1)
+        assert binom_tail_geq(np.int64(4), 0.5, 2) == binom_tail_geq(4, 0.5, 2)
 
     @given(
         n=st.integers(1, 40),

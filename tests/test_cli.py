@@ -242,6 +242,18 @@ class TestExperimentAndVerify:
         code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 2 and "root" in err and stdout == ""
 
+    def test_experiment_rejects_a_proposition_check_without_k(self, tmp_path, capsys):
+        # only a complete graph gives k, and a config file is checked as it loads
+        cfg = {"kind": "proposition_check", "trials": 3, "master_seed": 1,
+               "graph": {"kind": "cycle", "n": 6}, "p": 0.5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2 and "needs k" in err and stdout == ""
+        cfg_path.write_text(json.dumps({**cfg, "k": 3}))
+        code, stdout, _ = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 0 and last_json(stdout)["errors"] == 0
+
     @pytest.mark.parametrize("graph,params", [
         ({"kind": "gadget", "base": {"kind": "complete", "n": 4}},
          {"mode": "gadget", "k": 12, "t": 11, "m": 4, "s": 3}),

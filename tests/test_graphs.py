@@ -307,6 +307,15 @@ def test_count_rejects_bad_args():
         count_connected_edge_subgraphs_upto(g, 0, 0)
 
 
+def test_count_takes_t_max_by_the_integer_rule():
+    g = complete_graph(4)
+    assert count_connected_edge_subgraphs_upto(g, 0, np.int64(3)) == \
+        count_connected_edge_subgraphs_upto(g, 0, 3)
+    for t_max in (2.5, 3.0, "3", True, None):
+        with pytest.raises(InputError, match="t must be an integer"):
+            count_connected_edge_subgraphs_upto(g, 0, t_max)
+
+
 # --- reachability ----------------------------------------------------------
 
 

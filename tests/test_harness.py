@@ -241,6 +241,15 @@ class TestConfig:
         with pytest.raises(InputError, match=f"missing config fields: \\['{field}'\\]"):
             ExperimentConfig.from_dict(d)
 
+    def test_a_proposition_check_reads_k_or_a_complete_graph(self):
+        base = {"kind": "proposition_check", "trials": 3, "master_seed": 1, "p": 0.5}
+        with pytest.raises(InputError, match="needs k unless the graph is complete"):
+            ExperimentConfig.from_dict({**base, "graph": {"kind": "cycle", "n": 6}})
+        for extra in ({"graph": {"kind": "cycle", "n": 6}, "k": 3},
+                      {"graph": {"kind": "complete", "n": 6}}):
+            cfg = ExperimentConfig.from_json(json.dumps({**base, **extra}))
+            assert run_experiment(cfg).aggregate["errors"] == 0
+
     def test_config_that_is_not_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
@@ -673,7 +682,8 @@ class TestOutputs:
 def test_start_up_loads_no_scipy_and_no_process_pool():
     """`import randcol` loads numpy and the standard library only, and a
     core_emptiness run on a blow-up (one worker) loads no scipy either:
-    scipy serves the eigensolver and the chi-square test alone."""
+    scipy serves the eigensolver, the chi-square test and the binomial
+    tail alone."""
     code = (
         "import sys, randcol\n"
         "def loaded():\n"

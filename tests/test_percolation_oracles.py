@@ -1008,3 +1008,96 @@ def test_boundary_audit_matches_the_search():
     # that hold and audits that fail
     assert {1, base.n} <= sizes and len(sizes) > 4
     assert 0 in violations and len(violations) > 2
+
+
+# --- the restricted searches replay the memo ----------------------------------------
+
+
+def fresh(h):
+    """h built anew, so its memo is empty."""
+    if isinstance(h, DiGraph):
+        return DiGraph(h.n, h.arcs, arc_colour=h.arc_colour, validate=False)
+    return Graph(h.n, h.edges, validate=False)
+
+
+# what the memo holds for the root before a restricted search
+MEMO = ("nothing", "search", "process")
+
+
+def held(h, root, memo, p):
+    """fresh(h), its memo holding root's plain search or a process's replay
+    from root, or nothing."""
+    h = fresh(h)
+    directed = isinstance(h, DiGraph)
+    if memo == "search":
+        (reachable_set if directed else connected_component)(h, root)
+    elif memo == "process":
+        (thm4_process if directed else thm3_process)(h, p, root, RngStream(root))
+    return h
+
+
+def digraph_union(a, b):
+    """The disjoint union of two coloured digraphs, b's ids shifted."""
+    return DiGraph(a.n + b.n, np.concatenate((a.arcs, b.arcs + a.n)),
+                   arc_colour=a.arc_colour + b.arc_colour, validate=False)
+
+
+blow_up_bases = st.one_of(
+    st.tuples(st.sampled_from([4, 6, 8, 10]), st.integers(0, 40)).map(
+        lambda c: (random_regular_graph, c[0], 3, c[1])),
+    st.tuples(st.integers(1, 5), st.integers(3, 6)).map(
+        lambda c: disjoint(path_graph(c[0]), cycle_graph(c[1]), Graph(1, []))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blow_up_bases, st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_dead_components_do_not_depend_on_the_memo(case, m, seed, data):
+    h = case if isinstance(case, Graph) else built(*case)
+    g, layout = blow_up(h, m)
+    half = patchy_sample(g, layout, seed)
+    t = data.draw(st.integers(0, 3 * m + 1), "t")
+    table = ref_survivor_table(ids(t_core(half, t)), layout)
+    dead = {v for v, row in enumerate(table) if sum(row) == 0}
+    p = data.draw(st.sampled_from((0.0, 0.2, 0.6, 1.0)), "p")
+    for root in range(h.n):
+        want = ref_reached(h.adjacency(), root, dead)
+        for memo in MEMO:
+            base = held(h, root, memo, p)
+            found = classify_supervertices_thm3(half, layout, t, root=root, h=base).dead_component
+            assert ids(found) == want and not found.flags.writeable
+            # the replay leaves the root's levelled entry in the memo
+            assert base._searches[root][2] is not None
+
+
+gadget_bases = st.one_of(
+    st.tuples(st.integers(3, 10), st.integers(0, 40)).map(
+        lambda c: (random_two_regular_digraph, c[0], c[1])),
+    st.tuples(st.integers(3, 5), st.integers(3, 5), st.integers(0, 40)).map(
+        lambda c: (lambda: digraph_union(random_two_regular_digraph(c[0], c[2]),
+                                         random_two_regular_digraph(c[1], c[2] + 1)),)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gadget_bases, st.integers(0, 2**32 - 1), st.data())
+def test_nearly_dead_reach_does_not_depend_on_the_memo(case, seed, data):
+    base = built(*case)
+    gadget = ConstructionParams.thm4(12, 3)
+    g, layout = gadget_blow_up(base, gadget)
+    params = dataclasses.replace(gadget, t=data.draw(st.sampled_from((3, 6, gadget.t)), "t"))
+    round2 = patchy_sample(g, layout, seed)
+    final = patchy_sample(round2, layout, seed + 1)
+    nearly_dead = ids(resilient_pair_detect(final, layout, params, edge_graph=round2).nearly_dead)
+    out = [[] for _ in range(base.n)]
+    for a, b in base.arcs.tolist():
+        out[a].append(b)
+    p = data.draw(st.sampled_from((0.0, 0.2, 0.6, 1.0)), "p")
+    for root in range(base.n):
+        want = ref_reached(out, root, nearly_dead)
+        for memo in MEMO:
+            h = held(base, root, memo, p)
+            found = boundary_resilience_audit(h, layout, params, final, round2, root)
+            assert ids(found.reachable_nearly_dead) == want
+            assert not found.reachable_nearly_dead.flags.writeable
+            assert h._searches[root][2] is not None

@@ -283,6 +283,18 @@ def test_partition_split_takes_parts_in_range(parts):
         partition_split(complete_graph(4), parts, RngStream(0))
 
 
+def test_partition_split_takes_parts_by_the_integer_rule():
+    # a numpy integer times the uint64 words would promote them to float64
+    g = complete_graph(12)
+    want = [edge_set(h) for h in partition_split(g, 3, RngStream(5).child("split"))]
+    for parts in (np.int64(3), np.uint32(3)):
+        got = partition_split(g, parts, RngStream(5).child("split"))
+        assert [edge_set(h) for h in got] == want
+    for parts in (2.5, 3.0, "3", True, None, np.float64(3)):
+        with pytest.raises(InputError, match="parts must be an integer"):
+            partition_split(g, parts, RngStream(5))
+
+
 def test_two_way_partition_split_halves():
     g = complete_graph(40)
     a, b = partition_split(g, 2, RngStream(6).child("split"))

@@ -5,13 +5,16 @@ must be unchanged."""
 
 import copy
 import hashlib
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import randcol
 from randcol.graphs import Graph, complete_graph
 from randcol.harness import ExperimentConfig, _trial_prefix, trial_stream
 from randcol.errors import InputError
@@ -350,3 +353,15 @@ def test_the_alias_rule_survives_the_label_cache():
 @pytest.mark.parametrize("cache", [_indices, _offsets, _label_part, _limits, _round_rates])
 def test_every_draw_cache_is_bounded(cache):
     assert 0 < cache.cache_info().maxsize <= 64
+
+
+def test_every_cache_in_the_package_is_bounded():
+    # every lru_cache that a randcol module defines, found by its cache_info
+    found = {}
+    for info in pkgutil.iter_modules(randcol.__path__):
+        module = importlib.import_module(f"randcol.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert {"percolation._coins", "harness._trial_prefix"} <= set(found)
+    assert all(size is not None and 1 <= size <= 64 for size in found.values()), found
