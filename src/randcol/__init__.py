@@ -18,7 +18,6 @@ from .colouring import (
     colouring_number,
     product_colouring_check,
     t_core,
-    t_core_with_trace,
 )
 from .errors import (
     CapacityError,
@@ -35,7 +34,6 @@ from .generators import (
     blow_up,
     find_cubic_expander,
     gadget_blow_up,
-    load_layout,
     random_regular_graph,
     random_two_regular_digraph,
     save_layout,
@@ -47,8 +45,6 @@ from .graphs import (
     connected_component,
     count_connected_edge_subgraphs_upto,
     cycle_graph,
-    edge_boundary,
-    girth,
     has_cycle_shorter_than,
     is_connected,
     is_strongly_connected,
@@ -64,7 +60,6 @@ from .harness import (
     ExperimentResult,
     TrialRecord,
     build_graph,
-    export_csv,
     load_config,
     load_result,
     run_experiment,

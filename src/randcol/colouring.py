@@ -105,24 +105,13 @@ def colouring_number(g: Graph) -> tuple[int, EliminationOrder]:
     return order.degeneracy() + 1, order
 
 
-def _core(g: Graph, t: int, rounds: list | None = None) -> np.ndarray:
-    _expect(g, Graph, "t_core")
-    if t < 0:
-        raise InputError("t must be >= 0")
-    return _frozen(_peel(g, (t,), rounds))
-
-
-def t_core_with_trace(g: Graph, t: int) -> tuple[np.ndarray, tuple]:
-    """The t-core's mask plus the peeled vertices in peel order (see _peel)."""
-    rounds: list = []
-    core = _core(g, t, rounds)
-    return core, tuple(np.concatenate(rounds).tolist()) if rounds else ()
-
-
 def t_core(g: Graph, t: int) -> np.ndarray:
     """Read-only mask of the unique maximal induced subgraph with minimum
     degree >= t (possibly empty). Builds no peel order."""
-    return _core(g, t)
+    _expect(g, Graph, "t_core")
+    if t < 0:
+        raise InputError("t must be >= 0")
+    return _frozen(_peel(g, (t,)))
 
 
 def _neighbour_masks(g: Graph) -> list[int]:

@@ -139,40 +139,9 @@ def format_layout(layout: BlowUpLayout) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_layout(text: str) -> BlowUpLayout:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            parts = line.split()
-            if len(parts) != 4:
-                raise InputError(f"bad layout line {line!r}")
-            try:
-                rows.append(tuple(int(x) for x in parts))
-            except ValueError:
-                raise InputError(f"non-integer token in layout line {line!r}") from None
-    if not rows:
-        raise InputError("empty layout")
-    n_super = max(r[1] for r in rows) + 1
-    layers = max(r[2] for r in rows)
-    m = max(r[3] for r in rows) + 1
-    layout = BlowUpLayout(n_super=n_super, layers=layers, m=m)
-    if len(rows) != layout.n_vertices:
-        raise InputError("layout row count does not match its dimensions")
-    for v, sv, layer, pos in rows:
-        if layout.vertex_id(sv, layer, pos) != v:
-            raise InputError(f"layout row for vertex {v} is inconsistent")
-    return layout
-
-
 def save_layout(layout: BlowUpLayout, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_layout(layout))
-
-
-def load_layout(path) -> BlowUpLayout:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_layout(fh.read())
 
 
 # --- random regular graphs ----------------------------------------------------

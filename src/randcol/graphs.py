@@ -1,6 +1,7 @@
 """Immutable simple graphs and digraphs, the one synchronous spread
-behind percolation, components and reachability, boundaries, girth, and
-small-scale exhaustive enumeration of connected edge subgraphs.
+behind percolation, components and reachability, vertex boundaries,
+short-cycle tests and small-scale exhaustive enumeration of connected
+edge subgraphs.
 
 Vertices are contiguous integers 0..n-1 throughout, and a vertex set is
 a boolean mask over that range: every function here and in colouring and
@@ -10,7 +11,6 @@ as read-only masks. A single root is an int id, checked by _vertex.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +79,14 @@ def _sized(mask, size: int, what: str) -> np.ndarray:
 def _is_integer(value) -> bool:
     """The package's integer rule: an int or a numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _count(n) -> int:
+    """n as an int; InputError unless it is a non-negative integer
+    (_is_integer)."""
+    if not (_is_integer(n) and n >= 0):
+        raise InputError(f"vertex count must be a non-negative integer, got {n!r}")
+    return int(n)
 
 
 def _vertex(n: int, r) -> int:
@@ -281,12 +289,11 @@ class Graph:
 
     __slots__ = (
         "n", "m", "_edges", "_parent", "_mask", "_adj", "_arcs", "_csr", "_arcview",
-        "_edge_of_pos", "_components", "_searches",
+        "_edge_of_pos", "_searches",
     )
 
     def __init__(self, n: int, edges, validate: bool = True):
-        if n < 0:
-            raise InputError("vertex count must be non-negative")
+        n = _count(n)
         if validate:
             ends = np.sort(_pairs(edges), axis=1)
             ends = ends[np.lexsort(ends.T[::-1])]
@@ -299,8 +306,8 @@ class Graph:
         """m is a view's count of kept edges, which with_edges has made."""
         self.n, self._edges, self._parent, self._mask = n, edges, parent, mask
         self.m = len(edges) if m is None else m
-        self._adj = self._arcs = self._csr = self._arcview = self._edge_of_pos = None
-        self._components = self._searches = None
+        self._adj = self._arcs = self._csr = self._arcview = None
+        self._edge_of_pos = self._searches = None
 
     @property
     def edges(self) -> np.ndarray:
@@ -424,15 +431,13 @@ class DiGraph:
         arc_colour: Sequence[str] | None = None,
         validate: bool = True,
     ):
-        if n < 0:
-            raise InputError("vertex count must be non-negative")
-        self.n = n
+        self.n = _count(n)
         self.arcs: np.ndarray = _frozen(_pairs(arcs))
         self.arc_colour: tuple[str, ...] | None = (
             tuple(arc_colour) if arc_colour is not None else None
         )
         if validate:
-            _check_pairs(n, self.arcs, "arc")
+            _check_pairs(self.n, self.arcs, "arc")
             if self.arc_colour is not None:
                 if len(self.arc_colour) != len(self.arcs):
                     raise InputError("arc_colour length must match arc count")
@@ -490,26 +495,20 @@ def vertex_boundary(g: Graph | DiGraph, s) -> np.ndarray:
     return _frozen((g._arc_view().counts(inside, np.flatnonzero(inside)) > 0) & ~inside)
 
 
-def edge_boundary(g: Graph, s) -> list[tuple[int, int]]:
-    """Edges with exactly one endpoint in the mask s, sorted."""
-    inside = _sized(s, g.n, "vertex set")
-    u, v = g.edges.T
-    return list(map(tuple, g.edges.compress(inside[u] != inside[v], axis=0).tolist()))
-
-
-def _cycle_below(g: Graph, best: float, first: bool) -> float:
-    """Length of the shortest cycle shorter than `best`, or `best` when
-    there is none; with `first`, the first such length found instead.
+def has_cycle_shorter_than(g: Graph, length: int) -> bool:
+    """True iff g has a cycle shorter than length.
 
     One BFS per root. A vertex of level k with two neighbours in level
     k-1 closes a walk of length 2k, an edge inside level k one of length
     2k+1; each walk contains a cycle no longer than itself, and a root on
-    a shortest cycle sees its length, so the minimum over roots is exact
-    and any single candidate certifies a cycle that short. The search
-    from a root stops at the first level that cannot beat the bound.
-    Scanning level k labels the unseen neighbours k + 1, which the tests
-    for levels k and k - 1 pass over.
+    a shortest cycle sees its length, so the first walk shorter than
+    length decides, which makes rejecting a graph with a short cycle
+    cheap. The search from a root stops at the first level that cannot
+    close a walk shorter than length. Scanning level k labels the unseen
+    neighbours k + 1, which the tests for levels k and k - 1 pass over.
     """
+    if length <= 3:  # a simple graph has no shorter cycle
+        return False
     adj = g.adjacency()
     depth = [-1] * g.n
     for root in range(g.n):
@@ -523,44 +522,21 @@ def _cycle_below(g: Graph, best: float, first: bool) -> float:
                     if depth[w] == -1:
                         depth[w] = k + 1
                         nxt.append(w)
-                        continue
-                    if depth[w] == k:
-                        cand = 2 * k + 1
                     elif depth[w] == k - 1:
                         parents += 1
-                        if parents == 1:
-                            continue
-                        cand = 2 * k
-                    else:
-                        continue
-                    if cand < best:
-                        if first:
-                            return cand
-                        best = cand
+                    elif depth[w] == k and 2 * k + 1 < length:
+                        return True
+                # parents exist from level 1, which is scanned only while 2k < length
+                if parents > 1:
+                    return True
             touched += nxt
-            if 2 * (k + 1) >= best:
+            if 2 * (k + 1) >= length:
                 break
             level = nxt
             k += 1
         for v in touched:
             depth[v] = -1
-        if best == 3:
-            break
-    return best
-
-
-def girth(g: Graph) -> float:
-    """Length of the shortest cycle; math.inf for forests."""
-    return _cycle_below(g, math.inf, first=False)
-
-
-def has_cycle_shorter_than(g: Graph, length: int) -> bool:
-    """True iff girth(g) < length.
-
-    Returns at the first cycle found below the bound, which makes
-    rejecting a graph with a short cycle cheap.
-    """
-    return _cycle_below(g, length, first=True) < length
+    return False
 
 
 def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[int]:
@@ -610,17 +586,9 @@ def reachable_set(h: DiGraph, r: int) -> np.ndarray:
 
 
 def connected_component(g: Graph, v: int) -> np.ndarray:
-    """Mask of the component of v, searched once per graph: its vertices
-    share the one mask."""
-    v = _vertex(g.n, v)
-    if g._components is None:
-        g._components = [None] * g.n
-    comp = g._components[v]
-    if comp is None:
-        comp = _search(g, v)[0]
-        for w in np.flatnonzero(comp).tolist():
-            g._components[w] = comp
-    return comp
+    """Mask of the component of v, read from the per-root search memo
+    (_search)."""
+    return _search(g, v)[0]
 
 
 def is_connected(g: Graph) -> bool:

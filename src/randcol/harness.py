@@ -6,12 +6,11 @@ Randomness discipline: trial i draws everything from the substream
 changing the worker count never perturbs existing numbers. Result files
 are newline-delimited JSON trial records followed by one aggregate
 object, serialized with sorted keys so identical configs give
-byte-identical files. CSV export is a flat projection of the records.
+byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -155,8 +154,8 @@ def _build_uncached(recipe: dict, params: ConstructionParams | None):
 
 def _check_recipe(recipe, params: ConstructionParams | None, unseeded: bool = False) -> None:
     """Raise InputError unless the recipe, and its base if it has one,
-    names a known kind with exactly that kind's fields, an integer seed
-    and, for a gadget, construction params, and its base builds the
+    names a known kind with exactly that kind's fields, integer sizes
+    and seed and, for a gadget, construction params, and its base builds the
     graph type it needs (_check_makes). unseeded lets a random recipe
     leave out its seed. Builds nothing."""
     kind = recipe.get("kind") if isinstance(recipe, dict) else None
@@ -171,8 +170,9 @@ def _check_recipe(recipe, params: ConstructionParams | None, unseeded: bool = Fa
     if unknown:
         raise InputError(f"graph recipe {kind!r} takes no fields {unknown}")
     # RngStream hashes its seed through str(), so "5" would alias 5
-    if "seed" in recipe and not _is_int(recipe["seed"]):
-        raise InputError(f"graph recipe seed must be an integer, got {recipe['seed']!r}")
+    for name in ("n", "m", "d", "seed"):
+        if name in recipe and not _is_int(recipe[name]):
+            raise InputError(f"graph recipe {name} must be an integer, got {recipe[name]!r}")
     if kind == "gadget" and params is None:
         raise InputError("gadget recipe needs construction params")
     if "base" in recipe:
@@ -347,6 +347,9 @@ class ExperimentConfig:
         # a missing graph fails here too
         _check_recipe(self.graph, self.params, unseeded=True)
         _check_makes(self.graph, row.graph, f"experiment kind {self.kind!r} needs a graph recipe")
+        complete = self.graph["kind"] == "complete"  # then k is the vertex count
+        if self.kind == "proposition_check" and self.k is None and not complete:
+            raise InputError("proposition_check needs k unless the graph is complete")
 
     def first_rate_fraction(self) -> Fraction:
         if self.first_rate is None:
@@ -391,10 +394,7 @@ class ExperimentConfig:
         kwargs = dict(d)
         if kwargs.get("params") is not None:
             kwargs["params"] = _params_from_dict(kwargs["params"])
-        return _check_k(cls(**kwargs))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -403,15 +403,6 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise InputError(f"config is not valid JSON: {exc}") from None
         return cls.from_dict(d)
-
-
-def _check_k(config: ExperimentConfig) -> ExperimentConfig:
-    """config, or InputError for a proposition_check with no k on a graph other
-    than complete: at load from JSON, and in each trial of one built directly."""
-    complete = config.graph["kind"] == "complete"  # then k is the vertex count
-    if config.kind == "proposition_check" and config.k is None and not complete:
-        raise InputError("proposition_check needs k unless the graph is complete")
-    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -501,7 +492,6 @@ def _trial_chromatic_tail(config: ExperimentConfig, stream: RngStream) -> dict:
 
 def _trial_proposition_check(config: ExperimentConfig, stream: RngStream) -> dict:
     g, _ = _trial_graph(config, stream)
-    _check_k(config)
     k = g.n if config.k is None else config.k
     sub = sample_subgraph(g, config.p, stream.child("sample"))
     res = chromatic_number_exact(sub, budget=config.budget)
@@ -713,20 +703,3 @@ def load_result(path) -> tuple:
     if aggregate is None:
         raise InputError(f"{path}: missing aggregate line")
     return records, aggregate
-
-
-def export_csv(result: ExperimentResult, path) -> None:
-    """Flat projection of the trial records; list/dict values are
-    embedded as compact JSON strings so nothing is lost."""
-    keys = sorted({k for r in result.records for k in r.values})
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "stream_id", "error", *keys])
-        for r in result.records:
-            row = [r.index, r.stream_id, r.error if r.error is not None else ""]
-            for k in keys:
-                v = r.values.get(k)
-                if isinstance(v, (list, dict)):
-                    v = json.dumps(v, sort_keys=True, separators=(",", ":"))
-                row.append("" if v is None else v)
-            writer.writerow(row)

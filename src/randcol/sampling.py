@@ -330,9 +330,6 @@ class TwoRoundSample:
         for hit in (self.round1_hit, self.round2_hit):
             _sized(hit, self.graph.m, "a round's hits")
 
-    def round1_survivors(self) -> Graph:
-        return self.graph._with_mask(~self.round1_hit)
-
     def round2_only_survivors(self) -> Graph:
         """Edges missed by the second-round sample, ignoring round one."""
         return self.graph._with_mask(~self.round2_hit)

@@ -10,6 +10,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
+from randcol.colouring import _peel
 from randcol.errors import InputError
 from randcol.graphs import Graph
 from randcol.sampling import _check_probability
@@ -57,6 +58,14 @@ def pairs(n, directed=False):
     if not directed:
         pair = pair.map(lambda e: (min(e), max(e)))
     return st.sets(pair, max_size=3 * n)
+
+
+def t_core_with_trace(g: Graph, t: int) -> tuple:
+    """The t-core's mask plus the peeled vertices in peel order: the
+    rounds of colouring._peel, which t_core keeps only the mask of."""
+    rounds: list = []
+    core = _peel(g, (t,), rounds)
+    return core, tuple(np.concatenate(rounds).tolist()) if rounds else ()
 
 
 def subgraph_from_uniforms(g: Graph, u: np.ndarray, p: float) -> Graph:

@@ -214,7 +214,7 @@ class TestExperimentAndVerify:
             output=str(out),
         )
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
         code, stdout, _ = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 0
         agg = last_json(stdout)
@@ -228,7 +228,7 @@ class TestExperimentAndVerify:
         cfg = ExperimentConfig(kind="chromatic_tail", trials=3, master_seed=1,
                                graph={"kind": "complete", "n": 45}, p=0.5, output=str(out))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
         code, stdout, _ = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 1
         assert last_json(stdout)["errors"] == 3
@@ -253,6 +253,18 @@ class TestExperimentAndVerify:
         cfg_path.write_text(json.dumps({**cfg, "k": 3}))
         code, stdout, _ = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 0 and last_json(stdout)["errors"] == 0
+
+    @pytest.mark.parametrize("graph", [
+        {"kind": "complete", "n": 6.5},
+        {"kind": "blow_up", "base": {"kind": "complete", "n": 4}, "m": 2.5},
+        {"kind": "random_regular", "n": 20.0, "d": 3, "seed": 0},
+    ], ids=["complete-n-float", "blow-up-m-float", "regular-n-float"])
+    def test_experiment_rejects_a_recipe_size_that_is_not_an_integer(self, tmp_path, capsys, graph):
+        cfg = {"kind": "chromatic_tail", "trials": 2, "master_seed": 1, "graph": graph, "p": 0.5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2 and "must be an integer" in err and stdout == ""
 
     @pytest.mark.parametrize("graph,params", [
         ({"kind": "gadget", "base": {"kind": "complete", "n": 4}},

@@ -14,12 +14,11 @@ from randcol.colouring import (
     colouring_number,
     product_colouring_check,
     t_core,
-    t_core_with_trace,
 )
 from randcol.graphs import DiGraph, Graph
 from randcol.sampling import RngStream, sample_subgraph
 
-from helpers import complete_graph, cycle_graph, ids, petersen, random_graph
+from helpers import complete_graph, cycle_graph, ids, petersen, random_graph, t_core_with_trace
 
 
 def is_proper(g, colour_of):

@@ -1,11 +1,15 @@
 """Golden digests: the exact bytes of three verify suites' text and JSON
-reports. A change that moves a byte fails here on purpose; when the move
-is deliberate, update the digest and give the reason in CHANGES.md."""
+reports, and the package's public names. A change that moves a byte or a
+name fails here on purpose; when the move is deliberate, update the pin
+and give the reason in CHANGES.md."""
 
 import hashlib
 import json
+import types
 
 import pytest
+
+import randcol
 
 # suite: (sha256 of format_text(), sha256 of the to_dict() JSON with the
 # sorted keys and indent of `randcol verify --report`)
@@ -42,3 +46,36 @@ def test_suite_bytes_are_pinned(name, suite_report):
             f"the {name} suite's {what} changed bytes; if the move is deliberate, "
             f"update its digest here and give the reason in CHANGES.md"
         )
+
+
+# every public name that `import randcol` binds, submodules aside
+PUBLIC_NAMES = [
+    "AlonMilmanReport", "BlowUpLayout", "BoundConstants", "BoundaryResilienceReport",
+    "CapacityError", "ColouringResult", "ConstructionError", "ConstructionParams",
+    "ConvergenceError", "DiGraph", "EliminationOrder", "ExpansionCertificate",
+    "ExperimentConfig", "ExperimentResult", "GenerationError", "Graph", "InputError",
+    "PercolationState", "ProductColouringReport", "RandcolError", "RngStream", "SUITE_NAMES",
+    "SpectralCertificate", "SuiteReport", "SuperVertexStatus", "TrialRecord", "TwoRoundSample",
+    "alon_milman_lower_bound", "audit_blow_up", "binom_tail_geq", "blow_up",
+    "bootstrap_percolate", "boundary_resilience_audit", "build_graph", "chromatic_number_exact",
+    "classify_supervertices_thm3", "colouring_number", "complete_graph", "connected_component",
+    "count_connected_edge_subgraphs_upto", "cycle_graph", "find_cubic_expander", "format_graph",
+    "gadget_blow_up", "has_cycle_shorter_than", "is_connected", "is_strongly_connected",
+    "load_config", "load_graph", "load_result", "near_disjoint_family", "parse_graph",
+    "partition_split", "product_colouring_check", "proposition_lower_bound",
+    "random_regular_graph", "random_two_regular_digraph", "reachable_set",
+    "resilient_pair_detect", "resilient_pair_probability_bound", "run_experiment", "run_suite",
+    "sample_subgraph", "save_graph", "save_layout", "second_eigenvalue", "second_round_rate",
+    "t_core", "t_core_via_percolation", "theorem2_tail_bound", "thm3_fixpoint_violations",
+    "thm3_process", "thm4_fixpoint_violations", "thm4_process", "two_round_sample",
+    "verify_alon_milman", "verify_vertex_expansion", "vertex_boundary", "wilson_interval",
+]
+
+
+def test_public_names_are_pinned():
+    public = sorted(name for name, value in vars(randcol).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == PUBLIC_NAMES, (
+        "randcol's public names changed; if the change is deliberate, update PUBLIC_NAMES "
+        "here and give the reason in CHANGES.md"
+    )

@@ -11,9 +11,7 @@ from randcol.graphs import (
     Graph,
     connected_component,
     count_connected_edge_subgraphs_upto,
-    edge_boundary,
     format_graph,
-    girth,
     has_cycle_shorter_than,
     is_connected,
     is_strongly_connected,
@@ -47,6 +45,19 @@ def test_neighbour_lists_strictly_ascending(case):
     for v, nbrs in enumerate(g.adjacency()):
         assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
         assert set(nbrs) == {u for e in edges for u in e if v in e} - {v}
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None, -1])
+def test_vertex_count_takes_the_integer_rule(n):
+    for build in (lambda: Graph(n, []), lambda: Graph(n, [], validate=False),
+                  lambda: DiGraph(n, []), lambda: DiGraph(n, [], validate=False)):
+        with pytest.raises(InputError, match="vertex count must be a non-negative integer"):
+            build()
+
+
+def test_a_numpy_vertex_count_is_stored_as_its_int():
+    for g in (Graph(np.int64(3), [(0, 1)]), DiGraph(np.uint8(3), [(0, 1)])):
+        assert type(g.n) is int and g.n == 3 and g == type(g)(3, [(0, 1)])
 
 
 def test_unvalidated_rows_are_copied():
@@ -107,21 +118,13 @@ def test_vertex_boundary_four_cycle():
     assert ids(vertex_boundary(g, mask(4, {0, 1, 2, 3}))) == frozenset()
 
 
-def test_edge_boundary_four_cycle():
-    g = cycle_graph(4)
-    assert edge_boundary(g, mask(4, {0, 1})) == [(0, 3), (1, 2)]
-    assert edge_boundary(g, mask(4, range(4))) == []
-    assert len(edge_boundary(g, mask(4, {0}))) == 2
-
-
 def test_boundary_rejects_bad_vertex():
     # the mask form of an id outside 0..n-1: a mask longer or shorter than n
     g = cycle_graph(4)
     for size in (8, 5, 3, 1):
         bad = np.ones(size, dtype=bool)
-        for check in (vertex_boundary, edge_boundary):
-            with pytest.raises(InputError, match="vertex set must be a boolean mask of length 4"):
-                check(g, bad)
+        with pytest.raises(InputError, match="vertex set must be a boolean mask of length 4"):
+            vertex_boundary(g, bad)
         with pytest.raises(InputError, match="vertex set must be a boolean mask of length 4"):
             vertex_boundary(DiGraph(4, [(0, 1)]), bad)
         with pytest.raises(InputError, match="seed must be a boolean mask of length 4"):
@@ -138,7 +141,6 @@ def test_vertex_sets_must_be_boolean_masks(bad):
     for check in (
         lambda s: vertex_boundary(g, s),
         lambda s: vertex_boundary(DiGraph(4, [(0, 1)]), s),
-        lambda s: edge_boundary(g, s),
         lambda s: bootstrap_percolate(g, s, [1] * 4),
         lambda s: g.with_edges(s),  # four edges too
     ):
@@ -152,20 +154,25 @@ def test_directed_boundary_is_out_neighbours():
     assert ids(vertex_boundary(h, mask(4, {0, 1}))) == frozenset({3})
 
 
-# --- girth ----------------------------------------------------------------
+# --- short cycles ---------------------------------------------------------
+
+
+def shortest_cycle_is(g, girth):
+    """has_cycle_shorter_than's verdicts at the girth and one past it."""
+    return not has_cycle_shorter_than(g, girth) and has_cycle_shorter_than(g, girth + 1)
 
 
 def test_girth_known_values():
-    assert girth(cycle_graph(5)) == 5
-    assert girth(complete_graph(4)) == 3
-    assert girth(petersen()) == 5
-    assert girth(Graph(4, [(0, 1), (1, 2), (2, 3)])) == math.inf
-    assert girth(Graph(3, [])) == math.inf
+    assert shortest_cycle_is(cycle_graph(5), 5)
+    assert shortest_cycle_is(complete_graph(4), 3)
+    assert shortest_cycle_is(petersen(), 5)
+    for forest in (Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(3, []), Graph(0, [])):
+        assert not any(has_cycle_shorter_than(forest, length) for length in range(-1, 10))
 
 
 def test_girth_with_chord():
     g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
-    assert girth(g) == 4
+    assert shortest_cycle_is(g, 4)
 
 
 def girth_oracle(g):
@@ -198,7 +205,10 @@ def girth_oracle(g):
 def test_girth_matches_edge_deletion_oracle(case):
     n, edges = case
     g = Graph(n, sorted(edges))
-    assert girth(g) == girth_oracle(g)
+    girth = girth_oracle(g)
+    # every length from below 3 to past n, so the girth and one past it too
+    for length in range(-1, n + 2):
+        assert has_cycle_shorter_than(g, length) == (girth < length)
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,7 +222,7 @@ def test_girth_matches_edge_deletion_oracle(case):
 def test_short_cycle_test_agrees_with_girth(case, length):
     n, edges = case
     g = Graph(n, sorted(edges))
-    assert has_cycle_shorter_than(g, length) == (girth(g) < length)
+    assert has_cycle_shorter_than(g, length) == (girth_oracle(g) < length)
 
 
 def test_short_cycle_filter_petersen():
@@ -338,8 +348,8 @@ def test_connectivity_helpers():
 def test_component_is_one_mask_per_component():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
     first = connected_component(g, 2)
-    assert connected_component(g, 0) is first is connected_component(g, 1)
-    assert connected_component(g, 3) is connected_component(g, 4) is not first
+    assert ids(connected_component(g, 0)) == ids(first) == ids(connected_component(g, 1))
+    assert ids(connected_component(g, 3)) == ids(connected_component(g, 4)) == {3, 4}
 
 
 def test_every_root_is_checked_by_one_rule():

@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import json
 import math
@@ -29,7 +28,6 @@ from randcol.harness import (
     TrialRecord,
     asymptotic_regime_report,
     build_graph,
-    export_csv,
     load_config,
     load_result,
     mean_and_sample_variance,
@@ -85,7 +83,7 @@ def core_config(**overrides):
 class TestConfig:
     def test_round_trip_through_json(self):
         cfg = core_config()
-        again = ExperimentConfig.from_json(cfg.to_json())
+        again = ExperimentConfig.from_json(json.dumps(cfg.to_dict()))
         assert again == cfg
 
     def test_round_trip_with_params_and_sweep(self):
@@ -97,14 +95,14 @@ class TestConfig:
             params=ConstructionParams.thm3(12, 0.05),
             p_sweep=(0.0, 0.01, 0.2),
         )
-        again = ExperimentConfig.from_json(cfg.to_json())
+        again = ExperimentConfig.from_json(json.dumps(cfg.to_dict()))
         assert again == cfg
         assert again.params.alpha == ConstructionParams.thm3(12, 0.05).alpha
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = core_config(first_rate="1/30", p=None)
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(cfg.to_dict()))
         assert load_config(path) == cfg
 
     def test_parsed_rate_stays_out_of_the_value(self):
@@ -213,6 +211,10 @@ class TestConfig:
                    "base": {"kind": "cubic_expander", "n": 40, "seed": 1, "girthmin": 9}}},
         {"graph": {"kind": "blow_up", "m": 2,
                    "base": {"kind": "random_regular", "n": 20, "d": 3, "seed": "5"}}},
+        {"graph": {"kind": "blow_up", "m": 2.5, "base": {"kind": "complete", "n": 4}}},
+        {"graph": {"kind": "blow_up", "m": 2, "base": {"kind": "complete", "n": 4.0}}},
+        {"graph": {"kind": "blow_up", "m": 2,
+                   "base": {"kind": "random_regular", "n": 20, "d": True, "seed": 5}}},
         {"graph": {"kind": "gadget", "base": {"kind": "complete", "n": 4}}},
         {"graph": {"kind": "gadget", "base": {"kind": "complete", "n": 4}},
          "params": GADGET_PARAMS, "regime_metadata": None},
@@ -228,7 +230,8 @@ class TestConfig:
             "params-s-bool", "params-gadget-without-s", "params-alpha-zero",
             "params-alpha-negative", "params-gadget-s-zero", "recipe-unknown-kind",
             "recipe-not-a-dict", "recipe-unknown-field", "recipe-missing-field",
-            "recipe-misspelt-base-field", "recipe-base-seed-str", "recipe-gadget-without-params",
+            "recipe-misspelt-base-field", "recipe-base-seed-str", "recipe-m-float", "recipe-base-n-float",
+            "recipe-base-d-bool", "recipe-gadget-without-params",
             "recipe-gadget-undirected-base", "recipe-blow-up-digraph-base", "budget-zero", "suite-set", "unread-k", "regime-false-report"])
     def test_values_from_outside_are_checked(self, overrides):
         with pytest.raises(InputError):
@@ -249,6 +252,12 @@ class TestConfig:
                       {"graph": {"kind": "complete", "n": 6}}):
             cfg = ExperimentConfig.from_json(json.dumps({**base, **extra}))
             assert run_experiment(cfg).aggregate["errors"] == 0
+
+    def test_a_directly_built_proposition_check_needs_k(self):
+        # one rule for a config however it is made, not a failure in every trial
+        with pytest.raises(InputError, match="needs k unless the graph is complete"):
+            ExperimentConfig(kind="proposition_check", trials=3, master_seed=1,
+                             graph={"kind": "cycle", "n": 6}, p=0.5)
 
     def test_config_that_is_not_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -417,11 +426,11 @@ class TestTrials:
             kind="proposition_check",
             trials=3,
             master_seed=1,
-            graph={"kind": "cycle", "n": 8},  # not complete and no k
+            graph={"kind": "complete", "n": 45},  # every sample is past the exact solver's n cap
             p=0.5,
         )
         rec = run_trial(cfg, 0)
-        assert rec.error is not None and "InputError" in rec.error
+        assert rec.error is not None and "CapacityError" in rec.error
         result = run_experiment(cfg)
         assert result.aggregate["errors"] == 3
         assert result.aggregate["valid_trials"] == 0
@@ -577,14 +586,14 @@ class TestExperiments:
 # a product_colouring run (partition_split, then the exact solver over
 # each part's CSR), a chromatic_tail and a proposition_check run (the
 # exact solver on samples of complete graphs), and a proposition_check
-# run whose every trial records an InputError (the aggregate over no
+# run whose every trial records a CapacityError (the aggregate over no
 # good records)
 RESULT_GOLDEN = {
     "core_emptiness": "e519dce6067b4e24c89cefa57dd0d80a96398d4e1efa5197868262ff328c99c2",
     "product_colouring": "1587f63ba53e30b15467ae3de85b4eaa6b0e319d4bf668abae29afeb9f25d252",
     "chromatic_tail": "07f7a401fd671f5a3feb867e3061d69cf428f95dcf378cca00f5addee668a9b3",
     "proposition_check": "eb89e37726e447cd429d072671f594e0c0529f63404e0e0d6abbda990aa5c596",
-    "proposition_check_all_errors": "10b00002595dc8eca44bf2e31ac23a387f7c68058464b4b2cd0bf80d0723ed1f",
+    "proposition_check_all_errors": "466ad9a72f5b8e8451e6fa6b5e13a9260d8a3cee22bc9a47a8a5829435adf022",
 }
 
 PINNED_CONFIGS = {
@@ -602,9 +611,9 @@ PINNED_CONFIGS = {
     "proposition_check": ExperimentConfig(
         kind="proposition_check", trials=30, master_seed=9, graph={"kind": "complete", "n": 12}, p=0.5
     ),
-    # a cycle is not complete and no k is given, so every trial fails
+    # every sample of K_45 is past the exact solver's n cap, so every trial fails
     "proposition_check_all_errors": ExperimentConfig(
-        kind="proposition_check", trials=3, master_seed=1, graph={"kind": "cycle", "n": 8}, p=0.5
+        kind="proposition_check", trials=3, master_seed=1, graph={"kind": "complete", "n": 45}, p=0.5
     ),
 }
 
@@ -665,18 +674,6 @@ class TestOutputs:
         path.write_text(json.dumps(rec.to_dict()) + "\n")
         with pytest.raises(InputError):
             load_result(path)
-
-    def test_csv_projection(self, tmp_path):
-        cfg = core_config(trials=6)
-        result = run_experiment(cfg)
-        path = tmp_path / "out.csv"
-        export_csv(result, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 6
-        assert rows[0]["index"] == "0"
-        assert rows[0]["empty"] == "True"
-        assert rows[3]["stream_id"] == result.records[3].stream_id
 
 
 def test_start_up_loads_no_scipy_and_no_process_pool():

@@ -53,7 +53,7 @@ def ref_partition_split(g, parts, stream):
 
 
 def ref_two_round_survivors(g, first_rate, stream):
-    """(round1_survivors, round2_only_survivors, survivors) from the
+    """(round-1 survivors, round2_only_survivors, survivors) from the
     deleted-index tuples and set rebuilds."""
     a1 = Fraction(first_rate)
     a2 = second_round_rate(a1)
@@ -108,7 +108,7 @@ def test_two_round_survivors(case, first_rate, seed):
     stream = RngStream(seed).child("rounds")
     out = two_round_sample(g, first_rate, stream)
     round1, round2_only, both = ref_two_round_survivors(g, first_rate, stream)
-    assert out.round1_survivors() == round1
+    assert g.with_edges(~out.round1_hit) == round1
     assert out.round2_only_survivors() == round2_only
     assert out.survivors() == both
     assert out.first_rate == float(Fraction(first_rate))
@@ -123,7 +123,7 @@ def test_two_round_survivors_on_a_large_graph(first_rate, seed):
     stream = RngStream(seed).child("rounds")
     out = two_round_sample(g, first_rate, stream)
     want = ref_two_round_survivors(g, first_rate, stream)
-    assert (out.round1_survivors(), out.round2_only_survivors(), out.survivors()) == want
+    assert (g.with_edges(~out.round1_hit), out.round2_only_survivors(), out.survivors()) == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randcol.colouring import colouring_number, t_core_with_trace
+from randcol.colouring import colouring_number
 from randcol.errors import GenerationError
 from randcol.generators import (
     REJECTION_CAP,
@@ -19,7 +19,7 @@ from randcol.generators import (
 from randcol.graphs import DiGraph, Graph
 from randcol.sampling import RngStream
 
-from helpers import ids
+from helpers import ids, t_core_with_trace
 
 
 def pairs(n):

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from randcol.colouring import t_core, t_core_with_trace
+from randcol.colouring import t_core
 from randcol.errors import InputError
 from randcol.generators import (
     ConstructionParams,
@@ -412,7 +412,6 @@ def test_every_returned_mask_is_read_only():
     report = boundary_resilience_audit(h, layout, params, gadget, gadget, root=0)
     arrays = [
         t_core(g, 2),
-        t_core_with_trace(g, 2)[0],
         t_core_via_percolation(g, 2),
         connected_component(g, 0),
         reachable_set(h, 0),

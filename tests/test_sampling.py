@@ -326,9 +326,8 @@ def test_two_round_bookkeeping():
     surv = out.survivors()
     assert surv.m == g.m - len(gone)
     assert edge_set(surv).isdisjoint(map(tuple, g.edges[gone].tolist()))
-    assert out.round1_survivors().m == g.m - np.count_nonzero(r1)
     assert out.round2_only_survivors().m == g.m - np.count_nonzero(r2)
-    both = edge_set(out.round1_survivors()) & edge_set(out.round2_only_survivors())
+    both = edge_set(g.with_edges(~r1)) & edge_set(out.round2_only_survivors())
     assert edge_set(surv) == both
 
 
@@ -421,7 +420,7 @@ def test_subgraph_masks_stay_apart_from_their_callers():
         assert not view._mask.flags.writeable
     sample = two_round_sample(g, "1/30", RngStream(1))
     views = [sample_subgraph(g, 0.9, RngStream(2)), sample.survivors(),
-             sample.round1_survivors(), sample.round2_only_survivors()]
+             sample.round2_only_survivors()]
     for view in views:
         assert view._mask is not None and not view._mask.flags.writeable
     assert views[1] == g.with_edges(~(sample.round1_hit | sample.round2_hit))

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randcol.colouring import _neighbour_masks, colouring_number, t_core, t_core_with_trace
+from randcol.colouring import _neighbour_masks, colouring_number, t_core
 from randcol.errors import GenerationError, InputError
 from randcol.generators import blow_up, random_regular_graph
 from randcol.graphs import Graph, _csr, connected_component, vertex_boundary
 from randcol.percolation import bootstrap_percolate
 
-from helpers import circulant, pairs
+from helpers import circulant, pairs, t_core_with_trace
 from test_graph_array_oracles import RefGraph
 
 
