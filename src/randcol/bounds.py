@@ -57,8 +57,9 @@ def theorem2_tail_bound(k: int, d: int, constants: BoundConstants | None = None)
     reported. Above sqrt(k) the bound is vacuous and tagged "trivial".
     Values use C = constants.c_thm2 and are clamped to [0, 1].
     """
-    if not (isinstance(k, int) and isinstance(d, int)):
+    if not (_is_integer(k) and _is_integer(d)):
         raise InputError("k and d must be integers")
+    k, d = int(k), int(d)  # d ** 3 of a numpy integer would wrap
     if not 1 <= d <= k:
         raise InputError(f"d={d} outside 1..{k}")
     c = (constants or BoundConstants()).c_thm2

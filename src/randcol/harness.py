@@ -92,6 +92,7 @@ def mean_and_sample_variance(values) -> tuple:
 # ---------------------------------------------------------------------------
 
 _BUILD_CACHE: dict = {}
+_BUILD_CACHE_SIZE = 64
 
 
 class _Recipe(NamedTuple):
@@ -126,15 +127,19 @@ def build_graph(recipe: dict, params: ConstructionParams | None = None, *, key: 
     """Construct the (di)graph a recipe describes.
 
     Returns (graph, layout) where layout is None except for blow-up
-    recipes. Results are cached per process keyed by the recipe; key,
-    when given, is that key, _build_key(recipe, params), which a config
-    makes once for all of its trials.
+    recipes. Results are cached per process keyed by the recipe, at most
+    _BUILD_CACHE_SIZE of them, evicting the oldest on a miss; key, when
+    given, is that key, _build_key(recipe, params), which a config makes
+    once for all of its trials.
     """
     if key is None:
         key = _build_key(recipe, params)
     built = _BUILD_CACHE.get(key)
     if built is None:
-        built = _BUILD_CACHE[key] = _build_uncached(recipe, params)
+        built = _build_uncached(recipe, params)  # a blow-up caches its base first
+        if len(_BUILD_CACHE) >= _BUILD_CACHE_SIZE:
+            del _BUILD_CACHE[next(iter(_BUILD_CACHE))]
+        _BUILD_CACHE[key] = built
     return built
 
 

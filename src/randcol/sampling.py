@@ -193,24 +193,20 @@ class RngStream:
     def key(self) -> int:
         return _key_of(self._state())
 
-    def uniforms(self, count: int, *labels, below=None, words=False) -> np.ndarray:
+    def uniforms(self, count: int, *labels, words=False) -> np.ndarray:
         if not _is_integer(count):
             raise InputError(f"count must be an int, got {type(count).__name__}")
         if count < 0:
             raise InputError("count must be non-negative")
-        return self.uniform_at(_indices(int(count)), *labels, below=below, words=words)
+        return self.uniform_at(_indices(int(count)), *labels, words=words)
 
-    def uniform_at(self, indices, *labels, below=None, words=False) -> np.ndarray:
+    def uniform_at(self, indices, *labels, words=False) -> np.ndarray:
         """The variates at indices. With labels, row j holds those of
         child(labels[j]): shape (len(labels),) + indices' shape.
 
-        With below, a rate or an array of rates that broadcasts against
-        the result (a column gives one per row), the boolean array
-        variates < below instead, compared exactly on the integer words
-        (see _word_limit) without making the variates. With words, the
-        uint64 words themselves, for a caller that compares them later."""
-        if below is not None and words:
-            raise InputError("uniform_at takes below= or words=, not both")
+        With words, the uint64 words themselves, which _below compares
+        exactly against a rate (see _word_limit) without making the
+        variates."""
         # splitmix64 of key + (i + 1) * golden, in place once the key is
         # added; the positions uniforms passes have their offsets cached
         if (type(indices) is np.ndarray and not indices.flags.writeable
@@ -227,8 +223,6 @@ class RngStream:
         z ^= z >> _S27
         z *= _MIX2
         z ^= z >> _S31
-        if below is not None:
-            return _below(z, below)
         if words:
             return z
         z >>= _S11
@@ -252,7 +246,7 @@ def sample_subgraph(g: Graph, p: float, stream: RngStream) -> Graph:
     a Fraction p compares as itself."""
     _expect(g, Graph, "sample_subgraph")
     _check_probability(p)
-    return g._with_mask(stream.uniforms(g.m, below=p))
+    return g._with_mask(_below(stream.uniforms(g.m, words=True), p))
 
 
 def _parts(words: np.ndarray, parts: int) -> np.ndarray:

@@ -25,6 +25,8 @@ from randcol.sampling import RngStream, partition_split, sample_subgraph, two_ro
 from randcol.colouring import product_colouring_check
 from randcol.verify import run_suite
 
+from helpers import CORE_DEATH_GOLDEN, THM3_SWEEP_GOLDEN, THM4_SWEEP_GOLDEN
+
 
 def criterion(num: int, ok: bool, detail: str) -> None:
     line = f"CRITERION {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}"
@@ -137,12 +139,6 @@ def test_criterion_06_subsampled_clique_lower_bound():
 SWEEP = (0.0, 1e-4, 1e-3, 1e-2, 1e-1)
 
 
-# sha256 of criterion 07's result file, which is the thm3_sweep benchmark's
-# chunk 0 (perfbench/expected.json), and of criterion 08's result text.
-THM3_SWEEP_GOLDEN = "42e29ba2344de6a8ae3358a402953ab104a288a76462c13456305201a653da2e"
-THM4_SWEEP_GOLDEN = "356bf9331ac86afdb2522b182d79238d42371a18620c88fa2e82237cbf7de8e5"
-
-
 def test_criterion_07_protected_edge_process(tmp_path):
     cfg = ExperimentConfig(
         kind="thm3_sweep",
@@ -231,11 +227,6 @@ def test_criterion_09_construction_audits():
     ok = ok and g.regular_degree() == 12
     pieces.append("cubic blow-up m=4: 12-regular")
     criterion(9, ok, "; ".join(pieces))
-
-
-# sha256 of criterion 10's result file, which is the core_death benchmark's
-# chunk 0 (perfbench/expected.json).
-CORE_DEATH_GOLDEN = "76e4127f761fa5743f61817cc68cc2fbc20f369f43201829d9d0774710c4c054"
 
 
 def test_criterion_10_desk_scale_core_death(tmp_path):

@@ -159,6 +159,16 @@ class TestTailRegimes:
         with pytest.raises(InputError):
             theorem2_tail_bound(100.0, 5)
 
+    def test_sizes_take_the_integer_rule(self):
+        # an int or a numpy integer, not a bool: graphs._is_integer
+        for k, d in ((True, True), (16, True), (True, 1)):
+            with pytest.raises(InputError, match="integers"):
+                theorem2_tail_bound(k, d)
+        assert theorem2_tail_bound(np.int64(16), np.int32(4)) == theorem2_tail_bound(16, 4)
+        # d ** 3 as a numpy integer would wrap past 2^63
+        assert theorem2_tail_bound(np.int64(10**15), np.int64(2_200_000)) == \
+            theorem2_tail_bound(10**15, 2_200_000)
+
 
 class TestPropositionBound:
     def test_value(self):

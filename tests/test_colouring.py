@@ -8,8 +8,6 @@ import pytest
 
 from randcol.errors import CapacityError, InputError
 from randcol.colouring import (
-    ColouringResult,
-    EliminationOrder,
     chromatic_number_exact,
     colouring_number,
     product_colouring_check,

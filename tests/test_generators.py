@@ -28,13 +28,7 @@ from randcol.graphs import (
 )
 from randcol.sampling import RngStream
 
-from helpers import complete_graph
-
-
-def base_digraph_4():
-    arcs = [(i, (i + 1) % 4) for i in range(4)] + [(i, (i + 2) % 4) for i in range(4)]
-    colours = ["r"] * 4 + ["b"] * 4
-    return DiGraph(4, arcs, arc_colour=colours)
+from helpers import base_digraph_4, complete_graph
 
 
 # --- pinned graphs ------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Golden digests: the exact bytes of three verify suites' text and JSON
 reports, and the package's public names. A change that moves a byte or a
 name fails here on purpose; when the move is deliberate, update the pin
-and give the reason in CHANGES.md."""
+and give the reason in CHANGES.md. Last, the tests' one layout rule:
+what test modules share lives in helpers.py."""
 
+import ast
 import hashlib
 import json
 import types
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +82,15 @@ def test_public_names_are_pinned():
         "randcol's public names changed; if the change is deliberate, update PUBLIC_NAMES "
         "here and give the reason in CHANGES.md"
     )
+
+
+def test_no_test_module_imports_another():
+    here = Path(__file__).parent
+    modules = {path.stem for path in here.glob("test_*.py")}
+    found = []
+    for path in sorted(here.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                found += [f"{path.name}: {name}" for name in names if modules & set(name.split("."))]
+    assert not found, f"import shared test code from helpers.py, not from a test module: {found}"

@@ -1,5 +1,6 @@
 """Graph and DiGraph on edge arrays against the tuple code they replaced,
-kept here as the reference: normalising, validation, neighbour tuples,
+kept as the reference (helpers' RefGraph and this module's RefDiGraph):
+normalising, validation, neighbour tuples,
 degrees, the colouring solver's bitmasks, DiGraph's per-list sorts, the
 text format and the itertools.compress mask subsets, on hypothesis edge
 lists in any order and orientation."""
@@ -14,47 +15,10 @@ from randcol.colouring import _neighbour_masks
 from randcol.errors import InputError
 from randcol.graphs import DiGraph, Graph, _csr, format_graph, load_graph, save_graph
 
+from helpers import RefGraph
+
 
 # --- the tuple reference ---------------------------------------------------------
-
-
-class RefGraph:
-    def __init__(self, n, edges, validate=True):
-        if n < 0:
-            raise InputError("vertex count must be non-negative")
-        self.n = n
-        self.edges = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
-        if validate:
-            seen = set()
-            for u, v in self.edges:
-                if u == v:
-                    raise InputError(f"loop at vertex {u}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InputError(f"edge ({u},{v}) out of range for n={n}")
-                if (u, v) in seen:
-                    raise InputError(f"parallel edge ({u},{v})")
-                seen.add((u, v))
-
-    def adjacency(self):
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(map(tuple, adj))
-
-    def degrees(self):
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def adj_masks(self):
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
 
 
 class RefDiGraph:

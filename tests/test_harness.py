@@ -22,7 +22,7 @@ from randcol.errors import (
     RandcolError,
 )
 from randcol.generators import ConstructionParams
-from randcol.graphs import Graph, load_graph, save_graph
+from randcol.graphs import Graph, save_graph
 from randcol.harness import (
     ExperimentConfig,
     TrialRecord,
@@ -38,7 +38,7 @@ from randcol.harness import (
     wilson_interval,
 )
 
-from helpers import KIND_FIELDS, complete_graph
+from helpers import CORE_DEATH_GOLDEN, KIND_FIELDS, THM3_SWEEP_GOLDEN, THM4_SWEEP_GOLDEN, complete_graph
 
 
 class TestStatistics:
@@ -65,6 +65,15 @@ class TestStatistics:
 
 BLOWUP_RECIPE = {"kind": "blow_up", "base": {"kind": "complete", "n": 4}, "m": 2}
 GADGET_PARAMS = {"mode": "gadget", "k": 12, "t": 11, "m": 4, "s": 3}  # ConstructionParams.thm4(12, 3)
+
+
+def uncached(*recipes):
+    """The build-cache keys of the recipes (no params), each dropped from
+    the cache, so that a test can check that nothing builds them again."""
+    keys = {harness._build_key(recipe, None) for recipe in recipes}
+    for key in keys:
+        harness._BUILD_CACHE.pop(key, None)
+    return keys
 
 
 def core_config(**overrides):
@@ -335,12 +344,14 @@ class TestBuildGraph:
                                "base": {"kind": "random_regular", "n": 20, "d": 3}})
         # the config checks its recipe, base included, and builds nothing; a
         # random recipe without a seed stays allowed
-        before = len(harness._BUILD_CACHE)
-        core_config(graph={"kind": "blow_up", "m": 2,
-                           "base": {"kind": "random_regular", "n": 22, "d": 3, "seed": 5}})
-        core_config(graph={"kind": "random_regular", "n": 20, "d": 3})
-        core_config(graph={"kind": "file", "path": "no-such-file.txt"})
-        assert len(harness._BUILD_CACHE) == before
+        base = {"kind": "random_regular", "n": 22, "d": 3, "seed": 5}
+        recipes = [{"kind": "blow_up", "m": 2, "base": base},
+                   {"kind": "random_regular", "n": 20, "d": 3},
+                   {"kind": "file", "path": "no-such-file.txt"}]
+        keys = uncached(base, *recipes)
+        for recipe in recipes:
+            core_config(graph=recipe)
+        assert not keys & harness._BUILD_CACHE.keys()
 
     def test_base_must_build_the_graph_type_its_recipe_needs(self, tmp_path):
         # a blow-up takes a graph, a gadget a digraph: a known base is
@@ -387,13 +398,13 @@ class TestBuildGraph:
         recipes = ([{"kind": "complete", "n": 4}, {"kind": "cycle", "n": 5}] if other == "Graph" else
                    [{"kind": "two_regular_digraph", "n": 6, "seed": 0},
                     {"kind": "two_regular_digraph", "n": 6}])
-        before = len(harness._BUILD_CACHE)
+        keys = uncached(*recipes)
         for recipe in recipes:
             with pytest.raises(InputError, match=f"experiment kind '{kind}' needs a graph recipe "
                                                  f"that builds a {takes}, got a {other}"):
                 ExperimentConfig(kind=kind, trials=2, master_seed=1, graph=recipe,
                                  **KIND_FIELDS[kind])
-        assert len(harness._BUILD_CACHE) == before
+        assert not keys & harness._BUILD_CACHE.keys()
 
     @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
     def test_kind_on_a_file_of_the_other_graph_type_records_an_input_error(self, kind, tmp_path):
@@ -575,10 +586,11 @@ class TestExperiments:
             graph={"kind": "random", "n": 8, "density": 0.5},
             parts=2,
         )
-        before = len(harness._BUILD_CACHE)
+        keys = uncached(*(dict(cfg.graph, seed=trial_stream(cfg, i).child("graph-seed").key())
+                          for i in range(cfg.trials)))
         res = run_experiment(cfg)
         assert res.aggregate["errors"] == 0
-        assert len(harness._BUILD_CACHE) == before
+        assert not keys & harness._BUILD_CACHE.keys()
 
 
 # sha256 of result texts that no acceptance criterion pins: a one-round
@@ -628,8 +640,6 @@ def test_result_text_is_pinned(kind):
 
 
 def test_every_kind_has_a_result_pin():
-    from test_acceptance import CORE_DEATH_GOLDEN, THM3_SWEEP_GOLDEN, THM4_SWEEP_GOLDEN
-
     pinned = {cfg.kind for cfg in PINNED_CONFIGS.values()}
     # criteria 10 (two-round core_emptiness), 07 and 08 pin these result texts
     for kind, digest in [("core_emptiness", CORE_DEATH_GOLDEN), ("thm3_sweep", THM3_SWEEP_GOLDEN),

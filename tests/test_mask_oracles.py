@@ -1,7 +1,10 @@
 """The boolean-mask edge selection against the index-tuple code it
-replaced, kept here as the reference: p-subgraphs, partitions, the three
-two-round survivor graphs and the random sets of both spread processes,
-on hypothesis-generated graphs, rates and seeds."""
+replaced, kept as the reference: p-subgraphs (helpers'
+ref_subgraph_from_uniforms), partitions, the three two-round survivor
+graphs and the random sets of both spread processes, on
+hypothesis-generated graphs, rates and seeds. These are the one check of
+the coin masks on random graphs and rates; the spread oracles take the
+drawn sets as given."""
 
 from fractions import Fraction
 
@@ -18,7 +21,7 @@ from randcol.sampling import (
     two_round_sample,
 )
 
-from helpers import pairs, subgraph_from_uniforms
+from helpers import pairs, ref_subgraph_from_uniforms
 
 
 graphs = st.integers(1, 14).flatmap(lambda n: st.tuples(st.just(n), pairs(n, False)))
@@ -36,11 +39,6 @@ first_rates = st.one_of(
 
 def edge_tuples(g):
     return [tuple(e) for e in g.edges.tolist()]
-
-
-def ref_subgraph_from_uniforms(g, u, p):
-    edges = edge_tuples(g)
-    return Graph(g.n, [edges[i] for i in np.flatnonzero(u < p)])
 
 
 def ref_partition_split(g, parts, stream):
@@ -88,9 +86,7 @@ def ref_blocked(h, p, rng):
 def test_p_subgraph(case, p, seed):
     g = Graph(*case)
     stream = RngStream(seed).child("edges")
-    want = ref_subgraph_from_uniforms(g, stream.uniforms(g.m), p)
-    assert subgraph_from_uniforms(g, stream.uniforms(g.m), p) == want
-    assert sample_subgraph(g, p, stream) == want
+    assert sample_subgraph(g, p, stream) == ref_subgraph_from_uniforms(g, stream.uniforms(g.m), p)
 
 
 @settings(max_examples=100, deadline=None)

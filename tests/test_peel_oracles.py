@@ -1,9 +1,8 @@
 """The threshold peel and the vectorised stub pairing against the code
-they replaced, kept here as the reference: the lazy-deletion heap of
-colouring_number, the queue peel of t_core_with_trace, and the
-per-stub rejection loops of both configuration-model generators."""
-
-import heapq
+they replaced, kept as the reference: the lazy-deletion heap of
+colouring_number and the queue peel of t_core_with_trace (both in
+helpers), on random and regular graphs, and here the per-stub rejection
+loops of both configuration-model generators."""
 
 import numpy as np
 import pytest
@@ -19,7 +18,14 @@ from randcol.generators import (
 from randcol.graphs import DiGraph, Graph
 from randcol.sampling import RngStream
 
-from helpers import ids, t_core_with_trace
+from helpers import (
+    ids,
+    out_lists,
+    ref_colouring_number,
+    ref_t_core_with_trace,
+    regular_graphs,
+    t_core_with_trace,
+)
 
 
 def pairs(n):
@@ -30,87 +36,41 @@ def pairs(n):
 graphs = st.integers(0, 25).flatmap(lambda n: st.tuples(st.just(n), pairs(n) if n else st.just(set())))
 
 
-# --- the heap and queue reference ------------------------------------------------
+def undirected(g):
+    """g, or for a digraph the graph of its arcs (no longer regular)."""
+    return Graph(g.n, {tuple(sorted(a)) for a in g.arcs.tolist()}) if isinstance(g, DiGraph) else g
 
 
-def ref_colouring_number(g):
-    """Lazy-deletion heap: a minimum-degree vertex at each step, lowest id
-    first among ties; the largest degree at removal, plus one."""
-    n = g.n
-    if n == 0:
-        return 0
-    adj = g.adjacency()
-    deg = g.degrees()
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    removed = [False] * n
-    at_removal = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue
-        removed[v] = True
-        at_removal.append(d)
-        for w in adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    return max(at_removal) + 1
+# random graphs, and regular ones, whose peel reads the (n, d) table
+peel_graphs = st.one_of(graphs.map(lambda case: Graph(*case)), regular_graphs().map(undirected))
 
 
-def ref_t_core_with_trace(g, t):
-    """The queue peel; generation[v] is 0 for a vertex below t at the
-    start and one more than its pusher's for a vertex a removal pushed."""
-    adj = g.adjacency()
-    deg = g.degrees()
-    alive = [True] * g.n
-    queue = [v for v in range(g.n) if deg[v] < t]
-    generation = dict.fromkeys(queue, 0)
-    for v in queue:
-        alive[v] = False
-    trace = []
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        trace.append(v)
-        for w in adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < t:
-                    alive[w] = False
-                    generation[w] = generation[v] + 1
-                    queue.append(w)
-    return frozenset(v for v in range(g.n) if alive[v]), tuple(trace), generation
+# --- the heap and queue peels ------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
-@given(graphs)
-def test_t_core_and_trace_match_queue_peel(case):
+@settings(max_examples=300, deadline=None)
+@given(peel_graphs)
+def test_t_core_and_trace_match_queue_peel(g):
     # the array peel removes a whole generation of the queue's cascade
     # per round, in ascending id: the same trace up to order inside a
     # generation
-    n, edges = case
-    g = Graph(n, edges)
-    for t in range(8):
+    for t in range(g.max_degree() + 3):
         core, trace, generation = ref_t_core_with_trace(g, t)
         got_core, got_trace = t_core_with_trace(g, t)
         assert (ids(got_core), got_trace) == (core, tuple(sorted(trace, key=lambda v: (generation[v], v))))
 
 
-@settings(max_examples=150, deadline=None)
-@given(graphs)
-def test_colouring_number_matches_heap_peel(case):
-    n, edges = case
-    g = Graph(n, edges)
+@settings(max_examples=300, deadline=None)
+@given(peel_graphs)
+def test_colouring_number_matches_heap_peel(g):
     num, order = colouring_number(g)
     assert num == ref_colouring_number(g)
-    assert sorted(order.order) == list(range(n))
-    adj = g.adjacency()
+    assert sorted(order.order) == list(range(g.n))
+    adj = out_lists(g)
     pos = {v: i for i, v in enumerate(order.order)}
     for i, v in enumerate(order.order):
         assert order.back_degrees[i] == sum(pos[w] < i for w in adj[v])
-    assert num == (order.degeneracy() + 1 if n else 0)
+    assert num == (order.degeneracy() + 1 if g.n else 0)
 
 
 # --- the per-stub rejection loops ---------------------------------------------------

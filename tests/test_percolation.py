@@ -17,7 +17,6 @@ from randcol.generators import (
 from randcol.graphs import (DiGraph, Graph, connected_component,
                             count_connected_edge_subgraphs_upto, reachable_set, vertex_boundary)
 from randcol.percolation import (
-    BoundaryResilienceReport,
     PercolationState,
     bootstrap_percolate,
     boundary_resilience_audit,
@@ -31,7 +30,7 @@ from randcol.percolation import (
 )
 from randcol.sampling import RngStream
 
-from helpers import cycle_graph, ids, mask, random_graph
+from helpers import base_digraph_4, cycle_graph, ids, mask, out_lists, random_graph
 
 
 def same_state(a, b):
@@ -41,13 +40,9 @@ def same_state(a, b):
     )
 
 
-def base_digraph_4():
-    arcs = [(i, (i + 1) % 4) for i in range(4)] + [(i, (i + 2) % 4) for i in range(4)]
-    return DiGraph(4, arcs, arc_colour=["r"] * 4 + ["b"] * 4)
-
-
 def async_percolate(g, seed, thresholds, rng):
     # unordered re-scan engine; must reach the same least fixpoint
+    out = out_lists(g)
     infected = set(seed)
     changed = True
     while changed:
@@ -56,7 +51,7 @@ def async_percolate(g, seed, thresholds, rng):
         rng.shuffle(order)
         for v in order:
             if v not in infected:
-                c = sum(1 for w in g.adjacency()[v] if w in infected)
+                c = sum(1 for w in out[v] if w in infected)
                 if c >= thresholds[v]:
                     infected.add(v)
                     changed = True

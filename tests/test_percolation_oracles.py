@@ -1,30 +1,32 @@
-"""The array rounds of bootstrap_percolate, the integer-threshold spread
-round, the row gather of regular CSRs, the per-sweep coins, the
-per-root search memo and the replay of its levels, the cached CSR
-arrays, the cached
-components, the two fixpoint audits and the super-vertex classification
-against the code they replaced, kept here as the reference: the per-edge
-round loop of bootstrap_percolate (with the list thresholds of
-thm3_process), the float-threshold spread round (which selects arcs by
-the mask repeated by degree), a fresh draw of coins per process, the
-degree set of regular_degree, a fresh spread per process (and from
-the root alone for the replay), a
-breadth-first search per connected_component call, the thm3
-audit's walk over every vertex's neighbours, the thm4 audit's out-boundary over the CSR, the per-vertex
-survivor table, the breadth-first search through an allowed set that
-grew the dead component and the nearly-dead reachable set, and the
-per-vertex edge count of the resilient pairs."""
+"""The array rounds of the threshold spreads, the row gather of regular
+CSRs, the per-sweep coins, the per-root search memo and the replay of its
+levels, the cached CSR arrays and components, the two fixpoint audits and
+the super-vertex classification, each against one reference that reads
+the graph's rows, never the CSR under test:
+
+- every spread (bootstrap_percolate, _spread, _spread_from, thm3_process
+  and thm4_process, given their drawn sets): the per-edge round loop,
+  helpers.ref_bootstrap_percolate;
+- every search (connected_component, reachable_set, the memo's levels,
+  the dead component and the nearly-dead reachable set): the
+  breadth-first search helpers.ref_bfs;
+- regular_degree: the degree set;
+- the thm3 audit: a walk over every vertex's neighbours; the thm4 audit:
+  the out-boundary of vertex_boundary, over the CSR;
+- the classification: the per-vertex survivor table, and the per-vertex
+  edge count of the resilient pairs.
+
+The coin masks are checked against index tuples in test_mask_oracles."""
 
 import dataclasses
 import math
-from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from randcol.colouring import colouring_number, t_core
+from randcol.colouring import t_core
 from randcol.errors import GenerationError, InputError
 from randcol.generators import (
     ConstructionParams,
@@ -38,7 +40,6 @@ from randcol.graphs import (
     Graph,
     _csr,
     _ArcView,
-    _root,
     _search,
     _spread,
     _spread_from,
@@ -58,95 +59,76 @@ from randcol.percolation import (
     thm4_process,
 )
 from randcol.sampling import RngStream
-from helpers import circulant, cycle_graph, ids, mask, pairs, t_core_with_trace
-from test_peel_oracles import ref_colouring_number, ref_t_core_with_trace
+from helpers import (
+    cycle_graph,
+    ids,
+    out_lists,
+    pairs,
+    path_graph,
+    ref_bfs,
+    ref_bootstrap_percolate,
+    regular_graphs,
+)
 
 
 # sparse edge sets up to n = 30 leave isolated vertices in many draws
 graphs = st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), pairs(n) if n else st.just(set())))
-
-THRESHOLDS = (0, 1, 2, 3, 1.5, math.inf)
+digraphs = st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), pairs(n, True) if n else st.just(set())))
 
 
 def masks(size):
     return st.lists(st.booleans(), min_size=size, max_size=size).map(lambda b: np.array(b, dtype=bool))
 
 
-# --- the per-edge loop and BFS reference ----------------------------------------
+def bfs_levels(g, r):
+    """Each vertex's breadth-first level from r, -1 where r does not reach."""
+    level = ref_bfs(out_lists(g), r)
+    return [level.get(v, -1) for v in range(g.n)]
 
 
-def ref_bootstrap_percolate(g, initially_infected, threshold_of):
-    seed = frozenset(initially_infected)
-    for v in seed:
-        if not (0 <= v < g.n):
-            raise InputError(f"seed vertex {v} out of range")
-    thresholds = list(threshold_of)
-    if len(thresholds) != g.n:
-        raise InputError("threshold sequence length must equal vertex count")
-    for v, th in enumerate(thresholds):
-        if th < 0:
-            raise InputError(f"negative threshold at vertex {v}")
-    adj = g.adjacency()
-    infected = set(seed)
-    counts = [0] * g.n
-    trace = [len(seed)]
-    current = seed
-    auto = [v for v in range(g.n) if v not in infected and thresholds[v] <= 0]
-    while True:
-        nxt = set(auto)
-        auto = []
-        for v in current:
-            for w in adj[v]:
-                if w not in infected:
-                    counts[w] += 1
-                    if counts[w] >= thresholds[w]:
-                        nxt.add(w)
-        nxt -= infected
-        if not nxt:
-            break
-        infected |= nxt
-        trace.append(len(nxt))
-        current = nxt
-    return frozenset(infected), tuple(trace)
-
-
-def ref_thm3_process(h, p_protect, r, rng):
-    hit = rng.child("protect").uniforms(h.m) < p_protect
-    protected = frozenset(tuple(e) for e, kept in zip(h.edges.tolist(), hit) if kept)
+def ref_thm3_process(h, r, protected):
+    """thm3's spread from r by the loop, given its protected edges: both
+    ends of each need two infected neighbours, every other vertex one."""
     thresholds = [1] * h.n
-    for a, b in protected:
+    for a, b in h.edges[protected].tolist():
         thresholds[a] = thresholds[b] = 2
-    infected, trace = ref_bootstrap_percolate(h, {r}, thresholds)
-    return infected, trace, protected
+    return ref_bootstrap_percolate(out_lists(h), {r}, thresholds)
 
 
-def ref_connected_component(g, v):
-    adj = g.adjacency()
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        for w in adj[queue.popleft()]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+# --- the threshold spreads -----------------------------------------------------------
 
 
-# --- bootstrap percolation -----------------------------------------------------------
+def spread_thresholds(out, picks):
+    """A threshold per vertex, picks[v] choosing among 0, 1, 1.5, 2, v's
+    in-degree and out-degree, each plus 3, and inf. A vertex counts the
+    arcs into it, so a clamp by the out-degree would show on a digraph."""
+    d_out = np.array([len(heads) for heads in out])
+    d_in = np.bincount(np.array([w for heads in out for w in heads], dtype=np.intp), minlength=len(out))
+    table = np.stack(np.broadcast_arrays(0, 1, 1.5, 2, d_in, d_out, d_in + 3, d_out + 3, math.inf),
+                     axis=1)
+    return table[np.arange(len(out)), np.array(picks, dtype=np.intp)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs, st.data())
+@given(digraphs, st.data())
 def test_bootstrap_matches_edge_loop(case, data):
-    n, edges = case
-    g = Graph(n, edges)
-    vertices = st.integers(0, n - 1) if n else st.nothing()
-    seed = data.draw(st.sets(vertices, max_size=n))
-    thresholds = data.draw(st.lists(st.sampled_from(THRESHOLDS), min_size=n, max_size=n))
-    got = bootstrap_percolate(g, mask(n, seed), thresholds)
-    assert (ids(got.infected), got.round_trace) == ref_bootstrap_percolate(g, seed, thresholds)
-    assert got.infected.dtype == bool and got.infected.shape == (n,)
-    assert all(type(k) is int for k in got.round_trace)
+    """Every example spreads on the Graph and on the DiGraph of one pair
+    set, whose in-degrees differ from its out-degrees, with a list of
+    float thresholds and with the equal intp array, in which inf is a
+    value above the arc count: an intp array reaches the round as it is,
+    with no ceiling and no cap, and such a value never fires."""
+    n, arc_set = case
+    seed = data.draw(masks(n))
+    picks = data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    for g in (Graph(n, {tuple(sorted(a)) for a in arc_set}), DiGraph(n, arc_set)):
+        out = out_lists(g)
+        floats = spread_thresholds(out, picks)
+        ints = np.minimum(np.ceil(floats), 2 * len(arc_set) + 3).astype(np.intp)
+        for thresholds in (floats.tolist(), ints):
+            got = bootstrap_percolate(g, seed, thresholds)
+            assert (ids(got.infected), got.round_trace) == ref_bootstrap_percolate(out, ids(seed), thresholds)
+            assert got.infected.dtype == bool and got.infected.shape == (n,)
+            assert all(type(k) is int for k in got.round_trace)
 
 
 @pytest.mark.parametrize("n", (10, 50, 200))
@@ -155,83 +137,8 @@ def test_thm3_process_matches_edge_loop(n):
         h = random_regular_graph(n, 3, seed)
         for p in (0.0, 0.1, 0.5, 1.0):
             for r in (0, n - 1):
-                stream = RngStream(seed).child("trial", r)
-                got = thm3_process(h, p, r, stream)
-                infected, trace, protected = ref_thm3_process(h, p, r, stream)
-                assert (ids(got.infected), got.round_trace) == (infected, trace)
-                assert set(map(tuple, h.edges[got.protected_edges].tolist())) == protected
-
-
-# --- the integer-threshold spread round ----------------------------------------------------
-
-
-def ref_spread(indptr, indices, seed_mask, thresholds):
-    """The float-threshold round: counts compared against the thresholds
-    as given, newcomers and the infected mask in fresh arrays."""
-    degree = indptr[1:] - indptr[:-1]
-    infected = seed_mask.copy()
-    counts = np.zeros(len(infected), dtype=np.intp)
-    trace = [int(np.count_nonzero(infected))]
-    new = infected
-    while True:
-        counts += np.bincount(indices[new.repeat(degree)], minlength=len(infected))
-        new = (counts >= thresholds) & ~infected
-        size = int(np.count_nonzero(new))
-        if not size:
-            return infected, trace
-        infected |= new
-        trace.append(size)
-
-
-def spread_thresholds(n, degree, data):
-    """Per-vertex thresholds from {0, 1, 1.5, 2, deg, deg + 3, inf}."""
-    picks = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
-    table = np.array([[0, 1, 1.5, 2, d, d + 3, math.inf] for d in degree.tolist()]).reshape(n, 7)
-    return table[np.arange(n), picks]
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs, st.data())
-def test_spread_round_matches_float_thresholds(case, data):
-    n, edges = case
-    g = Graph(n, edges)
-    indptr, indices = g._csr_arrays()
-    seed = data.draw(masks(n))
-    thresholds = spread_thresholds(n, np.diff(indptr), data)
-    infected, trace = _spread(g, seed, thresholds)
-    want, want_trace = ref_spread(indptr, indices, seed, thresholds)
-    assert np.array_equal(infected, want) and trace == want_trace
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs, st.data())
-def test_intp_thresholds_match_their_float_values(case, data):
-    """An intp array reaches the round as it is, with no ceiling and no
-    cap: values above the arc count never fire, as inf does not."""
-    n, edges = case
-    g = Graph(n, edges)
-    seed = data.draw(masks(n))
-    picks = data.draw(st.lists(st.integers(0, 2 * g.m + 3), min_size=n, max_size=n))
-    thresholds = np.array(picks, dtype=np.intp)
-    infected, trace = _spread(g, seed, thresholds)
-    want, want_trace = ref_spread(*g._csr_arrays(), seed, thresholds.astype(float))
-    assert np.array_equal(infected, want) and trace == want_trace
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), arcs(n))), st.data())
-def test_directed_spread_round_matches_float_thresholds(case, data):
-    """In-degrees differ from out-degrees here, so a clamp by the wrong
-    degree would show."""
-    n, arc_list = case
-    h = DiGraph(n, arc_list)
-    indptr, indices = h._csr_arrays()
-    seed = data.draw(masks(n))
-    degree = data.draw(st.sampled_from((np.diff(indptr), np.bincount(indices, minlength=n))))
-    thresholds = spread_thresholds(n, degree, data)
-    infected, trace = _spread(h, seed, thresholds)
-    want, want_trace = ref_spread(indptr, indices, seed, thresholds)
-    assert np.array_equal(infected, want) and trace == want_trace
+                got = thm3_process(h, p, r, RngStream(seed).child("trial", r))
+                assert (ids(got.infected), got.round_trace) == ref_thm3_process(h, r, got.protected_edges)
 
 
 # --- the row gather of regular CSRs --------------------------------------------------------
@@ -245,76 +152,25 @@ def ref_regular_degree(g):
     return degs.pop() if len(degs) == 1 else None
 
 
-def two_out(data, n):
-    """A digraph in which every vertex has two out-arcs; in-degrees vary."""
-    heads = [data.draw(st.lists(st.integers(0, n - 1).filter(lambda w, v=v: w != v),
-                                min_size=2, max_size=2, unique=True)) for v in range(n)]
-    return DiGraph(n, [(v, w) for v in range(n) for w in heads[v]])
-
-
-def regular_case(data):
-    """A CSR with one out-degree: circulants, random regular graphs,
-    2-out and 2-in/2-out digraphs, edgeless graphs and n = 0."""
-    kind = data.draw(st.sampled_from(("circulant", "regular", "two_out", "digraph", "edgeless")))
-    if kind == "circulant":
-        n = data.draw(st.integers(3, 30))
-        return circulant(n, data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4)))
-    if kind == "regular":
-        d = data.draw(st.integers(1, 5))
-        n = data.draw(st.integers(d + 1, 30))
-        n += n * d % 2
-        try:
-            return random_regular_graph(n, d, data.draw(st.integers(0, 20)))
-        except GenerationError:  # no simple pairing in the attempts
-            return circulant(n, range(1, d // 2 + 1))
-    if kind == "two_out":
-        return two_out(data, data.draw(st.integers(3, 30)))
-    if kind == "digraph":
-        return random_two_regular_digraph(data.draw(st.integers(3, 30)), data.draw(st.integers(0, 20)))
-    return Graph(data.draw(st.integers(0, 30)), [])
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_table_spread_matches_the_mask_round(data):
-    g = regular_case(data)
+@given(regular_graphs(), st.data())
+def test_table_spread_matches_the_mask_round(g, data):
     n = g.n
-    indptr, indices = g._csr_arrays()
-    out_degree = np.diff(indptr)
-    d = int(out_degree[0]) if n else 0
-    assert (out_degree == d).all()
+    out = out_lists(g)
+    d = len(out[0]) if n else 0
+    assert all(len(heads) == d for heads in out)
     table = g._arc_view().table
     assert table is None if not d else table.shape == (n, d)
     if isinstance(g, Graph):
         assert g.regular_degree() == ref_regular_degree(g) == d
     seed = data.draw(masks(n))
-    degree = data.draw(st.sampled_from((out_degree, np.bincount(indices, minlength=n))))
-    for thresholds in (spread_thresholds(n, degree, data), 1):
+    picks = data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    for thresholds in (spread_thresholds(out, picks), 1):
         infected, trace = _spread(g, seed, thresholds)
-        want, want_trace = ref_spread(indptr, indices, seed, thresholds)
-        assert np.array_equal(infected, want) and trace == want_trace
+        assert (ids(infected), tuple(trace)) == ref_bootstrap_percolate(out, ids(seed), thresholds)
     inside = data.draw(masks(n))
-    arcs = g.edges.tolist() + g.edges[:, ::-1].tolist() if isinstance(g, Graph) else g.arcs.tolist()
-    boundary = {w for v, w in arcs if inside[v] and not inside[w]}
+    boundary = {w for v in range(n) if inside[v] for w in out[v] if not inside[w]}
     assert ids(vertex_boundary(g, inside)) == boundary
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_table_peel_matches_the_queue_and_the_heap(data):
-    g = regular_case(data)
-    if isinstance(g, DiGraph):
-        g = Graph(g.n, {tuple(sorted(a)) for a in g.arcs.tolist()})  # no longer regular
-    for t in range(g.max_degree() + 3):
-        core, trace, generation = ref_t_core_with_trace(g, t)
-        got_core, got_trace = t_core_with_trace(g, t)
-        assert ids(got_core) == core
-        assert got_trace == tuple(sorted(trace, key=lambda v: (generation[v], v)))
-    num, order = colouring_number(g)
-    assert num == ref_colouring_number(g)
-    pos = {v: i for i, v in enumerate(order.order)}
-    for i, v in enumerate(order.order):
-        assert order.back_degrees[i] == sum(pos[w] < i for w in g.adjacency()[v])
 
 
 @settings(max_examples=100, deadline=None)
@@ -327,28 +183,28 @@ def test_regular_degree_matches_the_degree_set(case):
 # --- the per-sweep coins ---------------------------------------------------------------
 
 
+COIN_GRAPH, COIN_DIGRAPH = random_regular_graph(20, 3, 1), random_two_regular_digraph(30, 1)
+
+
+def drawn_and_floats(graph, p, stream):
+    """The drawn set of graph's process at p from root 0, and the float
+    coins of its stream."""
+    if isinstance(graph, DiGraph):
+        return thm4_process(graph, p, 0, stream).resilient_vertices, stream.child("resilient").uniforms(graph.n)
+    return thm3_process(graph, p, 0, stream).protected_edges, stream.child("protect").uniforms(graph.m)
+
+
 def test_every_process_gets_the_coins_of_its_own_stream_label_and_count():
     """Each call compares a fresh draw; calls that change the stream, the
     label (thm3 against thm4) or the count (graph size) in between get
     their own coins, never the last call's."""
-    small, large = random_regular_graph(20, 3, 1), random_regular_graph(40, 3, 1)
-    dg = random_two_regular_digraph(30, 1)
+    small, large, dg = COIN_GRAPH, random_regular_graph(40, 3, 1), COIN_DIGRAPH
     root = RngStream(0xC015)
-    calls = [
-        (small, 0), (small, 0), (large, 0), (small, 0), (dg, 0), (small, 0), (small, 1), (dg, 1),
-    ]
-    for graph, trial in calls:
-        stream = root.child("trial", trial)
+    for graph, trial in [(small, 0), (small, 0), (large, 0), (small, 0), (dg, 0), (small, 0), (small, 1),
+                         (dg, 1)]:
         for p in (0.0, 0.05, 0.5):
-            if isinstance(graph, DiGraph):
-                state = thm4_process(graph, p, 0, stream)
-                drawn = state.resilient_vertices
-                want = stream.child("resilient").uniforms(graph.n) < p
-            else:
-                state = thm3_process(graph, p, 0, stream)
-                drawn = state.protected_edges
-                want = stream.child("protect").uniforms(graph.m) < p
-            assert np.array_equal(drawn, want)
+            drawn, floats = drawn_and_floats(graph, p, root.child("trial", trial))
+            assert np.array_equal(drawn, floats < p)
 
 
 def test_a_sweep_draws_its_coins_once(monkeypatch):
@@ -365,9 +221,6 @@ def test_a_sweep_draws_its_coins_once(monkeypatch):
     assert all(not mask.flags.writeable for mask in later)
 
 
-COIN_GRAPH, COIN_DIGRAPH = random_regular_graph(20, 3, 1), random_two_regular_digraph(30, 1)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.data())
 def test_word_coins_give_the_masks_of_float_coins(seed, data):
@@ -376,25 +229,17 @@ def test_word_coins_give_the_masks_of_float_coins(seed, data):
     to a coin's variate (that coin is not below it), as floats and as
     Fractions."""
     stream = RngStream(seed).child("trial", 0)
-    for graph, process, label, count, field in (
-        (COIN_GRAPH, thm3_process, "protect", COIN_GRAPH.m, "protected_edges"),
-        (COIN_DIGRAPH, thm4_process, "resilient", COIN_DIGRAPH.n, "resilient_vertices"),
-    ):
-        floats = stream.child(label).uniforms(count)
+    for graph in (COIN_GRAPH, COIN_DIGRAPH):
+        floats = drawn_and_floats(graph, 0.0, stream)[1]
         coin = float(floats[data.draw(st.integers(0, len(floats) - 1))])
         rates = [data.draw(st.floats(0, 1)), coin, np.nextafter(coin, 2.0), Fraction(coin),
                  Fraction(coin) + Fraction(1, 2**80)]
         for p in rates:
-            got = getattr(process(graph, p, 0, stream), field)
+            got = drawn_and_floats(graph, p, stream)[0]
             assert np.array_equal(got, floats < p) and not got.flags.writeable
 
 
 # --- the per-root search memo ------------------------------------------------------------
-
-
-def fresh_search(g, r):
-    infected, trace = ref_spread(*g._csr_arrays(), mask(g.n, {r}), np.ones(g.n))
-    return ids(infected), tuple(trace)
 
 
 def test_unprotected_processes_equal_a_fresh_spread():
@@ -408,7 +253,8 @@ def test_unprotected_processes_equal_a_fresh_spread():
         ):
             for r in (0, 17, 59):
                 state = process(graph, 0.0, r, stream)
-                assert (ids(state.infected), state.round_trace) == fresh_search(graph, r)
+                assert (ids(state.infected), state.round_trace) == ref_bootstrap_percolate(
+                    out_lists(graph), {r}, 1)
                 assert state.infected is process(graph, 0.0, r, stream).infected
                 # the drawn set is the process's own, not the memo's
                 assert not getattr(state, drawn).any()
@@ -451,22 +297,6 @@ def test_memo_masks_are_read_only():
     assert h._searches[5][2] is None and dg._searches[3][2] is None
 
 
-def ref_levels(g, r):
-    """Breadth-first level of each vertex from r along the CSR, -1 where
-    r does not reach."""
-    indptr, indices = g._csr_arrays()
-    level = [-1] * g.n
-    level[r] = 0
-    queue = deque([r])
-    while queue:
-        v = queue.popleft()
-        for w in indices[indptr[v]:indptr[v + 1]].tolist():
-            if level[w] == -1:
-                level[w] = level[v] + 1
-                queue.append(w)
-    return level
-
-
 def test_processes_with_a_drawn_set_never_read_the_memo():
     # the name predates the replay: a process with a drawn set now reads
     # its root's memoised levels and replays them up to the first level
@@ -481,16 +311,13 @@ def test_processes_with_a_drawn_set_never_read_the_memo():
     for graph in (h, dg):
         # one levelled search of the root, as a fresh search finds it
         (root, (found, trace, levels)), = graph._searches.items()
-        assert root == 0 and (ids(found), trace) == fresh_search(graph, 0)
-        assert np.where(found, levels, -1).tolist() == ref_levels(graph, 0)
+        assert root == 0 and (ids(found), trace) == ref_bootstrap_percolate(out_lists(graph), {0}, 1)
+        assert np.where(found, levels, -1).tolist() == bfs_levels(graph, 0)
         assert not levels.flags.writeable
-    infected, trace, _ = ref_thm3_process(h, 1.0, 0, stream)
-    assert (ids(three.infected), three.round_trace) == (infected, trace)
-    want, want_trace = ref_spread(
-        *dg._csr_arrays(), _root(30, 0), np.where(four.resilient_vertices, math.inf, 1)
-    )
+    assert (ids(three.infected), three.round_trace) == ref_thm3_process(h, 0, three.protected_edges)
+    want = ref_bootstrap_percolate(out_lists(dg), {0}, np.where(four.resilient_vertices, math.inf, 1))
     assert four.resilient_vertices.any()
-    assert np.array_equal(four.infected, want) and four.round_trace == tuple(want_trace)
+    assert (ids(four.infected), four.round_trace) == want
     # a component's entry gains its levels when a process replays from
     # its root, and keeps its mask
     comp = connected_component(h, 7)
@@ -498,8 +325,7 @@ def test_processes_with_a_drawn_set_never_read_the_memo():
     for p in (0.0, 0.05, 0.3):
         got = thm3_process(h, p, 7, stream)
         assert h._searches[7][0] is comp and h._searches[7][2] is not None
-        infected, trace, _ = ref_thm3_process(h, p, 7, stream)
-        assert (ids(got.infected), got.round_trace) == (infected, trace)
+        assert (ids(got.infected), got.round_trace) == ref_thm3_process(h, 7, got.protected_edges)
 
 
 # --- the replay of the memoised search ------------------------------------------------
@@ -515,13 +341,8 @@ def spread_from(g, r, thresholds):
 
 def check_replay(g, r, thresholds):
     infected, trace = spread_from(g, r, thresholds)
-    want, want_trace = ref_spread(*g._csr_arrays(), mask(g.n, {r}), thresholds)
-    assert np.array_equal(infected, want) and trace == tuple(want_trace)
+    assert (ids(infected), trace) == ref_bootstrap_percolate(out_lists(g), {r}, thresholds)
     assert not infected.flags.writeable
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def disjoint(*parts):
@@ -563,7 +384,7 @@ def test_replay_matches_a_fresh_spread(case, data):
                                              min_size=g.n, max_size=g.n)), dtype=float)
     # one vertex of each class the replay treats apart: the root, the
     # first level and the vertices the root does not reach
-    level = ref_levels(g, r)
+    level = bfs_levels(g, r)
     for spot in ([r], [v for v in range(g.n) if level[v] == 1], [v for v in range(g.n) if level[v] < 0]):
         if spot:
             thresholds[data.draw(st.sampled_from(spot))] = data.draw(st.sampled_from((0, 2, math.inf)))
@@ -590,8 +411,7 @@ def test_a_scalar_threshold_replays_as_the_equal_array(case, data):
         assert np.array_equal(got[0], same[0]) and got[1] == same[1]
         thresholds = np.ones(g.n)
         thresholds[hit[hit != r]] = value
-        want, want_trace = ref_spread(*g._csr_arrays(), mask(g.n, {r}), thresholds)
-        assert np.array_equal(got[0], want) and got[1] == tuple(want_trace)
+        assert (ids(got[0]), got[1]) == ref_bootstrap_percolate(out_lists(g), {r}, thresholds)
 
 
 def test_replay_rules():
@@ -665,7 +485,7 @@ def test_csr_lists_the_adjacency(case):
     indptr, indices = g._csr_arrays()
     assert indptr.shape == (n + 1,) and indices.shape == (2 * g.m,)
     assert indptr[0] == 0
-    assert [tuple(indices[indptr[v]:indptr[v + 1]].tolist()) for v in range(n)] == list(g.adjacency())
+    assert [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(n)] == list(map(sorted, out_lists(g)))
     assert g._csr_arrays()[0] is indptr and g._csr_arrays()[1] is indices
 
 
@@ -687,8 +507,9 @@ def test_components_in_any_call_order(case, data):
     g = Graph(n, edges)
     order = data.draw(st.permutations(range(n)))
     got = {v: connected_component(g, v) for v in order}
+    out = out_lists(g)
     for v in range(n):
-        assert ids(got[v]) == ref_connected_component(g, v)
+        assert ids(got[v]) == frozenset(ref_bfs(out, v))
         assert connected_component(g, v) is got[v]
 
 
@@ -701,11 +522,8 @@ def ref_thm3_fixpoint_violations(h, state):
         for a, b in h.edges[state.protected_edges].tolist():
             thresholds[a] = thresholds[b] = 2
     infected = ids(state.infected)
-    return [
-        v for v in range(h.n)
-        if v not in infected
-        and sum(1 for w in h.adjacency()[v] if w in infected) >= thresholds[v]
-    ]
+    out = out_lists(h)
+    return [v for v in range(h.n) if v not in infected and sum(w in infected for w in out[v]) >= thresholds[v]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -737,14 +555,6 @@ def ref_thm4_fixpoint_violations(h, state):
     """The out-boundary of the fixpoint over the CSR, minus R."""
     blocked = frozenset() if state.resilient_vertices is None else ids(state.resilient_vertices)
     return sorted(ids(vertex_boundary(h, state.infected)) - blocked)
-
-
-def arcs(n):
-    arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda a: a[0] != a[1])
-    return st.lists(arc, max_size=3 * n, unique=True)
-
-
-digraphs = st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), arcs(n) if n else st.just([])))
 
 
 @settings(max_examples=200, deadline=None)
@@ -842,26 +652,6 @@ def ref_survivor_table(core, layout):
     return table
 
 
-def ref_bfs_levels(adj, root, allowed=None):
-    seen = {root}
-    level = [root]
-    while level:
-        yield level
-        nxt = []
-        for u in level:
-            for w in adj[u]:
-                if w not in seen and (allowed is None or w in allowed):
-                    seen.add(w)
-                    nxt.append(w)
-        level = nxt
-
-
-def ref_reached(adj, root, allowed=None):
-    """Breadth-first from root over the neighbour lists adj, entering only
-    `allowed` past the root, which is always in."""
-    return frozenset(v for level in ref_bfs_levels(adj, root, allowed) for v in level)
-
-
 def status_of(cls):
     """Each super-vertex's most specific class."""
     return tuple(
@@ -880,7 +670,7 @@ def check_classification(g_half, layout, t, h):
     assert cls.surviving_count.tolist() == table
     assert cls.surviving_count.dtype.kind == "i"
     assert ids(cls.dead) == dead
-    assert ids(cls.dead_component) == ref_reached(h.adjacency(), root, dead)
+    assert ids(cls.dead_component) == frozenset(ref_bfs(out_lists(h), root, dead))
     return table
 
 
@@ -920,11 +710,10 @@ def test_classification_matches_the_loop_on_gadgets():
 def ref_resilient(edge_graph, layout, params):
     k, s = params.k, params.s
 
+    out = out_lists(edge_graph)
+
     def edges_into_layer(vertex, super_v, layer):
-        return sum(
-            1 for w in edge_graph.adjacency()[vertex]
-            if layout.h_vertex_of(w) == super_v and layout.layer_of(w) == layer
-        )
+        return sum(1 for w in out[vertex] if layout.h_vertex_of(w) == super_v and layout.layer_of(w) == layer)
 
     resilient = []
     for v in range(layout.n_super):
@@ -983,9 +772,7 @@ def test_resilient_pairs_match_the_loop(k, s):
 
 def test_boundary_audit_matches_the_search():
     gadget, base, g, layout = gadget_case(12, 3, 20, 0)
-    out = [[] for _ in range(base.n)]
-    for a, b in base.arcs.tolist():
-        out[a].append(b)
+    out = out_lists(base)
     sizes, violations = set(), set()
     for t, seed in ((3, 0), (3, 1), (3, 2), (6, 0), (6, 1)):
         params = dataclasses.replace(gadget, t=t)
@@ -994,7 +781,7 @@ def test_boundary_audit_matches_the_search():
         cls = resilient_pair_detect(final, layout, params, edge_graph=round2)
         for root in range(0, base.n, 3):
             report = boundary_resilience_audit(base, layout, params, final, round2, root)
-            t_set = ref_reached(out, root, ids(cls.nearly_dead))
+            t_set = frozenset(ref_bfs(out, root, ids(cls.nearly_dead)))
             boundary = frozenset(w for v in t_set for w in out[v]) - t_set
             assert ids(report.reachable_nearly_dead) == t_set
             assert ids(report.boundary) == boundary
@@ -1058,8 +845,9 @@ def test_dead_components_do_not_depend_on_the_memo(case, m, seed, data):
     table = ref_survivor_table(ids(t_core(half, t)), layout)
     dead = {v for v, row in enumerate(table) if sum(row) == 0}
     p = data.draw(st.sampled_from((0.0, 0.2, 0.6, 1.0)), "p")
+    out = out_lists(h)
     for root in range(h.n):
-        want = ref_reached(h.adjacency(), root, dead)
+        want = frozenset(ref_bfs(out, root, dead))
         for memo in MEMO:
             base = held(h, root, memo, p)
             found = classify_supervertices_thm3(half, layout, t, root=root, h=base).dead_component
@@ -1087,12 +875,10 @@ def test_nearly_dead_reach_does_not_depend_on_the_memo(case, seed, data):
     round2 = patchy_sample(g, layout, seed)
     final = patchy_sample(round2, layout, seed + 1)
     nearly_dead = ids(resilient_pair_detect(final, layout, params, edge_graph=round2).nearly_dead)
-    out = [[] for _ in range(base.n)]
-    for a, b in base.arcs.tolist():
-        out[a].append(b)
+    out = out_lists(base)
     p = data.draw(st.sampled_from((0.0, 0.2, 0.6, 1.0)), "p")
     for root in range(base.n):
-        want = ref_reached(out, root, nearly_dead)
+        want = frozenset(ref_bfs(out, root, nearly_dead))
         for memo in MEMO:
             h = held(base, root, memo, p)
             found = boundary_resilience_audit(h, layout, params, final, round2, root)

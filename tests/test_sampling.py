@@ -21,7 +21,7 @@ from randcol.sampling import (
     two_round_sample,
 )
 
-from helpers import _aliases_int, complete_graph, subgraph_from_uniforms
+from helpers import _aliases_int, complete_graph
 
 
 def edge_set(g):
@@ -189,17 +189,15 @@ def test_sample_rate_matches_p():
 def test_coupling_is_monotone(seed, p1, p2):
     p1, p2 = sorted((p1, p2))
     g = complete_graph(9)
-    u = RngStream(seed).child("edges").uniforms(g.m)
-    low = subgraph_from_uniforms(g, u, p1)
-    high = subgraph_from_uniforms(g, u, p2)
-    assert edge_set(low) <= edge_set(high)
+    stream = RngStream(seed).child("edges")
+    assert edge_set(sample_subgraph(g, p1, stream)) <= edge_set(sample_subgraph(g, p2, stream))
 
 
 def test_coupled_family_is_nested():
     g = complete_graph(12)
     ps = [0.1, 0.25, 0.5, 0.75, 1.0]
-    u = RngStream(23).child("edges").uniforms(g.m)
-    subs = [subgraph_from_uniforms(g, u, p) for p in ps]
+    stream = RngStream(23).child("edges")
+    subs = [sample_subgraph(g, p, stream) for p in ps]
     for small, big in zip(subs, subs[1:]):
         assert edge_set(small) <= edge_set(big)
     assert subs[-1] == g
@@ -209,8 +207,6 @@ def test_bad_probability_rejected():
     g = complete_graph(4)
     with pytest.raises(InputError):
         sample_subgraph(g, 1.5, RngStream(0))
-    with pytest.raises(InputError):
-        subgraph_from_uniforms(g, np.zeros(2), 0.5)
 
 
 @pytest.mark.parametrize("p", [True, False, float("nan"), "0.5", None])
@@ -219,8 +215,6 @@ def test_probability_that_is_not_a_number_in_range_is_rejected(p):
     g = complete_graph(4)
     with pytest.raises(InputError, match="probability"):
         sample_subgraph(g, p, RngStream(0))
-    with pytest.raises(InputError, match="probability"):
-        subgraph_from_uniforms(g, np.zeros(g.m), p)
 
 
 def ref_check_probability(p):
@@ -369,14 +363,6 @@ def test_sampling_a_digraph_is_an_input_error(sample):
     digraph = DiGraph(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(InputError, match="needs a Graph, got a DiGraph"):
         sample(digraph)
-
-
-def test_uniform_at_takes_below_or_words_not_both():
-    stream = RngStream(2)
-    with pytest.raises(InputError, match="not both"):
-        stream.uniform_at(np.arange(5), below=0.5, words=True)
-    with pytest.raises(InputError, match="not both"):
-        stream.uniforms(5, "a", below=0.5, words=True)
 
 
 def test_two_round_samples_stay_frozen_dataclasses():

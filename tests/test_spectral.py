@@ -18,17 +18,7 @@ from randcol.spectral import (
     verify_vertex_expansion,
 )
 
-from helpers import complete_graph, petersen
-
-
-def circulant(n, offsets):
-    edges = set()
-    for i in range(n):
-        for off in offsets:
-            j = (i + off) % n
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-    return Graph(n, sorted(edges))
+from helpers import circulant, complete_graph, petersen
 
 
 def complete_digraph(n, shift=0):

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randcol
-from randcol.graphs import Graph, complete_graph
-from randcol.harness import ExperimentConfig, _trial_prefix, trial_stream
+from randcol import harness
+from randcol.graphs import complete_graph
+from randcol.harness import ExperimentConfig, _trial_prefix, build_graph, trial_stream
 from randcol.errors import InputError
 from randcol.sampling import (
     RngStream,
@@ -32,7 +33,7 @@ from randcol.sampling import (
     two_round_sample,
 )
 
-from helpers import _aliases_int, subgraph_from_uniforms
+from helpers import _aliases_int, path_graph, ref_subgraph_from_uniforms
 
 
 def ref_key(master_seed, path) -> int:
@@ -103,10 +104,6 @@ def test_block_rows_equal_the_separate_draws(seed, path, rows, count):
         assert np.array_equal(stream.uniforms(count), ref_uniforms(seed, path, count))
 
 
-def path_graph(m: int) -> Graph:
-    return Graph(m + 1, [(i, i + 1) for i in range(m)])
-
-
 rates = st.one_of(
     st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=1000),
     st.sampled_from([0, Fraction(1, 30), Fraction(1, 2), "1/7", 0.25]),
@@ -116,7 +113,7 @@ rates = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 80), rates, seeds, st.lists(labels, max_size=2).map(tuple))
 def test_two_round_hits_equal_the_two_draw_sample(m, rate, seed, path):
-    g = path_graph(m)
+    g = path_graph(m + 1)
     sample = two_round_sample(g, rate, RngStream(seed).child(*path))
     want1, want2 = ref_two_round_hits(m, rate, seed, path)
     assert np.array_equal(sample.round1_hit, want1)
@@ -205,15 +202,15 @@ word_rates = st.one_of(
        word_rates)
 def test_word_comparison_equals_the_float_comparison(seed, rows, count, rate, other):
     stream = RngStream(seed).child("w")
-    assert np.array_equal(stream.uniforms(count, *rows, below=rate),
-                          stream.uniforms(count, *rows) < rate)
+    words = stream.uniforms(count, *rows, words=True)
+    assert np.array_equal(_below(words, rate), stream.uniforms(count, *rows) < rate)
     if rows:
         # a column: one rate per row
         column = np.array([rate, other] * len(rows))[:len(rows), None]
-        assert np.array_equal(stream.uniforms(count, *rows, below=column),
-                              stream.uniforms(count, *rows) < column)
+        assert np.array_equal(_below(words, column), stream.uniforms(count, *rows) < column)
     idx = np.arange(count, dtype=np.int64)[::-1].reshape(-1, 1)
-    assert np.array_equal(stream.uniform_at(idx, below=rate), stream.uniform_at(idx) < rate)
+    assert np.array_equal(_below(stream.uniform_at(idx, words=True), rate),
+                          stream.uniform_at(idx) < rate)
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,7 +254,7 @@ def test_sample_subgraph_keeps_the_masks_of_the_float_path(seed, p, n):
     # the float path compares each float variate with p itself, so a
     # Fraction compares exactly there as well
     g, stream = complete_graph(n), RngStream(seed).child("edges")
-    assert sample_subgraph(g, p, stream) == subgraph_from_uniforms(g, stream.uniforms(g.m), p)
+    assert sample_subgraph(g, p, stream) == ref_subgraph_from_uniforms(g, stream.uniforms(g.m), p)
 
 
 # --- the cached parts of a draw: offsets per count, label bytes, limits ---------
@@ -277,7 +274,7 @@ def test_cached_draws_equal_the_separate_passes(seed, path, count, rows, rate):
     assert words.dtype == np.uint64 and np.array_equal(words, np.asarray(want).reshape(words.shape))
     assert np.array_equal(stream.uniforms(count, *rows), want_u.reshape(words.shape))
     r = float(Fraction(rate))
-    assert np.array_equal(stream.uniforms(count, *rows, below=r), want_u.reshape(words.shape) < r)
+    assert np.array_equal(_below(words, r), want_u.reshape(words.shape) < r)
     # both rounds as one block, against the two separate draws
     limit = _round_rates(*Fraction(rate).as_integer_ratio())[1]
     block = stream.uniforms(count, "round1", "round2", words=True) < limit
@@ -365,3 +362,13 @@ def test_every_cache_in_the_package_is_bounded():
                 found[f"{info.name}.{name}"] = value.cache_info().maxsize
     assert {"percolation._coins", "harness._trial_prefix"} <= set(found)
     assert all(size is not None and 1 <= size <= 64 for size in found.values()), found
+    # the build cache is a dict: past its bound, each miss evicts the oldest
+    # entry, and a hit returns the cached graph
+    assert 1 <= harness._BUILD_CACHE_SIZE <= 64
+    recipes = [{"kind": "cycle", "n": n} for n in range(3, harness._BUILD_CACHE_SIZE + 5)]
+    keys = [harness._build_key(recipe, None) for recipe in recipes]
+    for key in keys:  # built by other tests, they would be hits
+        harness._BUILD_CACHE.pop(key, None)
+    built = [build_graph(recipe) for recipe in recipes]
+    assert list(harness._BUILD_CACHE) == keys[2:]
+    assert build_graph(recipes[-1]) is built[-1]

@@ -17,7 +17,7 @@ import pytest
 from randcol.graphs import Graph
 from randcol.harness import ExperimentConfig
 from randcol.percolation import thm3_process
-from randcol.sampling import RngStream
+from randcol.sampling import RngStream, _below
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -104,8 +104,8 @@ def test_every_draw_is_counted(installed):
     assert drawn() == 2 * g.m + 11
     sampling.sample_subgraph(g, 0.5, RngStream(5))
     assert drawn() == 3 * g.m + 11
-    # a draw compared on the words returns booleans, counted all the same
-    hits = RngStream(6).uniforms(13, "a", "b", below=0.25)
+    # a draw of words, compared later, is counted all the same
+    hits = _below(RngStream(6).uniforms(13, "a", "b", words=True), 0.25)
     assert hits.dtype == bool and drawn() == 3 * g.m + 11 + 26
     calls = {installed.names[i] for i in installed.name}
     assert {"sampling.two_round_sample", "sampling.uniform_at"} <= calls

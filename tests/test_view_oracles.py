@@ -12,38 +12,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randcol.colouring import _neighbour_masks, colouring_number, t_core
-from randcol.errors import GenerationError, InputError
-from randcol.generators import blow_up, random_regular_graph
+from randcol.errors import InputError
+from randcol.generators import blow_up
 from randcol.graphs import Graph, _csr, connected_component, vertex_boundary
 from randcol.percolation import bootstrap_percolate
 
-from helpers import circulant, pairs, t_core_with_trace
-from test_graph_array_oracles import RefGraph
+from helpers import RefGraph, circulant, pairs, regular_graphs, t_core_with_trace
 
 
 def parent_graph(data):
     """Random graphs (rarely regular), regular ones with d > 0 (circulants,
     random regular graphs and blow-ups), and edgeless ones, n = 0 among
     them (d = 0)."""
-    kind = data.draw(st.sampled_from(("random", "circulant", "regular", "blow_up", "edgeless")))
+    # three draws in five are regular: circulants, random regular graphs
+    # or edgeless graphs, a fifth each
+    kind = data.draw(st.sampled_from(("random", "blow_up", "regular", "regular", "regular")))
     if kind == "random":
         n = data.draw(st.integers(0, 25))
         return Graph(n, data.draw(pairs(n)) if n else [])
-    if kind == "circulant":
-        n = data.draw(st.integers(3, 25))
-        return circulant(n, data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4)))
-    if kind == "regular":
-        d = data.draw(st.integers(1, 5))
-        n = data.draw(st.integers(d + 1, 25))
-        n += n * d % 2
-        try:
-            return random_regular_graph(n, d, data.draw(st.integers(0, 20)))
-        except GenerationError:  # no simple pairing in the attempts
-            return circulant(n, range(1, d // 2 + 1))
     if kind == "blow_up":
         base = circulant(data.draw(st.integers(3, 7)), (1,))
         return blow_up(base, data.draw(st.integers(1, 3)))[0]
-    return Graph(data.draw(st.integers(0, 10)), [])
+    return data.draw(regular_graphs(directed=False))
 
 
 def edge_mask(data, m):
@@ -71,8 +61,6 @@ def test_view_csr_and_value_match_the_materialised_graph(data):
     indptr, indices = sub._csr_arrays()
     want_indptr, want_indices = _csr(ref.n, *ref._arc_rows())
     assert np.array_equal(indptr, want_indptr) and np.array_equal(indices, want_indices)
-    assert np.array_equal(indptr, ref._csr_arrays()[0])
-    assert np.array_equal(indices, ref._csr_arrays()[1])
     assert not indptr.flags.writeable and not indices.flags.writeable
     assert sub == ref and hash(sub) == hash(ref) and repr(sub) == repr(ref)
     assert sub.m == ref.m and np.array_equal(sub.edges, ref.edges)
