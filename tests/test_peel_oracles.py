@@ -1,8 +1,9 @@
 """The threshold peel and the vectorised stub pairing against the code
 they replaced, kept as the reference: the lazy-deletion heap of
 colouring_number and the queue peel of t_core_with_trace (both in
-helpers), on random and regular graphs, and here the per-stub rejection
-loops of both configuration-model generators."""
+helpers), on random graphs (regular ones in test_percolation_oracles),
+and here the per-stub rejection loops of both configuration-model
+generators."""
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from helpers import (
     out_lists,
     ref_colouring_number,
     ref_t_core_with_trace,
-    regular_graphs,
     t_core_with_trace,
 )
 
@@ -36,20 +36,11 @@ def pairs(n):
 graphs = st.integers(0, 25).flatmap(lambda n: st.tuples(st.just(n), pairs(n) if n else st.just(set())))
 
 
-def undirected(g):
-    """g, or for a digraph the graph of its arcs (no longer regular)."""
-    return Graph(g.n, {tuple(sorted(a)) for a in g.arcs.tolist()}) if isinstance(g, DiGraph) else g
-
-
-# random graphs, and regular ones, whose peel reads the (n, d) table
-peel_graphs = st.one_of(graphs.map(lambda case: Graph(*case)), regular_graphs().map(undirected))
-
-
 # --- the heap and queue peels ------------------------------------------------------
 
 
-@settings(max_examples=300, deadline=None)
-@given(peel_graphs)
+@settings(max_examples=150, deadline=None)
+@given(graphs.map(lambda case: Graph(*case)))
 def test_t_core_and_trace_match_queue_peel(g):
     # the array peel removes a whole generation of the queue's cascade
     # per round, in ascending id: the same trace up to order inside a
@@ -60,8 +51,8 @@ def test_t_core_and_trace_match_queue_peel(g):
         assert (ids(got_core), got_trace) == (core, tuple(sorted(trace, key=lambda v: (generation[v], v))))
 
 
-@settings(max_examples=300, deadline=None)
-@given(peel_graphs)
+@settings(max_examples=150, deadline=None)
+@given(graphs.map(lambda case: Graph(*case)))
 def test_colouring_number_matches_heap_peel(g):
     num, order = colouring_number(g)
     assert num == ref_colouring_number(g)

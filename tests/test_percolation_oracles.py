@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from randcol.colouring import t_core
+from randcol.colouring import colouring_number, t_core
 from randcol.errors import GenerationError, InputError
 from randcol.generators import (
     ConstructionParams,
@@ -67,7 +67,10 @@ from helpers import (
     path_graph,
     ref_bfs,
     ref_bootstrap_percolate,
+    ref_colouring_number,
+    ref_t_core_with_trace,
     regular_graphs,
+    t_core_with_trace,
 )
 
 
@@ -109,26 +112,62 @@ def spread_thresholds(out, picks):
     return table[np.arange(len(out)), np.array(picks, dtype=np.intp)]
 
 
+def intp_values(out, thresholds):
+    """The equal intp array of float thresholds, inf a value above the
+    arc count."""
+    return np.minimum(np.ceil(thresholds), sum(map(len, out)) + 3).astype(np.intp)
+
+
+def assert_spread_matches_the_loop(g, seed, thresholds, want_thresholds):
+    got = bootstrap_percolate(g, seed, thresholds)
+    assert (ids(got.infected), got.round_trace) == ref_bootstrap_percolate(out_lists(g), ids(seed), want_thresholds)
+    assert got.infected.dtype == bool and got.infected.shape == (g.n,)
+    assert all(type(k) is int for k in got.round_trace)
+
+
+def spread_case(case, data, graph_type=Graph):
+    """A graph of the drawn pairs, a seed mask, and its vertices' float
+    thresholds."""
+    n, pair_set = case
+    g = graph_type(n, pair_set)
+    picks = data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    return g, data.draw(masks(n)), spread_thresholds(out_lists(g), picks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs, st.data())
+def test_bootstrap_matches_edge_loop(case, data):
+    g, seed, thresholds = spread_case(case, data)
+    assert_spread_matches_the_loop(g, seed, thresholds.tolist(), thresholds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs, st.data())
+def test_spread_round_matches_float_thresholds(case, data):
+    """_spread itself, given the float array that bootstrap_percolate
+    would pass it."""
+    g, seed, thresholds = spread_case(case, data)
+    infected, trace = _spread(g, seed, thresholds)
+    assert (ids(infected), tuple(trace)) == ref_bootstrap_percolate(out_lists(g), ids(seed), thresholds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs, st.data())
+def test_intp_thresholds_match_their_float_values(case, data):
+    """An intp array reaches the round as it is, with no ceiling and no
+    cap: values above the arc count never fire, as inf does not."""
+    g, seed, thresholds = spread_case(case, data)
+    assert_spread_matches_the_loop(g, seed, intp_values(out_lists(g), thresholds), thresholds)
+
+
 @settings(max_examples=200, deadline=None)
 @given(digraphs, st.data())
-def test_bootstrap_matches_edge_loop(case, data):
-    """Every example spreads on the Graph and on the DiGraph of one pair
-    set, whose in-degrees differ from its out-degrees, with a list of
-    float thresholds and with the equal intp array, in which inf is a
-    value above the arc count: an intp array reaches the round as it is,
-    with no ceiling and no cap, and such a value never fires."""
-    n, arc_set = case
-    seed = data.draw(masks(n))
-    picks = data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
-    for g in (Graph(n, {tuple(sorted(a)) for a in arc_set}), DiGraph(n, arc_set)):
-        out = out_lists(g)
-        floats = spread_thresholds(out, picks)
-        ints = np.minimum(np.ceil(floats), 2 * len(arc_set) + 3).astype(np.intp)
-        for thresholds in (floats.tolist(), ints):
-            got = bootstrap_percolate(g, seed, thresholds)
-            assert (ids(got.infected), got.round_trace) == ref_bootstrap_percolate(out, ids(seed), thresholds)
-            assert got.infected.dtype == bool and got.infected.shape == (n,)
-            assert all(type(k) is int for k in got.round_trace)
+def test_directed_spread_round_matches_float_thresholds(case, data):
+    """In-degrees differ from out-degrees here, so a clamp by the wrong
+    degree would show; floats and their intp values."""
+    g, seed, thresholds = spread_case(case, data, DiGraph)
+    for given_thresholds in (thresholds.tolist(), intp_values(out_lists(g), thresholds)):
+        assert_spread_matches_the_loop(g, seed, given_thresholds, thresholds)
 
 
 @pytest.mark.parametrize("n", (10, 50, 200))
@@ -171,6 +210,25 @@ def test_table_spread_matches_the_mask_round(g, data):
     inside = data.draw(masks(n))
     boundary = {w for v in range(n) if inside[v] for w in out[v] if not inside[w]}
     assert ids(vertex_boundary(g, inside)) == boundary
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_graphs().map(
+    lambda g: Graph(g.n, {tuple(sorted(a)) for a in g.arcs.tolist()}) if isinstance(g, DiGraph) else g))
+def test_table_peel_matches_the_queue_and_the_heap(g):
+    """The peels of regular graphs, which read the (n, d) table, against
+    the queue and heap references (a digraph as the graph of its arcs, no
+    longer regular)."""
+    for t in range(g.max_degree() + 3):
+        core, trace, generation = ref_t_core_with_trace(g, t)
+        got_core, got_trace = t_core_with_trace(g, t)
+        assert (ids(got_core), got_trace) == (core, tuple(sorted(trace, key=lambda v: (generation[v], v))))
+    num, order = colouring_number(g)
+    assert num == ref_colouring_number(g)
+    out = out_lists(g)
+    pos = {v: i for i, v in enumerate(order.order)}
+    for i, v in enumerate(order.order):
+        assert order.back_degrees[i] == sum(pos[w] < i for w in out[v])
 
 
 @settings(max_examples=100, deadline=None)
