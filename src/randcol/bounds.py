@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import InputError
 from .generators import ConstructionParams
 from .graphs import _is_integer
+from .sampling import _check_probability
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,11 @@ class BoundConstants:
 
 def binom_tail_geq(n: int, q, x) -> float:
     """Upper tail P(Binom(n, q) >= x) as scipy's bdtrc(ceil(x) - 1, n, q), so a
-    fractional x starts the sum at ceil(x); n must be an integer, which bdtrc floors."""
+    fractional x starts the sum at ceil(x); n must be an integer, which bdtrc
+    floors, and q a probability (sampling._check_probability)."""
     if not (_is_integer(n) and n >= 0):
         raise InputError(f"n must be a non-negative integer, got {n!r}")
-    if not 0 <= q <= 1:
-        raise InputError("q must lie in [0, 1]")
+    _check_probability(q)
     if not 0 <= x <= n + 1:
         raise InputError(f"x={x} outside 0..n+1")
     import scipy.special  # here, as in verify.pooled_chi_square, so `import randcol` skips it
@@ -81,10 +82,11 @@ def theorem2_tail_bound(k: int, d: int, constants: BoundConstants | None = None)
 def proposition_lower_bound(p: float, k, n) -> float:
     """Chromatic-number lower bound p*k / (2 ln n) for a p-subgraph of a
     graph whose every subgraph on the same vertices needs k colours."""
-    if not 0 < p <= 1:
+    _check_probability(p)
+    if p == 0:
         raise InputError("p must lie in (0, 1]")
-    if k < 2 or n < 2:
-        raise InputError("k and n must be at least 2")
+    if not (_is_integer(k) and _is_integer(n) and k >= 2 and n >= 2):
+        raise InputError(f"k and n must be integers of at least 2, got {k!r} and {n!r}")
     return p * k / (2 * math.log(n))
 
 

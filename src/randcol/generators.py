@@ -11,18 +11,20 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstructionError, GenerationError, InputError
-from .graphs import DiGraph, Graph, _expect, has_cycle_shorter_than, is_connected
-from .sampling import RngStream, _is_int
+from .graphs import DiGraph, Graph, _expect, _is_integer, has_cycle_shorter_than, is_connected
+from .sampling import RngStream
 from .spectral import SpectralCertificate, second_eigenvalue
 
 REJECTION_CAP = 100
 
 
 def _as_fraction(x, what: str = "alpha") -> Fraction:
-    """x as a Fraction; InputError unless it is a number or a fraction
-    string. Floats are read by their decimal literal (str) so that 0.3
-    means 3/10, not the nearest binary float."""
+    """x as a Fraction; InputError unless it is a number (not a bool) or
+    a fraction string. Floats are read by their decimal literal (str) so
+    that 0.3 means 3/10, not the nearest binary float."""
     try:
+        if isinstance(x, bool):
+            raise TypeError
         return Fraction(str(x) if isinstance(x, float) else x)
     except (TypeError, ValueError, ZeroDivisionError):
         raise InputError(f"bad {what} {x!r}") from None
@@ -40,7 +42,8 @@ class ConstructionParams:
     records whether a run is in-regime instead. A given alpha only has to
     keep both two-round deletion rates inside (0, 1], i.e. 0 < alpha < 3/2,
     and a gadget needs s >= 2. All fields are checked, as config files
-    supply them.
+    supply them, and integer fields are kept as ints (graphs._is_integer
+    admits numpy integers).
     """
 
     mode: str
@@ -56,8 +59,11 @@ class ConstructionParams:
         for name in ("k", "t", "m", "s"):
             value = getattr(self, name)
             # only the gadget has layers, which s counts
-            if not (_is_int(value) or value is None and name == "s" and self.mode != "gadget"):
+            if value is None and name == "s" and self.mode != "gadget":
+                continue
+            if not _is_integer(value):
                 raise InputError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.alpha is not None and not 0 < self.alpha < Fraction(3, 2):
             raise InputError("alpha must lie in (0, 3/2)")
         if self.mode == "gadget" and self.s < 2:
@@ -65,7 +71,7 @@ class ConstructionParams:
 
     @classmethod
     def thm3(cls, k: int, alpha) -> "ConstructionParams":
-        if k <= 0 or k % 3:
+        if not (_is_integer(k) and k > 0 and k % 3 == 0):
             raise InputError("k must be a positive multiple of 3")
         a = _as_fraction(alpha)
         t = k // 3 + math.floor(a * k)
@@ -74,7 +80,7 @@ class ConstructionParams:
     @classmethod
     def thm4(cls, k: int, s: int, alpha=None) -> "ConstructionParams":
         # no positive k is a multiple of 0; __post_init__ rejects s < 2
-        if k <= 0 or not s or k % (2 * s):
+        if not (_is_integer(k) and _is_integer(s) and k > 0 and s and k % (2 * s) == 0):
             raise InputError("k must be a positive multiple of 2s")
         a = None if alpha is None else _as_fraction(alpha)
         m = k // 2 - k // (2 * s)
@@ -100,8 +106,9 @@ class ConstructionParams:
 class BlowUpLayout:
     """Where each blown-up vertex lives: super-vertex of the base graph,
     layer index (1-based; always 1 for the plain blow-up) and position
-    inside its independent set. Ids are arithmetic:
-    v*(layers*m) + (layer-1)*m + position."""
+    inside its independent set. Ids are arithmetic, v*(layers*m) +
+    (layer-1)*m + position, and read only here: h_vertex_of, layer_of
+    and position_of take an id or an array of ids."""
 
     n_super: int
     layers: int

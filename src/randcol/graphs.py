@@ -214,28 +214,23 @@ def _spread(g: "Graph | DiGraph", seed_mask: np.ndarray, thresholds, levels=None
 _FAR = np.iinfo(np.int32).max
 
 
-def _search(g: "Graph | DiGraph", r: int, levelled: bool = False) -> tuple:
+def _search(g: "Graph | DiGraph", r: int) -> tuple:
     """(mask, round trace, levels) of the threshold-1 spread from r along
     g's arcs: the vertices reachable from r, its breadth-first level
-    sizes and, with levelled, each vertex's level as a read-only int32
-    array (_FAR where r does not reach). Memoised on g, one entry per
-    root; the memo is made on first use, since most graphs are never
-    searched. Levels are kept only for the roots that a spread replays
-    from (_spread_from), so an entry that connected_component or
-    reachable_set made holds None and keeps its one mask; asked for
-    later, they come from a second search that keeps the entry's mask
-    and trace."""
+    sizes and each vertex's level as a read-only int32 array (_FAR where
+    r does not reach), which a spread replays from (_spread_from).
+    Memoised on g, one entry per root; the memo is made on first use,
+    since most graphs are never searched."""
     if g._searches is None:
         g._searches = {}
     # checked before the memo is read, so a hit never decides what passes
     key = _vertex(g.n, r)
     entry = g._searches.get(key)
-    if entry is None or levelled and entry[2] is None:
+    if entry is None:
         seed = _root(g.n, key)
-        levels = np.where(seed, 0, _FAR).astype(np.int32) if levelled else None
+        levels = np.where(seed, 0, _FAR).astype(np.int32)
         infected, trace = _spread(g, seed, 1, levels)
-        mask, trace = (_frozen(infected), tuple(trace)) if entry is None else entry[:2]
-        entry = g._searches[key] = mask, trace, levels if levels is None else _frozen(levels)
+        entry = g._searches[key] = _frozen(infected), tuple(trace), _frozen(levels)
     return entry
 
 
@@ -255,7 +250,7 @@ def _spread_from(g: "Graph | DiGraph", r: int, hit: np.ndarray, values) -> tuple
     outside r's component can join, so the spread stops once all of the
     component has joined.
     """
-    mask, trace, levels = _search(g, r, levelled=True)
+    mask, trace, levels = _search(g, r)
     other = hit != r
     if not other.any():
         return mask, trace

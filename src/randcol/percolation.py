@@ -16,7 +16,7 @@ from .generators import BlowUpLayout, ConstructionParams
 from .graphs import (DiGraph, Graph, _expect, _frozen, _sized, _spread, _spread_from, _vertex,
                      vertex_boundary)
 from .colouring import t_core
-from .sampling import RngStream, _below, _check_probability, _indices
+from .sampling import RngStream, _below, _check_probability
 
 
 @dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
@@ -78,7 +78,7 @@ def _coins(rng: RngStream, label: str, count: int) -> np.ndarray:
     read-only, for sampling._below. A sweep runs its process at every p on
     one stream, so only the first p draws them; the one entry holds the
     last stream's coins."""
-    return _frozen(rng.child(label).uniform_at(_indices(count), words=True))
+    return _frozen(rng.child(label).uniforms(count, words=True))
 
 
 def thm3_process(h: Graph, p_protect: float, r: int, rng: RngStream) -> PercolationState:
@@ -243,9 +243,9 @@ def resilient_pair_detect(
     nearly_dead = _frozen(dead | (table[:, 1:s + 2] * s < k).all(axis=1))
     # into[x, j - 1]: edges from vertex x to layer j of its own super-vertex
     a, b = edge_graph._arc_rows()
-    own = a // (layers * layout.m) == b // (layers * layout.m)
+    own = layout.h_vertex_of(a) == layout.h_vertex_of(b)
     into = np.bincount(
-        a[own] * layers + (b[own] // layout.m) % layers, minlength=layout.n_vertices * layers
+        a[own] * layers + layout.layer_of(b[own]) - 1, minlength=layout.n_vertices * layers
     )
     # good[v, lo - 1, hi - 1]: vertices of layer lo of v sending >= k/4 edges into layer hi
     good = (into * 4 >= k).reshape(layout.n_super, layers, layout.m, layers).sum(axis=2)

@@ -29,7 +29,6 @@ _GOLDEN, _MIX1, _MIX2, _ONE, _S11, _S27, _S30, _S31 = (
 )
 _INV53 = np.array(2.0 ** -53)
 _TOP = 1 << 53  # a variate is k * 2^-53 for an integer k in [0, 2^53)
-_MAX = (1 << 64) - 1
 
 # Exactly the strings str() gives for an int: such a label would hash
 # like that int, since keys encode labels with str().
@@ -90,16 +89,9 @@ def _key_of(h) -> int:
 
 
 @lru_cache(maxsize=8)
-def _indices(count: int) -> np.ndarray:
-    """0..count-1 as a read-only uint64 array, shared by every draw of
-    that many variates."""
-    return _frozen(np.arange(count, dtype=np.uint64))
-
-
-@lru_cache(maxsize=8)
 def _offsets(count: int) -> np.ndarray:
-    """(i + 1) * golden over _indices(count), read-only (see uniform_at)."""
-    return _frozen((_indices(count) + _ONE) * _GOLDEN)
+    """(i + 1) * golden for i in range(count), read-only (see uniform_at)."""
+    return _frozen((np.arange(count, dtype=np.uint64) + _ONE) * _GOLDEN)
 
 
 def _word_limit(rate) -> int:
@@ -121,32 +113,19 @@ def _word_limit(rate) -> int:
     return -(-num * _TOP // den) << 11
 
 
-def _below(words: np.ndarray, below) -> np.ndarray:
-    """Whether each word's variate is below the rate or array of rates
-    below, decided on the words (see _word_limit)."""
-    if type(below) is float:
-        limit, full = _limits((), (below,))
-    else:
-        below = np.asarray(below)  # a Fraction stays one, in an object array
-        limit, full = _limits(below.shape, tuple(below.ravel().tolist()))
-    hit = words < limit
-    if full is not None:
-        hit |= full
-    return hit
+def _below(words: np.ndarray, rate) -> np.ndarray:
+    """Whether each word's variate is below rate, decided on the words
+    (see _word_limit)."""
+    limit = _limit(rate)
+    return np.ones(words.shape, dtype=bool) if limit is None else words < limit
 
 
 @lru_cache(maxsize=32)
-def _limits(shape: tuple, rates: tuple):
-    """(limit, full) for rates of that shape, read-only, once per value:
-    a two-round sample passes the same column every time. A variate is
-    below its rate iff its word is below limit or full is set; uint64
-    stops at 2^64 - 1, so a rate whose limit is 2^64 (every word
-    passes) is marked in full, which is None when there are none."""
-    limits = [_word_limit(r) for r in rates]
-    limit = np.array([min(lim, _MAX) for lim in limits], dtype=np.uint64).reshape(shape)
-    full = np.array([lim >> 64 for lim in limits], dtype=bool).reshape(shape)
-    limit.flags.writeable = full.flags.writeable = False
-    return limit, (full if full.any() else None)
+def _limit(rate):
+    """_word_limit(rate) as a read-only 0-d uint64, once per rate; None
+    when it is 2^64, beyond uint64, where every word passes."""
+    limit = _word_limit(rate)
+    return None if limit >> 64 else _frozen(np.array(limit, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -198,7 +177,7 @@ class RngStream:
             raise InputError(f"count must be an int, got {type(count).__name__}")
         if count < 0:
             raise InputError("count must be non-negative")
-        return self.uniform_at(_indices(int(count)), *labels, words=words)
+        return self.uniform_at(range(count), *labels, words=words)
 
     def uniform_at(self, indices, *labels, words=False) -> np.ndarray:
         """The variates at indices. With labels, row j holds those of
@@ -208,9 +187,8 @@ class RngStream:
         exactly against a rate (see _word_limit) without making the
         variates."""
         # splitmix64 of key + (i + 1) * golden, in place once the key is
-        # added; the positions uniforms passes have their offsets cached
-        if (type(indices) is np.ndarray and not indices.flags.writeable
-                and indices.ndim == 1 and indices is _indices(len(indices))):
+        # added; a range from 0, as uniforms passes, has its offsets cached
+        if type(indices) is range and indices.start == 0 and indices.step == 1:
             z = _offsets(len(indices))
         else:
             z = (np.asarray(indices, dtype=np.uint64) + _ONE) * _GOLDEN
@@ -296,12 +274,12 @@ def second_round_rate(first_rate) -> Fraction:
 @lru_cache(maxsize=32)
 def _round_rates(numerator: int, denominator: int) -> tuple[float, np.ndarray]:
     """The first rate as a float and the read-only (2, 1) column of both
-    rates' word limits (as floats; neither exceeds 1/2, so _limits' full
-    is None), computed exactly once per rate. Keyed by the rate's integer
+    rates' exact word limits (neither rate exceeds 1/2, so neither limit
+    leaves uint64), computed once per rate. Keyed by the rate's integer
     ratio, since a Fraction key would hash in pure Python per sample."""
     a1 = Fraction(numerator, denominator)
-    limit, _ = _limits((2, 1), (float(a1), float(second_round_rate(a1))))
-    return float(a1), limit
+    rates = a1, second_round_rate(a1)
+    return float(a1), _frozen(np.array([[_word_limit(r)] for r in rates], dtype=np.uint64))
 
 
 @dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
@@ -334,8 +312,9 @@ class TwoRoundSample:
 
 def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:
     """Delete edges in two independent rounds at rates a and
-    (1/2 - a)/(1 - a); the union of deletions leaves every edge alive
-    with probability exactly 1/2. first_rate is a number or a string
+    (1/2 - a)/(1 - a), each compared exactly (see _word_limit); the
+    union of deletions leaves every edge alive with probability exactly
+    1/2. first_rate is a number or a string
     that Fraction reads."""
     _expect(g, Graph, "two_round_sample")
     a1, limit = _round_rates(*_rate_ratio(first_rate))

@@ -190,6 +190,22 @@ class TestPropositionBound:
         for bad in [(0.0, 10, 10), (1.2, 10, 10), (0.5, 1, 10), (0.5, 10, 1)]:
             with pytest.raises(InputError):
                 proposition_lower_bound(*bad)
+        assert proposition_lower_bound(1, np.int64(30), np.int64(30)) == proposition_lower_bound(1.0, 30, 30)
+
+
+@pytest.mark.parametrize("args", [
+    (binom_tail_geq, 5, "0.5", 2),
+    (binom_tail_geq, 5, True, 2),
+    (proposition_lower_bound, "0.5", 10, 10),
+    (proposition_lower_bound, True, 10, 10),
+    (proposition_lower_bound, 0.5, "10", 10),
+    (proposition_lower_bound, 0.5, 10, "10"),
+    (proposition_lower_bound, 0.5, 10.0, 10),
+], ids=["q-str", "q-bool", "p-str", "p-bool", "k-str", "n-str", "k-float"])
+def test_a_probability_or_size_of_the_wrong_type_is_an_input_error(args):
+    # probabilities follow sampling._check_probability, sizes graphs._is_integer
+    with pytest.raises(InputError):
+        args[0](*args[1:])
 
 
 class TestResilientPairBound:

@@ -217,6 +217,26 @@ def test_params_thm4_errors():
         ConstructionParams.thm4(12, 3, alpha=1.5)
 
 
+def test_params_reject_a_bool_alpha():
+    # True is not the number 1 here, as nowhere in the package
+    with pytest.raises(InputError, match="bad alpha True"):
+        ConstructionParams.thm3(12, True)
+    with pytest.raises(InputError, match="bad alpha True"):
+        ConstructionParams.thm4(12, 2, True)
+
+
+def test_params_store_numpy_integers_as_ints():
+    for got, want in [
+        (ConstructionParams.thm3(np.int64(12), 0.09), ConstructionParams.thm3(12, 0.09)),
+        (ConstructionParams.thm4(np.int64(12), np.int32(3)), ConstructionParams.thm4(12, 3)),
+        (ConstructionParams("gadget", np.uint8(12), np.int64(11), np.int16(4), s=np.int64(3)),
+         ConstructionParams.thm4(12, 3)),
+    ]:
+        assert got == want and got.alpha == want.alpha
+        names = ("k", "t", "m") if got.s is None else ("k", "t", "m", "s")
+        assert all(type(getattr(got, name)) is int for name in names)
+
+
 # --- plain blow-up ----------------------------------------------------------------
 
 

@@ -212,6 +212,8 @@ class TestConfig:
         {"params": {"mode": "expander-blowup", "k": 12, "t": 3, "m": 4, "alpha": "-1/10"},
          "regime_metadata": None},
         {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "s": 0}, "regime_metadata": None},
+        {"params": {"mode": "expander-blowup", "k": 12, "t": 16, "m": 4, "alpha": True},
+         "regime_metadata": None},
         {"graph": {"kind": "martian"}},
         {"graph": "complete"},
         {"graph": {**BLOWUP_RECIPE, "seed": 3}},
@@ -237,7 +239,7 @@ class TestConfig:
             "params-missing-mode", "params-bad-alpha", "params-zero-denominator",
             "params-unknown-mode", "params-k-str", "params-t-float", "params-m-str",
             "params-s-bool", "params-gadget-without-s", "params-alpha-zero",
-            "params-alpha-negative", "params-gadget-s-zero", "recipe-unknown-kind",
+            "params-alpha-negative", "params-gadget-s-zero", "params-alpha-bool", "recipe-unknown-kind",
             "recipe-not-a-dict", "recipe-unknown-field", "recipe-missing-field",
             "recipe-misspelt-base-field", "recipe-base-seed-str", "recipe-m-float", "recipe-base-n-float",
             "recipe-base-d-bool", "recipe-gadget-without-params",

@@ -55,8 +55,8 @@ def ref_two_round_survivors(g, first_rate, stream):
     deleted-index tuples and set rebuilds."""
     a1 = Fraction(first_rate)
     a2 = second_round_rate(a1)
-    hit1 = stream.child("round1").uniforms(g.m) < float(a1)
-    hit2 = stream.child("round2").uniforms(g.m) < float(a2)
+    hit1 = stream.child("round1").uniforms(g.m) < a1
+    hit2 = stream.child("round2").uniforms(g.m) < a2
     round1 = tuple(int(i) for i in np.flatnonzero(hit1))
     round2 = tuple(int(i) for i in np.flatnonzero(hit2 & ~hit1))
     round2_hit = tuple(int(i) for i in np.flatnonzero(hit2))

@@ -345,14 +345,12 @@ def test_memo_masks_are_read_only():
         with pytest.raises(ValueError):
             found[0] = not found[0]
     assert all(not m.flags.writeable for g in (h, dg) for m, _, _ in g._searches.values())
-    # the processes keep the levels of their root, read-only; the
-    # component and reachability searches keep none
-    for g in (h, dg):
-        levels = g._searches[0][2]
+    # every entry keeps the levels of its root, read-only, whichever
+    # search made it
+    for levels in [levels for g in (h, dg) for _, _, levels in g._searches.values()]:
         assert levels.dtype == np.int32 and not levels.flags.writeable
         with pytest.raises(ValueError):
             levels[0] = 1
-    assert h._searches[5][2] is None and dg._searches[3][2] is None
 
 
 def test_processes_with_a_drawn_set_never_read_the_memo():
@@ -367,7 +365,7 @@ def test_processes_with_a_drawn_set_never_read_the_memo():
     three = thm3_process(h, 1.0, 0, stream)
     four = thm4_process(dg, 0.5, 0, stream)
     for graph in (h, dg):
-        # one levelled search of the root, as a fresh search finds it
+        # one search of the root, as a fresh search finds it
         (root, (found, trace, levels)), = graph._searches.items()
         assert root == 0 and (ids(found), trace) == ref_bootstrap_percolate(out_lists(graph), {0}, 1)
         assert np.where(found, levels, -1).tolist() == bfs_levels(graph, 0)
@@ -376,13 +374,13 @@ def test_processes_with_a_drawn_set_never_read_the_memo():
     want = ref_bootstrap_percolate(out_lists(dg), {0}, np.where(four.resilient_vertices, math.inf, 1))
     assert four.resilient_vertices.any()
     assert (ids(four.infected), four.round_trace) == want
-    # a component's entry gains its levels when a process replays from
-    # its root, and keeps its mask
+    # a process replays the entry that a component search made, which
+    # it leaves as it was
     comp = connected_component(h, 7)
-    assert h._searches[7][2] is None
+    entry = h._searches[7]
     for p in (0.0, 0.05, 0.3):
         got = thm3_process(h, p, 7, stream)
-        assert h._searches[7][0] is comp and h._searches[7][2] is not None
+        assert h._searches[7] is entry and entry[0] is comp
         assert (ids(got.infected), got.round_trace) == ref_thm3_process(h, 7, got.protected_edges)
 
 
@@ -447,7 +445,7 @@ def test_replay_matches_a_fresh_spread(case, data):
         if spot:
             thresholds[data.draw(st.sampled_from(spot))] = data.draw(st.sampled_from((0, 2, math.inf)))
     if data.draw(st.booleans()):
-        # the entry of a component or reachability search has no levels yet
+        # the replay reads the entry that a component or reachability search made
         (connected_component if isinstance(g, Graph) else reachable_set)(g, r)
     check_replay(g, r, thresholds)
     found, trace, levels = g._searches[r]
@@ -509,7 +507,7 @@ def test_replay_stops_once_the_component_has_joined(monkeypatch):
     # a cycle 0-...-7 and an edge 8-9 it does not reach; vertex 4, at
     # level 4, needs both neighbours, which the ball of radius 3 holds
     g = disjoint(cycle_graph(8), path_graph(2))
-    _search(g, 0, levelled=True)
+    _search(g, 0)
     calls = rounds_counted(monkeypatch)
     thresholds = np.ones(10)
     thresholds[4] = 2
@@ -523,7 +521,7 @@ def test_replay_runs_to_an_empty_round_when_part_of_the_component_is_left_out(mo
     # vertex 4 of the cycle never joins; the spread only knows that from
     # an empty round
     g = disjoint(cycle_graph(8), path_graph(2))
-    _search(g, 0, levelled=True)
+    _search(g, 0)
     calls = rounds_counted(monkeypatch)
     thresholds = np.ones(10)
     thresholds[4] = math.inf
@@ -910,8 +908,8 @@ def test_dead_components_do_not_depend_on_the_memo(case, m, seed, data):
             base = held(h, root, memo, p)
             found = classify_supervertices_thm3(half, layout, t, root=root, h=base).dead_component
             assert ids(found) == want and not found.flags.writeable
-            # the replay leaves the root's levelled entry in the memo
-            assert base._searches[root][2] is not None
+            # the replay leaves the root's entry in the memo
+            assert root in base._searches
 
 
 gadget_bases = st.one_of(
@@ -942,4 +940,4 @@ def test_nearly_dead_reach_does_not_depend_on_the_memo(case, seed, data):
             found = boundary_resilience_audit(h, layout, params, final, round2, root)
             assert ids(found.reachable_nearly_dead) == want
             assert not found.reachable_nearly_dead.flags.writeable
-            assert h._searches[root][2] is not None
+            assert root in h._searches

@@ -22,9 +22,8 @@ from randcol.errors import InputError
 from randcol.sampling import (
     RngStream,
     _below,
-    _indices,
     _label_part,
-    _limits,
+    _limit,
     _offsets,
     _round_rates,
     _word_limit,
@@ -64,10 +63,11 @@ def ref_uniforms(master_seed, path, count: int) -> np.ndarray:
 
 
 def ref_two_round_hits(m: int, first_rate, master_seed, path):
-    """Both rounds drawn separately from their child streams."""
+    """Both rounds drawn separately from their child streams, each
+    variate compared exactly with its round's Fraction rate."""
     a1 = Fraction(first_rate)
-    hit1 = ref_uniforms(master_seed, path + ("round1",), m) < float(a1)
-    hit2 = ref_uniforms(master_seed, path + ("round2",), m) < float(second_round_rate(a1))
+    hit1 = ref_uniforms(master_seed, path + ("round1",), m) < a1
+    hit2 = ref_uniforms(master_seed, path + ("round2",), m) < second_round_rate(a1)
     return hit1, hit2
 
 
@@ -204,10 +204,9 @@ def test_word_comparison_equals_the_float_comparison(seed, rows, count, rate, ot
     stream = RngStream(seed).child("w")
     words = stream.uniforms(count, *rows, words=True)
     assert np.array_equal(_below(words, rate), stream.uniforms(count, *rows) < rate)
-    if rows:
-        # a column: one rate per row
-        column = np.array([rate, other] * len(rows))[:len(rows), None]
-        assert np.array_equal(_below(words, column), stream.uniforms(count, *rows) < column)
+    # one rate per row, as two_round_sample compares its rounds
+    for row, floats, r in zip(words, stream.uniforms(count, *rows), [rate, other] * len(rows)):
+        assert np.array_equal(_below(row, r), floats < r)
     idx = np.arange(count, dtype=np.int64)[::-1].reshape(-1, 1)
     assert np.array_equal(_below(stream.uniform_at(idx, words=True), rate),
                           stream.uniform_at(idx) < rate)
@@ -243,9 +242,9 @@ def test_below_decides_every_word_as_its_variate(rate):
     words = sorted(near)
     want = [Fraction(w >> 11, 2**53) < rate for w in words]
     assert _below(np.array(words, dtype=np.uint64), rate).tolist() == want
-    # as one row of a column of rates
-    rows = _below(np.array([words, words], dtype=np.uint64), np.array([[rate], [0.5]], dtype=object))
-    assert rows[0].tolist() == want
+    # the cached limit is that limit, or None where every word passes
+    limit = _limit(rate)
+    assert c == 2**53 if limit is None else int(limit) == c << 11 and not limit.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,6 +254,21 @@ def test_sample_subgraph_keeps_the_masks_of_the_float_path(seed, p, n):
     # Fraction compares exactly there as well
     g, stream = complete_graph(n), RngStream(seed).child("edges")
     assert sample_subgraph(g, p, stream) == ref_subgraph_from_uniforms(g, stream.uniforms(g.m), p)
+
+
+def test_both_samplers_compare_their_rates_exactly(monkeypatch):
+    # every drawn word is float(4/9)'s limit: its variate k * 2^-53 is
+    # below 4/9 but not below float(4/9), which rounds 4/9 down
+    word = _word_limit(float(Fraction(4, 9)))
+    assert word < _word_limit(Fraction(4, 9))
+    monkeypatch.setattr(RngStream, "uniform_at", lambda self, indices, *labels, words=False:
+                        np.full((len(labels),) * bool(labels) + (len(indices),), word, dtype=np.uint64))
+    g, stream = path_graph(2), RngStream(0)
+    assert sample_subgraph(g, Fraction(4, 9), stream).m == 1
+    assert sample_subgraph(g, float(Fraction(4, 9)), stream).m == 0
+    # first rate 1/10: round 2 deletes at (1/2 - 1/10) / (1 - 1/10) = 4/9
+    sample = two_round_sample(g, Fraction(1, 10), stream)
+    assert sample.round2_hit.tolist() == [True] and sample.round1_hit.tolist() == [False]
 
 
 # --- the cached parts of a draw: offsets per count, label bytes, limits ---------
@@ -279,14 +293,15 @@ def test_cached_draws_equal_the_separate_passes(seed, path, count, rows, rate):
     limit = _round_rates(*Fraction(rate).as_integer_ratio())[1]
     block = stream.uniforms(count, "round1", "round2", words=True) < limit
     assert np.array_equal(block, ref_two_round_hits(count, rate, seed, path))
-    # any other index array takes the uncached path and gives the same words
+    # a range from 0 takes the cached offsets, and any other positions the
+    # uncached path, read-only arrays and other ranges too: the same words
     full = stream.uniforms(count, *rows)
     at = np.arange(count)
-    # read-only ones too: one equal to the cached positions, but not them
     frozen, backwards = np.arange(count, dtype=np.uint64), at[::-1].copy()
     frozen.setflags(write=False)
     backwards.setflags(write=False)
-    for idx in (at, frozen, at[::-1], backwards, at.reshape(1, -1).repeat(2, axis=0)):
+    for idx in (range(count), range(count)[::-1], range(1, count), at, frozen, at[::-1], backwards,
+                at.reshape(1, -1).repeat(2, axis=0)):
         got = stream.uniform_at(idx, *rows)
         assert np.array_equal(got, full[..., idx])
     for i in range(min(count, 3)):
@@ -297,12 +312,12 @@ def test_cached_draws_equal_the_separate_passes(seed, path, count, rows, rate):
 def test_the_cached_offsets_stay_unwritten():
     stream = RngStream(4)
     # an index array of the caller's fills no cache
-    before = _indices.cache_info()
+    before = _offsets.cache_info()
     stream.uniform_at(np.arange(77, dtype=np.uint64))
-    assert _indices.cache_info() == before
+    assert _offsets.cache_info() == before
     before = stream.uniforms(51, words=True)
     offsets = _offsets(51)
-    assert not offsets.flags.writeable and not _indices(51).flags.writeable
+    assert not offsets.flags.writeable
     for _ in range(3):
         stream.uniforms(51)
         RngStream(5).uniforms(51, "a", words=True)
@@ -347,7 +362,7 @@ def test_the_alias_rule_survives_the_label_cache():
     assert np.array_equal(stream.uniforms(4, Unhashable("x"))[0], ref_uniforms(3, ("x",), 4))
 
 
-@pytest.mark.parametrize("cache", [_indices, _offsets, _label_part, _limits, _round_rates])
+@pytest.mark.parametrize("cache", [_offsets, _label_part, _limit, _round_rates])
 def test_every_draw_cache_is_bounded(cache):
     assert 0 < cache.cache_info().maxsize <= 64
 
