@@ -10,6 +10,7 @@ as free parameters to fit or sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,12 +39,13 @@ class BoundConstants:
 def binom_tail_geq(n: int, q, x) -> float:
     """Upper tail P(Binom(n, q) >= x) as scipy's bdtrc(ceil(x) - 1, n, q), so a
     fractional x starts the sum at ceil(x); n must be an integer, which bdtrc
-    floors, and q a probability (sampling._check_probability)."""
+    floors, q a probability (sampling._check_probability) and x a real
+    number, not a bool, in 0..n+1."""
     if not (_is_integer(n) and n >= 0):
         raise InputError(f"n must be a non-negative integer, got {n!r}")
     _check_probability(q)
-    if not 0 <= x <= n + 1:
-        raise InputError(f"x={x} outside 0..n+1")
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 <= x <= n + 1:
+        raise InputError(f"x must be a number in 0..n+1, got {x!r}")
     import scipy.special  # here, as in verify.pooled_chi_square, so `import randcol` skips it
 
     return float(scipy.special.bdtrc(math.ceil(x) - 1, n, float(q)))

@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstructionError, GenerationError, InputError
-from .graphs import DiGraph, Graph, _expect, _is_integer, has_cycle_shorter_than, is_connected
+from .graphs import (DiGraph, Graph, _expect, _is_integer, _repeats, has_cycle_shorter_than,
+                     is_connected)
 from .sampling import RngStream
 from .spectral import SpectralCertificate, second_eigenvalue
 
@@ -180,7 +181,7 @@ def _pair_stubs(n: int, d: int, stream: RngStream, directed: bool, what: str):
         else:
             tails, heads = shuffled[0::2], shuffled[1::2]
             key = np.minimum(tails, heads) * n + np.maximum(tails, heads)
-        if not (tails == heads).any() and np.unique(key).size == key.size:
+        if not ((tails == heads).any() or _repeats(key).any()):
             return tails, heads
     raise GenerationError(
         f"no simple {what} in {REJECTION_CAP} attempts; retry with a new seed"
@@ -190,8 +191,9 @@ def _pair_stubs(n: int, d: int, stream: RngStream, directed: bool, what: str):
 def random_regular_graph(n: int, d: int, seed) -> Graph:
     """Simple d-regular graph from the configuration model with
     rejection (resample on loops or parallel edges)."""
-    if n <= 0 or d < 0:
-        raise InputError("need n > 0 and d >= 0")
+    if not (_is_integer(n) and _is_integer(d) and n > 0 and d >= 0):
+        raise InputError(f"need integers n > 0 and d >= 0, got {n!r} and {d!r}")
+    n, d = int(n), int(d)
     if (n * d) % 2:
         raise InputError("n*d must be even")
     if d >= n:
@@ -205,12 +207,12 @@ def random_two_regular_digraph(n: int, seed) -> DiGraph:
     """Simple digraph with every in- and out-degree exactly 2, in-arcs
     2-coloured: at each vertex the lower-numbered in-arc is red, the
     other blue. Antiparallel arc pairs are allowed."""
-    if n < 3:
-        raise InputError("need n >= 3")
+    if not (_is_integer(n) and n >= 3):
+        raise InputError(f"need an integer n >= 3, got {n!r}")
+    n = int(n)
     stream = _as_stream(seed, "two-regular-digraph")
     tails, heads = _pair_stubs(n, 2, stream, directed=True, what="2-regular digraph")
-    colours = np.full(heads.size, "b")
-    colours[np.unique(heads, return_index=True)[1]] = "r"
+    colours = np.where(_repeats(heads), "b", "r")
     return DiGraph(n, np.column_stack((tails, heads)), arc_colour=colours.tolist(),
                    validate=False)
 
@@ -261,8 +263,9 @@ def blow_up(h: Graph, m: int) -> tuple[Graph, BlowUpLayout]:
     """Replace every vertex of h by an independent m-set and every edge
     by a complete bipartite graph."""
     _expect(h, Graph, "blow_up")
-    if m < 1:
-        raise InputError("m must be >= 1")
+    if not (_is_integer(m) and m >= 1):
+        raise InputError(f"m must be an integer >= 1, got {m!r}")
+    m = int(m)
     layout = BlowUpLayout(n_super=h.n, layers=1, m=m)
     return Graph(layout.n_vertices, _complete_bipartite(*(h.edges * m).T, m)), layout
 

@@ -212,6 +212,8 @@ def _spread(g: "Graph | DiGraph", seed_mask: np.ndarray, thresholds, levels=None
 
 # the level of a vertex that the root does not reach
 _FAR = np.iinfo(np.int32).max
+# roots kept in one graph's search memo: an entry holds three O(n) arrays
+_SEARCHES_SIZE = 64
 
 
 def _search(g: "Graph | DiGraph", r: int) -> tuple:
@@ -219,8 +221,9 @@ def _search(g: "Graph | DiGraph", r: int) -> tuple:
     g's arcs: the vertices reachable from r, its breadth-first level
     sizes and each vertex's level as a read-only int32 array (_FAR where
     r does not reach), which a spread replays from (_spread_from).
-    Memoised on g, one entry per root; the memo is made on first use,
-    since most graphs are never searched."""
+    Memoised on g, one entry per root for at most _SEARCHES_SIZE roots,
+    evicting the oldest on a miss; the memo is made on first use, since
+    most graphs are never searched."""
     if g._searches is None:
         g._searches = {}
     # checked before the memo is read, so a hit never decides what passes
@@ -230,6 +233,8 @@ def _search(g: "Graph | DiGraph", r: int) -> tuple:
         seed = _root(g.n, key)
         levels = np.where(seed, 0, _FAR).astype(np.int32)
         infected, trace = _spread(g, seed, 1, levels)
+        if len(g._searches) >= _SEARCHES_SIZE:
+            del g._searches[next(iter(g._searches))]
         entry = g._searches[key] = _frozen(infected), tuple(trace), _frozen(levels)
     return entry
 
@@ -601,11 +606,13 @@ def is_strongly_connected(h: DiGraph) -> bool:
 
 
 def complete_graph(n: int) -> Graph:
+    n = _count(n)
     # triu_indices runs row by row, so its pairs are canonical and sorted
     return Graph(n, np.column_stack(np.triu_indices(n, 1)), validate=False)
 
 
 def cycle_graph(n: int) -> Graph:
+    n = _count(n)
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
     v = np.arange(n)

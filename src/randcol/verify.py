@@ -168,7 +168,7 @@ def _suite_core_oracle() -> list:
 
 
 def _survivor_counts_two_round(g, first_rate, root: RngStream, trials: int) -> np.ndarray:
-    counts = np.zeros(trials, dtype=np.int64)
+    counts = np.zeros(trials, dtype=np.min_scalar_type(g.m))
     for i in range(trials):
         sample = two_round_sample(g, first_rate, root.child(i))
         counts[i] = g.m - np.count_nonzero(sample.round1_hit | sample.round2_hit)
@@ -176,7 +176,7 @@ def _survivor_counts_two_round(g, first_rate, root: RngStream, trials: int) -> n
 
 
 def _survivor_counts_one_round(g, p, root: RngStream, trials: int) -> np.ndarray:
-    counts = np.zeros(trials, dtype=np.int64)
+    counts = np.zeros(trials, dtype=np.min_scalar_type(g.m))
     for i in range(trials):
         counts[i] = sample_subgraph(g, p, root.child(i)).m
     return counts

@@ -104,6 +104,10 @@ class TestBinomTail:
             binom_tail_geq(4, 0.5, 6)
         with pytest.raises(InputError):
             binom_tail_geq(4, 0.5, -1)
+        # x is a real number, as a probability is (not a bool)
+        for x in ("2", None, True):
+            with pytest.raises(InputError):
+                binom_tail_geq(5, 0.5, x)
 
 
 class TestTailRegimes:

@@ -18,6 +18,7 @@ from randcol.generators import (
     random_two_regular_digraph,
     save_layout,
 )
+from randcol import graphs
 from randcol.graphs import (
     DiGraph,
     Graph,
@@ -235,6 +236,30 @@ def test_params_store_numpy_integers_as_ints():
         assert got == want and got.alpha == want.alpha
         names = ("k", "t", "m") if got.s is None else ("k", "t", "m", "s")
         assert all(type(getattr(got, name)) is int for name in names)
+
+
+# each entry point that takes a size, as a call of that size alone, and a size it builds
+SIZED_CALLS = {
+    "random_regular_graph n": (lambda x: random_regular_graph(x, 3, 0), 20),
+    "random_regular_graph d": (lambda x: random_regular_graph(20, x, 0), 3),
+    "random_two_regular_digraph": (lambda x: random_two_regular_digraph(x, 0), 10),
+    "cycle_graph": (graphs.cycle_graph, 5),
+    "complete_graph": (graphs.complete_graph, 5),
+    "blow_up": (lambda x: blow_up(graphs.cycle_graph(4), x), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_CALLS))
+def test_generator_sizes_follow_the_integer_rule(name):
+    # graphs._is_integer, as ConstructionParams: a bool, a float, even an
+    # integral one, or a string is no size, and a numpy integer is stored
+    # as an int (a layout's repr would show np.int64)
+    make, size = SIZED_CALLS[name]
+    for bad in (True, float(size), size + 0.5, str(size)):
+        with pytest.raises(InputError):
+            make(bad)
+    got, want = make(np.int64(size)), make(size)
+    assert got == want and repr(got) == repr(want)
 
 
 # --- plain blow-up ----------------------------------------------------------------

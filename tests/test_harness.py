@@ -692,19 +692,25 @@ def test_start_up_loads_no_scipy_and_no_process_pool():
     """`import randcol` loads numpy and the standard library only, and a
     core_emptiness run on a blow-up (one worker) loads no scipy either:
     scipy serves the eigensolver, the chi-square test and the binomial
-    tail alone."""
+    tail alone. Nor does a run load numpy.ma, which a plain np.unique
+    imports, on a complete base or on a random regular one (as
+    core_death's recipe), whose generator checks repeated stub pairs."""
+    regular_base = {"kind": "blow_up", "m": 2,
+                    "base": {"kind": "random_regular", "n": 20, "d": 3, "seed": 1}}
     code = (
         "import sys, randcol\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])\n"
         "pools = ('multiprocessing', 'concurrent.futures.process')\n"
         "print(loaded(), sorted(m for m in pools if m in sys.modules))\n"
-        "cfg = randcol.ExperimentConfig(kind='core_emptiness', trials=3, master_seed=7,\n"
-        f"                               graph={BLOWUP_RECIPE!r}, t=3, first_rate='1/30')\n"
-        "assert len(randcol.run_experiment(cfg).records) == 3\n"
-        "print(loaded())\n"
+        f"for graph in ({BLOWUP_RECIPE!r}, {regular_base!r}):\n"
+        "    cfg = randcol.ExperimentConfig(kind='core_emptiness', trials=3, master_seed=7,\n"
+        "                                   graph=graph, t=3, first_rate='1/30')\n"
+        "    assert len(randcol.run_experiment(cfg).records) == 3\n"
+        "    print(loaded())\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "RANDCOL_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.splitlines() == ["[] []", "[]"]
+    assert out.stdout.splitlines() == ["[] []", "[]", "[]"]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randcol
-from randcol import harness
+from randcol import graphs, harness
 from randcol.graphs import complete_graph
 from randcol.harness import ExperimentConfig, _trial_prefix, build_graph, trial_stream
 from randcol.errors import InputError
@@ -32,7 +32,7 @@ from randcol.sampling import (
     two_round_sample,
 )
 
-from helpers import _aliases_int, path_graph, ref_subgraph_from_uniforms
+from helpers import _aliases_int, ids, out_lists, path_graph, ref_bfs, ref_subgraph_from_uniforms
 
 
 def ref_key(master_seed, path) -> int:
@@ -387,3 +387,15 @@ def test_every_cache_in_the_package_is_bounded():
     built = [build_graph(recipe) for recipe in recipes]
     assert list(harness._BUILD_CACHE) == keys[2:]
     assert build_graph(recipes[-1]) is built[-1]
+    # so is each graph's search memo, by the same rule: 3 roots past the
+    # bound evict the 3 oldest, and an evicted root is searched afresh
+    assert graphs._SEARCHES_SIZE == 64
+    n = graphs._SEARCHES_SIZE + 3
+    g = graphs.Graph(n, [(v, v + 1) for v in range(n - 1) if v % 10 != 9])  # paths of 10
+    for root in range(n):
+        graphs.connected_component(g, root)
+    assert list(g._searches) == list(range(3, n))
+    out = out_lists(g)
+    for root in range(3):
+        assert ids(graphs.connected_component(g, root)) == set(ref_bfs(out, root))
+    assert list(g._searches) == list(range(6, n)) + [0, 1, 2]

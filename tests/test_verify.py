@@ -3,16 +3,21 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from randcol.errors import InputError
+from randcol.generators import random_regular_graph
+from randcol.sampling import RngStream, sample_subgraph, two_round_sample
 from randcol.verify import (
     CHI_SQUARE_SIGNIFICANCE,
     SUITE_NAMES,
     SuiteReport,
     CheckResult,
+    _survivor_counts_one_round,
+    _survivor_counts_two_round,
     pooled_chi_square,
     run_suite,
 )
@@ -61,6 +66,20 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_survivor_counts_match_an_int64_loop_past_255_edges():
+    # the counts' type is the narrowest that holds g.m; on 260 edges,
+    # one round at p = 1 keeps all of them, which a uint8 would wrap
+    g = random_regular_graph(130, 4, 0)
+    root, trials = RngStream(0x260), 40
+    for p in (1.0, 0.97):
+        want = np.array([sample_subgraph(g, p, root.child(i)).m for i in range(trials)],
+                        dtype=np.int64)
+        assert np.array_equal(_survivor_counts_one_round(g, p, root, trials), want)
+    want = np.array([two_round_sample(g, Fraction(1, 30), root.child(i)).survivors().m
+                     for i in range(trials)], dtype=np.int64)
+    assert np.array_equal(_survivor_counts_two_round(g, Fraction(1, 30), root, trials), want)
 
 
 # sha256 of format_text() and of the to_dict() JSON (sorted keys, indent 2)
