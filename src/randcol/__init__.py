@@ -90,7 +90,6 @@ from .sampling import (
 from .spectral import (
     AlonMilmanReport,
     ExpansionCertificate,
-    SpectralCertificate,
     alon_milman_lower_bound,
     second_eigenvalue,
     verify_alon_milman,

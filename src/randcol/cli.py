@@ -53,11 +53,12 @@ def cmd_generate(args) -> int:
     d = args.d if args.d is not None else 3
     wants_spectral = args.lambda2_max is not None or args.girth_min is not None
     if d == 3 and wants_spectral:
-        g, cert = find_cubic_expander(
+        girth_min = args.girth_min if args.girth_min is not None else 6
+        g, lambda2 = find_cubic_expander(
             args.n,
             args.seed,
             lambda2_max=args.lambda2_max if args.lambda2_max is not None else 2.9,
-            girth_min=args.girth_min if args.girth_min is not None else 6,
+            girth_min=girth_min,
         )
         save_graph(g, args.out)
         _emit(
@@ -65,8 +66,8 @@ def cmd_generate(args) -> int:
                 "kind": "cubic_expander",
                 "n": g.n,
                 "m": g.m,
-                "lambda2": cert.lambda2,
-                "girth_min_checked": cert.girth_checked,
+                "lambda2": lambda2,
+                "girth_min_checked": girth_min,
                 "out": args.out,
             }
         )

@@ -278,6 +278,7 @@ def product_colouring_check(
 ) -> ProductColouringReport:
     """Audit that the product of the parts' chromatic numbers dominates
     the chromatic number of the union, for an edge partition of g."""
+    _expect(g, Graph, "product_colouring_check")
     if not parts:
         raise InputError("need at least one part")
     seen: set = set()

@@ -5,6 +5,7 @@ used by the core-death experiments."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from .errors import ConstructionError, GenerationError, InputError
 from .graphs import (DiGraph, Graph, _expect, _is_integer, _repeats, has_cycle_shorter_than,
                      is_connected)
 from .sampling import RngStream
-from .spectral import SpectralCertificate, second_eigenvalue
+from .spectral import second_eigenvalue
 
 REJECTION_CAP = 100
 
@@ -223,12 +224,17 @@ def find_cubic_expander(
     lambda2_max: float = 2.9,
     girth_min: int | None = 6,
     max_tries: int = 20_000,
-) -> tuple[Graph, SpectralCertificate]:
+) -> tuple[Graph, float]:
     """Search random cubic graphs for one that is connected, has girth
     at least girth_min (skipped when None) and second eigenvalue at most
-    lambda2_max. Short-girth candidates are cheap to discard, so the low
-    acceptance rate of the girth filter stays affordable at desk scale.
+    lambda2_max; returns the graph and its second eigenvalue. Short-girth
+    candidates are cheap to discard, so the low acceptance rate of the
+    girth filter stays affordable at desk scale.
     """
+    if isinstance(lambda2_max, bool) or not isinstance(lambda2_max, numbers.Real):
+        raise InputError(f"lambda2_max must be a number, got {lambda2_max!r}")
+    if not (girth_min is None or _is_integer(girth_min)):
+        raise InputError(f"girth_min must be an integer or None, got {girth_min!r}")
     stream = _as_stream(seed, "cubic-expander")
     for attempt in range(max_tries):
         try:
@@ -239,9 +245,9 @@ def find_cubic_expander(
             continue
         if girth_min and has_cycle_shorter_than(g, girth_min):
             continue
-        cert = second_eigenvalue(g, 3, girth_checked=girth_min)
-        if cert.lambda2 <= lambda2_max:
-            return g, cert
+        lambda2 = second_eigenvalue(g)
+        if lambda2 <= lambda2_max:
+            return g, lambda2
     raise GenerationError(
         f"no cubic expander with lambda2 <= {lambda2_max} in {max_tries} tries"
     )
@@ -316,6 +322,7 @@ def gadget_blow_up(h: DiGraph, params: ConstructionParams) -> tuple[Graph, BlowU
 def audit_blow_up(g: Graph, layout: BlowUpLayout, expect_degree: int | None = None):
     """Degree and layer-independence audit; failures mean a construction
     bug, not bad input."""
+    _expect(g, Graph, "audit_blow_up")
     if g.n != layout.n_vertices:
         raise ConstructionError("vertex count does not match layout")
     if expect_degree is not None:

@@ -507,6 +507,9 @@ def has_cycle_shorter_than(g: Graph, length: int) -> bool:
     close a walk shorter than length. Scanning level k labels the unseen
     neighbours k + 1, which the tests for levels k and k - 1 pass over.
     """
+    _expect(g, Graph, "has_cycle_shorter_than")
+    if not _is_integer(length):
+        raise InputError(f"length must be an integer, got {length!r}")
     if length <= 3:  # a simple graph has no shorter cycle
         return False
     adj = g.adjacency()
@@ -546,6 +549,7 @@ def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[in
     enumeration walk serves every size; each subgraph is visited once via
     binary partition over frontier edges.
     """
+    _expect(g, Graph, "count_connected_edge_subgraphs_upto")
     v = _vertex(g.n, v)  # a Python int, as the walk's bitmasks are
     if not (_is_integer(t_max) and t_max >= 1):
         raise InputError(f"t must be an integer >= 1, got {t_max!r}")
@@ -582,24 +586,24 @@ def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[in
 
 def reachable_set(h: DiGraph, r: int) -> np.ndarray:
     """Mask of the vertices reachable from r by directed paths, r included."""
-    return _search(h, r)[0]
+    return _search(_expect(h, DiGraph, "reachable_set"), r)[0]
 
 
 def connected_component(g: Graph, v: int) -> np.ndarray:
     """Mask of the component of v, read from the per-root search memo
     (_search)."""
-    return _search(g, v)[0]
+    return _search(_expect(g, Graph, "connected_component"), v)[0]
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
+    if _expect(g, Graph, "is_connected").n == 0:
         return True
     return bool(connected_component(g, 0).all())
 
 
 def is_strongly_connected(h: DiGraph) -> bool:
     """Every vertex reaches vertex 0 and is reached from it."""
-    if h.n == 0:
+    if _expect(h, DiGraph, "is_strongly_connected").n == 0:
         return True
     backwards = DiGraph(h.n, h.arcs[:, ::-1], validate=False)
     return bool(reachable_set(h, 0).all() and reachable_set(backwards, 0).all())

@@ -58,13 +58,13 @@ WILSON_Z = 1.959963984540054
 MAX_SEED = 2**64 - 1
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
     if trials < 0 or not 0 <= successes <= trials:
         raise InputError("need 0 <= successes <= trials")
     if trials == 0:
         return (0.0, 1.0)
-    ph = successes / trials
+    ph, z = successes / trials, WILSON_Z
     denom = 1.0 + z * z / trials
     centre = (ph + z * z / (2 * trials)) / denom
     half = z * math.sqrt(ph * (1.0 - ph) / trials + z * z / (4.0 * trials * trials)) / denom
@@ -157,11 +157,26 @@ def _build_uncached(recipe: dict, params: ConstructionParams | None):
     return _RECIPES[recipe["kind"]].build(recipe, params)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# (test, description) of each recipe field but kind and base; RngStream
+# hashes its seed through str(), so "5" would alias 5
+_FIELD_RULES = {
+    **dict.fromkeys(("n", "m", "d", "seed"), (_is_int, "an integer")),
+    "girth_min": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "lambda2_max": (_is_real, "a number"),
+    "density": (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "path": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _check_recipe(recipe, params: ConstructionParams | None, unseeded: bool = False) -> None:
     """Raise InputError unless the recipe, and its base if it has one,
-    names a known kind with exactly that kind's fields, integer sizes
-    and seed and, for a gadget, construction params, and its base builds the
-    graph type it needs (_check_makes). unseeded lets a random recipe
+    names a known kind with exactly that kind's fields, each passing its
+    _FIELD_RULES test, and, for a gadget, construction params, and its
+    base builds the graph type it needs (_check_makes). unseeded lets a random recipe
     leave out its seed. Builds nothing."""
     kind = recipe.get("kind") if isinstance(recipe, dict) else None
     if not isinstance(kind, str) or kind not in _RECIPES:
@@ -174,10 +189,10 @@ def _check_recipe(recipe, params: ConstructionParams | None, unseeded: bool = Fa
     unknown = sorted(set(recipe) - {"kind", *row.needs, *row.optional})
     if unknown:
         raise InputError(f"graph recipe {kind!r} takes no fields {unknown}")
-    # RngStream hashes its seed through str(), so "5" would alias 5
-    for name in ("n", "m", "d", "seed"):
-        if name in recipe and not _is_int(recipe[name]):
-            raise InputError(f"graph recipe {name} must be an integer, got {recipe[name]!r}")
+    for name, value in recipe.items():
+        rule = _FIELD_RULES.get(name)
+        if rule is not None and not rule[0](value):
+            raise InputError(f"graph recipe {name} must be {rule[1]}, got {value!r}")
     if kind == "gadget" and params is None:
         raise InputError("gadget recipe needs construction params")
     if "base" in recipe:
@@ -192,10 +207,6 @@ def _check_makes(recipe: dict, need: type, what: str) -> None:
     makes = _RECIPES[recipe["kind"]].makes
     if makes is not None and makes is not need:
         raise InputError(f"{what} that builds a {need.__name__}, got a {makes.__name__}")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _params_from_dict(d) -> ConstructionParams:

@@ -45,6 +45,7 @@ def bootstrap_percolate(g: Graph, initially_infected, threshold_of: Sequence) ->
     over the graph's arcs (an intp array of thresholds is compared as it
     is, others are rounded up).
     """
+    _expect(g, Graph, "bootstrap_percolate")
     seed = _sized(initially_infected, g.n, "seed")
     thresholds = np.asarray(threshold_of)
     if thresholds.dtype != np.intp:
@@ -64,6 +65,7 @@ def t_core_via_percolation(g: Graph, t: int) -> np.ndarray:
     deg(v) - t + 1 (lose that many neighbours and you drop below t). The
     complement of the fixpoint equals the peeled t-core exactly.
     """
+    _expect(g, Graph, "t_core_via_percolation")
     if t < 0:
         raise InputError("t must be >= 0")
     deg = g._arc_view().degree
@@ -137,6 +139,7 @@ def _fixpoint_violations(g: Graph | DiGraph, tails, heads, infected, thresholds)
 def thm3_fixpoint_violations(h: Graph, state: PercolationState) -> list:
     """Outside vertices that the rule says should have joined, counted
     over the edge rows in both directions."""
+    _expect(h, Graph, "thm3_fixpoint_violations")
     protected = state.protected_edges
     if protected is not None:
         protected = _sized(protected, h.m, "protected_edges")
@@ -147,6 +150,7 @@ def thm3_fixpoint_violations(h: Graph, state: PercolationState) -> list:
 def thm4_fixpoint_violations(h: DiGraph, state: PercolationState) -> list:
     """Out-neighbours of the fixpoint that are not in R, counted over the
     arc rows."""
+    _expect(h, DiGraph, "thm4_fixpoint_violations")
     hit = state.resilient_vertices
     if hit is not None:
         hit = _sized(hit, h.n, "resilient_vertices")
@@ -203,6 +207,7 @@ def classify_supervertices_thm3(
     the connected set of dead super-vertices containing the root (the
     root is included even if it is not dead): a replay of h's memo
     (graphs._spread_from), threshold h.m + 1 outside the dead set."""
+    _expect(g_half, Graph, "classify_supervertices_thm3")
     core, table, dead = _core_classes(g_half, layout, t)
     dead_component = None
     if root is not None:
@@ -230,6 +235,7 @@ def resilient_pair_detect(
     second-round resilience), one side has at least k/s vertices each
     sending at least k/4 edges to the other side.
     """
+    _expect(g_half, Graph, "resilient_pair_detect")
     if params.mode != "gadget":
         raise InputError("params must be in gadget mode")
     core, table, dead = _core_classes(g_half, layout, params.t)
@@ -288,6 +294,7 @@ def boundary_resilience_audit(
     from root along out-arcs inside nearly-dead super-vertices, root
     included, by a replay of h's memo as in classify_supervertices_thm3.
     """
+    _expect(h, DiGraph, "boundary_resilience_audit")
     _vertex(h.n, root)  # the root's check comes first
     if h.n != layout.n_super:
         raise InputError("base digraph does not match layout")

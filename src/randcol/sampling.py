@@ -239,6 +239,7 @@ def partition_split(g: Graph, parts: int, stream: RngStream) -> list[Graph]:
     """Assign every edge to exactly one of `parts` spanning subgraphs,
     independently and uniformly: edge i goes to part
     floor(k * parts / 2^53), where k * 2^-53 is stream's variate i."""
+    _expect(g, Graph, "partition_split")
     if not (_is_integer(parts) and 1 <= parts < 1 << 32):
         raise InputError(f"parts must be an integer in [1, 2^32), got {parts!r}")
     # an int, since a numpy integer would promote the uint64 words to float64
@@ -272,14 +273,14 @@ def second_round_rate(first_rate) -> Fraction:
 
 
 @lru_cache(maxsize=32)
-def _round_rates(numerator: int, denominator: int) -> tuple[float, np.ndarray]:
-    """The first rate as a float and the read-only (2, 1) column of both
-    rates' exact word limits (neither rate exceeds 1/2, so neither limit
-    leaves uint64), computed once per rate. Keyed by the rate's integer
-    ratio, since a Fraction key would hash in pure Python per sample."""
+def _round_rates(numerator: int, denominator: int) -> np.ndarray:
+    """The read-only (2, 1) column of both rates' exact word limits
+    (neither rate exceeds 1/2, so neither limit leaves uint64), computed
+    once per first rate. Keyed by the rate's integer ratio, since a
+    Fraction key would hash in pure Python per sample."""
     a1 = Fraction(numerator, denominator)
     rates = a1, second_round_rate(a1)
-    return float(a1), _frozen(np.array([[_word_limit(r)] for r in rates], dtype=np.uint64))
+    return _frozen(np.array([[_word_limit(r)] for r in rates], dtype=np.uint64))
 
 
 @dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
@@ -294,7 +295,6 @@ class TwoRoundSample:
     """
 
     graph: Graph
-    first_rate: float
     round1_hit: np.ndarray
     round2_hit: np.ndarray
 
@@ -317,11 +317,11 @@ def two_round_sample(g: Graph, first_rate, stream: RngStream) -> TwoRoundSample:
     1/2. first_rate is a number or a string
     that Fraction reads."""
     _expect(g, Graph, "two_round_sample")
-    a1, limit = _round_rates(*_rate_ratio(first_rate))
+    limit = _round_rates(*_rate_ratio(first_rate))
     # row r is round r's stream, child("round<r>"), its words compared
     # with the limit of its rate; rows of a read-only block are read-only
     hits = _frozen(stream.uniforms(g.m, "round1", "round2", words=True) < limit)
     # built as RngStream.child builds a stream, without the frozen __init__
     sample = object.__new__(TwoRoundSample)
-    sample.__dict__.update(graph=g, first_rate=a1, round1_hit=hits[0], round2_hit=hits[1])
+    sample.__dict__.update(graph=g, round1_hit=hits[0], round2_hit=hits[1])
     return sample

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .graphs import DiGraph, Graph, _csr, is_connected
+from .graphs import DiGraph, Graph, _csr, _expect, is_connected
 from .sampling import RngStream
 
-DEFAULT_TOLERANCE = 1e-9
+TOLERANCE = 1e-9
 EXHAUSTIVE_CAP = 18
 DEFAULT_SUBSET_SAMPLES = 10_000
 SWEEP_CELLS = 1 << 20  # block rows times width; bounds a subset sweep's memory
@@ -27,16 +27,6 @@ SWEEP_CELLS = 1 << 20  # block rows times width; bounds a subset sweep's memory
 # k = 1. A graph this small fills ARPACK's whole Krylov space, after which
 # its last bits vary from call to call, so it gets a dense solve instead.
 DENSE_CAP = max(2 * 1 + 1, 20)
-
-
-@dataclass(frozen=True)
-class SpectralCertificate:
-    """Second-largest adjacency eigenvalue of a d-regular graph."""
-
-    d: int
-    lambda2: float
-    tolerance: float
-    girth_checked: int | None = None
 
 
 @dataclass(frozen=True)
@@ -51,53 +41,47 @@ class ExpansionCertificate:
     n: int
 
 
-def second_eigenvalue(
-    g: Graph,
-    d: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    girth_checked: int | None = None,
-) -> SpectralCertificate:
-    """Second-largest adjacency eigenvalue of a connected d-regular graph.
+def second_eigenvalue(g: Graph) -> float:
+    """Second-largest adjacency eigenvalue of a connected regular graph,
+    to TOLERANCE.
 
     ARPACK Lanczos (scipy's eigsh) for the largest eigenvalue of
-    A - ((2d+1)/n) J. Regularity makes the all-ones vector an
-    eigenvector of both terms, so the shift moves its eigenvalue from d
-    to -(d+1), below the rest of the spectrum, and leaves the others
-    unchanged. The start vector is seeded, and graphs of at most
-    DENSE_CAP vertices get a dense solve of the same matrix, so a graph
-    always gets the same bits back.
+    A - ((2d+1)/n) J, d the common degree. Regularity makes the all-ones
+    vector an eigenvector of both terms, so the shift moves its
+    eigenvalue from d to -(d+1), below the rest of the spectrum, and
+    leaves the others unchanged. The start vector is seeded, and graphs
+    of at most DENSE_CAP vertices get a dense solve of the same matrix,
+    so a graph always gets the same bits back.
     """
+    _expect(g, Graph, "second_eigenvalue")
+    if g.n < 2:
+        raise InputError("need at least two vertices")
+    d = g.regular_degree()
+    if d is None:
+        raise InputError("graph is not regular")
+    if not is_connected(g):
+        raise InputError("graph must be connected")
     import scipy.sparse  # here, since at module level it would more than double `import randcol`
     import scipy.sparse.linalg
 
-    if tolerance <= 0:
-        raise InputError("tolerance must be positive")
-    if g.n < 2:
-        raise InputError("need at least two vertices")
-    if g.regular_degree() != d:
-        raise InputError(f"graph is not {d}-regular")
-    if not is_connected(g):
-        raise InputError("graph must be connected")
     n = g.n
     indptr, indices = g._csr_arrays()
     shift = (2 * d + 1) / n
     if n <= DENSE_CAP:
         a = np.zeros((n, n))
         a[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1
-        return SpectralCertificate(d=d, lambda2=float(np.linalg.eigvalsh(a - shift)[-1]),
-                                   tolerance=tolerance, girth_checked=girth_checked)
+        return float(np.linalg.eigvalsh(a - shift)[-1])
     a = scipy.sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     op = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda x: a @ x - shift * x.sum(axis=0), dtype=np.float64
     )
     v0 = np.random.default_rng(0xC0FFEE).standard_normal(n)
     try:
-        vals = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, tol=tolerance,
+        vals = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, tol=TOLERANCE,
                                          return_eigenvectors=False)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"second eigenvalue did not converge to {tolerance}: {exc}") from None
-    return SpectralCertificate(d=d, lambda2=float(vals[0]), tolerance=tolerance,
-                               girth_checked=girth_checked)
+        raise ConvergenceError(f"second eigenvalue did not converge to {TOLERANCE}: {exc}") from None
+    return float(vals[0])
 
 
 def alon_milman_lower_bound(d: int, lambda2: float, s_size, n: int):
@@ -161,7 +145,6 @@ class AlonMilmanReport:
     d: int
     lambda2: float
     mode: str
-    samples: int | None
     n_checked: int
     violations: tuple
     tightest_ratio: float
@@ -181,17 +164,15 @@ def verify_alon_milman(
     are collected, not raised; any violation means a bug, not new
     mathematics.
     """
-    d = g.regular_degree()
-    if d is None:
-        raise InputError("graph is not regular")
-    cert = second_eigenvalue(g, d)
-    n = g.n
+    _expect(g, Graph, "verify_alon_milman")
+    lambda2 = second_eigenvalue(g)
+    d, n = g.regular_degree(), g.n
     slack = 1e-7  # eigenvalue tolerance leaves the bound this fuzzy
 
     def score(sizes, crossing):
         # each edge with one end in S has exactly one crossing arc
         boundary = crossing.sum(axis=1)
-        bound = alon_milman_lower_bound(d, cert.lambda2, sizes, n)
+        bound = alon_milman_lower_bound(d, lambda2, sizes, n)
         bad = np.flatnonzero(boundary < bound - slack)[:32].tolist()
         return boundary, bound, [(j, int(boundary[j]), float(bound[j])) for j in bad]
 
@@ -200,9 +181,8 @@ def verify_alon_milman(
     tightest, witness, violations = _sweep(*g._csr_arrays(), samples, rng, score)
     return AlonMilmanReport(
         d=d,
-        lambda2=cert.lambda2,
+        lambda2=lambda2,
         mode="exhaustive" if exhaustive else "sampled",
-        samples=None if exhaustive else samples,
         n_checked=(1 << n) if exhaustive else samples,
         violations=tuple(violations),
         tightest_ratio=tightest,
@@ -221,6 +201,7 @@ def verify_vertex_expansion(
     c3_hat = min over non-trivial S of |out-boundary(S)| / min(|S|, n-|S|);
     exact for n <= exhaustive_cap (full subset sweep), sampled otherwise.
     """
+    _expect(h, DiGraph, "verify_vertex_expansion")
     if not h.is_regular(2):
         raise InputError("digraph must have in- and out-degree exactly 2")
     n = h.n

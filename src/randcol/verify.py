@@ -42,6 +42,7 @@ from .sampling import (
 from .spectral import verify_alon_milman, verify_vertex_expansion
 
 CHI_SQUARE_SIGNIFICANCE = 0.001
+CHI_SQUARE_MIN_CELL = 10  # least combined observations in a pooled cell
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,11 @@ def _survivor_counts_one_round(g, p, root: RngStream, trials: int) -> np.ndarray
     return counts
 
 
-def pooled_chi_square(a: np.ndarray, b: np.ndarray, m: int, min_expected: int = 10):
+def pooled_chi_square(a: np.ndarray, b: np.ndarray, m: int):
     """Two-sample chi-square on kept-edge histograms with equal totals.
 
     Sparse outer cells are pooled inward until every pooled cell holds at
-    least min_expected combined observations. Returns (statistic,
+    least CHI_SQUARE_MIN_CELL combined observations. Returns (statistic,
     degrees of freedom, critical value at the 0.001 level)."""
     ha = np.bincount(a, minlength=m + 1).astype(np.float64)
     hb = np.bincount(b, minlength=m + 1).astype(np.float64)
@@ -195,7 +196,7 @@ def pooled_chi_square(a: np.ndarray, b: np.ndarray, m: int, min_expected: int = 
     for x in range(m + 1):
         acc_a += ha[x]
         acc_b += hb[x]
-        if acc_a + acc_b >= min_expected:
+        if acc_a + acc_b >= CHI_SQUARE_MIN_CELL:
             cells.append((acc_a, acc_b))
             acc_a = acc_b = 0.0
     if acc_a + acc_b > 0:

@@ -51,6 +51,22 @@ class TestGenerate:
         assert info["kind"] == "cubic_expander"
         assert info["lambda2"] <= 2.9
 
+    @pytest.mark.parametrize("flags,want", [
+        (("--n", "14", "--seed", "7", "--lambda2-max", "2.9", "--girth-min", "4"),
+         {"girth_min_checked": 4, "lambda2": 2.006613126311028, "m": 21, "n": 14}),
+        (("--n", "20", "--seed", "1", "--lambda2-max", "2.9"),
+         {"girth_min_checked": 6, "lambda2": 1.9354323319700304, "m": 30, "n": 20}),
+        (("--n", "14", "--seed", "7", "--girth-min", "0"),
+         {"girth_min_checked": 0, "lambda2": 2.5736724350762876, "m": 21, "n": 14}),
+    ], ids=["both-filters", "default-girth", "girth-zero"])
+    def test_expander_prints_its_filters_and_lambda2(self, tmp_path, capsys, flags, want):
+        # every key and value, lambda2 to the bit; girth_min_checked is
+        # the filter the search applied, 6 unless --girth-min is given
+        out = tmp_path / "x.txt"
+        code, stdout, _ = run_cli(capsys, "generate", *flags, "--out", str(out))
+        assert code == 0
+        assert last_json(stdout) == {**want, "kind": "cubic_expander", "out": str(out)}
+
     def test_digraph(self, tmp_path, capsys):
         out = tmp_path / "d.txt"
         code, stdout, _ = run_cli(capsys, "generate", "--digraph", "--n", "8", "--seed", "0", "--out", str(out))
@@ -265,6 +281,18 @@ class TestExperimentAndVerify:
         cfg_path.write_text(json.dumps(cfg))
         code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 2 and "must be an integer" in err and stdout == ""
+
+    @pytest.mark.parametrize("field,value", [
+        ("girth_min", "6"), ("girth_min", 2.5), ("lambda2_max", "2.9"),
+    ])
+    def test_experiment_rejects_a_bad_expander_option(self, tmp_path, capsys, field, value):
+        # these reached the first trial's build and printed a traceback
+        cfg = {"kind": "thm3_sweep", "trials": 2, "master_seed": 1, "p_sweep": [0.1],
+               "graph": {"kind": "cubic_expander", "n": 20, "seed": 1, field: value}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2 and err.startswith("error:") and field in err and stdout == ""
 
     @pytest.mark.parametrize("graph,params", [
         ({"kind": "gadget", "base": {"kind": "complete", "n": 4}},

@@ -28,6 +28,7 @@ from randcol.graphs import (
     is_connected,
 )
 from randcol.sampling import RngStream
+from randcol.spectral import second_eigenvalue
 
 from helpers import base_digraph_4, complete_graph
 
@@ -150,20 +151,33 @@ def test_digraph_rejects_tiny():
 
 
 def test_find_cubic_expander():
-    g, cert = find_cubic_expander(14, 7, lambda2_max=2.95, girth_min=4)
+    g, lambda2 = find_cubic_expander(14, 7, lambda2_max=2.95, girth_min=4)
     assert g.degrees() == [3] * 14
     assert is_connected(g)
     assert not has_cycle_shorter_than(g, 4)
-    assert cert.lambda2 <= 2.95
-    assert cert.girth_checked == 4
+    assert lambda2 <= 2.95 and lambda2 == second_eigenvalue(g)
     g2, _ = find_cubic_expander(14, 7, lambda2_max=2.95, girth_min=4)
     assert g == g2
 
 
 def test_find_cubic_expander_no_girth_filter():
-    g, cert = find_cubic_expander(12, 1, lambda2_max=2.95, girth_min=None)
+    g, lambda2 = find_cubic_expander(12, 1, lambda2_max=2.95, girth_min=None)
     assert g.degrees() == [3] * 12
-    assert cert.girth_checked is None
+    assert type(lambda2) is float and lambda2 <= 2.95
+
+
+@pytest.mark.parametrize("options", [
+    {"lambda2_max": "2.9"}, {"lambda2_max": True}, {"lambda2_max": None},
+    {"girth_min": "6"}, {"girth_min": True}, {"girth_min": 2.5},
+], ids=["lambda2-str", "lambda2-bool", "lambda2-none", "girth-str", "girth-bool", "girth-float"])
+def test_find_cubic_expander_checks_its_options(options):
+    with pytest.raises(InputError, match=next(iter(options))):
+        find_cubic_expander(12, 1, **options)
+
+
+def test_find_cubic_expander_takes_numpy_options():
+    want = find_cubic_expander(12, 1, lambda2_max=2.95, girth_min=4)
+    assert find_cubic_expander(12, 1, lambda2_max=np.float64(2.95), girth_min=np.int8(4)) == want
 
 
 def test_find_cubic_expander_exhausts():

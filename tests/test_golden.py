@@ -58,7 +58,7 @@ PUBLIC_NAMES = [
     "ConvergenceError", "DiGraph", "EliminationOrder", "ExpansionCertificate",
     "ExperimentConfig", "ExperimentResult", "GenerationError", "Graph", "InputError",
     "PercolationState", "ProductColouringReport", "RandcolError", "RngStream", "SUITE_NAMES",
-    "SpectralCertificate", "SuiteReport", "SuperVertexStatus", "TrialRecord", "TwoRoundSample",
+    "SuiteReport", "SuperVertexStatus", "TrialRecord", "TwoRoundSample",
     "alon_milman_lower_bound", "audit_blow_up", "binom_tail_geq", "blow_up",
     "bootstrap_percolate", "boundary_resilience_audit", "build_graph", "chromatic_number_exact",
     "classify_supervertices_thm3", "colouring_number", "complete_graph", "connected_component",

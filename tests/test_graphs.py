@@ -231,6 +231,12 @@ def test_short_cycle_filter_petersen():
     assert has_cycle_shorter_than(g, 6)
 
 
+@pytest.mark.parametrize("length", ["5", 5.0, True, None])
+def test_short_cycle_length_takes_the_integer_rule(length):
+    with pytest.raises(InputError, match="length must be an integer"):
+        has_cycle_shorter_than(petersen(), length)
+
+
 # --- connected edge subgraph counts ----------------------------------------
 
 

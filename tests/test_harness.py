@@ -231,6 +231,18 @@ class TestConfig:
          "params": GADGET_PARAMS, "regime_metadata": None},
         {"graph": {"kind": "blow_up", "m": 2,
                    "base": {"kind": "two_regular_digraph", "n": 4, "seed": 0}}},
+        *({"graph": {"kind": "blow_up", "m": 2, "base": base}} for base in (
+            {"kind": "cubic_expander", "n": 20, "seed": 1, "girth_min": "6"},
+            {"kind": "cubic_expander", "n": 20, "seed": 1, "girth_min": True},
+            {"kind": "cubic_expander", "n": 20, "seed": 1, "girth_min": 2.5},
+            {"kind": "cubic_expander", "n": 20, "seed": 1, "lambda2_max": "2.9"},
+            {"kind": "cubic_expander", "n": 20, "seed": 1, "lambda2_max": False},
+            {"kind": "file", "path": 0},
+            {"kind": "file", "path": 5},
+            {"kind": "random", "n": 6, "density": 1.5, "seed": 1},
+            {"kind": "random", "n": 6, "density": "0.5", "seed": 1},
+            {"kind": "random", "n": 6, "density": True, "seed": 1},
+        )),
         {"budget": 0},
         {"suite": "two_round"},
         {"k": 4},
@@ -243,10 +255,20 @@ class TestConfig:
             "recipe-not-a-dict", "recipe-unknown-field", "recipe-missing-field",
             "recipe-misspelt-base-field", "recipe-base-seed-str", "recipe-m-float", "recipe-base-n-float",
             "recipe-base-d-bool", "recipe-gadget-without-params",
-            "recipe-gadget-undirected-base", "recipe-blow-up-digraph-base", "budget-zero", "suite-set", "unread-k", "regime-false-report"])
+            "recipe-gadget-undirected-base", "recipe-blow-up-digraph-base",
+            "recipe-girth-min-str", "recipe-girth-min-bool", "recipe-girth-min-float",
+            "recipe-lambda2-max-str", "recipe-lambda2-max-bool", "recipe-path-zero",
+            "recipe-path-int", "recipe-density-above-one", "recipe-density-str",
+            "recipe-density-bool", "budget-zero", "suite-set", "unread-k", "regime-false-report"])
     def test_values_from_outside_are_checked(self, overrides):
         with pytest.raises(InputError):
             ExperimentConfig.from_dict({**core_config().to_dict(), **overrides})
+
+    def test_recipe_options_take_null_and_any_real_number(self):
+        for options in ({"girth_min": None, "lambda2_max": 3}, {"girth_min": 4, "lambda2_max": 2.95}):
+            recipe = {"kind": "cubic_expander", "n": 12, "seed": 1, **options}
+            assert build_graph(recipe)[0].regular_degree() == 3
+        assert build_graph({"kind": "random", "n": 5, "density": 1, "seed": 1})[0].m == 10
 
     @pytest.mark.parametrize("field", ["kind", "trials", "master_seed"])
     def test_required_fields_are_checked(self, field):

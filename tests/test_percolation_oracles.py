@@ -164,10 +164,12 @@ def test_intp_thresholds_match_their_float_values(case, data):
 @given(digraphs, st.data())
 def test_directed_spread_round_matches_float_thresholds(case, data):
     """In-degrees differ from out-degrees here, so a clamp by the wrong
-    degree would show; floats and their intp values."""
+    degree would show; floats and their intp values, given to _spread
+    itself, as bootstrap_percolate takes a Graph only."""
     g, seed, thresholds = spread_case(case, data, DiGraph)
-    for given_thresholds in (thresholds.tolist(), intp_values(out_lists(g), thresholds)):
-        assert_spread_matches_the_loop(g, seed, given_thresholds, thresholds)
+    for given_thresholds in (thresholds, intp_values(out_lists(g), thresholds)):
+        infected, trace = _spread(g, seed, given_thresholds)
+        assert (ids(infected), tuple(trace)) == ref_bootstrap_percolate(out_lists(g), ids(seed), thresholds)
 
 
 @pytest.mark.parametrize("n", (10, 50, 200))

@@ -370,29 +370,29 @@ def test_two_round_samples_stay_frozen_dataclasses():
     still frozen, and fields, replace and pickle see every field."""
     g = complete_graph(12)
     sample = two_round_sample(g, "1/9", RngStream(5))
-    names = ["graph", "first_rate", "round1_hit", "round2_hit"]
+    names = ["graph", "round1_hit", "round2_hit"]
     assert type(sample) is TwoRoundSample
     assert [f.name for f in dataclasses.fields(sample)] == names
     for name in names + ["other"]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sample, name, None)
-    moved = dataclasses.replace(sample, first_rate=0.25)
-    assert moved.first_rate == 0.25 and moved.round1_hit is sample.round1_hit
-    assert moved.survivors() == sample.survivors()
+    moved = dataclasses.replace(sample, round2_hit=sample.round1_hit)
+    assert moved.graph is g and moved.round2_hit is sample.round1_hit
+    assert moved.survivors() == g.with_edges(~sample.round1_hit)
     clone = pickle.loads(pickle.dumps(sample))
-    assert clone.graph == g and clone.first_rate == sample.first_rate
+    assert clone.graph == g
     assert np.array_equal(clone.round1_hit, sample.round1_hit)
     assert np.array_equal(clone.round2_hit, sample.round2_hit)
     assert clone.survivors() == sample.survivors()
     # a sample built by hand has its masks checked, since its survivor
     # graphs take them without a check
-    built = TwoRoundSample(g, sample.first_rate, sample.round1_hit, sample.round2_hit)
+    built = TwoRoundSample(g, sample.round1_hit, sample.round2_hit)
     assert built.survivors() == sample.survivors()
     for bad in (sample.round1_hit[1:], sample.round1_hit.astype(int), [True] * (g.m + 1)):
         with pytest.raises(InputError, match="boolean mask"):
-            TwoRoundSample(g, 0.1, bad, sample.round2_hit)
+            TwoRoundSample(g, bad, sample.round2_hit)
         with pytest.raises(InputError, match="boolean mask"):
-            TwoRoundSample(g, 0.1, sample.round1_hit, bad)
+            TwoRoundSample(g, sample.round1_hit, bad)
 
 
 def test_subgraph_masks_stay_apart_from_their_callers():

@@ -32,7 +32,7 @@ def ref_popcounts(masks, n):
 
 def ref_alon_milman(g, samples=10_000, stream=None, exhaustive_cap=18):
     d = g.regular_degree()
-    cert = spectral.second_eigenvalue(g, d)  # by attribute, so a patch reaches it
+    lambda2 = spectral.second_eigenvalue(g)  # by attribute, so a patch reaches it
     n = g.n
     slack = 1e-7
     violations = []
@@ -40,13 +40,12 @@ def ref_alon_milman(g, samples=10_000, stream=None, exhaustive_cap=18):
     witness = ()
     if n <= exhaustive_cap:
         mode = "exhaustive"
-        samples_out = None
         masks = np.arange(1 << n, dtype=np.int64)
         sizes = ref_popcounts(masks, n)
         boundary = np.zeros(len(masks), dtype=np.int64)
         for u, v in g.edges.tolist():
             boundary += ((masks >> u) ^ (masks >> v)) & 1
-        bound = (d - cert.lambda2) * sizes * (n - sizes) / n
+        bound = (d - lambda2) * sizes * (n - sizes) / n
         n_checked = len(masks)
         bad = np.flatnonzero(boundary < bound - slack)
         for s in bad[:32]:
@@ -60,7 +59,6 @@ def ref_alon_milman(g, samples=10_000, stream=None, exhaustive_cap=18):
         witness = tuple(v for v in range(n) if wmask >> v & 1)
     else:
         mode = "sampled"
-        samples_out = samples
         rng = (stream or RngStream(0).child("alon-milman")).generator()
         n_checked = samples
         for _ in range(samples):
@@ -69,7 +67,7 @@ def ref_alon_milman(g, samples=10_000, stream=None, exhaustive_cap=18):
             members = tuple(np.flatnonzero(inside).tolist())
             u, v = g.edges.T
             b = int(np.count_nonzero(inside[u] != inside[v]))  # edges leaving the set
-            bound = alon_milman_lower_bound(d, cert.lambda2, size, n)
+            bound = alon_milman_lower_bound(d, lambda2, size, n)
             if b < bound - slack:
                 if len(violations) < 32:
                     violations.append((members, b, bound))
@@ -77,9 +75,8 @@ def ref_alon_milman(g, samples=10_000, stream=None, exhaustive_cap=18):
             if ratio < tightest:
                 tightest = ratio
                 witness = members
-    return AlonMilmanReport(d=d, lambda2=cert.lambda2, mode=mode, samples=samples_out,
-                            n_checked=n_checked, violations=tuple(violations),
-                            tightest_ratio=tightest, witness=witness)
+    return AlonMilmanReport(d=d, lambda2=lambda2, mode=mode, n_checked=n_checked,
+                            violations=tuple(violations), tightest_ratio=tightest, witness=witness)
 
 
 def ref_vertex_expansion(h, samples=10_000, stream=None, exhaustive_cap=18):
@@ -135,10 +132,10 @@ def assert_same(got, want):
 def both_modes(run, ref, g, seed):
     with pytest.MonkeyPatch.context() as mp:
         if isinstance(g, Graph):
-            # one certificate for both sides: on tiny graphs with lambda2 = 0,
+            # one lambda2 for both sides: on tiny graphs with lambda2 = 0,
             # ARPACK's last bits differ from call to call
-            cert = spectral.second_eigenvalue(g, g.regular_degree())
-            mp.setattr(spectral, "second_eigenvalue", lambda g, d: cert)
+            lambda2 = spectral.second_eigenvalue(g)
+            mp.setattr(spectral, "second_eigenvalue", lambda g: lambda2)
         assert_same(run(g), ref(g))
         kwargs = dict(samples=150, stream=RngStream(seed).child("oracle"), exhaustive_cap=0)
         assert_same(run(g, **kwargs), ref(g, **kwargs))
@@ -196,12 +193,7 @@ def test_blocks_carry_the_witness_across(monkeypatch):
 
 @pytest.mark.parametrize("cells", [spectral.SWEEP_CELLS, 64], ids=["one-block", "many-blocks"])
 def test_first_32_violations_match(monkeypatch, cells):
-    real = spectral.second_eigenvalue
-
-    def low(g, d):
-        return dataclasses.replace(real(g, d), lambda2=-float(d))
-
-    monkeypatch.setattr(spectral, "second_eigenvalue", low)
+    monkeypatch.setattr(spectral, "second_eigenvalue", lambda g: -float(g.regular_degree()))
     monkeypatch.setattr(spectral, "SWEEP_CELLS", cells)
     g = random_regular_graph(10, 3, 0)
     for kwargs in ({}, dict(samples=400, stream=RngStream(3).child("v"), exhaustive_cap=0)):

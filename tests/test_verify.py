@@ -43,7 +43,7 @@ class TestPooledChiSquare:
         # pooling must merge neighbours until >= 10 observations
         a = np.arange(10)
         b = np.arange(10)
-        stat, dof, _ = pooled_chi_square(a, b, 9, min_expected=10)
+        stat, dof, _ = pooled_chi_square(a, b, 9)
         assert stat == 0.0
         assert dof == 1
 
