@@ -5,10 +5,8 @@ experiment harness."""
 from .bounds import (
     BoundConstants,
     binom_tail_geq,
-    near_disjoint_family,
     proposition_lower_bound,
     resilient_pair_probability_bound,
-    theorem2_tail_bound,
 )
 from .colouring import (
     ColouringResult,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .generators import ConstructionParams
-from .graphs import _is_integer
+from .graphs import _integer, _is_integer
 from .sampling import _check_probability
 
 
@@ -41,8 +41,7 @@ def binom_tail_geq(n: int, q, x) -> float:
     fractional x starts the sum at ceil(x); n must be an integer, which bdtrc
     floors, q a probability (sampling._check_probability) and x a real
     number, not a bool, in 0..n+1."""
-    if not (_is_integer(n) and n >= 0):
-        raise InputError(f"n must be a non-negative integer, got {n!r}")
+    n = _integer(n, "n")
     _check_probability(q)
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 <= x <= n + 1:
         raise InputError(f"x must be a number in 0..n+1, got {x!r}")
@@ -87,8 +86,7 @@ def proposition_lower_bound(p: float, k, n) -> float:
     _check_probability(p)
     if p == 0:
         raise InputError("p must lie in (0, 1]")
-    if not (_is_integer(k) and _is_integer(n) and k >= 2 and n >= 2):
-        raise InputError(f"k and n must be integers of at least 2, got {k!r} and {n!r}")
+    k, n = _integer(k, "k", 2), _integer(n, "n", 2)
     return p * k / (2 * math.log(n))
 
 
@@ -139,8 +137,7 @@ def near_disjoint_family(k: int, block_size: int) -> list:
     the affine plane over F_q give the large family; otherwise the
     fallback is the ceil-free disjoint partition into floor(k/block_size)
     blocks."""
-    if block_size < 1:
-        raise InputError("block_size must be at least 1")
+    k, block_size = _integer(k, "k"), _integer(block_size, "block_size", 1)
     if block_size > k:
         raise InputError("block_size cannot exceed k")
     q = math.isqrt(k)

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .graphs import Graph, _expect, _frozen
+from .graphs import Graph, _expect, _frozen, _integer
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_N_CAP = 40
@@ -109,9 +109,7 @@ def t_core(g: Graph, t: int) -> np.ndarray:
     """Read-only mask of the unique maximal induced subgraph with minimum
     degree >= t (possibly empty). Builds no peel order."""
     _expect(g, Graph, "t_core")
-    if t < 0:
-        raise InputError("t must be >= 0")
-    return _frozen(_peel(g, (t,)))
+    return _frozen(_peel(g, (_integer(t, "t"),)))
 
 
 def _neighbour_masks(g: Graph) -> list[int]:
@@ -194,9 +192,8 @@ def chromatic_number_exact(
     """
     _expect(g, Graph, "chromatic_number_exact")
     n = g.n
-    if budget < 1:
-        raise InputError(f"budget must be at least 1, got {budget}")
-    if n > n_cap:
+    budget = _integer(budget, "budget", 1)
+    if n > _integer(n_cap, "n_cap"):
         raise CapacityError(f"n={n} exceeds cap {n_cap} (raise n_cap to allow)")
     if n == 0:
         return ColouringResult((), 0, True, 0)
@@ -283,7 +280,7 @@ def product_colouring_check(
         raise InputError("need at least one part")
     seen: set = set()
     for part in parts:
-        if part.n != g.n:
+        if _expect(part, Graph, "product_colouring_check").n != g.n:
             raise InputError("parts must share the vertex set of g")
         pe = set(map(tuple, part.edges.tolist()))
         if pe & seen:

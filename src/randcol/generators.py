@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstructionError, GenerationError, InputError
-from .graphs import (DiGraph, Graph, _expect, _is_integer, _repeats, has_cycle_shorter_than,
-                     is_connected)
+from .graphs import (DiGraph, Graph, _expect, _integer, _is_integer, _repeats,
+                     has_cycle_shorter_than, is_connected)
 from .sampling import RngStream
 from .spectral import second_eigenvalue
 
@@ -44,7 +44,7 @@ class ConstructionParams:
     records whether a run is in-regime instead. A given alpha only has to
     keep both two-round deletion rates inside (0, 1], i.e. 0 < alpha < 3/2,
     and a gadget needs s >= 2. All fields are checked, as config files
-    supply them, and integer fields are kept as ints (graphs._is_integer
+    supply them, and integer fields are kept as ints (graphs._integer
     admits numpy integers).
     """
 
@@ -63,9 +63,7 @@ class ConstructionParams:
             # only the gadget has layers, which s counts
             if value is None and name == "s" and self.mode != "gadget":
                 continue
-            if not _is_integer(value):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(value, name, None))
         if self.alpha is not None and not 0 < self.alpha < Fraction(3, 2):
             raise InputError("alpha must lie in (0, 3/2)")
         if self.mode == "gadget" and self.s < 2:
@@ -115,6 +113,11 @@ class BlowUpLayout:
     n_super: int
     layers: int
     m: int
+
+    def __post_init__(self):
+        # an empty base blows up to an empty graph
+        for name, low in (("n_super", 0), ("layers", 1), ("m", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
 
     @property
     def n_vertices(self) -> int:
@@ -192,9 +195,7 @@ def _pair_stubs(n: int, d: int, stream: RngStream, directed: bool, what: str):
 def random_regular_graph(n: int, d: int, seed) -> Graph:
     """Simple d-regular graph from the configuration model with
     rejection (resample on loops or parallel edges)."""
-    if not (_is_integer(n) and _is_integer(d) and n > 0 and d >= 0):
-        raise InputError(f"need integers n > 0 and d >= 0, got {n!r} and {d!r}")
-    n, d = int(n), int(d)
+    n, d = _integer(n, "n", 1), _integer(d, "d")
     if (n * d) % 2:
         raise InputError("n*d must be even")
     if d >= n:
@@ -208,9 +209,7 @@ def random_two_regular_digraph(n: int, seed) -> DiGraph:
     """Simple digraph with every in- and out-degree exactly 2, in-arcs
     2-coloured: at each vertex the lower-numbered in-arc is red, the
     other blue. Antiparallel arc pairs are allowed."""
-    if not (_is_integer(n) and n >= 3):
-        raise InputError(f"need an integer n >= 3, got {n!r}")
-    n = int(n)
+    n = _integer(n, "n", 3)
     stream = _as_stream(seed, "two-regular-digraph")
     tails, heads = _pair_stubs(n, 2, stream, directed=True, what="2-regular digraph")
     colours = np.where(_repeats(heads), "b", "r")
@@ -233,10 +232,10 @@ def find_cubic_expander(
     """
     if isinstance(lambda2_max, bool) or not isinstance(lambda2_max, numbers.Real):
         raise InputError(f"lambda2_max must be a number, got {lambda2_max!r}")
-    if not (girth_min is None or _is_integer(girth_min)):
-        raise InputError(f"girth_min must be an integer or None, got {girth_min!r}")
+    if girth_min is not None:
+        girth_min = _integer(girth_min, "girth_min", None)
     stream = _as_stream(seed, "cubic-expander")
-    for attempt in range(max_tries):
+    for attempt in range(_integer(max_tries, "max_tries")):
         try:
             g = random_regular_graph(n, 3, stream.child("try", attempt))
         except GenerationError:
@@ -269,9 +268,7 @@ def blow_up(h: Graph, m: int) -> tuple[Graph, BlowUpLayout]:
     """Replace every vertex of h by an independent m-set and every edge
     by a complete bipartite graph."""
     _expect(h, Graph, "blow_up")
-    if not (_is_integer(m) and m >= 1):
-        raise InputError(f"m must be an integer >= 1, got {m!r}")
-    m = int(m)
+    m = _integer(m, "m", 1)
     layout = BlowUpLayout(n_super=h.n, layers=1, m=m)
     return Graph(layout.n_vertices, _complete_bipartite(*(h.edges * m).T, m)), layout
 
@@ -326,7 +323,7 @@ def audit_blow_up(g: Graph, layout: BlowUpLayout, expect_degree: int | None = No
     if g.n != layout.n_vertices:
         raise ConstructionError("vertex count does not match layout")
     if expect_degree is not None:
-        bad = np.flatnonzero(g._arc_view().degree != expect_degree)
+        bad = np.flatnonzero(g._arc_view().degree != _integer(expect_degree, "expect_degree"))
         if bad.size:
             raise ConstructionError(
                 f"{bad.size} vertices miss degree {expect_degree} (first: {bad[:5].tolist()})"

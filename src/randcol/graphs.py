@@ -81,12 +81,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _count(n) -> int:
-    """n as an int; InputError unless it is a non-negative integer
-    (_is_integer)."""
-    if not (_is_integer(n) and n >= 0):
-        raise InputError(f"vertex count must be a non-negative integer, got {n!r}")
-    return int(n)
+def _integer(value, what: str, low: int | None = 0) -> int:
+    """value as an int; InputError unless it passes _is_integer and is at
+    least low (no bound when low is None): the one integer check of every
+    public entry point."""
+    if _is_integer(value) and (low is None or value >= low):
+        return int(value)
+    rule = ("an integer" if low is None else "a non-negative integer" if low == 0
+            else f"an integer >= {low}")
+    raise InputError(f"{what} must be {rule}, got {value!r}")
 
 
 def _vertex(n: int, r) -> int:
@@ -293,7 +296,7 @@ class Graph:
     )
 
     def __init__(self, n: int, edges, validate: bool = True):
-        n = _count(n)
+        n = _integer(n, "vertex count")
         if validate:
             ends = np.sort(_pairs(edges), axis=1)
             ends = ends[np.lexsort(ends.T[::-1])]
@@ -431,7 +434,7 @@ class DiGraph:
         arc_colour: Sequence[str] | None = None,
         validate: bool = True,
     ):
-        self.n = _count(n)
+        self.n = _integer(n, "vertex count")
         self.arcs: np.ndarray = _frozen(_pairs(arcs))
         self.arc_colour: tuple[str, ...] | None = (
             tuple(arc_colour) if arc_colour is not None else None
@@ -508,8 +511,7 @@ def has_cycle_shorter_than(g: Graph, length: int) -> bool:
     neighbours k + 1, which the tests for levels k and k - 1 pass over.
     """
     _expect(g, Graph, "has_cycle_shorter_than")
-    if not _is_integer(length):
-        raise InputError(f"length must be an integer, got {length!r}")
+    length = _integer(length, "length", None)
     if length <= 3:  # a simple graph has no shorter cycle
         return False
     adj = g.adjacency()
@@ -551,8 +553,7 @@ def count_connected_edge_subgraphs_upto(g: Graph, v: int, t_max: int) -> list[in
     """
     _expect(g, Graph, "count_connected_edge_subgraphs_upto")
     v = _vertex(g.n, v)  # a Python int, as the walk's bitmasks are
-    if not (_is_integer(t_max) and t_max >= 1):
-        raise InputError(f"t must be an integer >= 1, got {t_max!r}")
+    t_max = _integer(t_max, "t", 1)
     inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for i, (a, b) in enumerate(g.edges.tolist()):
         inc[a].append((i, b))
@@ -610,13 +611,13 @@ def is_strongly_connected(h: DiGraph) -> bool:
 
 
 def complete_graph(n: int) -> Graph:
-    n = _count(n)
+    n = _integer(n, "vertex count")
     # triu_indices runs row by row, so its pairs are canonical and sorted
     return Graph(n, np.column_stack(np.triu_indices(n, 1)), validate=False)
 
 
 def cycle_graph(n: int) -> Graph:
-    n = _count(n)
+    n = _integer(n, "vertex count")
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
     v = np.arange(n)

@@ -41,7 +41,7 @@ from .generators import (
     random_regular_graph,
     random_two_regular_digraph,
 )
-from .graphs import (DiGraph, Graph, _expect, complete_graph, connected_component,
+from .graphs import (DiGraph, Graph, _expect, _integer, complete_graph, connected_component,
                      cycle_graph, load_graph, reachable_set)
 from .percolation import (
     classify_supervertices_thm3,
@@ -60,7 +60,8 @@ MAX_SEED = 2**64 - 1
 
 def wilson_interval(successes: int, trials: int) -> tuple:
     """Two-sided 95% Wilson score interval for a binomial proportion."""
-    if trials < 0 or not 0 <= successes <= trials:
+    successes, trials = _integer(successes, "successes"), _integer(trials, "trials")
+    if successes > trials:
         raise InputError("need 0 <= successes <= trials")
     if trials == 0:
         return (0.0, 1.0)

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import InputError
 from .generators import BlowUpLayout, ConstructionParams
-from .graphs import (DiGraph, Graph, _expect, _frozen, _sized, _spread, _spread_from, _vertex,
-                     vertex_boundary)
+from .graphs import (DiGraph, Graph, _expect, _frozen, _integer, _sized, _spread, _spread_from,
+                     _vertex, vertex_boundary)
 from .colouring import t_core
 from .sampling import RngStream, _below, _check_probability
 
@@ -48,6 +48,8 @@ def bootstrap_percolate(g: Graph, initially_infected, threshold_of: Sequence) ->
     _expect(g, Graph, "bootstrap_percolate")
     seed = _sized(initially_infected, g.n, "seed")
     thresholds = np.asarray(threshold_of)
+    if thresholds.dtype.kind not in "iuf":
+        raise InputError(f"thresholds must be numbers, got {thresholds.dtype}")
     if thresholds.dtype != np.intp:
         thresholds = thresholds.astype(float)
     if thresholds.shape != (g.n,):
@@ -66,8 +68,7 @@ def t_core_via_percolation(g: Graph, t: int) -> np.ndarray:
     complement of the fixpoint equals the peeled t-core exactly.
     """
     _expect(g, Graph, "t_core_via_percolation")
-    if t < 0:
-        raise InputError("t must be >= 0")
+    t = _integer(t, "t")
     deg = g._arc_view().degree
     # vertices below t are seeds, so clamping their raw (negative)
     # thresholds changes nothing

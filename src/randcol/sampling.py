@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, _expect, _frozen, _is_integer, _sized
+from .graphs import Graph, _expect, _frozen, _integer, _is_integer, _sized
 
 # 0-d arrays: ufuncs take them with less overhead than numpy scalars
 _GOLDEN, _MIX1, _MIX2, _ONE, _S11, _S27, _S30, _S31 = (
@@ -173,9 +173,7 @@ class RngStream:
         return _key_of(self._state())
 
     def uniforms(self, count: int, *labels, words=False) -> np.ndarray:
-        if not _is_integer(count):
-            raise InputError(f"count must be an int, got {type(count).__name__}")
-        if count < 0:
+        if _integer(count, "count", None) < 0:
             raise InputError("count must be non-negative")
         return self.uniform_at(range(count), *labels, words=words)
 

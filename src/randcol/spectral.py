@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .graphs import DiGraph, Graph, _csr, _expect, is_connected
+from .graphs import DiGraph, Graph, _csr, _expect, _integer, is_connected
 from .sampling import RngStream
 
 TOLERANCE = 1e-9
@@ -87,6 +87,9 @@ def second_eigenvalue(g: Graph) -> float:
 def alon_milman_lower_bound(d: int, lambda2: float, s_size, n: int):
     """Guaranteed edge-boundary size (d - lambda2) * |S| * (n - |S|) / n,
     for one subset size or an array of them."""
+    d, n = _integer(d, "d"), _integer(n, "n")
+    if np.asarray(s_size).dtype.kind not in "iuf":
+        raise InputError(f"subset sizes must be numbers, got {s_size!r}")
     if np.any((s_size < 0) | (s_size > n)):
         raise InputError(f"subset size {s_size} outside 0..{n}")
     return (d - lambda2) * s_size * (n - s_size) / n
@@ -165,6 +168,7 @@ def verify_alon_milman(
     mathematics.
     """
     _expect(g, Graph, "verify_alon_milman")
+    samples = _integer(samples, "samples", 1)
     lambda2 = second_eigenvalue(g)
     d, n = g.regular_degree(), g.n
     slack = 1e-7  # eigenvalue tolerance leaves the bound this fuzzy
@@ -176,7 +180,7 @@ def verify_alon_milman(
         bad = np.flatnonzero(boundary < bound - slack)[:32].tolist()
         return boundary, bound, [(j, int(boundary[j]), float(bound[j])) for j in bad]
 
-    exhaustive = n <= exhaustive_cap
+    exhaustive = n <= _integer(exhaustive_cap, "exhaustive_cap")
     rng = None if exhaustive else (stream or RngStream(0).child("alon-milman")).generator()
     tightest, witness, violations = _sweep(*g._csr_arrays(), samples, rng, score)
     return AlonMilmanReport(
@@ -202,6 +206,7 @@ def verify_vertex_expansion(
     exact for n <= exhaustive_cap (full subset sweep), sampled otherwise.
     """
     _expect(h, DiGraph, "verify_vertex_expansion")
+    samples = _integer(samples, "samples", 1)
     if not h.is_regular(2):
         raise InputError("digraph must have in- and out-degree exactly 2")
     n = h.n
@@ -215,7 +220,7 @@ def verify_vertex_expansion(
         boundary = np.logical_or.reduceat(crossing, firsts, axis=1).sum(axis=1)
         return boundary, np.minimum(sizes, n - sizes), []
 
-    exhaustive = n <= exhaustive_cap
+    exhaustive = n <= _integer(exhaustive_cap, "exhaustive_cap")
     rng = None if exhaustive else (stream or RngStream(0).child("vertex-expansion")).generator()
     best, witness, _ = _sweep(indptr, indices, samples, rng, score)
     return ExpansionCertificate(

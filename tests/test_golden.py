@@ -64,12 +64,12 @@ PUBLIC_NAMES = [
     "classify_supervertices_thm3", "colouring_number", "complete_graph", "connected_component",
     "count_connected_edge_subgraphs_upto", "cycle_graph", "find_cubic_expander", "format_graph",
     "gadget_blow_up", "has_cycle_shorter_than", "is_connected", "is_strongly_connected",
-    "load_config", "load_graph", "load_result", "near_disjoint_family", "parse_graph",
+    "load_config", "load_graph", "load_result", "parse_graph",
     "partition_split", "product_colouring_check", "proposition_lower_bound",
     "random_regular_graph", "random_two_regular_digraph", "reachable_set",
     "resilient_pair_detect", "resilient_pair_probability_bound", "run_experiment", "run_suite",
     "sample_subgraph", "save_graph", "save_layout", "second_eigenvalue", "second_round_rate",
-    "t_core", "t_core_via_percolation", "theorem2_tail_bound", "thm3_fixpoint_violations",
+    "t_core", "t_core_via_percolation", "thm3_fixpoint_violations",
     "thm3_process", "thm4_fixpoint_violations", "thm4_process", "two_round_sample",
     "verify_alon_milman", "verify_vertex_expansion", "vertex_boundary", "wilson_interval",
 ]
