@@ -45,7 +45,7 @@ def binom_tail_geq(n: int, q, x) -> float:
     _check_probability(q)
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 <= x <= n + 1:
         raise InputError(f"x must be a number in 0..n+1, got {x!r}")
-    import scipy.special  # here, as in verify.pooled_chi_square, so `import randcol` skips it
+    import scipy.special  # here, on first call, so `import randcol` skips it
 
     return float(scipy.special.bdtrc(math.ceil(x) - 1, n, float(q)))
 

@@ -327,6 +327,8 @@ class ExperimentConfig:
             raise InputError("budget must be at least 1")
         if self.t is not None and self.t < 0:
             raise InputError("t must be a non-negative integer")
+        if self.k is not None and self.k < 2:  # once here, not in every proposition_check trial
+            raise InputError(f"k must be an integer >= 2, got {self.k!r}")
         if self.p is not None and not (_is_real(self.p) and 0.0 <= self.p <= 1.0):
             raise InputError(f"p must be a number in [0, 1], got {self.p!r}")
         if self.p_sweep is not None:

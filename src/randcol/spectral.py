@@ -87,9 +87,10 @@ def second_eigenvalue(g: Graph) -> float:
 def alon_milman_lower_bound(d: int, lambda2: float, s_size, n: int):
     """Guaranteed edge-boundary size (d - lambda2) * |S| * (n - |S|) / n,
     for one subset size or an array of them."""
-    d, n = _integer(d, "d"), _integer(n, "n")
-    if np.asarray(s_size).dtype.kind not in "iuf":
+    d, n, sizes = _integer(d, "d"), _integer(n, "n"), np.asarray(s_size)
+    if sizes.dtype.kind not in "iuf":
         raise InputError(f"subset sizes must be numbers, got {s_size!r}")
+    s_size = sizes if sizes.ndim else s_size  # a scalar stays, so its bound is a float
     if np.any((s_size < 0) | (s_size > n)):
         raise InputError(f"subset size {s_size} outside 0..{n}")
     return (d - lambda2) * s_size * (n - s_size) / n

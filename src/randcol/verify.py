@@ -20,6 +20,7 @@ from .errors import InputError
 from .generators import random_regular_graph, random_two_regular_digraph
 from .graphs import (
     DiGraph,
+    _integer,
     complete_graph,
     count_connected_edge_subgraphs_upto,
     is_strongly_connected,
@@ -183,12 +184,42 @@ def _survivor_counts_one_round(g, p, root: RngStream, trials: int) -> np.ndarray
     return counts
 
 
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with integer dof, h = x/2: e^-h * sum_{j < dof/2}
+    h^j / j! for even dof, erfc(sqrt h) + e^-h * sum_{j <= (dof-3)/2} h^(j+1/2)
+    / Gamma(j + 3/2) for odd dof (Abramowitz & Stegun 26.4.4 and 26.4.5)."""
+    h, half = x / 2, (dof % 2) / 2
+    total = math.erfc(math.sqrt(h)) if half else 0.0
+    term = math.exp(-h) * (2 * math.sqrt(h / math.pi) if half else 1.0)
+    for j in range(dof // 2):
+        total += term
+        term *= h / (j + 1 + half)
+    return total
+
+
+def _chi2_isf(q: float, dof: int) -> float:
+    """The x with _chi2_sf(x, dof) = q, by bisection over doubles until the
+    bracket no longer shrinks. It searches 0..1416, where e^-x/2 is a normal
+    double and _chi2_sf keeps its precision; a quantile past 1416 is an InputError."""
+    lo, hi = 0.0, 1416.0
+    if _chi2_sf(hi, dof) > q:
+        raise InputError(f"the chi-square quantile at dof={dof} is past x = 1416")
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if _chi2_sf(mid, dof) > q else (lo, mid)
+    return hi
+
+
 def pooled_chi_square(a: np.ndarray, b: np.ndarray, m: int):
     """Two-sample chi-square on kept-edge histograms with equal totals.
 
     Sparse outer cells are pooled inward until every pooled cell holds at
     least CHI_SQUARE_MIN_CELL combined observations. Returns (statistic,
     degrees of freedom, critical value at the 0.001 level)."""
+    m, a, b = _integer(m, "m"), np.asarray(a), np.asarray(b)
+    for x in (a, b):
+        if (x.dtype.kind not in "iu" or x.ndim != 1 or x.size != a.size
+                or x.size and not 0 <= x.min() <= x.max() <= m):
+            raise InputError(f"a and b must be equally long arrays of integers in 0..{m}")
     ha = np.bincount(a, minlength=m + 1).astype(np.float64)
     hb = np.bincount(b, minlength=m + 1).astype(np.float64)
     cells = []
@@ -209,12 +240,7 @@ def pooled_chi_square(a: np.ndarray, b: np.ndarray, m: int):
         raise InputError("not enough occupied cells for a chi-square test")
     stat = sum((oa - ob) ** 2 / (oa + ob) for oa, ob in cells)
     dof = len(cells) - 1
-    # the chi-square quantile, as scipy.stats.chi2.ppf computes it;
-    # imported here, since at module level scipy.special alone doubles
-    # the time of `import randcol`, and only this test and bounds.binom_tail_geq read it
-    import scipy.special
-
-    critical = float(2 * scipy.special.gammaincinv(dof / 2, 1.0 - CHI_SQUARE_SIGNIFICANCE))
+    critical = _chi2_isf(CHI_SQUARE_SIGNIFICANCE, dof)
     return stat, dof, critical
 
 

@@ -246,6 +246,8 @@ class TestConfig:
         {"budget": 0},
         {"suite": "two_round"},
         {"k": 4},
+        {"kind": "proposition_check", "t": None, "k": 1},
+        {"kind": "proposition_check", "t": None, "k": -3},
         {"regime_metadata": {**core_config().regime_metadata, "in_asymptotic_regime": True}},
     ], ids=["p-str", "p-bool", "sweep-str", "sweep-bool", "sweep-scalar",
             "params-missing-mode", "params-bad-alpha", "params-zero-denominator",
@@ -259,7 +261,8 @@ class TestConfig:
             "recipe-girth-min-str", "recipe-girth-min-bool", "recipe-girth-min-float",
             "recipe-lambda2-max-str", "recipe-lambda2-max-bool", "recipe-path-zero",
             "recipe-path-int", "recipe-density-above-one", "recipe-density-str",
-            "recipe-density-bool", "budget-zero", "suite-set", "unread-k", "regime-false-report"])
+            "recipe-density-bool", "budget-zero", "suite-set", "unread-k", "proposition-k-one",
+            "proposition-k-negative", "regime-false-report"])
     def test_values_from_outside_are_checked(self, overrides):
         with pytest.raises(InputError):
             ExperimentConfig.from_dict({**core_config().to_dict(), **overrides})
@@ -713,10 +716,11 @@ class TestOutputs:
 def test_start_up_loads_no_scipy_and_no_process_pool():
     """`import randcol` loads numpy and the standard library only, and a
     core_emptiness run on a blow-up (one worker) loads no scipy either:
-    scipy serves the eigensolver, the chi-square test and the binomial
-    tail alone. Nor does a run load numpy.ma, which a plain np.unique
-    imports, on a complete base or on a random regular one (as
-    core_death's recipe), whose generator checks repeated stub pairs."""
+    scipy serves the eigensolver and the binomial tail alone (the
+    chi-square test, which loads none, has its own check in test_verify).
+    Nor does a run load numpy.ma, which a plain np.unique imports, on a
+    complete base or on a random regular one (as core_death's recipe),
+    whose generator checks repeated stub pairs."""
     regular_base = {"kind": "blow_up", "m": 2,
                     "base": {"kind": "random_regular", "n": 20, "d": 3, "seed": 1}}
     code = (

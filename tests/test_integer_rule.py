@@ -143,13 +143,25 @@ def test_every_integer_parameter_is_in_the_table():
     lambda x: randcol.bootstrap_percolate(G, np.zeros(4, dtype=bool), [x] * 4),
     lambda x: randcol.alon_milman_lower_bound(3, 1.0, x, 4),
     lambda x: randcol.alon_milman_lower_bound(3, 1.0, np.array([x] * 2), 4),
+    lambda x: randcol.alon_milman_lower_bound(3, 1.0, [x] * 2, 4),
+    lambda x: randcol.alon_milman_lower_bound(3, 1.0, (x,) * 2, 4),
 ], ids=["bootstrap_percolate threshold_of", "alon_milman_lower_bound s_size",
-        "alon_milman_lower_bound s_size array"])
+        "alon_milman_lower_bound s_size array", "alon_milman_lower_bound s_size list",
+        "alon_milman_lower_bound s_size tuple"])
 @pytest.mark.parametrize("bad", [True, "1", "x"])
 def test_number_arrays_take_numbers_only(call, bad):
     # a bool or a string entry is no number, as a float one is
     with pytest.raises(InputError, match="must be numbers"):
         call(bad)
+
+
+@pytest.mark.parametrize("sizes", [[1, 2], (1, 2)], ids=["list", "tuple"])
+def test_subset_sizes_take_a_list_or_a_tuple_as_an_array(sizes):
+    want = randcol.alon_milman_lower_bound(3, 1.0, np.array(sizes), 4)
+    assert np.array_equal(randcol.alon_milman_lower_bound(3, 1.0, sizes, 4), want)
+    with pytest.raises(InputError, match="outside 0..4"):
+        randcol.alon_milman_lower_bound(3, 1.0, type(sizes)([1, 5]), 4)
+    assert type(randcol.alon_milman_lower_bound(3, 1.0, sizes[0], 4)) is float
 
 
 @pytest.mark.parametrize("parts", ["ab", [H]], ids=["str", "digraph"])

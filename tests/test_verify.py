@@ -16,6 +16,8 @@ from randcol.verify import (
     SUITE_NAMES,
     SuiteReport,
     CheckResult,
+    _chi2_isf,
+    _chi2_sf,
     _survivor_counts_one_round,
     _survivor_counts_two_round,
     pooled_chi_square,
@@ -53,12 +55,49 @@ class TestPooledChiSquare:
             pooled_chi_square(a, a.copy(), 10)
 
     def test_critical_value_is_the_chi2_quantile(self):
+        # an independent closed form promises scipy's quantile to 1e-12, the
+        # suite's printed digits and scipy's verdict 1e-9 either side of it,
+        # not scipy's last bit
         stats = pytest.importorskip("scipy.stats")
-        for dof in range(1, 201):
+        for dof in range(1, 401):
             a = np.repeat(np.arange(dof + 1), 10)  # one cell per value
             _, got_dof, critical = pooled_chi_square(a, a.copy(), dof)
             assert got_dof == dof
-            assert critical == float(stats.chi2.ppf(1.0 - CHI_SQUARE_SIGNIFICANCE, dof))
+            ppf = float(stats.chi2.ppf(1.0 - CHI_SQUARE_SIGNIFICANCE, dof))
+            assert abs(critical - ppf) <= 1e-12 * ppf
+            assert f"{critical:.3f}" == f"{ppf:.3f}"
+            assert ppf * (1 - 1e-9) < critical and not ppf * (1 + 1e-9) < critical
+
+    def test_survival_function_matches_scipy_chdtrc(self):
+        special = pytest.importorskip("scipy.special")
+        for dof in range(1, 401):
+            top = 2 * float(special.chdtri(dof, CHI_SQUARE_SIGNIFICANCE))
+            for x in np.linspace(max(dof - 2, 0), top, 25):  # from the mode
+                want = float(special.chdtrc(dof, x))
+                assert abs(_chi2_sf(float(x), dof) - want) <= 1e-12 * want, (dof, x)
+
+    def test_a_quantile_past_the_normal_doubles_is_an_error(self):
+        # there e^-x/2 underflows, and bisection would settle below the quantile
+        assert _chi2_isf(CHI_SQUARE_SIGNIFICANCE, 1250) < 1416
+        with pytest.raises(InputError, match="past x = 1416"):
+            _chi2_isf(CHI_SQUARE_SIGNIFICANCE, 1300)
+
+    @pytest.mark.parametrize("a,b,m", [
+        (np.repeat([0, 1, 7], 500), np.repeat([0, 1, 2], 500), 2),
+        (np.concatenate([np.repeat([0, 1, 2], 500), np.full(500, 7)]),
+         np.repeat([0, 1, 2], 500), 2),
+        (np.repeat([0, 1, 2], 500), np.repeat([0, 1, 2], 400), 2),
+        (np.repeat([-1, 1, 2], 500), np.repeat([0, 1, 2], 500), 2),
+        (np.repeat([0.0, 1.0, 2.0], 500), np.repeat([0.0, 1.0, 2.0], 500), 2),
+        (np.repeat([0, 1, 2], 500), np.repeat([0, 1, 2], 500), 2.5),
+        (np.repeat([0, 1], 500), np.repeat([0, 1], 500), True),
+        (np.repeat([0, 1], 500).reshape(2, 500), np.repeat([0, 1], 500).reshape(2, 500), 1),
+    ], ids=["above-m", "extra-above-m", "unequal-totals", "negative", "float", "m-float",
+            "m-bool", "two-dimensional"])
+    def test_counts_outside_the_histogram_are_an_error(self, a, b, m):
+        # a count above m would otherwise drop out of the statistic unseen
+        with pytest.raises(InputError):
+            pooled_chi_square(a, b, m)
 
 
 def test_import_does_not_load_scipy_stats():
@@ -66,6 +105,17 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_chi_square_test_loads_no_scipy():
+    code = ("import sys, numpy as np\n"
+            "from randcol.verify import pooled_chi_square\n"
+            "a = np.repeat(np.arange(4), 10)\n"
+            "print(pooled_chi_square(a, a.copy(), 3)[1],\n"
+            "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "3 []"
 
 
 def test_survivor_counts_match_an_int64_loop_past_255_edges():
