@@ -620,8 +620,10 @@ def cycle_graph(n: int) -> Graph:
     n = _integer(n, "vertex count")
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
+    # the path rows (v, v + 1), the closing row (0, n - 1) second: canonical, sorted
     v = np.arange(n)
-    return Graph(n, np.column_stack((v, (v + 1) % n)))
+    return Graph(n, np.insert(np.column_stack((v[:-1], v[1:])), 1, (0, n - 1), axis=0),
+                 validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +694,17 @@ def format_graph(g: Graph | DiGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path) -> str:
+    """The text of the file at path; InputError unless it is UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_graph(path) -> Graph | DiGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def save_graph(g: Graph | DiGraph, path) -> None:

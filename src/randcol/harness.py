@@ -41,8 +41,8 @@ from .generators import (
     random_regular_graph,
     random_two_regular_digraph,
 )
-from .graphs import (DiGraph, Graph, _expect, _integer, complete_graph, connected_component,
-                     cycle_graph, load_graph, reachable_set)
+from .graphs import (DiGraph, Graph, _expect, _integer, _read_text, complete_graph,
+                     connected_component, cycle_graph, load_graph, reachable_set)
 from .percolation import (
     classify_supervertices_thm3,
     thm3_fixpoint_violations,
@@ -425,8 +425,7 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_json(fh.read())
+    return ExperimentConfig.from_json(_read_text(path))
 
 
 @dataclass(frozen=True)
@@ -709,16 +708,18 @@ def load_result(path) -> tuple:
     """Read a result file back as (records, aggregate)."""
     records = []
     aggregate = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    for number, line in enumerate(_read_text(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
             obj = json.loads(line)
             if "aggregate" in obj:
                 aggregate = obj["aggregate"]
             else:
                 records.append(TrialRecord.from_dict(obj))
+        except (ValueError, KeyError, TypeError):  # not JSON, not an object, a field missing
+            raise InputError(f"{path}: line {number} is neither a trial record nor the "
+                             "aggregate") from None
     if aggregate is None:
         raise InputError(f"{path}: missing aggregate line")
     return records, aggregate

@@ -23,6 +23,7 @@ from .graphs import (
     _integer,
     complete_graph,
     count_connected_edge_subgraphs_upto,
+    cycle_graph,
     is_strongly_connected,
     vertex_boundary,
 )
@@ -209,6 +210,15 @@ def _chi2_isf(q: float, dof: int) -> float:
     return hi
 
 
+def _histogram(x: np.ndarray, m: int) -> np.ndarray:
+    """np.bincount(x, minlength=m + 1) as floats, without bincount's intp copy
+    of x (return_counts keeps np.unique off its numpy.ma path)."""
+    values, counts = np.unique(x, return_counts=True)
+    h = np.zeros(m + 1)
+    h[values] = counts
+    return h
+
+
 def pooled_chi_square(a: np.ndarray, b: np.ndarray, m: int):
     """Two-sample chi-square on kept-edge histograms with equal totals.
 
@@ -220,8 +230,7 @@ def pooled_chi_square(a: np.ndarray, b: np.ndarray, m: int):
         if (x.dtype.kind not in "iu" or x.ndim != 1 or x.size != a.size
                 or x.size and not 0 <= x.min() <= x.max() <= m):
             raise InputError(f"a and b must be equally long arrays of integers in 0..{m}")
-    ha = np.bincount(a, minlength=m + 1).astype(np.float64)
-    hb = np.bincount(b, minlength=m + 1).astype(np.float64)
+    ha, hb = _histogram(a, m), _histogram(b, m)
     cells = []
     acc_a = acc_b = 0.0
     for x in range(m + 1):
@@ -256,7 +265,9 @@ def _suite_two_round() -> list:
                 f"(1-{first})*(1-{second_round_rate(first)}) = {survival}",
             )
         )
-    g = random_regular_graph(25, 4, 0)  # exactly 50 edges
+    # a count depends on m alone, so any 50 edges do: a cycle's need no
+    # numpy.random, which a random regular graph's generator loads
+    g = cycle_graph(50)
     root = RngStream(0x7B0)
     two = _survivor_counts_two_round(g, Fraction(1, 30), root.child("two"), TWO_ROUND_TRIALS)
     one = _survivor_counts_one_round(g, 0.5, root.child("one"), TWO_ROUND_TRIALS)

@@ -386,3 +386,17 @@ class TestExperimentAndVerify:
     def test_missing_file_is_reported(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "core", "--in", str(tmp_path / "absent.txt"), "--t", "2")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("what", ["directory", "binary"])
+    @pytest.mark.parametrize("argv", [["core", "--t", "2", "--in"], ["experiment", "--config"]],
+                             ids=["core", "experiment"])
+    def test_unreadable_input_is_reported(self, tmp_path, capsys, argv, what):
+        # a directory is an OSError other than FileNotFoundError, and bytes
+        # that are not UTF-8 fail to decode: both are the caller's input
+        path = tmp_path / "input"
+        if what == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"4 1\n0 1\n\xff\xfe\x00\x80\n")
+        code, stdout, err = run_cli(capsys, *argv, str(path))
+        assert code == 2 and err.startswith("error:") and str(path) in err and stdout == ""

@@ -11,6 +11,7 @@ from randcol.graphs import (
     Graph,
     connected_component,
     count_connected_edge_subgraphs_upto,
+    cycle_graph as built_cycle,
     format_graph,
     has_cycle_shorter_than,
     is_connected,
@@ -69,6 +70,14 @@ def test_unvalidated_rows_are_copied():
     a[1] = (0, 2)
     assert g.edges.tolist() == [[0, 1], [1, 2]]
     assert hash(g) == before and g == Graph(3, [(0, 1), (1, 2)])
+
+
+def test_cycle_graph_rows_equal_the_validated_build():
+    """cycle_graph skips validation, so the rows it places itself must be
+    the canonical, sorted rows of the validated build."""
+    for n in range(3, 41):
+        g = built_cycle(n)
+        assert g == cycle_graph(n) and hash(g) == hash(cycle_graph(n)), n
 
 
 def test_loop_rejected():

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pickle
+import re
 import statistics
 import subprocess
 import sys
@@ -704,6 +705,26 @@ class TestOutputs:
         assert len(records) == 15
         assert aggregate == result.aggregate
         assert recompute_aggregate(cfg, records) == aggregate
+
+    @pytest.mark.parametrize("line", [
+        json.dumps({"index": 0, "values": {"x": 1}, "error": None}),
+        "{not json",
+        json.dumps([0, "ab", {"x": 1}, None]),
+    ], ids=["no-stream-id", "not-json", "json-array"])
+    def test_malformed_result_line_names_the_file_and_line(self, tmp_path, line):
+        path = tmp_path / "broken.ndjson"
+        rec = TrialRecord(0, "ab", {"x": 1})
+        path.write_text(json.dumps(rec.to_dict()) + "\n" + line + "\n"
+                        + json.dumps({"aggregate": {}}) + "\n")
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: line 2 "):
+            load_result(path)
+
+    @pytest.mark.parametrize("load", [load_config, load_result])
+    def test_text_that_is_not_utf8_is_an_input_error(self, tmp_path, load):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"kind": "café"}\n'.encode("latin-1"))
+        with pytest.raises(InputError, match="not UTF-8"):
+            load(path)
 
     def test_missing_aggregate_line(self, tmp_path):
         path = tmp_path / "broken.ndjson"

@@ -10,6 +10,7 @@ import pytest
 
 from randcol.errors import InputError
 from randcol.generators import random_regular_graph
+from randcol.graphs import cycle_graph
 from randcol.sampling import RngStream, sample_subgraph, two_round_sample
 from randcol.verify import (
     CHI_SQUARE_SIGNIFICANCE,
@@ -18,6 +19,7 @@ from randcol.verify import (
     CheckResult,
     _chi2_isf,
     _chi2_sf,
+    _histogram,
     _survivor_counts_one_round,
     _survivor_counts_two_round,
     pooled_chi_square,
@@ -82,6 +84,17 @@ class TestPooledChiSquare:
         with pytest.raises(InputError, match="past x = 1416"):
             _chi2_isf(CHI_SQUARE_SIGNIFICANCE, 1300)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_histograms_equal_bincount(self, dtype):
+        # the histograms sort the samples in their own dtype, where bincount
+        # would copy them to intp; both must give the same cells
+        rng = np.random.default_rng(5)
+        for m, size in ((50, 10_000), (200, 3_000), (7, 0), (1, 1)):
+            x = rng.integers(0, m + 1, size).astype(dtype)
+            want = np.bincount(x.astype(np.intp), minlength=m + 1)
+            got = _histogram(x, m)
+            assert got.dtype == np.float64 and np.array_equal(got, want), (m, size)
+
     @pytest.mark.parametrize("a,b,m", [
         (np.repeat([0, 1, 7], 500), np.repeat([0, 1, 2], 500), 2),
         (np.concatenate([np.repeat([0, 1, 2], 500), np.full(500, 7)]),
@@ -130,6 +143,33 @@ def test_survivor_counts_match_an_int64_loop_past_255_edges():
     want = np.array([two_round_sample(g, Fraction(1, 30), root.child(i)).survivors().m
                      for i in range(trials)], dtype=np.int64)
     assert np.array_equal(_survivor_counts_two_round(g, Fraction(1, 30), root, trials), want)
+
+
+def test_survivor_counts_depend_on_the_edge_count_alone():
+    # both loops read word j of a sample's stream for edge j, so the
+    # two_round suite may draw on any 50 edges: a cycle's as a random
+    # regular graph's
+    regular, cycle = random_regular_graph(25, 4, 0), cycle_graph(50)
+    assert regular.m == cycle.m == 50 and regular != cycle
+    root, trials = RngStream(0x7B0), 300
+    for count, rate in ((_survivor_counts_two_round, Fraction(1, 30)),
+                        (_survivor_counts_one_round, 0.5)):
+        want = count(regular, rate, root, trials)
+        got = count(cycle, rate, root, trials)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_two_round_suite_loads_no_numpy_random_ma_or_scipy():
+    # the suite's statistic needs none of them: numpy.random alone is
+    # about 2 MB of a run's peak memory; fewer trials load the same modules
+    code = ("import sys, randcol\n"
+            "randcol.verify.TWO_ROUND_TRIALS = 1000\n"
+            "assert len(randcol.run_suite('two_round').checks) == 4\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma'])))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 # sha256 of format_text() and of the to_dict() JSON (sorted keys, indent 2)
