@@ -18,6 +18,7 @@ from .sampling import RngStream
 from .spectral import second_eigenvalue
 
 REJECTION_CAP = 100
+EXPANDER_TRIES = 20_000
 
 
 def _as_fraction(x, what: str = "alpha") -> Fraction:
@@ -123,15 +124,6 @@ class BlowUpLayout:
     def n_vertices(self) -> int:
         return self.n_super * self.layers * self.m
 
-    def vertex_id(self, super_v: int, layer: int, pos: int) -> int:
-        if not (0 <= super_v < self.n_super):
-            raise InputError(f"super-vertex {super_v} out of range")
-        if not (1 <= layer <= self.layers):
-            raise InputError(f"layer {layer} out of range 1..{self.layers}")
-        if not (0 <= pos < self.m):
-            raise InputError(f"position {pos} out of range")
-        return (super_v * self.layers + (layer - 1)) * self.m + pos
-
     def h_vertex_of(self, vertex: int) -> int:
         return vertex // (self.layers * self.m)
 
@@ -222,20 +214,19 @@ def find_cubic_expander(
     seed,
     lambda2_max: float = 2.9,
     girth_min: int | None = 6,
-    max_tries: int = 20_000,
 ) -> tuple[Graph, float]:
     """Search random cubic graphs for one that is connected, has girth
     at least girth_min (skipped when None) and second eigenvalue at most
-    lambda2_max; returns the graph and its second eigenvalue. Short-girth
-    candidates are cheap to discard, so the low acceptance rate of the
-    girth filter stays affordable at desk scale.
+    lambda2_max, in EXPANDER_TRIES tries; returns the graph and its second
+    eigenvalue. Short-girth candidates are cheap to discard, so the low
+    acceptance rate of the girth filter stays affordable at desk scale.
     """
     if isinstance(lambda2_max, bool) or not isinstance(lambda2_max, numbers.Real):
         raise InputError(f"lambda2_max must be a number, got {lambda2_max!r}")
     if girth_min is not None:
         girth_min = _integer(girth_min, "girth_min", None)
     stream = _as_stream(seed, "cubic-expander")
-    for attempt in range(_integer(max_tries, "max_tries")):
+    for attempt in range(EXPANDER_TRIES):
         try:
             g = random_regular_graph(n, 3, stream.child("try", attempt))
         except GenerationError:
@@ -248,7 +239,7 @@ def find_cubic_expander(
         if lambda2 <= lambda2_max:
             return g, lambda2
     raise GenerationError(
-        f"no cubic expander with lambda2 <= {lambda2_max} in {max_tries} tries"
+        f"no cubic expander with lambda2 <= {lambda2_max} in {EXPANDER_TRIES} tries"
     )
 
 
@@ -316,18 +307,17 @@ def gadget_blow_up(h: DiGraph, params: ConstructionParams) -> tuple[Graph, BlowU
     return g, layout
 
 
-def audit_blow_up(g: Graph, layout: BlowUpLayout, expect_degree: int | None = None):
+def audit_blow_up(g: Graph, layout: BlowUpLayout, expect_degree: int):
     """Degree and layer-independence audit; failures mean a construction
     bug, not bad input."""
     _expect(g, Graph, "audit_blow_up")
     if g.n != layout.n_vertices:
         raise ConstructionError("vertex count does not match layout")
-    if expect_degree is not None:
-        bad = np.flatnonzero(g._arc_view().degree != _integer(expect_degree, "expect_degree"))
-        if bad.size:
-            raise ConstructionError(
-                f"{bad.size} vertices miss degree {expect_degree} (first: {bad[:5].tolist()})"
-            )
+    bad = np.flatnonzero(g._arc_view().degree != _integer(expect_degree, "expect_degree"))
+    if bad.size:
+        raise ConstructionError(
+            f"{bad.size} vertices miss degree {expect_degree} (first: {bad[:5].tolist()})"
+        )
     u, v = g.edges.T
     inside = layout.h_vertex_of(u) == layout.h_vertex_of(v)
     inside &= layout.layer_of(u) == layout.layer_of(v)

@@ -705,21 +705,29 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
 
 
 def load_result(path) -> tuple:
-    """Read a result file back as (records, aggregate)."""
-    records = []
-    aggregate = None
+    """Read a result file back as (records, aggregate): trial records with
+    distinct integer indices and object values, and one aggregate line."""
+    records, aggregates = {}, []
     for number, line in enumerate(_read_text(path).split("\n"), 1):
         if not line.strip():
             continue
+        where = f"{path}: line {number}"
         try:
             obj = json.loads(line)
-            if "aggregate" in obj:
-                aggregate = obj["aggregate"]
-            else:
-                records.append(TrialRecord.from_dict(obj))
+            is_aggregate = isinstance(obj, dict) and "aggregate" in obj
+            record = None if is_aggregate else TrialRecord.from_dict(obj)
         except (ValueError, KeyError, TypeError):  # not JSON, not an object, a field missing
-            raise InputError(f"{path}: line {number} is neither a trial record nor the "
-                             "aggregate") from None
-    if aggregate is None:
+            raise InputError(f"{where} is neither a trial record nor the aggregate") from None
+        if record is None:
+            if aggregates:
+                raise InputError(f"{where} is a second aggregate line")
+            aggregates.append(obj["aggregate"])
+        elif not (_is_int(record.index) and isinstance(record.values, dict)):
+            raise InputError(f"{where}: a record needs an integer index and an object of values")
+        elif record.index in records:
+            raise InputError(f"{where} repeats trial index {record.index}")
+        else:
+            records[record.index] = record
+    if not aggregates:
         raise InputError(f"{path}: missing aggregate line")
-    return records, aggregate
+    return list(records.values()), aggregates[0]

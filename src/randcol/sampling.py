@@ -150,6 +150,9 @@ class RngStream:
     def __post_init__(self):
         if not _is_int(self.master_seed):
             raise InputError(f"master seed must be an int, got {type(self.master_seed).__name__}")
+        if not isinstance(self.path, tuple):
+            raise InputError(f"path must be a tuple of labels, got {type(self.path).__name__}")
+        _checked(self.path)
 
     def __reduce__(self):
         return RngStream, (self.master_seed, self.path)
@@ -178,8 +181,8 @@ class RngStream:
         return self.uniform_at(range(count), *labels, words=words)
 
     def uniform_at(self, indices, *labels, words=False) -> np.ndarray:
-        """The variates at indices. With labels, row j holds those of
-        child(labels[j]): shape (len(labels),) + indices' shape.
+        """The variates at indices (non-negative integers). With labels,
+        row j holds those of child(labels[j]): shape (len(labels),) + indices' shape.
 
         With words, the uint64 words themselves, which _below compares
         exactly against a rate (see _word_limit) without making the
@@ -189,7 +192,10 @@ class RngStream:
         if type(indices) is range and indices.start == 0 and indices.step == 1:
             z = _offsets(len(indices))
         else:
-            z = (np.asarray(indices, dtype=np.uint64) + _ONE) * _GOLDEN
+            z = np.asarray(indices)
+            if z.size and (z.dtype.kind not in "iu" or z.min() < 0):
+                raise InputError("indices must be non-negative integers")
+            z = (z.astype(np.uint64, copy=False) + _ONE) * _GOLDEN
         if labels:
             z = np.add.outer(_row_keys(self._state(), labels), z)
         else:  # a ufunc: a 0-d draw is a numpy scalar, whose + warns as it wraps

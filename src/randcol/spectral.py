@@ -36,9 +36,7 @@ class ExpansionCertificate:
 
     c3_hat: float
     mode: str
-    samples: int | None
     witness: tuple
-    n: int
 
 
 def second_eigenvalue(g: Graph) -> float:
@@ -146,7 +144,6 @@ def _sweep(indptr: np.ndarray, indices: np.ndarray, samples: int, rng, score):
 class AlonMilmanReport:
     """Audit of the spectral edge-boundary bound over vertex subsets."""
 
-    d: int
     lambda2: float
     mode: str
     n_checked: int
@@ -155,21 +152,15 @@ class AlonMilmanReport:
     witness: tuple
 
 
-def verify_alon_milman(
-    g: Graph,
-    samples: int = DEFAULT_SUBSET_SAMPLES,
-    stream: RngStream | None = None,
-    exhaustive_cap: int = EXHAUSTIVE_CAP,
-) -> AlonMilmanReport:
+def verify_alon_milman(g: Graph) -> AlonMilmanReport:
     """Check |edge boundary of S| >= (d - lambda2)|S|(n - |S|)/n.
 
-    Exhaustive over all subsets when n <= exhaustive_cap, otherwise over
-    random subsets drawn uniformly by size then membership. Violations
-    are collected, not raised; any violation means a bug, not new
-    mathematics.
+    Exhaustive over all subsets when n <= EXHAUSTIVE_CAP, otherwise over
+    DEFAULT_SUBSET_SAMPLES random subsets drawn uniformly by size then
+    membership, from a fixed stream. Violations are collected, not
+    raised; any violation means a bug, not new mathematics.
     """
     _expect(g, Graph, "verify_alon_milman")
-    samples = _integer(samples, "samples", 1)
     lambda2 = second_eigenvalue(g)
     d, n = g.regular_degree(), g.n
     slack = 1e-7  # eigenvalue tolerance leaves the bound this fuzzy
@@ -181,14 +172,13 @@ def verify_alon_milman(
         bad = np.flatnonzero(boundary < bound - slack)[:32].tolist()
         return boundary, bound, [(j, int(boundary[j]), float(bound[j])) for j in bad]
 
-    exhaustive = n <= _integer(exhaustive_cap, "exhaustive_cap")
-    rng = None if exhaustive else (stream or RngStream(0).child("alon-milman")).generator()
-    tightest, witness, violations = _sweep(*g._csr_arrays(), samples, rng, score)
+    exhaustive = n <= EXHAUSTIVE_CAP
+    rng = None if exhaustive else RngStream(0).child("alon-milman").generator()
+    tightest, witness, violations = _sweep(*g._csr_arrays(), DEFAULT_SUBSET_SAMPLES, rng, score)
     return AlonMilmanReport(
-        d=d,
         lambda2=lambda2,
         mode="exhaustive" if exhaustive else "sampled",
-        n_checked=(1 << n) if exhaustive else samples,
+        n_checked=(1 << n) if exhaustive else DEFAULT_SUBSET_SAMPLES,
         violations=tuple(violations),
         tightest_ratio=tightest,
         witness=witness,
@@ -198,13 +188,13 @@ def verify_alon_milman(
 def verify_vertex_expansion(
     h: DiGraph,
     samples: int = DEFAULT_SUBSET_SAMPLES,
-    stream: RngStream | None = None,
     exhaustive_cap: int = EXHAUSTIVE_CAP,
 ) -> ExpansionCertificate:
     """Measured vertex expansion of a 2-in 2-out digraph.
 
     c3_hat = min over non-trivial S of |out-boundary(S)| / min(|S|, n-|S|);
-    exact for n <= exhaustive_cap (full subset sweep), sampled otherwise.
+    exact for n <= exhaustive_cap (full subset sweep), otherwise sampled
+    from a fixed stream.
     """
     _expect(h, DiGraph, "verify_vertex_expansion")
     samples = _integer(samples, "samples", 1)
@@ -222,12 +212,10 @@ def verify_vertex_expansion(
         return boundary, np.minimum(sizes, n - sizes), []
 
     exhaustive = n <= _integer(exhaustive_cap, "exhaustive_cap")
-    rng = None if exhaustive else (stream or RngStream(0).child("vertex-expansion")).generator()
+    rng = None if exhaustive else RngStream(0).child("vertex-expansion").generator()
     best, witness, _ = _sweep(indptr, indices, samples, rng, score)
     return ExpansionCertificate(
         c3_hat=best,
         mode="exhaustive" if exhaustive else "sampled",
-        samples=None if exhaustive else samples,
         witness=witness,
-        n=n,
     )

@@ -59,6 +59,12 @@ def petersen():
     return Graph(10, outer + inner + spokes)
 
 
+def layout_id(layout, super_v, layer, pos):
+    """The id of position pos of layer `layer` (1-based) of super-vertex
+    super_v, by the layout's formula."""
+    return (super_v * layout.layers + (layer - 1)) * layout.m + pos
+
+
 def base_digraph_4():
     """Each vertex's red arc to the next and blue arc to the opposite
     vertex of a 4-cycle."""

@@ -18,7 +18,7 @@ from randcol.generators import (
     random_two_regular_digraph,
     save_layout,
 )
-from randcol import graphs
+from randcol import generators, graphs
 from randcol.graphs import (
     DiGraph,
     Graph,
@@ -30,7 +30,7 @@ from randcol.graphs import (
 from randcol.sampling import RngStream
 from randcol.spectral import second_eigenvalue
 
-from helpers import base_digraph_4, complete_graph
+from helpers import base_digraph_4, complete_graph, layout_id
 
 
 # --- pinned graphs ------------------------------------------------------------
@@ -180,9 +180,10 @@ def test_find_cubic_expander_takes_numpy_options():
     assert find_cubic_expander(12, 1, lambda2_max=np.float64(2.95), girth_min=np.int8(4)) == want
 
 
-def test_find_cubic_expander_exhausts():
-    with pytest.raises(GenerationError):
-        find_cubic_expander(12, 0, lambda2_max=-4.0, girth_min=None, max_tries=5)
+def test_find_cubic_expander_exhausts(monkeypatch):
+    monkeypatch.setattr(generators, "EXPANDER_TRIES", 5)
+    with pytest.raises(GenerationError, match="in 5 tries"):
+        find_cubic_expander(12, 0, lambda2_max=-4.0, girth_min=None)
 
 
 # --- construction params ---------------------------------------------------------
@@ -312,11 +313,7 @@ def test_layout_maps_roundtrip():
     layout = BlowUpLayout(n_super=5, layers=4, m=3)
     for v in range(layout.n_vertices):
         sv, layer, pos = layout.h_vertex_of(v), layout.layer_of(v), layout.position_of(v)
-        assert layout.vertex_id(sv, layer, pos) == v
-    with pytest.raises(InputError):
-        layout.vertex_id(0, 0, 0)
-    with pytest.raises(InputError):
-        layout.vertex_id(5, 1, 0)
+        assert layout_id(layout, sv, layer, pos) == v
 
 
 def test_layout_sidecar_roundtrip(tmp_path):
@@ -325,7 +322,7 @@ def test_layout_sidecar_roundtrip(tmp_path):
     rows = [tuple(map(int, line.split())) for line in text.splitlines()]
     # one row "v super-vertex layer position" per vertex, in id order
     assert [row[0] for row in rows] == list(range(layout.n_vertices))
-    assert all(layout.vertex_id(*row[1:]) == row[0] for row in rows)
+    assert all(layout_id(layout, *row[1:]) == row[0] for row in rows)
     p = tmp_path / "layout.txt"
     save_layout(layout, p)
     assert p.read_text(encoding="utf-8") == text
@@ -363,7 +360,7 @@ def test_gadget_layer_one_degree_split():
     h = base_digraph_4()
     params = ConstructionParams.thm4(12, 3)
     g, layout = gadget_blow_up(h, params)
-    v = layout.vertex_id(0, 1, 0)
+    v = layout_id(layout, 0, 1, 0)
     by_bucket = {}
     for w in g.adjacency()[v]:
         key = (layout.h_vertex_of(w), layout.layer_of(w))

@@ -26,7 +26,7 @@ NONE = np.zeros(4, dtype=bool)
 
 # the rest of a call of each entry point, given its first argument
 CALLS = {
-    "audit_blow_up": lambda g: randcol.audit_blow_up(g, LAYOUT),
+    "audit_blow_up": lambda g: randcol.audit_blow_up(g, LAYOUT, 2),
     "blow_up": lambda g: randcol.blow_up(g, 2),
     "bootstrap_percolate": lambda g: randcol.bootstrap_percolate(g, NONE, [1] * 4),
     "boundary_resilience_audit": lambda h: randcol.boundary_resilience_audit(

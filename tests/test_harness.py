@@ -726,6 +726,21 @@ class TestOutputs:
         with pytest.raises(InputError, match="not UTF-8"):
             load(path)
 
+    @pytest.mark.parametrize("lines,problem", [
+        ([(0, {"x": 1}), "aggregate", "aggregate"], "line 3 is a second aggregate line"),
+        ([(0, [1]), "aggregate"], "line 1: a record needs an integer index"),
+        ([("0", {"x": 1}), "aggregate"], "line 1: a record needs an integer index"),
+        ([(0, {"x": 1}), (0, {"x": 2}), "aggregate"], "line 2 repeats trial index 0"),
+    ], ids=["two-aggregates", "list-values", "str-index", "repeated-index"])
+    def test_a_result_no_run_writes_names_the_file_and_line(self, tmp_path, lines, problem):
+        path = tmp_path / "broken.ndjson"
+        path.write_text("".join(
+            json.dumps({"aggregate": {}} if line == "aggregate" else
+                       {"index": line[0], "stream_id": "ab", "values": line[1], "error": None})
+            + "\n" for line in lines))
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: {problem}"):
+            load_result(path)
+
     def test_missing_aggregate_line(self, tmp_path):
         path = tmp_path / "broken.ndjson"
         rec = TrialRecord(0, "ab", {"x": 1})

@@ -72,8 +72,6 @@ CALLS = {
     "cycle_graph n": (randcol.cycle_graph, 3),
     "find_cubic_expander girth_min": (lambda x: randcol.find_cubic_expander(
         12, 1, lambda2_max=2.95, girth_min=x), None),
-    "find_cubic_expander max_tries": (lambda x: randcol.find_cubic_expander(
-        12, 1, lambda2_max=2.95, girth_min=4, max_tries=x), 0),
     "find_cubic_expander n": (lambda x: randcol.find_cubic_expander(x, 1, lambda2_max=3), 4),
     "has_cycle_shorter_than length": (lambda x: randcol.has_cycle_shorter_than(G, x), None),
     "near_disjoint_family block_size": (lambda x: near_disjoint_family(9, x), 1),
@@ -95,9 +93,6 @@ CALLS = {
     "t_core_via_percolation t": (lambda x: randcol.t_core_via_percolation(G, x), 0),
     "thm3_process r": (lambda x: randcol.thm3_process(G, 0.5, x, RngStream(0)), 0),
     "thm4_process r": (lambda x: randcol.thm4_process(H, 0.5, x, RngStream(0)), 0),
-    "verify_alon_milman exhaustive_cap":
-        (lambda x: randcol.verify_alon_milman(G, exhaustive_cap=x), 0),
-    "verify_alon_milman samples": (lambda x: randcol.verify_alon_milman(G, samples=x), 1),
     "verify_vertex_expansion exhaustive_cap":
         (lambda x: randcol.verify_vertex_expansion(H, exhaustive_cap=x), 0),
     "verify_vertex_expansion samples":
@@ -107,8 +102,7 @@ CALLS = {
 }
 
 # records the package fills in itself, so a caller never passes them an input
-RECORDS = {"AlonMilmanReport", "ColouringResult", "ExpansionCertificate",
-           "ProductColouringReport", "TrialRecord"}
+RECORDS = {"AlonMilmanReport", "ColouringResult", "ProductColouringReport", "TrialRecord"}
 
 
 def integer_parameters() -> set:

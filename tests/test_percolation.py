@@ -30,7 +30,7 @@ from randcol.percolation import (
 )
 from randcol.sampling import RngStream
 
-from helpers import base_digraph_4, cycle_graph, ids, mask, out_lists, random_graph
+from helpers import base_digraph_4, cycle_graph, ids, layout_id, mask, out_lists, random_graph
 
 
 def same_state(a, b):
@@ -306,7 +306,7 @@ def test_classify_rejects_mismatched_layout():
 
 
 def members(layout, super_v, layer):
-    return [layout.vertex_id(super_v, layer, pos) for pos in range(layout.m)]
+    return [layout_id(layout, super_v, layer, pos) for pos in range(layout.m)]
 
 
 def gadget_12_3():

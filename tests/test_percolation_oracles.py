@@ -62,6 +62,7 @@ from randcol.sampling import RngStream
 from helpers import (
     cycle_graph,
     ids,
+    layout_id,
     out_lists,
     pairs,
     path_graph,
@@ -778,7 +779,7 @@ def ref_resilient(edge_graph, layout, params):
         found = False
         for j in range(1, s + 3):
             for lo, hi in ((j, j + 1), (j + 1, j)):
-                good = sum(1 for x in (layout.vertex_id(v, lo, pos) for pos in range(layout.m)) if edges_into_layer(x, v, hi) * 4 >= k)
+                good = sum(1 for x in (layout_id(layout, v, lo, pos) for pos in range(layout.m)) if edges_into_layer(x, v, hi) * 4 >= k)
                 if good * s >= k:
                     found = True
                     break

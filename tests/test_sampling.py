@@ -134,6 +134,33 @@ def test_master_seed_must_be_an_int(seed):
         RngStream(seed)
 
 
+@pytest.mark.parametrize("path", [("5",), ("a", True), (1.5,), "ab", ["a"], None],
+                         ids=["aliases-5", "bool", "float", "str", "list", "none"])
+def test_a_direct_path_takes_the_label_rule(path):
+    # ("5",) would hash like child(5), and "ab" like the labels "a" and "b"
+    with pytest.raises(InputError):
+        RngStream(0, path)
+
+
+def test_a_direct_path_is_the_child_path():
+    assert RngStream(0, ("a", 5)) == RngStream(0).child("a", 5)
+    assert RngStream(0, ("a", 5)).key() == RngStream(0).child("a", 5).key()
+
+
+@pytest.mark.parametrize("indices", [[-1], [1.7], [True], np.array([0, -2]), -1, 2.0,
+                                     range(-1, 2), ["0"]],
+                         ids=["negative", "float", "bool", "negative-array", "negative-scalar",
+                              "float-scalar", "negative-range", "str"])
+def test_uniform_at_takes_non_negative_integer_indices(indices):
+    with pytest.raises(InputError, match="indices must be non-negative integers"):
+        RngStream(1).uniform_at(indices)
+
+
+def test_uniform_at_takes_no_indices():
+    s = RngStream(1)
+    assert s.uniform_at([]).shape == (0,) and s.uniform_at([], "a").shape == (1, 0)
+
+
 @pytest.mark.parametrize("count", [2.5, True, "3", None])
 def test_count_must_be_an_int(count):
     with pytest.raises(InputError, match="count must be an int"):

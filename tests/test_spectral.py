@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from randcol import spectral
 from randcol.errors import ConvergenceError, InputError
 from randcol.generators import random_regular_graph
 from randcol.graphs import DiGraph, Graph, vertex_boundary
-from randcol.sampling import RngStream
 from randcol.spectral import (
     DENSE_CAP,
     alon_milman_lower_bound,
@@ -140,9 +140,10 @@ def test_verify_k4_tight_at_singletons():
     assert len(rep.witness) in (1, 3)  # bound symmetric in S vs complement
 
 
-def test_verify_sampled_mode():
-    g = circulant(24, [1, 3])
-    rep = verify_alon_milman(g, samples=500, stream=RngStream(5).child("am"))
+def test_verify_sampled_mode(monkeypatch):
+    monkeypatch.setattr(spectral, "DEFAULT_SUBSET_SAMPLES", 500)
+    g = circulant(24, [1, 3])  # above spectral.EXHAUSTIVE_CAP
+    rep = verify_alon_milman(g)
     assert rep.mode == "sampled"
     assert rep.n_checked == 500
     assert rep.violations == ()
@@ -189,9 +190,8 @@ def test_expansion_strongly_connected_positive():
 
 def test_expansion_sampled_mode():
     h = circulant_digraph(24, [1, 5])
-    cert = verify_vertex_expansion(h, samples=400, stream=RngStream(9).child("vx"))
+    cert = verify_vertex_expansion(h, samples=400)
     assert cert.mode == "sampled"
-    assert cert.samples == 400
     assert cert.c3_hat > 0
     w = cert.witness
     boundary = vertex_boundary(h, np.isin(np.arange(h.n), w))

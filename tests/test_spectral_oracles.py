@@ -30,7 +30,7 @@ def ref_popcounts(masks, n):
     return out
 
 
-def ref_alon_milman(g, samples=10_000, stream=None, exhaustive_cap=18):
+def ref_alon_milman(g, samples=10_000, exhaustive_cap=18):
     d = g.regular_degree()
     lambda2 = spectral.second_eigenvalue(g)  # by attribute, so a patch reaches it
     n = g.n
@@ -59,7 +59,7 @@ def ref_alon_milman(g, samples=10_000, stream=None, exhaustive_cap=18):
         witness = tuple(v for v in range(n) if wmask >> v & 1)
     else:
         mode = "sampled"
-        rng = (stream or RngStream(0).child("alon-milman")).generator()
+        rng = RngStream(0).child("alon-milman").generator()
         n_checked = samples
         for _ in range(samples):
             size = int(rng.integers(1, n))
@@ -75,17 +75,16 @@ def ref_alon_milman(g, samples=10_000, stream=None, exhaustive_cap=18):
             if ratio < tightest:
                 tightest = ratio
                 witness = members
-    return AlonMilmanReport(d=d, lambda2=lambda2, mode=mode, n_checked=n_checked,
+    return AlonMilmanReport(lambda2=lambda2, mode=mode, n_checked=n_checked,
                             violations=tuple(violations), tightest_ratio=tightest, witness=witness)
 
 
-def ref_vertex_expansion(h, samples=10_000, stream=None, exhaustive_cap=18):
+def ref_vertex_expansion(h, samples=10_000, exhaustive_cap=18):
     n = h.n
     best = float("inf")
     witness = ()
     if n <= exhaustive_cap:
         mode = "exhaustive"
-        samples_out = None
         out_masks = [0] * n
         for u, v in h.arcs.tolist():
             out_masks[u] |= 1 << v
@@ -105,8 +104,7 @@ def ref_vertex_expansion(h, samples=10_000, stream=None, exhaustive_cap=18):
                 witness = tuple(v for v in range(n) if s >> v & 1)
     else:
         mode = "sampled"
-        samples_out = samples
-        rng = (stream or RngStream(0).child("vertex-expansion")).generator()
+        rng = RngStream(0).child("vertex-expansion").generator()
         for _ in range(samples):
             size = int(rng.integers(1, n))
             inside = np.isin(np.arange(n), rng.choice(n, size=size, replace=False))
@@ -115,8 +113,7 @@ def ref_vertex_expansion(h, samples=10_000, stream=None, exhaustive_cap=18):
             if ratio < best:
                 best = ratio
                 witness = tuple(np.flatnonzero(inside).tolist())
-    return ExpansionCertificate(c3_hat=float(best), mode=mode, samples=samples_out,
-                                witness=witness, n=n)
+    return ExpansionCertificate(c3_hat=float(best), mode=mode, witness=witness)
 
 
 def assert_same(got, want):
@@ -129,7 +126,20 @@ def assert_same(got, want):
         assert type(boundary) is int and type(bound) is float
 
 
-def both_modes(run, ref, g, seed):
+def sampled_alon_milman(g, samples):
+    """verify_alon_milman in sampled mode, which it takes above
+    spectral.EXHAUSTIVE_CAP, over `samples` subsets."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "EXHAUSTIVE_CAP", 0)
+        mp.setattr(spectral, "DEFAULT_SUBSET_SAMPLES", samples)
+        return verify_alon_milman(g)
+
+
+def sampled_vertex_expansion(h, samples):
+    return verify_vertex_expansion(h, samples=samples, exhaustive_cap=0)
+
+
+def both_modes(run, sampled, ref, g):
     with pytest.MonkeyPatch.context() as mp:
         if isinstance(g, Graph):
             # one lambda2 for both sides: on tiny graphs with lambda2 = 0,
@@ -137,8 +147,7 @@ def both_modes(run, ref, g, seed):
             lambda2 = spectral.second_eigenvalue(g)
             mp.setattr(spectral, "second_eigenvalue", lambda g: lambda2)
         assert_same(run(g), ref(g))
-        kwargs = dict(samples=150, stream=RngStream(seed).child("oracle"), exhaustive_cap=0)
-        assert_same(run(g, **kwargs), ref(g, **kwargs))
+        assert_same(sampled(g, 150), ref(g, samples=150, exhaustive_cap=0))
 
 
 @st.composite
@@ -172,23 +181,23 @@ def two_in_two_out(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(regular_graphs(), st.integers(0, 2**16))
-def test_alon_milman_matches_the_subset_loops(g, seed):
-    both_modes(verify_alon_milman, ref_alon_milman, g, seed)
+@given(regular_graphs())
+def test_alon_milman_matches_the_subset_loops(g):
+    both_modes(verify_alon_milman, sampled_alon_milman, ref_alon_milman, g)
 
 
 @settings(max_examples=60, deadline=None)
-@given(two_in_two_out(), st.integers(0, 2**16))
-def test_vertex_expansion_matches_the_subset_loops(h, seed):
-    both_modes(verify_vertex_expansion, ref_vertex_expansion, h, seed)
+@given(two_in_two_out())
+def test_vertex_expansion_matches_the_subset_loops(h):
+    both_modes(verify_vertex_expansion, sampled_vertex_expansion, ref_vertex_expansion, h)
 
 
 def test_blocks_carry_the_witness_across(monkeypatch):
     monkeypatch.setattr(spectral, "SWEEP_CELLS", 64)  # a few rows a block
     g = random_regular_graph(12, 3, 0)
     h = random_two_regular_digraph(12, 0)
-    both_modes(verify_alon_milman, ref_alon_milman, g, 1)
-    both_modes(verify_vertex_expansion, ref_vertex_expansion, h, 2)
+    both_modes(verify_alon_milman, sampled_alon_milman, ref_alon_milman, g)
+    both_modes(verify_vertex_expansion, sampled_vertex_expansion, ref_vertex_expansion, h)
 
 
 @pytest.mark.parametrize("cells", [spectral.SWEEP_CELLS, 64], ids=["one-block", "many-blocks"])
@@ -196,7 +205,7 @@ def test_first_32_violations_match(monkeypatch, cells):
     monkeypatch.setattr(spectral, "second_eigenvalue", lambda g: -float(g.regular_degree()))
     monkeypatch.setattr(spectral, "SWEEP_CELLS", cells)
     g = random_regular_graph(10, 3, 0)
-    for kwargs in ({}, dict(samples=400, stream=RngStream(3).child("v"), exhaustive_cap=0)):
-        got = verify_alon_milman(g, **kwargs)
+    for got, want in ((verify_alon_milman(g), ref_alon_milman(g)),
+                      (sampled_alon_milman(g, 400), ref_alon_milman(g, 400, exhaustive_cap=0))):
         assert len(got.violations) == 32
-        assert_same(got, ref_alon_milman(g, **kwargs))
+        assert_same(got, want)

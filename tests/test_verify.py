@@ -51,6 +51,22 @@ class TestPooledChiSquare:
         assert stat == 0.0
         assert dof == 1
 
+    def test_a_sparse_tail_joins_the_last_cell(self):
+        # cells 0 and 1 hold 10 observations each; cell 2's 1 + 1 join cell 1
+        a = np.array([0] * 6 + [1] * 4 + [2])
+        b = np.array([0] * 4 + [1] * 6 + [2])
+        stat, dof, _ = pooled_chi_square(a, b, 2)
+        assert dof == 1
+        assert stat == pytest.approx((6 - 4) ** 2 / 10 + (5 - 7) ** 2 / 12)
+
+    @pytest.mark.parametrize("a,b", [
+        ([0, 1, 2], [2, 1, 0]),  # 6 observations: only the tail's cell forms
+        ([0] * 6 + [1], [0] * 5 + [1] * 2),  # one full cell, then a tail that joins it
+    ], ids=["tail-only", "tail-joins-the-only-cell"])
+    def test_a_tail_that_leaves_one_cell_is_an_error(self, a, b):
+        with pytest.raises(InputError, match="not enough occupied cells"):
+            pooled_chi_square(np.array(a), np.array(b), 2)
+
     def test_single_cell_is_an_error(self):
         a = np.full(100, 5)
         with pytest.raises(InputError):
