@@ -657,40 +657,27 @@ def parse_graph(text: str) -> Graph | DiGraph:
     body = tokensets[1:]
     if len(body) != m:
         raise InputError(f"expected {m} edge lines, found {len(body)}")
-    if not directed:
-        edges = []
-        for tok in body:
-            if len(tok) != 2:
-                raise InputError(f"bad edge line {' '.join(tok)!r}")
-            edges.append(_int_pair(tok))
-        return Graph(n, edges)
-    arcs = []
-    colours = []
+    widths, what = ((2, 3), "arc") if directed else ((2,), "edge")
+    rows, colours = [], []
     for tok in body:
-        if len(tok) not in (2, 3):
-            raise InputError(f"bad arc line {' '.join(tok)!r}")
-        arcs.append(_int_pair(tok))
-        colours.append(tok[2] if len(tok) == 3 else None)
-    have = [c for c in colours if c is not None]
-    if have and len(have) != len(arcs):
+        if len(tok) not in widths:
+            raise InputError(f"bad {what} line {' '.join(tok)!r}")
+        rows.append(_int_pair(tok))
+        colours += tok[2:]
+    if not directed:
+        return Graph(n, rows)
+    if 0 < len(colours) < len(rows):
         raise InputError("either all arcs or no arcs must carry colours")
-    return DiGraph(n, arcs, arc_colour=colours if have else None)
+    return DiGraph(n, rows, arc_colour=colours or None)
 
 
 def format_graph(g: Graph | DiGraph) -> str:
-    lines = []
-    if isinstance(g, DiGraph):
-        lines.append(f"{g.n} {g.m} directed")
-        if g.arc_colour is not None:
-            for (u, v), c in zip(g.arcs.tolist(), g.arc_colour):
-                lines.append(f"{u} {v} {c}")
-        else:
-            for u, v in g.arcs.tolist():
-                lines.append(f"{u} {v}")
-    else:
-        lines.append(f"{g.n} {g.m}")
-        for u, v in g.edges.tolist():
-            lines.append(f"{u} {v}")
+    directed = isinstance(g, DiGraph)
+    rows = g.arcs if directed else g.edges
+    colours = [f" {c}" for c in g.arc_colour] if directed and g.arc_colour else [""] * len(rows)
+    lines = [f"{g.n} {g.m}" + " directed" * directed]
+    for (u, v), c in zip(rows.tolist(), colours):
+        lines.append(f"{u} {v}{c}")
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -50,7 +50,8 @@ from .percolation import (
     thm4_fixpoint_violations,
     thm4_process,
 )
-from .sampling import RngStream, _is_int, partition_split, sample_subgraph, two_round_sample
+from .sampling import (RngStream, _is_int, partition_split, sample_subgraph, second_round_rate,
+                       two_round_sample)
 
 # two-sided 95%
 WILSON_Z = 1.959963984540054
@@ -311,24 +312,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise InputError(f"unknown experiment kind {self.kind!r}")
-        for name in ("trials", "master_seed", "root", "parts", "budget", "t", "k"):
+        # each integer field and its least value; k >= 2 is checked once here, not in
+        # every proposition_check trial, and t and k may be None
+        for name, low in (("trials", 1), ("master_seed", 0), ("root", 0), ("parts", 2),
+                          ("budget", 1), ("t", 0), ("k", 2)):
             value = getattr(self, name)
-            if not (_is_int(value) or value is None and name in ("t", "k")):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise InputError("trials must be a positive integer")
-        if not 0 <= self.master_seed <= MAX_SEED:
+            if value is not None or name not in ("t", "k"):
+                object.__setattr__(self, name, _integer(value, name, low))
+        if self.master_seed > MAX_SEED:
             raise InputError("master_seed must be a 64-bit unsigned integer")
-        if self.root < 0:
-            raise InputError("root must be a non-negative integer")
-        if self.parts < 2:
-            raise InputError("parts must be at least 2")
-        if self.budget < 1:
-            raise InputError("budget must be at least 1")
-        if self.t is not None and self.t < 0:
-            raise InputError("t must be a non-negative integer")
-        if self.k is not None and self.k < 2:  # once here, not in every proposition_check trial
-            raise InputError(f"k must be an integer >= 2, got {self.k!r}")
         if self.p is not None and not (_is_real(self.p) and 0.0 <= self.p <= 1.0):
             raise InputError(f"p must be a number in [0, 1], got {self.p!r}")
         if self.p_sweep is not None:
@@ -342,9 +334,7 @@ class ExperimentConfig:
             if any(a >= b for a, b in zip(self.p_sweep, self.p_sweep[1:])):
                 raise InputError("p_sweep must be strictly increasing")
         if self.first_rate is not None:
-            rate = self.first_rate_fraction()
-            if not 0 <= rate <= Fraction(1, 2):
-                raise InputError("first_rate must lie in [0, 1/2]")
+            second_round_rate(self.first_rate_fraction())  # the sampler's range check
         self._check_kind_fields()
         report = asymptotic_regime_report(self.params, self.graph.get("n"))
         if self.regime_metadata is None:
@@ -666,7 +656,6 @@ class ExperimentResult:
     config: ExperimentConfig
     records: tuple
     aggregate: dict
-    path: str | None = None
 
     def lines(self) -> list:
         dump = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -693,20 +682,19 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = pool.map(run_trial, itertools.repeat(config), range(config.trials), chunksize=chunk)
             records = list(trials)
-    records.sort(key=lambda r: r.index)
     aggregate = recompute_aggregate(config, records)
     result = ExperimentResult(config, tuple(records), aggregate)
     path = out_path if out_path is not None else config.output
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(result.text())
-        result = replace(result, path=str(path))
     return result
 
 
 def load_result(path) -> tuple:
     """Read a result file back as (records, aggregate): trial records with
-    distinct integer indices and object values, and one aggregate line."""
+    distinct integer indices, string stream ids, object values and string
+    or null errors, then one aggregate line, the last."""
     records, aggregates = {}, []
     for number, line in enumerate(_read_text(path).split("\n"), 1):
         if not line.strip():
@@ -718,12 +706,16 @@ def load_result(path) -> tuple:
             record = None if is_aggregate else TrialRecord.from_dict(obj)
         except (ValueError, KeyError, TypeError):  # not JSON, not an object, a field missing
             raise InputError(f"{where} is neither a trial record nor the aggregate") from None
+        if aggregates:  # the aggregate is the last line
+            what = "second aggregate" if record is None else "trial record after the aggregate"
+            raise InputError(f"{where} is a {what} line")
         if record is None:
-            if aggregates:
-                raise InputError(f"{where} is a second aggregate line")
             aggregates.append(obj["aggregate"])
-        elif not (_is_int(record.index) and isinstance(record.values, dict)):
-            raise InputError(f"{where}: a record needs an integer index and an object of values")
+        elif not (_is_int(record.index) and isinstance(record.stream_id, str)
+                  and isinstance(record.values, dict)
+                  and (record.error is None or isinstance(record.error, str))):
+            raise InputError(f"{where}: a record needs an integer index, a string stream_id, "
+                             "an object of values and a string or null error")
         elif record.index in records:
             raise InputError(f"{where} repeats trial index {record.index}")
         else:

@@ -401,6 +401,27 @@ def test_round_trip_directed_coloured():
     assert parse_graph(format_graph(h)) == h
 
 
+@pytest.mark.parametrize("text", [
+    "4 3\n0 1\n0 3\n2 3\n",
+    "3 3 directed\n0 1\n2 1\n1 2\n",
+    "3 3 directed\n0 1 r\n2 1 b\n1 2 r\n",
+], ids=["graph", "digraph", "coloured-digraph"])
+def test_formatting_a_parsed_file_gives_its_text(text):
+    assert format_graph(parse_graph(text)) == text
+
+
+@pytest.mark.parametrize("body,bad", [
+    ("0 1 r\n1 x\n", "bad edge line '0 1 r'"),
+    ("0 x\n1 2 r\n", "non-integer token in line '0 x'"),
+], ids=["bad-width-first", "non-integer-first"])
+def test_the_first_bad_line_is_reported(body, bad):
+    with pytest.raises(InputError, match=f"^{bad}$"):
+        parse_graph("3 3\n0 2\n" + body)
+    arc = bad.replace("edge", "arc").replace(" r'", " r b'")
+    with pytest.raises(InputError, match=f"^{arc}$"):
+        parse_graph("3 3 directed\n0 2\n" + body.replace(" r\n", " r b\n"))
+
+
 def test_parse_comments_and_blanks():
     text = "# demo\n3 2\n0 1  # chord\n\n1 2\n"
     g = parse_graph(text)

@@ -10,6 +10,7 @@ import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.stats import binomtest
 
@@ -145,6 +146,17 @@ class TestConfig:
         # a replaced config makes its own key, once
         run_experiment(replace(cfg, master_seed=8))
         assert len(made) == 2
+
+    def test_numpy_integer_fields_are_stored_as_ints(self):
+        """A config takes the package's integer rule, numpy integers
+        included, and stores each as the int it is, so its result is the
+        plain config's to the byte."""
+        plain = core_config(graph={"kind": "complete", "n": 6}, trials=3, master_seed=7, t=2)
+        cfg = replace(plain, trials=np.int64(3), master_seed=np.uint64(7), t=np.int32(2))
+        assert cfg == plain
+        assert [type(getattr(cfg, name)) for name in ("trials", "master_seed", "t")] == [int] * 3
+        assert ExperimentConfig.from_json(json.dumps(cfg.to_dict())) == plain
+        assert run_experiment(cfg).text() == run_experiment(plain).text()
 
     def test_validation_errors(self):
         with pytest.raises(InputError):
@@ -726,17 +738,24 @@ class TestOutputs:
         with pytest.raises(InputError, match="not UTF-8"):
             load(path)
 
+    # a record line is (index, values, *(field, value) pairs over the written record)
     @pytest.mark.parametrize("lines,problem", [
         ([(0, {"x": 1}), "aggregate", "aggregate"], "line 3 is a second aggregate line"),
         ([(0, [1]), "aggregate"], "line 1: a record needs an integer index"),
         ([("0", {"x": 1}), "aggregate"], "line 1: a record needs an integer index"),
         ([(0, {"x": 1}), (0, {"x": 2}), "aggregate"], "line 2 repeats trial index 0"),
-    ], ids=["two-aggregates", "list-values", "str-index", "repeated-index"])
+        ([(0, {"x": 1}), "aggregate", (1, {"x": 2})],
+         "line 3 is a trial record after the aggregate line"),
+        ([(0, {}, ("stream_id", 5)), "aggregate"], "line 1: a record needs .* a string stream_id"),
+        ([(0, {}, ("error", 3)), "aggregate"], "line 1: a record needs .* a string or null error"),
+    ], ids=["two-aggregates", "list-values", "str-index", "repeated-index",
+            "record-after-aggregate", "int-stream-id", "int-error"])
     def test_a_result_no_run_writes_names_the_file_and_line(self, tmp_path, lines, problem):
         path = tmp_path / "broken.ndjson"
         path.write_text("".join(
             json.dumps({"aggregate": {}} if line == "aggregate" else
-                       {"index": line[0], "stream_id": "ab", "values": line[1], "error": None})
+                       {"index": line[0], "stream_id": "ab", "values": line[1], "error": None,
+                        **dict(line[2:])})
             + "\n" for line in lines))
         with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: {problem}"):
             load_result(path)

@@ -42,7 +42,7 @@ CALLS = {
     "ConstructionParams t": (lambda x: ConstructionParams("expander-blowup", 12, x, 4), None),
     "DiGraph n": (lambda x: DiGraph(x, []), 0),
     "ExperimentConfig budget": (lambda x: replace(CORE, budget=x), 1),
-    "ExperimentConfig k": (lambda x: replace(PROPOSITION, k=x), None),
+    "ExperimentConfig k": (lambda x: replace(PROPOSITION, k=x), 2),
     "ExperimentConfig master_seed": (lambda x: replace(CORE, master_seed=x), 0),
     "ExperimentConfig parts": (lambda x: replace(CORE, parts=x), 2),
     "ExperimentConfig root": (lambda x: replace(CORE, root=x), 0),
