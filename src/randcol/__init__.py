@@ -10,7 +10,6 @@ from .bounds import (
 )
 from .colouring import (
     ColouringResult,
-    EliminationOrder,
     ProductColouringReport,
     chromatic_number_exact,
     colouring_number,

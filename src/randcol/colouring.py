@@ -1,4 +1,4 @@
-"""Vertex colouring: degeneracy orders, t-cores, exact chromatic number
+"""Vertex colouring: colouring numbers, t-cores, exact chromatic number
 on small instances and the product-colouring check."""
 
 from __future__ import annotations
@@ -17,22 +17,6 @@ DEFAULT_N_CAP = 40
 
 
 @dataclass(frozen=True)
-class EliminationOrder:
-    """Reverse min-degree peeling order.
-
-    back_degrees[i] counts neighbours of order[i] that appear earlier in
-    order (i.e. were still present when order[i] was peeled), so
-    max(back_degrees) + 1 is the colouring number.
-    """
-
-    order: tuple
-    back_degrees: tuple
-
-    def degeneracy(self) -> int:
-        return max(self.back_degrees, default=0)
-
-
-@dataclass(frozen=True)
 class ColouringResult:
     """A proper colouring plus how much it proves.
 
@@ -46,29 +30,25 @@ class ColouringResult:
     lower_bound: int
 
 
-def _peel(g: Graph, thresholds: Iterable[int], rounds: list | None = None) -> np.ndarray:
-    """Peel g at each threshold t of an ascending sequence in turn.
+def _peel(g: Graph, thresholds: Iterable[int]) -> tuple[np.ndarray, int]:
+    """Peel g at each threshold t of a non-empty ascending sequence in turn.
 
     At threshold t a round removes every live vertex with fewer than t
-    live neighbours at once, in ascending id, and lowers its neighbours'
-    degrees by the arcs out of the removed vertices (g's cached
-    graphs._ArcView); rounds repeat until one removes nothing, then the
-    next threshold starts from the survivors. A round is one generation
-    of the cascade. It costs O(n) plus the removed vertices' rows when g
-    is regular or a view of a regular parent, such as a half-sample of a
-    blow-up, whose dropped edges are masked out of the parent's table;
-    O(n + m) otherwise. Stops when the sequence ends or nothing is left.
-    Returns the mask of the survivors; when rounds is given, each
-    round's removed ids are appended to it, so that their concatenation
-    is the peel order.
+    live neighbours at once and lowers its neighbours' degrees by the
+    arcs out of the removed vertices (g's cached graphs._ArcView); rounds
+    repeat until one removes nothing, then the next threshold starts from
+    the survivors. A round is one generation of the cascade. It costs
+    O(n) plus the removed vertices' rows when g is regular or a view of a
+    regular parent, such as a half-sample of a blow-up, whose dropped
+    edges are masked out of the parent's table; O(n + m) otherwise.
+    Stops when the sequence ends or nothing is left. Returns the mask of
+    the survivors and the last threshold peeled at.
     """
     arcs = g._arc_view()
     deg = arcs.degree.copy()
     alive = np.ones(g.n, dtype=bool)
     out = np.empty(g.n, dtype=bool)
     for t in thresholds:
-        if not alive.any():
-            break
         while True:
             np.less(deg, t, out=out)
             out &= alive
@@ -76,40 +56,25 @@ def _peel(g: Graph, thresholds: Iterable[int], rounds: list | None = None) -> np
             if not ids.size:
                 break
             alive ^= out
-            if rounds is not None:
-                rounds.append(ids)
             deg -= arcs.counts(out, ids)
-    return alive
+        if not alive.any():
+            break
+    return alive, t
 
 
-def colouring_number(g: Graph) -> tuple[int, EliminationOrder]:
-    """Degeneracy + 1, with the witnessing elimination order.
-
-    Peels at thresholds 1, 2, ... until no vertex is left; ties break by
-    threshold, then by round of the cascade, then by ascending id (see
-    _peel). The returned order is the reverse of the peel. A vertex
-    peeled at threshold t has fewer than t neighbours later in the peel,
-    and the last threshold reached is one more than the degeneracy.
-    """
+def colouring_number(g: Graph) -> int:
+    """Degeneracy + 1: the least t whose t-core is empty, or 0 when g
+    has no vertex. Peels at thresholds 1, 2, ... (see _peel) until no
+    vertex is left, reading g only through its arc view."""
     _expect(g, Graph, "colouring_number")
-    if g.n == 0:
-        return 0, EliminationOrder((), ())
-    rounds: list = []
-    _peel(g, itertools.count(1), rounds)
-    peel = np.concatenate(rounds)
-    pos = np.empty(g.n, dtype=np.intp)
-    pos[peel] = np.arange(g.n)
-    u, v = g.edges.T
-    later = np.bincount(np.where(pos[u] < pos[v], u, v), minlength=g.n)
-    order = EliminationOrder(tuple(peel[::-1].tolist()), tuple(later[peel[::-1]].tolist()))
-    return order.degeneracy() + 1, order
+    return _peel(g, itertools.count(1))[1] if g.n else 0
 
 
 def t_core(g: Graph, t: int) -> np.ndarray:
     """Read-only mask of the unique maximal induced subgraph with minimum
-    degree >= t (possibly empty). Builds no peel order."""
+    degree >= t (possibly empty)."""
     _expect(g, Graph, "t_core")
-    return _frozen(_peel(g, (_integer(t, "t"),)))
+    return _frozen(_peel(g, (_integer(t, "t"),))[0])
 
 
 def _neighbour_masks(g: Graph) -> list[int]:

@@ -144,8 +144,10 @@ def format_layout(layout: BlowUpLayout) -> str:
 
 
 def save_layout(layout: BlowUpLayout, path) -> None:
+    """Write the layout's rows to path; a bad layout leaves the file as it was."""
+    text = format_layout(_expect(layout, BlowUpLayout, "save_layout"))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_layout(layout))
+        fh.write(text)
 
 
 # --- random regular graphs ----------------------------------------------------

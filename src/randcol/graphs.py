@@ -114,11 +114,12 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _expect(g, cls: type, what: str):
-    """g, or InputError unless it is a cls: the one check of which graph
-    type a consumer takes."""
+def _expect(g, cls: type | tuple, what: str):
+    """g, or InputError unless it is a cls (or one of a tuple of them):
+    the one check of which type a consumer takes."""
     if not isinstance(g, cls):
-        raise InputError(f"{what} needs a {cls.__name__}, got a {type(g).__name__}")
+        want = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise InputError(f"{what} needs a {want}, got a {type(g).__name__}")
     return g
 
 
@@ -672,7 +673,7 @@ def parse_graph(text: str) -> Graph | DiGraph:
 
 
 def format_graph(g: Graph | DiGraph) -> str:
-    directed = isinstance(g, DiGraph)
+    directed = isinstance(_expect(g, (Graph, DiGraph), "format_graph"), DiGraph)
     rows = g.arcs if directed else g.edges
     colours = [f" {c}" for c in g.arc_colour] if directed and g.arc_colour else [""] * len(rows)
     lines = [f"{g.n} {g.m}" + " directed" * directed]
@@ -695,5 +696,7 @@ def load_graph(path) -> Graph | DiGraph:
 
 
 def save_graph(g: Graph | DiGraph, path) -> None:
+    """Write g's text format to path; a bad g leaves the file as it was."""
+    text = format_graph(_expect(g, (Graph, DiGraph), "save_graph"))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g))
+        fh.write(text)

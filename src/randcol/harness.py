@@ -437,10 +437,6 @@ class TrialRecord:
             "error": self.error,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialRecord":
-        return cls(d["index"], d["stream_id"], d["values"], d.get("error"))
-
 
 def trial_stream(config: ExperimentConfig, index: int) -> RngStream:
     """RngStream(config.master_seed).child("trial", index)."""
@@ -693,8 +689,9 @@ def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:
 
 def load_result(path) -> tuple:
     """Read a result file back as (records, aggregate): trial records with
-    distinct integer indices, string stream ids, object values and string
-    or null errors, then one aggregate line, the last."""
+    exactly the keys index (distinct integers), stream_id (strings),
+    values (objects) and error (strings or null), then one aggregate line
+    {"aggregate": <object>}, the last."""
     records, aggregates = {}, []
     for number, line in enumerate(_read_text(path).split("\n"), 1):
         if not line.strip():
@@ -702,10 +699,15 @@ def load_result(path) -> tuple:
         where = f"{path}: line {number}"
         try:
             obj = json.loads(line)
-            is_aggregate = isinstance(obj, dict) and "aggregate" in obj
-            record = None if is_aggregate else TrialRecord.from_dict(obj)
-        except (ValueError, KeyError, TypeError):  # not JSON, not an object, a field missing
-            raise InputError(f"{where} is neither a trial record nor the aggregate") from None
+        except ValueError:  # not JSON
+            obj = None
+        keys = obj.keys() if isinstance(obj, dict) else None
+        if keys == {"aggregate"} and isinstance(obj["aggregate"], dict):
+            record = None
+        elif keys == {"index", "stream_id", "values", "error"}:
+            record = TrialRecord(**obj)
+        else:
+            raise InputError(f"{where} is neither a trial record nor the aggregate")
         if aggregates:  # the aggregate is the last line
             what = "second aggregate" if record is None else "trial record after the aggregate"
             raise InputError(f"{where} is a {what} line")

@@ -9,7 +9,7 @@ that two modules use lives here once:
   reference of components, reachability and restricted searches;
 - ref_bootstrap_percolate: the per-edge round loop, the one reference of
   every threshold spread;
-- ref_t_core_with_trace and ref_colouring_number: the queue and heap peels;
+- ref_t_core and ref_colouring_number: the queue and heap peels;
 - RefGraph: the tuple Graph that the edge arrays replaced.
 
 The references read the graph's rows (g.edges both ways, g.arcs), never
@@ -24,7 +24,6 @@ from collections import deque
 import numpy as np
 from hypothesis import strategies as st
 
-from randcol.colouring import _peel
 from randcol.errors import GenerationError, InputError
 from randcol.generators import random_regular_graph, random_two_regular_digraph
 from randcol.graphs import DiGraph, Graph
@@ -197,38 +196,22 @@ def ref_colouring_number(g):
     return max(at_removal) + 1
 
 
-def ref_t_core_with_trace(g, t):
-    """The queue peel; generation[v] is 0 for a vertex below t at the
-    start and one more than its pusher's for a vertex a removal pushed."""
+def ref_t_core(g, t):
+    """The queue peel: the t-core's vertex set."""
     adj = out_lists(g)
     deg = [len(a) for a in adj]
     alive = [True] * g.n
     queue = [v for v in range(g.n) if deg[v] < t]
-    generation = dict.fromkeys(queue, 0)
     for v in queue:
         alive[v] = False
-    trace = []
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        trace.append(v)
+    for v in queue:
         for w in adj[v]:
             if alive[w]:
                 deg[w] -= 1
                 if deg[w] < t:
                     alive[w] = False
-                    generation[w] = generation[v] + 1
                     queue.append(w)
-    return frozenset(v for v in range(g.n) if alive[v]), tuple(trace), generation
-
-
-def t_core_with_trace(g: Graph, t: int) -> tuple:
-    """The t-core's mask plus the peeled vertices in peel order: the
-    rounds of colouring._peel, which t_core keeps only the mask of."""
-    rounds: list = []
-    core = _peel(g, (t,), rounds)
-    return core, tuple(np.concatenate(rounds).tolist()) if rounds else ()
+    return frozenset(v for v in range(g.n) if alive[v])
 
 
 class RefGraph:

@@ -13,10 +13,11 @@ from randcol.colouring import (
     product_colouring_check,
     t_core,
 )
+from randcol.generators import blow_up
 from randcol.graphs import DiGraph, Graph
 from randcol.sampling import RngStream, sample_subgraph
 
-from helpers import complete_graph, cycle_graph, ids, petersen, random_graph, t_core_with_trace
+from helpers import complete_graph, cycle_graph, ids, petersen, random_graph, ref_colouring_number
 
 
 def is_proper(g, colour_of):
@@ -65,50 +66,30 @@ def core_oracle(g, t):
 
 
 def test_colouring_number_known():
-    assert colouring_number(complete_graph(5))[0] == 5
-    assert colouring_number(cycle_graph(8))[0] == 3
+    assert colouring_number(complete_graph(5)) == 5
+    assert colouring_number(cycle_graph(8)) == 3
     tree = Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (0, 5)])
-    assert colouring_number(tree)[0] == 2
-    assert colouring_number(Graph(4, []))[0] == 1
-    assert colouring_number(Graph(0, []))[0] == 0
-
-
-def test_elimination_order_invariants():
-    for seed in range(6):
-        g = random_graph(10, 0.4, seed)
-        num, order = colouring_number(g)
-        assert sorted(order.order) == list(range(g.n))
-        for i, v in enumerate(order.order):
-            earlier = set(order.order[:i])
-            assert order.back_degrees[i] == sum(1 for w in g.adjacency()[v] if w in earlier)
-        assert max(order.back_degrees, default=0) + 1 == num
-
-
-def test_peeling_tie_break_lowest_id():
-    # two isolated triangles: everything has degree 2, ids decide
-    g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    _, order = colouring_number(g)
-    assert order.order[-1] == 0  # peeled first
-
-
-def test_peel_order_breaks_ties_by_threshold_then_cascade():
-    # pendant paths 0-1 and 5-6 hang off the triangle 2-3-4; 7 is isolated.
-    # Threshold 1 takes 7; threshold 2 takes 0 and 5 (ascending scan), then
-    # the cascade 1 and 6; threshold 3 takes the triangle. The lowest-id
-    # heap would have peeled 0, 1, 5, 6 instead.
+    assert colouring_number(tree) == 2
+    assert colouring_number(Graph(4, [])) == 1
+    assert colouring_number(Graph(0, [])) == 0
+    # pendant paths 0-1 and 5-6 hang off the triangle 2-3-4; 7 is isolated
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (5, 6), (3, 6)])
-    num, order = colouring_number(g)
-    assert num == 3
-    assert order.order == (4, 3, 2, 6, 1, 5, 0, 7)
-    assert order.back_degrees == (0, 1, 2, 1, 1, 1, 1, 0)
+    assert colouring_number(g) == 3
 
 
 def test_peel_builds_no_neighbour_tuples():
     g = petersen()
     t_core(g, 3)
-    t_core_with_trace(g, 2)
     colouring_number(g)
     assert g._adj is None
+    # a half-sample of a blow-up is a view of its parent's table; the
+    # number reads only its arc view, never the view's edge rows
+    parent, _ = blow_up(petersen(), 6)
+    view = sample_subgraph(parent, 0.5, RngStream(0))
+    assert view._parent is parent
+    num = colouring_number(view)
+    assert view._edges is None and view._adj is None
+    assert type(num) is int and num == ref_colouring_number(view)
 
 
 # --- t-core ------------------------------------------------------------------
@@ -140,19 +121,11 @@ def test_core_chain_in_t():
         prev = cur
 
 
-def test_core_fixpoint_and_trace():
+def test_core_fixpoint():
     g = random_graph(12, 0.4, 5)
-    core, trace = t_core_with_trace(g, 3)
-    core = ids(core)
+    core = ids(t_core(g, 3))
     for v in core:
         assert sum(1 for w in g.adjacency()[v] if w in core) >= 3
-    assert core | set(trace) == set(range(g.n))
-    assert core.isdisjoint(trace)
-    # each peeled vertex had degree < t among survivors at its peel time
-    alive = set(range(g.n))
-    for v in trace:
-        assert sum(1 for w in g.adjacency()[v] if w in alive) < 3
-        alive.discard(v)
 
 
 def test_core_rejects_negative_t():
@@ -195,7 +168,7 @@ def test_chromatic_matches_brute_force():
 def test_chromatic_below_colouring_number():
     for seed in range(5):
         g = random_graph(12, 0.5, seed + 40)
-        assert chromatic_number_exact(g).num_colours <= colouring_number(g)[0]
+        assert chromatic_number_exact(g).num_colours <= colouring_number(g)
 
 
 def test_budget_exhaustion_returns_bounds():

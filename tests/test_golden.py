@@ -55,7 +55,7 @@ def test_suite_bytes_are_pinned(name, suite_report):
 PUBLIC_NAMES = [
     "AlonMilmanReport", "BlowUpLayout", "BoundConstants", "BoundaryResilienceReport",
     "CapacityError", "ColouringResult", "ConstructionError", "ConstructionParams",
-    "ConvergenceError", "DiGraph", "EliminationOrder", "ExpansionCertificate",
+    "ConvergenceError", "DiGraph", "ExpansionCertificate",
     "ExperimentConfig", "ExperimentResult", "GenerationError", "Graph", "InputError",
     "PercolationState", "ProductColouringReport", "RandcolError", "RngStream", "SUITE_NAMES",
     "SuiteReport", "SuperVertexStatus", "TrialRecord", "TwoRoundSample",

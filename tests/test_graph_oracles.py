@@ -118,4 +118,4 @@ def test_t_core_and_colouring_number(case):
     num = max(nx.core_number(ref).values()) + 1
     for t in {*range(6), num - 1, num}:
         assert ids(t_core(g, t)) == set(nx.k_core(ref, t))
-    assert colouring_number(g)[0] == num
+    assert colouring_number(g) == num

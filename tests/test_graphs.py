@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randcol.errors import InputError
+from randcol.generators import BlowUpLayout, save_layout
 from randcol.graphs import (
     DiGraph,
     Graph,
@@ -16,8 +17,10 @@ from randcol.graphs import (
     has_cycle_shorter_than,
     is_connected,
     is_strongly_connected,
+    load_graph,
     parse_graph,
     reachable_set,
+    save_graph,
     vertex_boundary,
 )
 from randcol.percolation import bootstrap_percolate
@@ -443,7 +446,23 @@ def test_parse_errors():
 def test_save_load(tmp_path):
     g = cycle_graph(6)
     p = tmp_path / "c6.graph"
-    from randcol.graphs import load_graph, save_graph
-
     save_graph(g, p)
     assert load_graph(p) == g
+
+
+@pytest.mark.parametrize("save,value,want", [
+    (save_graph, cycle_graph(6), "Graph or DiGraph"),
+    (save_layout, BlowUpLayout(n_super=3, layers=1, m=2), "BlowUpLayout"),
+], ids=["save_graph", "save_layout"])
+def test_a_failed_save_leaves_the_file_as_it_was(tmp_path, save, value, want):
+    p = tmp_path / "kept.txt"
+    save(value, p)
+    before = p.read_bytes()
+    with pytest.raises(InputError, match=f"^{save.__name__} needs a {want}, got a NoneType$"):
+        save(None, p)
+    assert p.read_bytes() == before
+
+
+def test_format_graph_of_a_non_graph_is_an_input_error():
+    with pytest.raises(InputError, match="^format_graph needs a Graph or DiGraph, got a NoneType$"):
+        format_graph(None)

@@ -738,7 +738,8 @@ class TestOutputs:
         with pytest.raises(InputError, match="not UTF-8"):
             load(path)
 
-    # a record line is (index, values, *(field, value) pairs over the written record)
+    # a record line is (index, values, *(field, value) pairs over the written record);
+    # a dict is written as it is
     @pytest.mark.parametrize("lines,problem", [
         ([(0, {"x": 1}), "aggregate", "aggregate"], "line 3 is a second aggregate line"),
         ([(0, [1]), "aggregate"], "line 1: a record needs an integer index"),
@@ -748,14 +749,21 @@ class TestOutputs:
          "line 3 is a trial record after the aggregate line"),
         ([(0, {}, ("stream_id", 5)), "aggregate"], "line 1: a record needs .* a string stream_id"),
         ([(0, {}, ("error", 3)), "aggregate"], "line 1: a record needs .* a string or null error"),
+        ([(0, {}, ("extra", 1)), "aggregate"], "line 1 is neither a trial record nor the aggregate"),
+        ([{"index": 0, "stream_id": "ab", "values": {}}, "aggregate"],
+         "line 1 is neither a trial record nor the aggregate"),
+        ([(0, {}), {"aggregate": 5, "index": 3}],
+         "line 2 is neither a trial record nor the aggregate"),
+        ([(0, {}), {"aggregate": 5}], "line 2 is neither a trial record nor the aggregate"),
     ], ids=["two-aggregates", "list-values", "str-index", "repeated-index",
-            "record-after-aggregate", "int-stream-id", "int-error"])
+            "record-after-aggregate", "int-stream-id", "int-error", "extra-key",
+            "no-error-key", "aggregate-with-a-record-key", "aggregate-not-an-object"])
     def test_a_result_no_run_writes_names_the_file_and_line(self, tmp_path, lines, problem):
         path = tmp_path / "broken.ndjson"
         path.write_text("".join(
-            json.dumps({"aggregate": {}} if line == "aggregate" else
-                       {"index": line[0], "stream_id": "ab", "values": line[1], "error": None,
-                        **dict(line[2:])})
+            json.dumps({"aggregate": {}} if line == "aggregate" else line if isinstance(line, dict)
+                       else {"index": line[0], "stream_id": "ab", "values": line[1],
+                             "error": None, **dict(line[2:])})
             + "\n" for line in lines))
         with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: {problem}"):
             load_result(path)

@@ -69,9 +69,8 @@ from helpers import (
     ref_bfs,
     ref_bootstrap_percolate,
     ref_colouring_number,
-    ref_t_core_with_trace,
+    ref_t_core,
     regular_graphs,
-    t_core_with_trace,
 )
 
 
@@ -223,15 +222,8 @@ def test_table_peel_matches_the_queue_and_the_heap(g):
     the queue and heap references (a digraph as the graph of its arcs, no
     longer regular)."""
     for t in range(g.max_degree() + 3):
-        core, trace, generation = ref_t_core_with_trace(g, t)
-        got_core, got_trace = t_core_with_trace(g, t)
-        assert (ids(got_core), got_trace) == (core, tuple(sorted(trace, key=lambda v: (generation[v], v))))
-    num, order = colouring_number(g)
-    assert num == ref_colouring_number(g)
-    out = out_lists(g)
-    pos = {v: i for i, v in enumerate(order.order)}
-    for i, v in enumerate(order.order):
-        assert order.back_degrees[i] == sum(pos[w] < i for w in out[v])
+        assert ids(t_core(g, t)) == ref_t_core(g, t)
+    assert colouring_number(g) == ref_colouring_number(g)
 
 
 @settings(max_examples=100, deadline=None)

@@ -40,7 +40,6 @@ OPTIONS_ALLOWED = {
     "classify_supervertices_thm3(root)": "item 14",
     "classify_supervertices_thm3(h)": "item 14",
     "Graph.with_edges": "item 14",
-    "EliminationOrder.degeneracy": "item 1, through colouring_number",
     # item 4's members outside ALLOWED: the verdict of boundary_resilience_audit's
     # report, and the round-2 graph that the audit takes
     "BoundaryResilienceReport.holds": "item 4",

@@ -17,7 +17,7 @@ from randcol.generators import blow_up
 from randcol.graphs import Graph, _csr, connected_component, vertex_boundary
 from randcol.percolation import bootstrap_percolate
 
-from helpers import RefGraph, circulant, pairs, regular_graphs, t_core_with_trace
+from helpers import RefGraph, circulant, ids, pairs, ref_colouring_number, ref_t_core, regular_graphs
 
 
 def parent_graph(data):
@@ -108,23 +108,20 @@ def test_a_regular_view_of_an_irregular_parent_reads_its_own_table():
 def test_view_peels_match_the_materialised_graph(data):
     _, sub, ref = view_and_reference(data)
     for t in range(ref.max_degree() + 3):
-        got_core, got_trace = t_core_with_trace(sub, t)
-        want_core, want_trace = t_core_with_trace(ref, t)
-        assert np.array_equal(got_core, want_core) and got_trace == want_trace
-    assert colouring_number(sub) == colouring_number(ref)
+        assert np.array_equal(t_core(sub, t), t_core(ref, t))
+    assert colouring_number(sub) == colouring_number(ref) == ref_colouring_number(ref)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_t_core_is_the_core_of_the_traced_peel(data):
-    # t_core builds no peel order; its mask must be t_core_with_trace's,
+def test_t_core_is_the_core_of_the_queue_peel(data):
     # on parents, on their views (the half-samples of core_death are views
     # of a regular parent's table) and on the materialised subgraphs
     g, sub, ref = view_and_reference(data)
     for graph in (g, sub, ref):
         for t in range(graph.max_degree() + 3):
             core = t_core(graph, t)
-            assert np.array_equal(core, t_core_with_trace(graph, t)[0])
+            assert ids(core) == ref_t_core(graph, t)
             assert core.dtype == bool and not core.flags.writeable
     with pytest.raises(InputError):
         t_core(g, -1)
@@ -156,13 +153,12 @@ def test_a_view_does_not_alias_its_callers_mask():
     g = circulant(10, (1, 2))
     mask = np.arange(g.m) % 3 == 0
     sub = g.with_edges(mask)
-    edges, core = sub.edges.copy(), t_core_with_trace(sub, 2)
+    edges, core = sub.edges.copy(), t_core(sub, 2)
     mask[:] = True  # a later write to the caller's array
     fresh = g.with_edges(np.arange(g.m) % 3 == 0)
     assert np.array_equal(sub.edges, edges) and sub == fresh
     assert sub._mask is not mask and not sub._mask.flags.writeable
-    got = t_core_with_trace(fresh, 2)
-    assert np.array_equal(got[0], core[0]) and got[1] == core[1]
+    assert np.array_equal(t_core(fresh, 2), core)
 
 
 def test_a_view_of_a_read_only_mask_keeps_its_value():
@@ -191,8 +187,7 @@ def test_a_view_of_a_view_composes_to_the_root_parent(data):
     ref = Graph(g.n, g.edges[outer][inner])
     assert second == ref and np.array_equal(second._csr_arrays()[1], ref._csr_arrays()[1])
     for t in range(3):
-        got, want = t_core_with_trace(second, t), t_core_with_trace(ref, t)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert np.array_equal(t_core(second, t), t_core(ref, t))
 
 
 def test_views_compose_until_they_keep_under_a_quarter_of_the_root():
