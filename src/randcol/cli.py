@@ -42,8 +42,16 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
+def _unread(args, mode: str, *flags) -> None:
+    """InputError naming the first of flags that is given, none of which mode reads."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise InputError(f"{mode} does not read {flag}")
+
+
 def cmd_generate(args) -> int:
     if args.digraph:
+        _unread(args, "--digraph", "--lambda2-max", "--girth-min")
         if args.d not in (None, 2):
             raise InputError("--digraph generates 2-in/2-out graphs; drop --d or use --d 2")
         g = random_two_regular_digraph(args.n, args.seed)
@@ -82,6 +90,7 @@ def cmd_generate(args) -> int:
 
 def cmd_construct(args) -> int:
     if args.mode == "thm3":
+        _unread(args, "--mode thm3", "--s")
         if args.alpha is None:
             raise InputError("--mode thm3 needs --alpha")
         params = ConstructionParams.thm3(args.k, args.alpha)
@@ -159,12 +168,14 @@ def cmd_chroma(args) -> int:
 def cmd_percolate(args) -> int:
     stream = RngStream(args.seed).child("cli-percolate")
     if args.process == "threshold":
+        _unread(args, "--process threshold", "--p")
         if args.t is None:
             raise InputError("--process threshold needs --t")
         g = _expect(load_graph(args.infile), Graph, f"--in {args.infile}")
         core_size = int(np.count_nonzero(t_core_via_percolation(g, args.t)))
         _emit({"process": "threshold", "t": args.t, "core_size": core_size, "removed": g.n - core_size})
         return 0
+    _unread(args, f"--process {args.process}", "--t")
     if args.p is None:
         raise InputError(f"--process {args.process} needs --p")
     if args.process == "thm3":

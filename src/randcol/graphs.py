@@ -102,13 +102,6 @@ def _vertex(n: int, r) -> int:
     return int(r)
 
 
-def _root(n: int, r) -> np.ndarray:
-    """One-hot mask of r over 0..n-1, checked by _vertex."""
-    mask = np.zeros(n, dtype=bool)
-    mask[_vertex(n, r)] = True
-    return mask
-
-
 def _frozen(mask: np.ndarray) -> np.ndarray:
     mask.setflags(write=False)
     return mask
@@ -234,7 +227,8 @@ def _search(g: "Graph | DiGraph", r: int) -> tuple:
     key = _vertex(g.n, r)
     entry = g._searches.get(key)
     if entry is None:
-        seed = _root(g.n, key)
+        seed = np.zeros(g.n, dtype=bool)
+        seed[key] = True
         levels = np.where(seed, 0, _FAR).astype(np.int32)
         infected, trace = _spread(g, seed, 1, levels)
         if len(g._searches) >= _SEARCHES_SIZE:

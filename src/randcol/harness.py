@@ -276,8 +276,8 @@ def asymptotic_regime_report(
     }
 
 
-# the optional fields that a kind's row must name for a config to set them
-_KIND_FIELDS = ("p", "p_sweep", "first_rate", "t", "k", "suite")
+# the fields that a kind's row must name for a config to set them off their defaults
+_KIND_FIELDS = ("p", "p_sweep", "first_rate", "t", "k", "parts", "budget", "root", "suite")
 
 
 @dataclass(frozen=True, eq=True)
@@ -286,10 +286,10 @@ class ExperimentConfig:
 
     first_rate is kept as the literal fraction/decimal string ("1/9",
     "0.03") so configs round-trip losslessly. Of the fields in
-    _KIND_FIELDS, a config sets only those its kind's row names, and the
-    graph recipe is checked against its row in _RECIPES and the graph
-    type the kind's row takes. regime_metadata is derived from params and
-    the graph; a given value must equal it.
+    _KIND_FIELDS, a config holds those its kind's row does not name at
+    their defaults, and the graph recipe is checked against its row in
+    _RECIPES and the graph type the kind's row takes. regime_metadata is
+    derived from params and the graph; a given value must equal it.
     """
 
     kind: str
@@ -334,7 +334,7 @@ class ExperimentConfig:
             if any(a >= b for a, b in zip(self.p_sweep, self.p_sweep[1:])):
                 raise InputError("p_sweep must be strictly increasing")
         if self.first_rate is not None:
-            second_round_rate(self.first_rate_fraction())  # the sampler's range check
+            second_round_rate(self._first_rate)  # the sampler's range check
         self._check_kind_fields()
         report = asymptotic_regime_report(self.params, self.graph.get("n"))
         if self.regime_metadata is None:
@@ -350,7 +350,8 @@ class ExperimentConfig:
                 both = ", not both" * (len(names) > 1)
                 raise InputError(f"{self.kind}: needs {' or '.join(names)}{both}")
         reads = {name for field in row.needs + row.optional for name in field.split("|")}
-        unread = [n for n in _KIND_FIELDS if n not in reads and getattr(self, n) is not None]
+        unread = [f.name for f in fields(self) if f.name in _KIND_FIELDS and f.name not in reads
+                  and getattr(self, f.name) != f.default]
         if unread:
             raise InputError(f"{self.kind}: does not read {', '.join(unread)}")
         # a missing graph fails here too
@@ -359,11 +360,6 @@ class ExperimentConfig:
         complete = self.graph["kind"] == "complete"  # then k is the vertex count
         if self.kind == "proposition_check" and self.k is None and not complete:
             raise InputError("proposition_check needs k unless the graph is complete")
-
-    def first_rate_fraction(self) -> Fraction:
-        if self.first_rate is None:
-            raise InputError("no first_rate configured")
-        return self._first_rate
 
     @cached_property
     def _first_rate(self) -> Fraction:
@@ -475,7 +471,7 @@ def _trial_core_emptiness(config: ExperimentConfig, stream: RngStream) -> dict:
     if config.p is not None:
         sub = sample_subgraph(g, config.p, stream.child("sample"))
     else:
-        sub = two_round_sample(g, config.first_rate_fraction(), stream.child("sample")).survivors()
+        sub = two_round_sample(g, config._first_rate, stream.child("sample")).survivors()
     # the classification computes the t-core itself
     cls = None if layout is None else classify_supervertices_thm3(sub, layout, config.t)
     core = t_core(sub, config.t) if cls is None else cls.core
@@ -543,7 +539,7 @@ def _per_p(config: ExperimentConfig, good: list) -> dict:
 class _Kind(NamedTuple):
     trial: Callable  # (config, stream) -> the trial's values
     graph: type = Graph  # the graph type its trials run on
-    # fields of _KIND_FIELDS the kind requires; "a|b" asks for exactly one
+    # fields of _KIND_FIELDS the kind requires ("a|b": exactly one), then the others it reads
     needs: tuple = ()
     optional: tuple = ()
     # aggregate: (key, value) pairs whose boolean value gets a Wilson
@@ -554,7 +550,7 @@ class _Kind(NamedTuple):
     extra: Callable = lambda config, good: {}
 
 
-_SWEEP = dict(needs=("p_sweep",), extra=_per_p,
+_SWEEP = dict(needs=("p_sweep",), optional=("root",), extra=_per_p,
               proportions=(("monotone", "monotone"), ("fixpoint_ok", "fixpoint_ok")))
 
 _KINDS = {
@@ -562,13 +558,13 @@ _KINDS = {
         _trial_core_emptiness, needs=("t", "p|first_rate"),
         proportions=(("empty_core", "empty"),), moments=("core_size",)),
     "chromatic_tail": _Kind(
-        _trial_chromatic_tail, needs=("p",), moments=("chi",),
+        _trial_chromatic_tail, needs=("p",), optional=("budget",), moments=("chi",),
         extra=lambda config, good: {
             "chi_histogram": dict(Counter(str(r.values["chi"]) for r in good)),
             "all_exact": all(r.values["exact"] for r in good),
         }),
     "proposition_check": _Kind(
-        _trial_proposition_check, needs=("p",), optional=("k",),
+        _trial_proposition_check, needs=("p",), optional=("k", "budget"),
         proportions=(("bound_holds", "ok"),), moments=("chi",),
         extra=lambda config, good: {"bound": good[0].values["bound"] if good else None}),
     "thm3_sweep": _Kind(
@@ -578,7 +574,8 @@ _KINDS = {
         lambda config, stream: _sweep(config, stream, thm4_process, thm4_fixpoint_violations,
                                       "reachable_size", reachable_set), graph=DiGraph, **_SWEEP),
     "product_colouring": _Kind(
-        _trial_product_colouring, proportions=(("inequality_holds", "ok"),), moments=("product",),
+        _trial_product_colouring, optional=("parts", "budget"),
+        proportions=(("inequality_holds", "ok"),), moments=("product",),
         extra=lambda config, good: {
             "min_margin": min((r.values["margin"] for r in good), default=None)}),
 }
@@ -653,14 +650,10 @@ class ExperimentResult:
     records: tuple
     aggregate: dict
 
-    def lines(self) -> list:
-        dump = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        out = [dump(r.to_dict()) for r in self.records]
-        out.append(dump({"aggregate": self.aggregate}))
-        return out
-
     def text(self) -> str:
-        return "\n".join(self.lines()) + "\n"
+        dump = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        lines = [dump(r.to_dict()) for r in self.records] + [dump({"aggregate": self.aggregate})]
+        return "\n".join(lines) + "\n"
 
 
 def run_experiment(config: ExperimentConfig, out_path=None) -> ExperimentResult:

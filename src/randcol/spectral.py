@@ -59,9 +59,6 @@ def second_eigenvalue(g: Graph) -> float:
         raise InputError("graph is not regular")
     if not is_connected(g):
         raise InputError("graph must be connected")
-    import scipy.sparse  # here, since at module level it would more than double `import randcol`
-    import scipy.sparse.linalg
-
     n = g.n
     indptr, indices = g._csr_arrays()
     shift = (2 * d + 1) / n
@@ -69,6 +66,9 @@ def second_eigenvalue(g: Graph) -> float:
         a = np.zeros((n, n))
         a[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1
         return float(np.linalg.eigvalsh(a - shift)[-1])
+    import scipy.sparse  # here, since at module level it would more than double `import randcol`
+    import scipy.sparse.linalg
+
     a = scipy.sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     op = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda x: a @ x - shift * x.sum(axis=0), dtype=np.float64

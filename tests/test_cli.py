@@ -217,6 +217,25 @@ class TestPercolate:
         assert code == 2 and "--p" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("percolate", "--process", "threshold", "--t", "3", "--p", "0.5"), "--p"),
+    (("percolate", "--process", "thm3", "--p", "0.5", "--t", "3"), "--t"),
+    (("percolate", "--process", "thm4", "--p", "0.5", "--t", "3"), "--t"),
+    (("construct", "--mode", "thm3", "--k", "12", "--alpha", "0.05", "--s", "3"), "--s"),
+    (("generate", "--digraph", "--n", "8", "--seed", "0", "--lambda2-max", "1.0"), "--lambda2-max"),
+    (("generate", "--digraph", "--n", "8", "--seed", "0", "--girth-min", "4"), "--girth-min"),
+], ids=["threshold-p", "thm3-t", "thm4-t", "construct-thm3-s", "digraph-lambda2-max",
+        "digraph-girth-min"])
+def test_a_flag_the_mode_does_not_read_is_refused(tmp_path, capsys, argv, flag):
+    # the input file does not exist, so the flag is refused before any file is read
+    missing, out = str(tmp_path / "missing.txt"), tmp_path / "out.txt"
+    files = {"percolate": ("--in", missing), "construct": ("--h-file", missing, "--out", str(out)),
+             "generate": ("--out", str(out))}[argv[0]]
+    code, stdout, err = run_cli(capsys, *argv, *files)
+    assert code == 2 and stdout == "" and f"does not read {flag}\n" in err
+    assert not out.exists()
+
+
 class TestExperimentAndVerify:
     def test_experiment_run(self, tmp_path, capsys):
         out = tmp_path / "res.ndjson"
@@ -257,6 +276,14 @@ class TestExperimentAndVerify:
         cfg_path.write_text(json.dumps({**cfg.to_dict(), "root": -1}))
         code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 2 and "root" in err and stdout == ""
+
+    def test_experiment_rejects_a_field_its_kind_does_not_read(self, tmp_path, capsys):
+        cfg = ExperimentConfig(kind="core_emptiness", trials=2, master_seed=1,
+                               graph={"kind": "cycle", "n": 5}, p=0.5, t=2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg.to_dict(), "root": 3}))
+        code, stdout, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2 and "core_emptiness: does not read root" in err and stdout == ""
 
     def test_experiment_rejects_a_proposition_check_without_k(self, tmp_path, capsys):
         # only a complete graph gives k, and a config file is checked as it loads

@@ -78,6 +78,20 @@ def uncached(*recipes):
     return keys
 
 
+# the fields of harness._KIND_FIELDS that each kind reads
+READS = {
+    "core_emptiness": {"t", "p", "first_rate"},
+    "chromatic_tail": {"p", "budget"},
+    "proposition_check": {"p", "k", "budget"},
+    "thm3_sweep": {"p_sweep", "root"},
+    "thm4_sweep": {"p_sweep", "root"},
+    "product_colouring": {"parts", "budget"},
+}
+# a value off the default of each field of harness._KIND_FIELDS
+OFF_DEFAULT = {"p": 0.5, "p_sweep": (0.5,), "first_rate": "1/30", "t": 2, "k": 3, "parts": 3,
+               "budget": 10, "root": 1, "suite": "two_round"}
+
+
 def core_config(**overrides):
     base = dict(
         kind="core_emptiness",
@@ -120,15 +134,15 @@ class TestConfig:
         """The rate is parsed once per config, but ==, to_dict, replace
         and the pickle see the fields alone."""
         cfg = core_config(first_rate="1/30", p=None)
-        assert cfg.first_rate_fraction() == Fraction(1, 30)
-        assert cfg.first_rate_fraction() is cfg.first_rate_fraction()
+        assert cfg._first_rate == Fraction(1, 30)
+        assert cfg._first_rate is cfg._first_rate
         assert "_first_rate" not in cfg.to_dict()
         assert cfg.__getstate__() == {f.name: getattr(cfg, f.name) for f in fields(cfg)}
         again = pickle.loads(pickle.dumps(cfg))
         assert again == cfg and "_first_rate" not in vars(again)
-        assert again.first_rate_fraction() == Fraction(1, 30)
+        assert again._first_rate == Fraction(1, 30)
         other = replace(cfg, first_rate="1/9")
-        assert other.first_rate_fraction() == Fraction(1, 9) and other != cfg
+        assert other._first_rate == Fraction(1, 9) and other != cfg
 
     def test_graph_key_is_made_once_per_config(self, monkeypatch):
         """The build cache's key is made once for all trials, and ==,
@@ -190,6 +204,8 @@ class TestConfig:
             ("thm4_sweep", {"p_sweep": (0.1, 0.2), "t": 2}, "t"),
             ("product_colouring", {"first_rate": "1/30"}, "first_rate"),
             ("core_emptiness", {"p": 0.5, "t": 2, "suite": "two_round"}, "suite"),
+            ("core_emptiness", {"p": 0.5, "t": 2, "root": 3, "parts": 7, "budget": 9},
+             "parts, budget, root"),
         ]:
             with pytest.raises(InputError, match=f"{kind}: does not read {unread}$"):
                 ExperimentConfig(kind=kind, trials=2, master_seed=1,
@@ -259,6 +275,10 @@ class TestConfig:
         {"budget": 0},
         {"suite": "two_round"},
         {"k": 4},
+        {"root": 1},
+        {"kind": "chromatic_tail", "t": None, "parts": 3},
+        {"kind": "thm3_sweep", "p": None, "t": None, "p_sweep": [0.5], "budget": 10},
+        {"kind": "product_colouring", "p": None, "t": None, "root": 1},
         {"kind": "proposition_check", "t": None, "k": 1},
         {"kind": "proposition_check", "t": None, "k": -3},
         {"regime_metadata": {**core_config().regime_metadata, "in_asymptotic_regime": True}},
@@ -274,11 +294,30 @@ class TestConfig:
             "recipe-girth-min-str", "recipe-girth-min-bool", "recipe-girth-min-float",
             "recipe-lambda2-max-str", "recipe-lambda2-max-bool", "recipe-path-zero",
             "recipe-path-int", "recipe-density-above-one", "recipe-density-str",
-            "recipe-density-bool", "budget-zero", "suite-set", "unread-k", "proposition-k-one",
+            "recipe-density-bool", "budget-zero", "suite-set", "unread-k", "unread-root",
+            "unread-parts", "unread-budget", "unread-root-of-a-product", "proposition-k-one",
             "proposition-k-negative", "regime-false-report"])
     def test_values_from_outside_are_checked(self, overrides):
         with pytest.raises(InputError):
             ExperimentConfig.from_dict({**core_config().to_dict(), **overrides})
+
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_a_field_at_its_default_counts_as_unset(self, kind):
+        """A kind takes each field it does not read at that field's
+        default, as every to_dict writes it, and refuses any other value."""
+        row = harness._KINDS[kind]
+        assert {name for field in row.needs + row.optional for name in field.split("|")} == READS[kind]
+        graph = ({"kind": "two_regular_digraph", "n": 6, "seed": 0} if kind == "thm4_sweep"
+                 else {"kind": "complete", "n": 4})
+        plain = ExperimentConfig(kind=kind, trials=2, master_seed=1, graph=graph, **KIND_FIELDS[kind])
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+        assert set(OFF_DEFAULT) == set(harness._KIND_FIELDS)
+        for name, value in OFF_DEFAULT.items():
+            if name in READS[kind]:
+                continue
+            assert replace(plain, **{name: defaults[name]}) == plain
+            with pytest.raises(InputError, match=f"^{kind}: does not read {name}$"):
+                replace(plain, **{name: value})
 
     def test_recipe_options_take_null_and_any_real_number(self):
         for options in ({"girth_min": None, "lambda2_max": 3}, {"girth_min": 4, "lambda2_max": 2.95}):
@@ -677,6 +716,13 @@ def test_result_text_is_pinned(kind):
         f"the pinned {kind} run's result text changed bytes; if the move is deliberate, "
         f"update its digest in RESULT_GOLDEN and give the reason in CHANGES.md"
     )
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_CONFIGS))
+def test_a_pinned_config_loads_back_from_its_own_dict(kind):
+    # to_dict writes every field, those the kind does not read at their defaults
+    cfg = PINNED_CONFIGS[kind]
+    assert ExperimentConfig.from_json(json.dumps(cfg.to_dict())) == cfg
 
 
 def test_every_kind_has_a_result_pin():

@@ -29,6 +29,8 @@ GADGET = ConstructionParams.thm4(4, 2)
 CORE = ExperimentConfig("core_emptiness", 1, 0, graph={"kind": "complete", "n": 4}, p=0.5, t=2)
 PROPOSITION = ExperimentConfig("proposition_check", 1, 0, graph={"kind": "cycle", "n": 4},
                                p=0.5, k=3)
+PRODUCT = ExperimentConfig("product_colouring", 1, 0, graph={"kind": "cycle", "n": 4})
+SWEEP = ExperimentConfig("thm3_sweep", 1, 0, graph={"kind": "cycle", "n": 4}, p_sweep=(0.5,))
 
 # "entry point parameter": (the call with that integer, the least value it takes,
 # None when it takes every integer)
@@ -41,11 +43,11 @@ CALLS = {
     "ConstructionParams s": (lambda x: ConstructionParams("gadget", 12, 11, 4, s=x), 2),
     "ConstructionParams t": (lambda x: ConstructionParams("expander-blowup", 12, x, 4), None),
     "DiGraph n": (lambda x: DiGraph(x, []), 0),
-    "ExperimentConfig budget": (lambda x: replace(CORE, budget=x), 1),
+    "ExperimentConfig budget": (lambda x: replace(PROPOSITION, budget=x), 1),
     "ExperimentConfig k": (lambda x: replace(PROPOSITION, k=x), 2),
     "ExperimentConfig master_seed": (lambda x: replace(CORE, master_seed=x), 0),
-    "ExperimentConfig parts": (lambda x: replace(CORE, parts=x), 2),
-    "ExperimentConfig root": (lambda x: replace(CORE, root=x), 0),
+    "ExperimentConfig parts": (lambda x: replace(PRODUCT, parts=x), 2),
+    "ExperimentConfig root": (lambda x: replace(SWEEP, root=x), 0),
     "ExperimentConfig t": (lambda x: replace(CORE, t=x), 0),
     "ExperimentConfig trials": (lambda x: replace(CORE, trials=x), 1),
     "Graph n": (lambda x: Graph(x, []), 0),

@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 from randcol import spectral
 from randcol.errors import ConvergenceError, InputError
 from randcol.generators import random_regular_graph
-from randcol.graphs import DiGraph, Graph, vertex_boundary
+from randcol.graphs import DiGraph, Graph, cycle_graph, vertex_boundary
 from randcol.spectral import (
     DENSE_CAP,
     alon_milman_lower_bound,
@@ -203,3 +203,12 @@ def test_import_does_not_load_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_a_dense_solve_loads_no_sparse_scipy():
+    # a graph of at most DENSE_CAP vertices gets numpy's dense solve, past which scipy loads
+    code = ("import sys; from randcol import cycle_graph, second_eigenvalue\n"
+            f"print(second_eigenvalue(cycle_graph({DENSE_CAP})), 'scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split() == [repr(second_eigenvalue(cycle_graph(DENSE_CAP))), "False"]
