@@ -33,7 +33,6 @@ from .generators import (
     gadget_blow_up,
     random_regular_graph,
     random_two_regular_digraph,
-    save_layout,
 )
 from .graphs import (
     DiGraph,

@@ -32,8 +32,10 @@ class BoundConstants:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise InputError(f"constant {name} must be positive")
+            value = getattr(self, name)
+            # not (value > 0) also refuses NaN
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+                raise InputError(f"constant {name} must be a positive number, got {value!r}")
 
 
 def binom_tail_geq(n: int, q, x) -> float:

@@ -23,7 +23,6 @@ from .generators import (
     gadget_blow_up,
     random_regular_graph,
     random_two_regular_digraph,
-    save_layout,
 )
 from .graphs import DiGraph, Graph, _expect, load_graph, save_graph
 from .harness import load_config, run_experiment
@@ -97,16 +96,14 @@ def cmd_construct(args) -> int:
         h = _expect(load_graph(args.h_file), Graph, f"--h-file {args.h_file}")
         if h.regular_degree() != 3:
             raise InputError("the expander blow-up needs a cubic base graph")
-        g, layout = blow_up(h, params.m)
+        g, _ = blow_up(h, params.m)
     else:
         if args.s is None:
             raise InputError("--mode thm4 needs --s")
         params = ConstructionParams.thm4(args.k, args.s, args.alpha)
         h = _expect(load_graph(args.h_file), DiGraph, f"--h-file {args.h_file}")
-        g, layout = gadget_blow_up(h, params)
+        g, _ = gadget_blow_up(h, params)
     save_graph(g, args.out)
-    layout_path = args.layout_out if args.layout_out else args.out + ".layout"
-    save_layout(layout, layout_path)
     _emit(
         {
             "mode": params.mode,
@@ -117,7 +114,6 @@ def cmd_construct(args) -> int:
             "n": g.n,
             "m": g.m,
             "out": args.out,
-            "layout_out": layout_path,
         }
     )
     return 0
@@ -126,17 +122,11 @@ def cmd_construct(args) -> int:
 def cmd_sample(args) -> int:
     g = _expect(load_graph(args.infile), Graph, f"--in {args.infile}")
     stream = RngStream(args.seed).child("cli-sample")
-    given = [x is not None for x in (args.p, args.alpha, args.first_rate)]
-    if sum(given) != 1:
-        raise InputError("give exactly one of --p, --alpha, --first-rate")
     if args.p is not None:
         sub = sample_subgraph(g, args.p, stream)
         mode = {"mode": "one_round", "p": args.p}
     else:
-        if args.alpha is not None:
-            rate = _as_fraction(args.alpha) / 3
-        else:
-            rate = _as_fraction(args.first_rate, "first rate")
+        rate = _as_fraction(args.first_rate, "first rate")
         sub = two_round_sample(g, rate, stream).survivors()
         mode = {"mode": "two_round", "first_rate": str(rate)}
     save_graph(sub, args.out)
@@ -244,15 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--h-file", dest="h_file", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--layout-out", default=None)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("sample", help="one-round or two-round edge sampling")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--alpha", default=None, help="two-round with first rate alpha/3")
-    p.add_argument("--first-rate", default=None, help="two-round with this explicit first rate")
+    rate = p.add_mutually_exclusive_group(required=True)
+    rate.add_argument("--p", type=float, default=None, help="one round, keeping each edge with p")
+    rate.add_argument("--first-rate", default=None, help="two rounds, deleting at this first rate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstructionError, GenerationError, InputError
-from .graphs import (DiGraph, Graph, _expect, _integer, _is_integer, _repeats,
+from .graphs import (DiGraph, Graph, _expect, _frozen, _integer, _is_integer, _repeats,
                      has_cycle_shorter_than, is_connected)
 from .sampling import RngStream
 from .spectral import second_eigenvalue
@@ -44,7 +44,8 @@ class ConstructionParams:
     large base graphs) are deliberately not preconditions; the harness
     records whether a run is in-regime instead. A given alpha only has to
     keep both two-round deletion rates inside (0, 1], i.e. 0 < alpha < 3/2,
-    and a gadget needs s >= 2. All fields are checked, as config files
+    a gadget needs s >= 2, and the expander blow-up, which has one layer,
+    takes no s. All fields are checked, as config files
     supply them, and integer fields are kept as ints (graphs._integer
     admits numpy integers).
     """
@@ -59,15 +60,15 @@ class ConstructionParams:
     def __post_init__(self):
         if self.mode not in ("expander-blowup", "gadget"):
             raise InputError(f"mode must be 'expander-blowup' or 'gadget', got {self.mode!r}")
-        for name in ("k", "t", "m", "s"):
-            value = getattr(self, name)
-            # only the gadget has layers, which s counts
-            if value is None and name == "s" and self.mode != "gadget":
-                continue
-            object.__setattr__(self, name, _integer(value, name, None))
+        # only the gadget has layers, which s counts
+        gadget = self.mode == "gadget"
+        if not gadget and self.s is not None:
+            raise InputError("expander-blowup does not read s")
+        for name in ("k", "t", "m", "s") if gadget else ("k", "t", "m"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, None))
         if self.alpha is not None and not 0 < self.alpha < Fraction(3, 2):
             raise InputError("alpha must lie in (0, 3/2)")
-        if self.mode == "gadget" and self.s < 2:
+        if gadget and self.s < 2:
             raise InputError("s must be at least 2")
 
     @classmethod
@@ -108,8 +109,8 @@ class BlowUpLayout:
     """Where each blown-up vertex lives: super-vertex of the base graph,
     layer index (1-based; always 1 for the plain blow-up) and position
     inside its independent set. Ids are arithmetic, v*(layers*m) +
-    (layer-1)*m + position, and read only here: h_vertex_of, layer_of
-    and position_of take an id or an array of ids."""
+    (layer-1)*m + position, and read only here: h_vertex_of and layer_of
+    take an id or an array of ids, and the position is id % m."""
 
     n_super: int
     layers: int
@@ -129,25 +130,6 @@ class BlowUpLayout:
 
     def layer_of(self, vertex: int) -> int:
         return (vertex // self.m) % self.layers + 1
-
-    def position_of(self, vertex: int) -> int:
-        return vertex % self.m
-
-
-def format_layout(layout: BlowUpLayout) -> str:
-    lines = []
-    for v in range(layout.n_vertices):
-        lines.append(
-            f"{v} {layout.h_vertex_of(v)} {layout.layer_of(v)} {layout.position_of(v)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def save_layout(layout: BlowUpLayout, path) -> None:
-    """Write the layout's rows to path; a bad layout leaves the file as it was."""
-    text = format_layout(_expect(layout, BlowUpLayout, "save_layout"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 # --- random regular graphs ----------------------------------------------------
@@ -206,9 +188,9 @@ def random_two_regular_digraph(n: int, seed) -> DiGraph:
     n = _integer(n, "n", 3)
     stream = _as_stream(seed, "two-regular-digraph")
     tails, heads = _pair_stubs(n, 2, stream, directed=True, what="2-regular digraph")
-    colours = np.where(_repeats(heads), "b", "r")
-    return DiGraph(n, np.column_stack((tails, heads)), arc_colour=colours.tolist(),
-                   validate=False)
+    # simple by _pair_stubs, and each vertex's second in-arc is its blue one
+    return DiGraph.__new__(DiGraph)._start(n, _frozen(np.column_stack((tails, heads))),
+                                           tuple(np.where(_repeats(heads), "b", "r").tolist()))
 
 
 def find_cubic_expander(

@@ -274,11 +274,11 @@ class Graph:
 
     edges is a read-only (m, 2) int array of rows (u, v) with u < v,
     sorted, so equal graphs have equal arrays and row i is edge i of
-    every per-edge mask. validate=False skips normalising and checking:
-    the rows must already be canonical and sorted, as the rows a mask
-    keeps of another graph's edges are. Either way the graph holds its
-    own copy of the rows, so later writes to the caller's array do not
-    reach it.
+    every per-edge mask. The constructor always normalises and checks
+    the rows, and the graph holds its own copy of them, so later writes
+    to the caller's array do not reach it. Rows that the package has
+    just made canonical and sorted skip __init__, as views do (_start
+    on Graph.__new__).
 
     A graph made by with_edges is usually a view: it keeps its root
     parent and a read-only mask over the parent's edges, and reads its
@@ -290,22 +290,22 @@ class Graph:
         "_edge_of_pos", "_searches",
     )
 
-    def __init__(self, n: int, edges, validate: bool = True):
+    def __init__(self, n: int, edges):
         n = _integer(n, "vertex count")
-        if validate:
-            ends = np.sort(_pairs(edges), axis=1)
-            ends = ends[np.lexsort(ends.T[::-1])]
-            _check_pairs(n, ends, "edge")
-        else:
-            ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        ends = np.sort(_pairs(edges), axis=1)
+        ends = ends[np.lexsort(ends.T[::-1])]
+        _check_pairs(n, ends, "edge")
         self._start(n, _frozen(ends))
 
-    def _start(self, n: int, edges, parent: "Graph | None" = None, mask=None, m=None) -> None:
-        """m is a view's count of kept edges, which with_edges has made."""
+    def _start(self, n: int, edges, parent: "Graph | None" = None, mask=None, m=None) -> "Graph":
+        """self on read-only edges, which __init__ has checked, or the package
+        has just made canonical and sorted; or a view of parent under mask,
+        where m is the count of kept edges, which with_edges has made."""
         self.n, self._edges, self._parent, self._mask = n, edges, parent, mask
         self.m = len(edges) if m is None else m
         self._adj = self._arcs = self._csr = self._arcview = None
         self._edge_of_pos = self._searches = None
+        return self
 
     @property
     def edges(self) -> np.ndarray:
@@ -387,10 +387,8 @@ class Graph:
             kept[self._mask] = keep
         m = int(np.count_nonzero(kept))
         if 4 * m < len(kept):
-            return Graph(self.n, parent.edges.compress(kept, axis=0), validate=False)
-        view = Graph.__new__(Graph)
-        view._start(self.n, None, parent, _frozen(kept), m)
-        return view
+            return Graph.__new__(Graph)._start(self.n, _frozen(parent.edges.compress(kept, axis=0)))
+        return Graph.__new__(Graph)._start(self.n, None, parent, _frozen(kept), m)
 
     def regular_degree(self) -> int | None:
         """The common degree if the graph is regular (0 if it has no
@@ -422,32 +420,30 @@ class DiGraph:
 
     __slots__ = ("n", "arcs", "arc_colour", "_csr", "_arcview", "_searches")
 
-    def __init__(
-        self,
-        n: int,
-        arcs,
-        arc_colour: Sequence[str] | None = None,
-        validate: bool = True,
-    ):
-        self.n = _integer(n, "vertex count")
-        self.arcs: np.ndarray = _frozen(_pairs(arcs))
-        self.arc_colour: tuple[str, ...] | None = (
-            tuple(arc_colour) if arc_colour is not None else None
-        )
-        if validate:
-            _check_pairs(self.n, self.arcs, "arc")
-            if self.arc_colour is not None:
-                if len(self.arc_colour) != len(self.arcs):
-                    raise InputError("arc_colour length must match arc count")
-                bad = set(self.arc_colour) - {"r", "b"}
-                if bad:
-                    raise InputError(f"unknown arc colours {sorted(bad)}")
-                heads = self.arcs[:, 1]
-                twice = _repeats(2 * heads + (np.array(self.arc_colour, dtype=str) == "b"))
-                if twice.any():
-                    i = twice.argmax()
-                    raise InputError(f"vertex {heads[i]} has two {self.arc_colour[i]!r} in-arcs")
+    def __init__(self, n: int, arcs, arc_colour: Sequence[str] | None = None):
+        n = _integer(n, "vertex count")
+        arcs = _frozen(_pairs(arcs))
+        colours = tuple(arc_colour) if arc_colour is not None else None
+        _check_pairs(n, arcs, "arc")
+        if colours is not None:
+            if len(colours) != len(arcs):
+                raise InputError("arc_colour length must match arc count")
+            bad = set(colours) - {"r", "b"}
+            if bad:
+                raise InputError(f"unknown arc colours {sorted(bad)}")
+            heads = arcs[:, 1]
+            twice = _repeats(2 * heads + (np.array(colours, dtype=str) == "b"))
+            if twice.any():
+                i = twice.argmax()
+                raise InputError(f"vertex {heads[i]} has two {colours[i]!r} in-arcs")
+        self._start(n, arcs, colours)
+
+    def _start(self, n: int, arcs: np.ndarray, arc_colour: tuple | None) -> "DiGraph":
+        """self on read-only arcs and a tuple or None of colours, which __init__ has
+        checked, or the package has just made simple (on DiGraph.__new__, as views are)."""
+        self.n, self.arcs, self.arc_colour = n, arcs, arc_colour
         self._csr = self._arcview = self._searches = None
+        return self
 
     @property
     def m(self) -> int:
@@ -601,24 +597,22 @@ def is_strongly_connected(h: DiGraph) -> bool:
     """Every vertex reaches vertex 0 and is reached from it."""
     if _expect(h, DiGraph, "is_strongly_connected").n == 0:
         return True
-    backwards = DiGraph(h.n, h.arcs[:, ::-1], validate=False)
+    backwards = DiGraph.__new__(DiGraph)._start(h.n, h.arcs[:, ::-1], None)
     return bool(reachable_set(h, 0).all() and reachable_set(backwards, 0).all())
 
 
 def complete_graph(n: int) -> Graph:
     n = _integer(n, "vertex count")
     # triu_indices runs row by row, so its pairs are canonical and sorted
-    return Graph(n, np.column_stack(np.triu_indices(n, 1)), validate=False)
+    return Graph.__new__(Graph)._start(n, _frozen(np.column_stack(np.triu_indices(n, 1))))
 
 
 def cycle_graph(n: int) -> Graph:
     n = _integer(n, "vertex count")
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
-    # the path rows (v, v + 1), the closing row (0, n - 1) second: canonical, sorted
     v = np.arange(n)
-    return Graph(n, np.insert(np.column_stack((v[:-1], v[1:])), 1, (0, n - 1), axis=0),
-                 validate=False)
+    return Graph(n, np.column_stack((v, np.roll(v, -1))))
 
 
 # ---------------------------------------------------------------------------

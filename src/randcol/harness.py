@@ -17,7 +17,7 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -289,7 +289,8 @@ class ExperimentConfig:
     _KIND_FIELDS, a config holds those its kind's row does not name at
     their defaults, and the graph recipe is checked against its row in
     _RECIPES and the graph type the kind's row takes. regime_metadata is
-    derived from params and the graph; a given value must equal it.
+    not an argument: it is derived from params and the graph, and
+    from_dict checks a given value against it.
     """
 
     kind: str
@@ -307,7 +308,7 @@ class ExperimentConfig:
     root: int = 0
     suite: str | None = None
     output: str | None = None
-    regime_metadata: dict | None = None
+    regime_metadata: dict = field(init=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
@@ -336,11 +337,8 @@ class ExperimentConfig:
         if self.first_rate is not None:
             second_round_rate(self._first_rate)  # the sampler's range check
         self._check_kind_fields()
-        report = asymptotic_regime_report(self.params, self.graph.get("n"))
-        if self.regime_metadata is None:
-            object.__setattr__(self, "regime_metadata", report)
-        elif self.regime_metadata != report:
-            raise InputError(f"regime_metadata must be the report of params and graph: {report!r}")
+        object.__setattr__(self, "regime_metadata",
+                           asymptotic_regime_report(self.params, self.graph.get("n")))
 
     def _check_kind_fields(self):
         row = _KINDS[self.kind]
@@ -393,13 +391,18 @@ class ExperimentConfig:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
-        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
+        missing = {f.name for f in fields(cls) if f.init and f.default is MISSING} - set(d)
         if missing:
             raise InputError(f"missing config fields: {sorted(missing)}")
         kwargs = dict(d)
+        given = kwargs.pop("regime_metadata", MISSING)
         if kwargs.get("params") is not None:
             kwargs["params"] = _params_from_dict(kwargs["params"])
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        if given is not MISSING and given != config.regime_metadata:
+            raise InputError("regime_metadata must be the report of params and graph: "
+                             f"{config.regime_metadata!r}")
+        return config
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -636,12 +639,14 @@ def recompute_aggregate(config: ExperimentConfig, records) -> dict:
 
 
 def _worker_count(trials: int) -> int:
+    """RANDCOL_THREADS, at most one worker per trial and per CPU, since
+    the pool starts all of its workers at once."""
     raw = os.environ.get("RANDCOL_THREADS", "1")
     try:
         cap = int(raw)
     except ValueError:
         raise InputError(f"RANDCOL_THREADS must be an integer, got {raw!r}")
-    return max(1, min(cap, trials))
+    return max(1, min(cap, trials, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,12 @@ def test_constants_must_be_positive():
         BoundConstants(c4=0.0)
     with pytest.raises(InputError, match="c_thm2"):
         BoundConstants(c_thm2=-1.0)
+    with pytest.raises(InputError, match="c4"):
+        BoundConstants(c4=float("nan"))
+    with pytest.raises(InputError, match="c4"):
+        BoundConstants(c4="x")
+    with pytest.raises(InputError, match="c_thm2"):
+        BoundConstants(c_thm2=True)
     c = BoundConstants(c4=2.5)
     assert c.c4 == 2.5 and c.c_thm2 == 1.0
     assert BoundConstants() == BoundConstants(c4=1.0, c_thm2=1.0)

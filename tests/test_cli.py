@@ -112,21 +112,18 @@ class TestConstruct:
         assert info["n"] == 18 * 4
         g = load_graph(out)
         assert g.regular_degree() == 12
-        assert (tmp_path / "g.txt.layout").exists()
 
     def test_thm4(self, tmp_path, capsys, digraph_file):
         out = tmp_path / "gad.txt"
-        layout_out = tmp_path / "gad.layout"
         code, stdout, _ = run_cli(
             capsys, "construct", "--mode", "thm4", "--k", "8", "--s", "2",
-            "--h-file", str(digraph_file), "--out", str(out), "--layout-out", str(layout_out),
+            "--h-file", str(digraph_file), "--out", str(out),
         )
         assert code == 0
         info = last_json(stdout)
         assert info["layers"] == 5 and info["layer_size"] == 2
         g = load_graph(out)
         assert g.n == 8 * 5 * 2 and g.regular_degree() == 8
-        assert layout_out.exists()
 
     def test_thm3_rejects_noncubic(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -148,21 +145,28 @@ class TestSampleCoreChroma:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_two_round_alpha(self, tmp_path, capsys, cubic_file):
+    def test_two_round_first_rate(self, tmp_path, capsys, cubic_file):
         out = tmp_path / "s.txt"
         code, stdout, _ = run_cli(
-            capsys, "sample", "--in", str(cubic_file), "--seed", "2", "--alpha", "0.3", "--out", str(out)
+            capsys, "sample", "--in", str(cubic_file), "--seed", "2", "--first-rate", "1/10",
+            "--out", str(out),
         )
         assert code == 0
         info = last_json(stdout)
         assert info["mode"] == "two_round" and info["first_rate"] == "1/10"
 
-    def test_sample_mode_exclusivity(self, tmp_path, capsys, cubic_file):
-        code, _, err = run_cli(
-            capsys, "sample", "--in", str(cubic_file), "--seed", "2", "--p", "0.5",
-            "--alpha", "0.3", "--out", str(tmp_path / "no.txt"),
-        )
-        assert code == 2 and "exactly one" in err
+    @pytest.mark.parametrize("rates,why", [
+        ((), "one of the arguments --p --first-rate is required"),
+        (("--p", "0.5", "--first-rate", "1/10"), "--first-rate: not allowed with argument --p"),
+    ], ids=["neither", "both"])
+    def test_sample_mode_exclusivity(self, tmp_path, capsys, rates, why):
+        # the input file does not exist, so the parser refuses before any file is read
+        out = tmp_path / "no.txt"
+        with pytest.raises(SystemExit) as refused:
+            main(["sample", "--in", str(tmp_path / "missing.txt"), "--seed", "2", *rates,
+                  "--out", str(out)])
+        assert refused.value.code == 2 and why in capsys.readouterr().err
+        assert not out.exists()
 
     def test_core_matches_library(self, capsys, cubic_file):
         code, stdout, _ = run_cli(capsys, "core", "--in", str(cubic_file), "--t", "3")
@@ -233,6 +237,22 @@ def test_a_flag_the_mode_does_not_read_is_refused(tmp_path, capsys, argv, flag):
              "generate": ("--out", str(out))}[argv[0]]
     code, stdout, err = run_cli(capsys, *argv, *files)
     assert code == 2 and stdout == "" and f"does not read {flag}\n" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("sample", "--in", "IN", "--seed", "2", "--p", "0.5", "--alpha", "0.3"), "--alpha"),
+    (("construct", "--mode", "thm3", "--k", "12", "--alpha", "0.05", "--h-file", "IN",
+      "--layout-out", "OUT.layout"), "--layout-out"),
+], ids=["sample-alpha", "construct-layout-out"])
+def test_a_removed_flag_is_refused_by_the_parser(tmp_path, capsys, argv, flag):
+    # sample's first rate is --first-rate, and a layout follows from construct's summary
+    out = tmp_path / "out.txt"
+    argv = [{"IN": str(tmp_path / "missing.txt"), "OUT.layout": str(tmp_path / "l")}.get(a, a)
+            for a in argv]
+    with pytest.raises(SystemExit) as refused:
+        main([*argv, "--out", str(out)])
+    assert refused.value.code == 2 and f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -368,7 +388,6 @@ class TestExperimentAndVerify:
         assert code == 2 and err.startswith("error:") and "line" in err and stdout == ""
 
     @pytest.mark.parametrize("command,flag,value", [
-        ("sample", "--alpha", "abc"),
         ("sample", "--first-rate", "abc"),
         ("sample", "--first-rate", "1/0"),
         ("construct", "--alpha", "abc"),

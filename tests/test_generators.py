@@ -12,11 +12,9 @@ from randcol.generators import (
     blow_up,
     circulant_biregular,
     find_cubic_expander,
-    format_layout,
     gadget_blow_up,
     random_regular_graph,
     random_two_regular_digraph,
-    save_layout,
 )
 from randcol import generators, graphs
 from randcol.graphs import (
@@ -205,6 +203,9 @@ def test_params_thm3_errors():
         ConstructionParams.thm3(12, 1.5)  # second-round rate leaves [0, 1]
     with pytest.raises(InputError):
         ConstructionParams.thm3(12, 0)
+    # one layer, so nothing reads s
+    with pytest.raises(InputError, match="^expander-blowup does not read s$"):
+        ConstructionParams("expander-blowup", 12, 5, 4, alpha=Fraction(1, 12), s=5)
 
 
 def test_params_allow_out_of_regime_alpha():
@@ -312,20 +313,8 @@ def test_blow_up_regular_scaling():
 def test_layout_maps_roundtrip():
     layout = BlowUpLayout(n_super=5, layers=4, m=3)
     for v in range(layout.n_vertices):
-        sv, layer, pos = layout.h_vertex_of(v), layout.layer_of(v), layout.position_of(v)
+        sv, layer, pos = layout.h_vertex_of(v), layout.layer_of(v), v % layout.m
         assert layout_id(layout, sv, layer, pos) == v
-
-
-def test_layout_sidecar_roundtrip(tmp_path):
-    layout = BlowUpLayout(n_super=3, layers=6, m=4)
-    text = format_layout(layout)
-    rows = [tuple(map(int, line.split())) for line in text.splitlines()]
-    # one row "v super-vertex layer position" per vertex, in id order
-    assert [row[0] for row in rows] == list(range(layout.n_vertices))
-    assert all(layout_id(layout, *row[1:]) == row[0] for row in rows)
-    p = tmp_path / "layout.txt"
-    save_layout(layout, p)
-    assert p.read_text(encoding="utf-8") == text
 
 
 # --- circulant biregular ------------------------------------------------------------

@@ -68,7 +68,7 @@ PUBLIC_NAMES = [
     "partition_split", "product_colouring_check", "proposition_lower_bound",
     "random_regular_graph", "random_two_regular_digraph", "reachable_set",
     "resilient_pair_detect", "resilient_pair_probability_bound", "run_experiment", "run_suite",
-    "sample_subgraph", "save_graph", "save_layout", "second_eigenvalue", "second_round_rate",
+    "sample_subgraph", "save_graph", "second_eigenvalue", "second_round_rate",
     "t_core", "t_core_via_percolation", "thm3_fixpoint_violations",
     "thm3_process", "thm4_fixpoint_violations", "thm4_process", "two_round_sample",
     "verify_alon_milman", "verify_vertex_expansion", "vertex_boundary", "wilson_interval",

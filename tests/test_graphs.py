@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randcol.errors import InputError
-from randcol.generators import BlowUpLayout, save_layout
 from randcol.graphs import (
     DiGraph,
     Graph,
@@ -53,8 +52,7 @@ def test_neighbour_lists_strictly_ascending(case):
 
 @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None, -1])
 def test_vertex_count_takes_the_integer_rule(n):
-    for build in (lambda: Graph(n, []), lambda: Graph(n, [], validate=False),
-                  lambda: DiGraph(n, []), lambda: DiGraph(n, [], validate=False)):
+    for build in (lambda: Graph(n, []), lambda: DiGraph(n, [])):
         with pytest.raises(InputError, match="vertex count must be a non-negative integer"):
             build()
 
@@ -64,11 +62,11 @@ def test_a_numpy_vertex_count_is_stored_as_its_int():
         assert type(g.n) is int and g.n == 3 and g == type(g)(3, [(0, 1)])
 
 
-def test_unvalidated_rows_are_copied():
+def test_a_graph_holds_its_own_rows():
     """A graph holds its own rows, so a write to the caller's array does
     not change its edges or its hash."""
     a = np.array([[0, 1], [1, 2]])
-    g = Graph(3, a, validate=False)
+    g = Graph(3, a)
     before = hash(g)
     a[1] = (0, 2)
     assert g.edges.tolist() == [[0, 1], [1, 2]]
@@ -76,26 +74,38 @@ def test_unvalidated_rows_are_copied():
 
 
 def test_cycle_graph_rows_equal_the_validated_build():
-    """cycle_graph skips validation, so the rows it places itself must be
-    the canonical, sorted rows of the validated build."""
+    """cycle_graph's rows are the canonical, sorted rows of the cycle's
+    edges given in any order."""
     for n in range(3, 41):
         g = built_cycle(n)
         assert g == cycle_graph(n) and hash(g) == hash(cycle_graph(n)), n
 
 
-def test_loop_rejected():
+@pytest.mark.parametrize("build", [Graph, DiGraph])
+def test_the_constructors_always_check(build):
+    """No switch skips the checks: validate is no parameter."""
+    with pytest.raises(TypeError, match="validate"):
+        build(3, [(0, 1)], validate=False)
+
+
+@pytest.mark.parametrize("build", [Graph, DiGraph])
+def test_loop_rejected(build):
     with pytest.raises(InputError):
-        Graph(3, [(1, 1)])
+        build(3, [(1, 1)])
 
 
-def test_parallel_edge_rejected():
+# (1, 0) repeats (0, 1) in a Graph only; a DiGraph allows the pair
+@pytest.mark.parametrize("build, rows", [(Graph, [(0, 1), (1, 0)]), (DiGraph, [(0, 1), (0, 1)])],
+                         ids=["Graph", "DiGraph"])
+def test_parallel_edge_rejected(build, rows):
     with pytest.raises(InputError):
-        Graph(3, [(0, 1), (1, 0)])
+        build(3, rows)
 
 
-def test_out_of_range_rejected():
+@pytest.mark.parametrize("build", [Graph, DiGraph])
+def test_out_of_range_rejected(build):
     with pytest.raises(InputError):
-        Graph(3, [(0, 3)])
+        build(3, [(0, 3)])
 
 
 def test_digraph_allows_antiparallel():
@@ -192,7 +202,7 @@ def girth_oracle(g):
     # instead check every closed walk length via matrix-free BFS per edge removal
     best = math.inf
     for idx, (u, v) in enumerate(g.edges):
-        rest = Graph(g.n, [e for i, e in enumerate(g.edges) if i != idx], validate=False)
+        rest = Graph(g.n, [e for i, e in enumerate(g.edges) if i != idx])
         # distance u -> v without that edge
         from collections import deque
 
@@ -450,16 +460,12 @@ def test_save_load(tmp_path):
     assert load_graph(p) == g
 
 
-@pytest.mark.parametrize("save,value,want", [
-    (save_graph, cycle_graph(6), "Graph or DiGraph"),
-    (save_layout, BlowUpLayout(n_super=3, layers=1, m=2), "BlowUpLayout"),
-], ids=["save_graph", "save_layout"])
-def test_a_failed_save_leaves_the_file_as_it_was(tmp_path, save, value, want):
+def test_a_failed_save_leaves_the_file_as_it_was(tmp_path):
     p = tmp_path / "kept.txt"
-    save(value, p)
+    save_graph(cycle_graph(6), p)
     before = p.read_bytes()
-    with pytest.raises(InputError, match=f"^{save.__name__} needs a {want}, got a NoneType$"):
-        save(None, p)
+    with pytest.raises(InputError, match="^save_graph needs a Graph or DiGraph, got a NoneType$"):
+        save_graph(None, p)
     assert p.read_bytes() == before
 
 

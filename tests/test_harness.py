@@ -235,14 +235,11 @@ class TestConfig:
         {"params": {"mode": "expander-blowup", "k": 12, "t": 5, "m": "4"}},
         {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "s": True}},
         {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "alpha": "1/20"}},
-        # with the report derived, so that only the params are at fault
-        {"params": {"mode": "expander-blowup", "k": 12, "t": 4, "m": 4, "alpha": "0"},
-         "regime_metadata": None},
-        {"params": {"mode": "expander-blowup", "k": 12, "t": 3, "m": 4, "alpha": "-1/10"},
-         "regime_metadata": None},
-        {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "s": 0}, "regime_metadata": None},
-        {"params": {"mode": "expander-blowup", "k": 12, "t": 16, "m": 4, "alpha": True},
-         "regime_metadata": None},
+        {"params": {"mode": "expander-blowup", "k": 12, "t": 4, "m": 4, "alpha": "0"}},
+        {"params": {"mode": "expander-blowup", "k": 12, "t": 3, "m": 4, "alpha": "-1/10"}},
+        {"params": {"mode": "gadget", "k": 12, "t": 27, "m": 4, "s": 0}},
+        {"params": {"mode": "expander-blowup", "k": 12, "t": 16, "m": 4, "alpha": True}},
+        {"params": {"mode": "expander-blowup", "k": 12, "t": 5, "m": 4, "alpha": "1/12", "s": 5}},
         {"graph": {"kind": "martian"}},
         {"graph": "complete"},
         {"graph": {**BLOWUP_RECIPE, "seed": 3}},
@@ -257,7 +254,7 @@ class TestConfig:
                    "base": {"kind": "random_regular", "n": 20, "d": True, "seed": 5}}},
         {"graph": {"kind": "gadget", "base": {"kind": "complete", "n": 4}}},
         {"graph": {"kind": "gadget", "base": {"kind": "complete", "n": 4}},
-         "params": GADGET_PARAMS, "regime_metadata": None},
+         "params": GADGET_PARAMS},
         {"graph": {"kind": "blow_up", "m": 2,
                    "base": {"kind": "two_regular_digraph", "n": 4, "seed": 0}}},
         *({"graph": {"kind": "blow_up", "m": 2, "base": base}} for base in (
@@ -286,7 +283,8 @@ class TestConfig:
             "params-missing-mode", "params-bad-alpha", "params-zero-denominator",
             "params-unknown-mode", "params-k-str", "params-t-float", "params-m-str",
             "params-s-bool", "params-gadget-without-s", "params-alpha-zero",
-            "params-alpha-negative", "params-gadget-s-zero", "params-alpha-bool", "recipe-unknown-kind",
+            "params-alpha-negative", "params-gadget-s-zero", "params-alpha-bool",
+            "params-blowup-with-s", "recipe-unknown-kind",
             "recipe-not-a-dict", "recipe-unknown-field", "recipe-missing-field",
             "recipe-misspelt-base-field", "recipe-base-seed-str", "recipe-m-float", "recipe-base-n-float",
             "recipe-base-d-bool", "recipe-gadget-without-params",
@@ -298,8 +296,11 @@ class TestConfig:
             "unread-parts", "unread-budget", "unread-root-of-a-product", "proposition-k-one",
             "proposition-k-negative", "regime-false-report"])
     def test_values_from_outside_are_checked(self, overrides):
+        # without the base config's report, so that only the overrides are at fault
+        base = core_config().to_dict()
+        del base["regime_metadata"]
         with pytest.raises(InputError):
-            ExperimentConfig.from_dict({**core_config().to_dict(), **overrides})
+            ExperimentConfig.from_dict({**base, **overrides})
 
     @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
     def test_a_field_at_its_default_counts_as_unset(self, kind):
@@ -377,8 +378,11 @@ class TestConfig:
 
         cfg = core_config()
         assert cfg.regime_metadata["notes"][0].startswith("no construction parameters")
-        with pytest.raises(InputError, match="regime_metadata"):
-            core_config(regime_metadata={**cfg.regime_metadata, "in_asymptotic_regime": True})
+        # derived, so no argument, and replace() derives it again
+        with pytest.raises(TypeError, match="regime_metadata"):
+            core_config(regime_metadata=cfg.regime_metadata)
+        params = ConstructionParams.thm3(12, 0.09)
+        assert replace(cfg, params=params).regime_metadata == asymptotic_regime_report(params, None)
 
 
 class TestBuildGraph:
@@ -722,7 +726,15 @@ def test_result_text_is_pinned(kind):
 def test_a_pinned_config_loads_back_from_its_own_dict(kind):
     # to_dict writes every field, those the kind does not read at their defaults
     cfg = PINNED_CONFIGS[kind]
-    assert ExperimentConfig.from_json(json.dumps(cfg.to_dict())) == cfg
+    back = ExperimentConfig.from_json(json.dumps(cfg.to_dict()))
+    assert back == cfg and back.regime_metadata == cfg.regime_metadata
+    # a given regime_metadata is checked against the derived one, and may be left out
+    d = cfg.to_dict()
+    d["regime_metadata"]["in_asymptotic_regime"] = True
+    with pytest.raises(InputError, match="^regime_metadata must be the report of params and graph"):
+        ExperimentConfig.from_dict(d)
+    del d["regime_metadata"]
+    assert ExperimentConfig.from_dict(d) == cfg
 
 
 def test_every_kind_has_a_result_pin():
@@ -749,6 +761,16 @@ class TestOutputs:
         monkeypatch.setenv("RANDCOL_THREADS", "3")
         parallel = run_experiment(cfg).text()
         assert parallel == serial
+
+    def test_workers_are_capped_by_the_cpus(self, monkeypatch):
+        # the pool starts every worker at once, so the count never passes the CPUs;
+        # this asks for the count alone and starts no process
+        monkeypatch.setenv("RANDCOL_THREADS", "4096")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert harness._worker_count(10**6) == 2
+        assert harness._worker_count(1) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._worker_count(10**6) == 1
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("RANDCOL_THREADS", "many")

@@ -65,7 +65,7 @@ def ref_random_regular_graph(n, d, stream):
                 break
             seen.add(e)
         if ok:
-            return Graph(n, [(int(u), int(v)) for u, v in sorted(seen)], validate=False)
+            return Graph(n, [(int(u), int(v)) for u, v in sorted(seen)])
     raise GenerationError(
         f"no simple {d}-regular graph in {REJECTION_CAP} attempts; retry with a new seed"
     )
@@ -95,7 +95,7 @@ def ref_random_two_regular_digraph(n, stream):
             else:
                 first_in_seen.add(v)
                 colours.append("r")
-        return DiGraph(n, arcs, arc_colour=colours, validate=False)
+        return DiGraph(n, arcs, arc_colour=colours)
     raise GenerationError(
         f"no simple 2-regular digraph in {REJECTION_CAP} attempts; retry with a new seed"
     )

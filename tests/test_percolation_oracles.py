@@ -852,8 +852,8 @@ def test_boundary_audit_matches_the_search():
 def fresh(h):
     """h built anew, so its memo is empty."""
     if isinstance(h, DiGraph):
-        return DiGraph(h.n, h.arcs, arc_colour=h.arc_colour, validate=False)
-    return Graph(h.n, h.edges, validate=False)
+        return DiGraph(h.n, h.arcs, arc_colour=h.arc_colour)
+    return Graph(h.n, h.edges)
 
 
 # what the memo holds for the root before a restricted search
@@ -875,7 +875,7 @@ def held(h, root, memo, p):
 def digraph_union(a, b):
     """The disjoint union of two coloured digraphs, b's ids shifted."""
     return DiGraph(a.n + b.n, np.concatenate((a.arcs, b.arcs + a.n)),
-                   arc_colour=a.arc_colour + b.arc_colour, validate=False)
+                   arc_colour=a.arc_colour + b.arc_colour)
 
 
 blow_up_bases = st.one_of(

@@ -1,9 +1,12 @@
 """The README against the code: every command of its CLI block parses
-with the CLI's own parser, and its JSON config example loads. Nothing is
-run."""
+with the CLI's own parser, its JSON config example loads, and every
+Python block runs. No CLI command is run."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,8 @@ import pytest
 from randcol import cli
 from randcol.harness import ExperimentConfig
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def block(heading: str, language: str = "") -> str:
@@ -42,3 +46,19 @@ def test_the_readme_shows_every_subcommand():
 def test_the_readme_config_example_loads():
     cfg = ExperimentConfig.from_json(block("## Experiments", "json"))
     assert cfg.kind == "core_emptiness"
+
+
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+
+
+@pytest.mark.parametrize("code", PYTHON_BLOCKS, ids=[f"block-{i}" for i in range(len(PYTHON_BLOCKS))])
+def test_a_readme_python_block_runs(code, tmp_path):
+    # a fresh interpreter on the source tree, so a name the package no longer has fails here
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_the_readme_has_a_python_block():
+    assert PYTHON_BLOCKS
